@@ -6,20 +6,25 @@ norm surjectivity.
 
 Lattices are stored as (denominator, integer HNF basis matrix) against the
 1, i, j, k frame, so lattice equality is matrix equality.  All arithmetic
-is exact; Fincke-Pohst enumeration uses an exact rational Cholesky
-decomposition with integer interval endpoints.
+is exact.  Lattice products, right multiplication and ideal formation
+multiply the integer rows with the structure constants of the algebra.
+Short-vector search runs integral LLL on the integer trace Gram matrix,
+then Fincke-Pohst enumeration through scaled integer Schur complements, and
+maps the vectors found back to HNF coordinates.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import product
 
 from .errors import BudgetError, CertificateError, DomainError, NotRepresented
-from .numbase import exact_sqrt_fraction, factorize, is_prime, isqrt, kronecker
-from .quadforms import Discriminant, QuadForm
+from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
+from .quadforms import Discriminant, QuadForm, _xgcd
 
 __all__ = [
     "QuaternionAlgebra",
@@ -191,18 +196,7 @@ class QuatElement:
 
     def __mul__(self, other):
         if isinstance(other, QuatElement):
-            a, b = self.alg.a, self.alg.b
-            x0, x1, x2, x3 = self.c
-            y0, y1, y2, y3 = other.c
-            return QuatElement(
-                self.alg,
-                (
-                    x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                    x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                    x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                    x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-                ),
-            )
+            return QuatElement(self.alg, _qmul(self.alg.a, self.alg.b, self.c, other.c))
         return self.scale(other)
 
     def __rmul__(self, scalar):
@@ -233,21 +227,27 @@ class QuatElement:
     def is_integral_coords(self) -> bool:
         return all(x.denominator == 1 for x in self.c)
 
+    def numerator(self) -> tuple[int, list[int]]:
+        """(den, n) with self = n / den and den the least common denominator."""
+        den = math.lcm(*(x.denominator for x in self.c))
+        return den, [x.numerator * (den // x.denominator) for x in self.c]
+
+
+def _qmul(a: int, b: int, x, y) -> list:
+    """Coordinates of x * y in the 1, i, j, k frame of the algebra (a, b)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return [
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    ]
+
 
 # ---------------------------------------------------------------------------
 # Integer HNF and rank-4 lattices
 # ---------------------------------------------------------------------------
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
@@ -265,6 +265,12 @@ def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
                 continue
             if pivot is None:
                 pivot = r
+                continue
+            if r[col] % pivot[col] == 0:
+                q = r[col] // pivot[col]
+                new_r = [u - q * v for u, v in zip(r, pivot)]
+                if any(new_r):
+                    rest.append(new_r)
                 continue
             g, x, y = _xgcd(pivot[col], r[col])
             pc, rc = pivot[col] // g, r[col] // g
@@ -314,11 +320,8 @@ class Lattice4:
 
     @classmethod
     def from_elements(cls, alg: QuaternionAlgebra, elements: list[QuatElement]) -> "Lattice4":
-        den = 1
-        for e in elements:
-            for x in e.c:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        rows = [[int(x * den) for x in e.c] for e in elements]
+        den = math.lcm(*(x.denominator for e in elements for x in e.c))
+        rows = [[x.numerator * (den // x.denominator) for x in e.c] for e in elements]
         return cls.from_rows(alg, rows, den)
 
     def basis(self) -> list[QuatElement]:
@@ -326,10 +329,12 @@ class Lattice4:
             QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row)) for row in self.mat
         ]
 
-    def covolume_sq_ratio(self) -> Fraction:
-        """det(basis matrix)^2 as an exact rational."""
-        d = _det4(self.mat)
-        return Fraction(d * d, self.den**8)
+    def vector(self, coords) -> QuatElement:
+        """The lattice vector with integer coordinates `coords` in the HNF basis."""
+        return QuatElement(
+            self.alg,
+            tuple(Fraction(sum(c * row[k] for c, row in zip(coords, self.mat)), self.den) for k in range(4)),
+        )
 
     def det_fraction(self) -> Fraction:
         return Fraction(abs(_det4(self.mat)), self.den**4)
@@ -366,17 +371,14 @@ class Lattice4:
         return Lattice4.from_rows(self.alg, rows, self.den)
 
     def right_multiply(self, x: QuatElement) -> "Lattice4":
-        return Lattice4.from_elements(self.alg, [b * x for b in self.basis()])
-
-    def left_multiply(self, x: QuatElement) -> "Lattice4":
-        return Lattice4.from_elements(self.alg, [x * b for b in self.basis()])
+        den, n = x.numerator()
+        a, b = self.alg.a, self.alg.b
+        return Lattice4.from_rows(self.alg, [_qmul(a, b, r, n) for r in self.mat], self.den * den)
 
     def product(self, other: "Lattice4") -> "Lattice4":
-        gens = [b1 * b2 for b1 in self.basis() for b2 in other.basis()]
-        return Lattice4.from_elements(self.alg, gens)
-
-    def sum(self, other: "Lattice4") -> "Lattice4":
-        return Lattice4.from_elements(self.alg, self.basis() + other.basis())
+        a, b = self.alg.a, self.alg.b
+        rows = [_qmul(a, b, x, y) for x in self.mat for y in other.mat]
+        return Lattice4.from_rows(self.alg, rows, self.den * other.den)
 
     def trace_gram(self) -> list[list[int]]:
         """Integer matrix T with T[i][j] = Tr(m_i conj(m_j)) for the scaled
@@ -392,241 +394,193 @@ class Lattice4:
         return T
 
 
+def _det3(a):
+    return (
+        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+    )
+
+
 def _det4(m) -> int:
     # cofactor expansion, exact
-    def det3(a):
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-
     total = 0
     for col in range(4):
         minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        term = m[0][col] * det3(minor)
+        term = m[0][col] * _det3(minor)
         total += term if col % 2 == 0 else -term
     return total
 
 
 # ---------------------------------------------------------------------------
-# Exact Fincke-Pohst enumeration
+# Exact LLL reduction and Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
 
 
-def _cholesky(T: list[list[int]], n: int):
-    """q[i][i] = d_i and q[i][j] = u_ij with x^T T x = sum d_i (x_i + sum u_ij x_j)^2."""
-    q = [[Fraction(T[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise DomainError("form is not positive definite")
-        for j in range(i + 1, n):
-            t = q[i][j]
-            q[j][i] = t
-            q[i][j] = t / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-    return q
+def _lll_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Integral LLL reduction (delta = 3/4) of a positive definite integer
+    Gram matrix, after Cohen, GTM 138, Algorithm 2.6.7.
 
-
-def _sqrt_floor_frac(f: Fraction) -> Fraction:
-    """A lower bound s <= sqrt(f) < s + 1/den-ish; only used to seed intervals."""
-    if f < 0:
-        return Fraction(-1)
-    return Fraction(isqrt(f.numerator * f.denominator), f.denominator)
-
-
-def _int_interval(center: Fraction, radius_sq: Fraction) -> tuple[int, int]:
-    """Integers z with (z + center)^2 <= radius_sq, as [lo, hi] (hi < lo if empty)."""
-    if radius_sq < 0:
-        return 1, 0
-    s = _sqrt_floor_frac(radius_sq)
-    lo = math.ceil(-center - s - 1)
-    hi = math.floor(-center + s + 1)
-    while (Fraction(lo) + center) ** 2 > radius_sq:
-        lo += 1
-        if lo > hi:
-            return 1, 0
-    while (Fraction(hi) + center) ** 2 > radius_sq:
-        hi -= 1
-        if hi < lo:
-            return 1, 0
-    return lo, hi
-
-
-def enumerate_quadratic_form(T: list[list[int]], bound, n: int = 4):
-    """All nonzero integer vectors x with x^T T x <= bound (exact).
-
-    Yields (x, value) pairs; both x and -x are produced.
+    Returns (H, R): H is unimodular, its rows are the reduced basis in the
+    coordinates of G, and R = H G H^T.  Only integers are used: d[i + 1] is
+    the Gram determinant of the first i + 1 basis vectors and lam[k][j] =
+    d[j + 1] mu[k][j] for the Gram-Schmidt coefficients mu.
     """
-    bound = Fraction(bound)
-    if bound < 0:
-        return
-    q = _cholesky(T, n)
-    x = [0] * n
+    n = len(G)
+    if G[0][0] <= 0:
+        raise DomainError("form is not positive definite")
+    H = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1, G[0][0]] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
 
-    def rec(i: int, remaining: Fraction):
-        if i < 0:
-            if any(x):
-                yield tuple(x), bound - remaining
+    def redi(k, l):
+        if 2 * abs(lam[k][l]) <= d[l + 1]:
             return
-        center = Fraction(0)
-        for c in range(i + 1, n):
-            center += q[i][c] * x[c]
-        lo, hi = _int_interval(center, remaining / q[i][i])
-        for z in range(lo, hi + 1):
-            x[i] = z
-            used = q[i][i] * (Fraction(z) + center) ** 2
-            yield from rec(i - 1, remaining - used)
-        x[i] = 0
+        q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+        H[k] = [x - q * y for x, y in zip(H[k], H[l])]
+        lam[k][l] -= q * d[l + 1]
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
 
-    yield from rec(n - 1, bound)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                # row k of H is still the unit vector e_k
+                u = sum(g * h for g, h in zip(G[k], H[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise DomainError("form is not positive definite")
+                else:
+                    d[k + 1] = u
+        redi(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            H[k], H[k - 1] = H[k - 1], H[k]
+            for j in range(k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            m = lam[k][k - 1]
+            B = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (B * t + m * lam[i][k]) // d[k + 1]
+            d[k] = B
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                redi(k, l)
+            k += 1
+    HG = [[sum(h * g for h, g in zip(u, col)) for col in zip(*G)] for u in H]
+    return H, [[sum(x * y for x, y in zip(u, v)) for v in H] for u in HG]
 
 
-def _convex_int_interval(a: int, b: int, c: int) -> tuple[int, int]:
-    """Integers x with a x^2 + 2 b x + c <= 0 for a > 0; empty iff hi < lo."""
-    disc = b * b - a * c
-    if disc < 0:
-        return 1, 0
-    s = isqrt(disc)
-    lo = -((b + s) // a) - 2
-    hi = (s - b) // a + 2
-    while lo <= hi and a * lo * lo + 2 * b * lo + c > 0:
-        lo += 1
-    while hi >= lo and a * hi * hi + 2 * b * hi + c > 0:
-        hi -= 1
-    return lo, hi
+def _fincke_pohst(G: list[list[int]], bound: int, exact: bool = False):
+    """Every nonzero integer x with x^T G x <= bound, or == bound when
+    `exact`, for a positive definite integer G of size n >= 2; yields
+    (x, x^T G x).
 
-
-def ternary_solutions(T: list[list[int]], t: int) -> list[tuple[int, int, int]]:
-    """All integer (x0, x1, x2) with x^T T x = t for positive definite T.
-
-    Projects through exact scaled Schur complements and solves the leading
-    coordinate as an integer quadratic; integer arithmetic only.
+    Works through scaled integer Schur complements: with a = G[0][0],
+    a x^T G x = (a x_0 + g.x')^2 + x'^T (a G' - g g^T) x', and the pruning
+    bound at each level is the product of the earlier pivots times `bound`.
+    In exact mode the first coordinate is solved from a perfect square.
     """
-    if t < 0:
-        return []
-    a00 = T[0][0]
-    p11 = a00 * T[1][1] - T[0][1] ** 2
-    p12 = a00 * T[1][2] - T[0][1] * T[0][2]
-    p22 = a00 * T[2][2] - T[0][2] ** 2
-    det2 = p11 * p22 - p12 * p12
-    bound = a00 * t
-    out = []
-    lo2, hi2 = _convex_int_interval(det2, 0, -p11 * bound)
-    for x2 in range(lo2, hi2 + 1):
-        lo1, hi1 = _convex_int_interval(p11, p12 * x2, p22 * x2 * x2 - bound)
-        for x1 in range(lo1, hi1 + 1):
-            b0 = T[0][1] * x1 + T[0][2] * x2
-            c0 = T[1][1] * x1 * x1 + 2 * T[1][2] * x1 * x2 + T[2][2] * x2 * x2 - t
-            disc = b0 * b0 - a00 * c0
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            for sg in (s,) if s == 0 else (s, -s):
-                num = sg - b0
-                if num % a00 == 0:
-                    x0 = num // a00
-                    if x0 or x1 or x2:
-                        out.append((x0, x1, x2))
-    return out
+    n = len(G)
+    piv, rows = [], []
+    S = [list(r) for r in G]
+    for _ in range(n):
+        a = S[0][0]
+        if a <= 0:
+            raise DomainError("form is not positive definite")
+        piv.append(a)
+        rows.append(S[0][1:])
+        S = [[a * S[i][j] - S[0][i] * S[0][j] for j in range(1, len(S))] for i in range(1, len(S))]
+    caps = [bound]
+    for a in piv[:-1]:
+        caps.append(caps[-1] * a)
+    if bound >= 0:
+        yield from _fp_level(n - 1, 0, [0] * n, piv, rows, caps, exact)
 
 
-def quaternary_hits_value(T: list[list[int]], t: int) -> bool:
-    """True iff some integer vector has x^T T x = t (positive definite T);
-    early exit on the first hit."""
-    if t < 0:
-        return False
-    a00 = T[0][0]
-    P = [
-        [a00 * T[i][j] - T[0][i] * T[0][j] for j in (1, 2, 3)]
-        for i in (1, 2, 3)
-    ]
-    p00, p01, p02 = P[0][0], P[0][1], P[0][2]
-    p11, p12, p22 = P[1][1], P[1][2], P[2][2]
-    r11 = p00 * p11 - p01 * p01
-    r12 = p00 * p12 - p01 * p02
-    r22 = p00 * p22 - p02 * p02
-    det_r = r11 * r22 - r12 * r12
-    bound_p = a00 * t
-    lo3, hi3 = _convex_int_interval(det_r, 0, -r11 * p00 * bound_p)
-    for x3 in range(lo3, hi3 + 1):
-        lo2, hi2 = _convex_int_interval(r11, r12 * x3, r22 * x3 * x3 - p00 * bound_p)
-        for x2 in range(lo2, hi2 + 1):
-            c1 = p11 * x2 * x2 + 2 * p12 * x2 * x3 + p22 * x3 * x3 - bound_p
-            lo1, hi1 = _convex_int_interval(p00, p01 * x2 + p02 * x3, c1)
-            for x1 in range(lo1, hi1 + 1):
-                b0 = T[0][1] * x1 + T[0][2] * x2 + T[0][3] * x3
-                c0 = (
-                    T[1][1] * x1 * x1
-                    + T[2][2] * x2 * x2
-                    + T[3][3] * x3 * x3
-                    + 2 * (T[1][2] * x1 * x2 + T[1][3] * x1 * x3 + T[2][3] * x2 * x3)
-                    - t
-                )
-                disc = b0 * b0 - a00 * c0
-                if disc < 0:
-                    continue
-                s = isqrt(disc)
-                if s * s != disc:
-                    continue
-                for sg in (s,) if s == 0 else (s, -s):
-                    num = sg - b0
-                    if num % a00 == 0 and (num // a00 or x1 or x2 or x3):
-                        return True
-    return False
+def _fp_level(k, tail, x, piv, rows, caps, exact):
+    # x[k], ..., x[0] for every completion of x[k + 1:], whose value under
+    # the k-th Schur complement is `tail`, within the pruning bound caps[k]
+    a = piv[k]
+    lin = sum(map(operator.mul, rows[k], x[k + 1 :]))
+    room = a * caps[k] - tail
+    if room < 0:
+        return
+    s = math.isqrt(room)
+    for z in range(-((s + lin) // a), (s - lin) // a + 1):
+        x[k] = z
+        value = ((a * z + lin) ** 2 + tail) // a
+        if k > 1:
+            yield from _fp_level(k - 1, value, x, piv, rows, caps, exact)
+            continue
+        for x[0], v in _fp_first(value, x, piv[0], rows[0], caps[0], exact):
+            if any(x):
+                yield tuple(x), v
+        x[0] = 0
+    x[k] = 0
+
+
+def _fp_first(tail, x, a, row, bound, exact):
+    # (x_0, value) for every x_0 that completes x[1:] within the bound
+    lin = sum(map(operator.mul, row, x[1:]))
+    room = a * bound - tail
+    if room < 0:
+        return ()
+    s = math.isqrt(room)
+    if exact:
+        if s * s != room:
+            return ()
+        return [((w - lin) // a, bound) for w in ((s, -s) if s else (0,)) if (w - lin) % a == 0]
+    return [(z, ((a * z + lin) ** 2 + tail) // a) for z in range(-((s + lin) // a), (s - lin) // a + 1)]
+
+
+def _unreduce(H: list[list[int]], y) -> tuple[int, ...]:
+    """Coordinates y in the LLL basis H, as coordinates in the original basis."""
+    return tuple(sum(c * row[j] for c, row in zip(y, H)) for j in range(len(H)))
+
+
+def _scaled_norm(lat: Lattice4, target) -> int | None:
+    """2 den^2 target, the value of the trace Gram form on lattice vectors of
+    reduced norm `target`, or None when it is not an integer."""
+    scaled = 2 * lat.den**2 * Fraction(target)
+    return scaled.numerator if scaled.denominator == 1 else None
 
 
 def lattice_vectors_with_norm(lat: Lattice4, target) -> list[QuatElement]:
     """All v in the lattice with Nr(v) = target (exact), canonical order."""
-    target = Fraction(target)
-    T = lat.trace_gram()
-    scaled = 2 * lat.den**2 * target
-    if scaled.denominator != 1:
+    scaled = _scaled_norm(lat, target)
+    if scaled is None:
         return []
-    out = []
-    for coords, val in enumerate_quadratic_form(T, scaled):
-        if val == scaled:
-            out.append(coords)
-    out.sort()
-    return [
-        QuatElement(lat.alg, tuple(Fraction(sum(c[i] * lat.mat[i][k] for i in range(4)), lat.den) for k in range(4)))
-        for c in out
-    ]
+    H, R = _lll_gram(lat.trace_gram())
+    hits = sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
+    return [lat.vector(c) for c in hits]
 
 
 def lattice_min_norm_hits(lat: Lattice4, bound) -> bool:
     """True iff some nonzero lattice vector has Nr exactly `bound` -- used
     for the principality test where `bound` = Nr(lattice) is the a priori
     minimum of the norm on the lattice."""
-    bound = Fraction(bound)
-    T = lat.trace_gram()
-    scaled = 2 * lat.den**2 * bound
-    if scaled.denominator != 1:
+    scaled = _scaled_norm(lat, bound)
+    if scaled is None:
         return False
-    return quaternary_hits_value(T, scaled.numerator)
+    _, R = _lll_gram(lat.trace_gram())
+    return next(_fincke_pohst(R, scaled, exact=True), None) is not None
 
 
 def lattice_shortest_vectors(lat: Lattice4) -> list[QuatElement]:
-    """Nonzero vectors of minimal norm, canonical coordinate order."""
-    T = lat.trace_gram()
-    best = None
-    hits: list[tuple] = []
-    bound = 2 * lat.den**2 * min(b.norm() for b in lat.basis())
-    for coords, val in enumerate_quadratic_form(T, bound):
-        if best is None or val < best:
-            best = val
-            hits = [coords]
-        elif val == best:
-            hits.append(coords)
-    hits.sort()
-    return [
-        QuatElement(lat.alg, tuple(Fraction(sum(c[i] * lat.mat[i][k] for i in range(4)), lat.den) for k in range(4)))
-        for c in hits
-    ]
+    """Nonzero vectors of minimal norm, sorted by their HNF coordinates."""
+    H, R = _lll_gram(lat.trace_gram())
+    found = list(_fincke_pohst(R, min(R[i][i] for i in range(4))))
+    least = min(value for _, value in found)
+    hits = sorted(_unreduce(H, y) for y, value in found if value == least)
+    return [lat.vector(c) for c in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +663,9 @@ def _enlarge_at(order: Order, q: int) -> Order | None:
     """One superorder step of index q, if any: scan x in (1/q)O \\ O with
     integral trace and norm whose span with O is multiplicatively closed."""
     bas = order.basis()
-    for c in _nonzero_tuples_mod(q):
+    for c in product(range(q), repeat=4):
+        if not any(c):
+            continue
         x = QuatElement(order.alg, (0, 0, 0, 0))
         for coef, b in zip(c, bas):
             if coef:
@@ -723,15 +679,6 @@ def _enlarge_at(order: Order, q: int) -> Order | None:
         if cand_order.is_multiplicatively_closed():
             return cand_order
     return None
-
-
-def _nonzero_tuples_mod(q: int):
-    for c0 in range(q):
-        for c1 in range(q):
-            for c2 in range(q):
-                for c3 in range(q):
-                    if c0 or c1 or c2 or c3:
-                        yield (c0, c1, c2, c3)
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +768,7 @@ def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
     L = Lattice4.from_elements(alg, gens4)
     Lbasis = L.basis()
     reps = []
-    for c in _tuples_mod(4):
+    for c in product(range(4), repeat=4):
         x = QuatElement(alg, (0, 0, 0, 0))
         for coef, b in zip(c, Lbasis):
             if coef:
@@ -832,14 +779,6 @@ def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
     gens = [b.scale(4) for b in Lbasis] + reps
     span = Lattice4.from_elements(alg, gens)
     return span.scaled(Fraction(1, 2))
-
-
-def _tuples_mod(q: int):
-    for c0 in range(q):
-        for c1 in range(q):
-            for c2 in range(q):
-                for c3 in range(q):
-                    yield (c0, c1, c2, c3)
 
 
 @dataclass(frozen=True)
@@ -857,10 +796,6 @@ class Embedding:
         one = self.order.alg.element(1, 0, 0, 0)
         return one.scale(Fraction(m) + Fraction(n) * Fraction(D, 2)) + self.v.scale(Fraction(n, 2))
 
-    def iota_of_quadratic(self, rational_part: Fraction, sqrtD_coeff: Fraction) -> QuatElement:
-        one = self.order.alg.element(1, 0, 0, 0)
-        return one.scale(rational_part) + self.v.scale(sqrtD_coeff)
-
 
 def find_optimal_embedding(order: Order, D) -> Embedding:
     """First primitive Gross-lattice vector of norm |D| under canonical
@@ -870,23 +805,15 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     T = gl.gram()
     target = -disc.D
     scaled = 2 * gl.den**2 * target
-    hits = []
-    for coords in ternary_solutions(T, scaled):
-        g = 0
-        for c in coords:
-            g = math.gcd(g, c)
-        if g == 1:
-            hits.append(coords)
-    if not hits:
+    H, R = _lll_gram(T)
+    hits = (_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
+    # the least primitive solution, signed so its first nonzero coordinate is positive
+    c = min(
+        (c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in hits if math.gcd(*c) == 1),
+        default=None,
+    )
+    if c is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
-    hits.sort()
-    # sign normalization: first nonzero coordinate positive
-    canon = []
-    for c in hits:
-        first = next(x for x in c if x)
-        canon.append(c if first > 0 else tuple(-x for x in c))
-    canon = sorted(set(canon))
-    c = canon[0]
     v = QuatElement(
         gl.alg,
         (Fraction(0),) + tuple(Fraction(sum(c[i] * gl.mat[i][k] for i in range(3)), gl.den) for k in range(3)),
@@ -940,11 +867,12 @@ class LeftIdeal:
     lattice: Lattice4
     left_order: Order
 
-    @property
+    @cached_property
     def reduced_norm(self) -> Fraction:
         ratio = self.lattice.det_fraction() / self.left_order.lattice.det_fraction()
         return exact_sqrt_fraction(ratio)
 
+    @cached_property
     def conjugate_lattice(self) -> Lattice4:
         return self.lattice.conjugate()
 
@@ -953,24 +881,28 @@ def order_as_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(lattice=order.lattice, left_order=order)
 
 
-def left_ideal_from_class(order: Order, emb: Embedding, f: QuadForm) -> LeftIdeal:
-    """I = O a + O iota((-b + sqrt(D))/2) with reduced norm a."""
-    D = emb.disc.D
-    if f.discriminant != D:
+def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftIdeal:
+    """base * (Z a + Z (-b + sqrt(D))/2) = base a + base iota((-b + sqrt(D))/2),
+    of reduced norm Nr(base) a; `emb` embeds D into the right order of
+    `base`.  For base = order_as_ideal(O) this is O a + O iota(...)."""
+    if f.discriminant != emb.disc.D:
         raise DomainError("form discriminant does not match the embedding")
-    p = next(q for q in order.alg.ramified if q != "inf")
+    alg = base.lattice.alg
+    p = next(q for q in alg.ramified if q != "inf")
     g = f
     if math.gcd(g.a, p) != 1:
         g = _equivalent_form_coprime_to(f, p)
         if g is None:
             raise CertificateError(f"no equivalent form with leading value coprime to {p}")
-    w = emb.iota_of_quadratic(Fraction(-g.b, 2), Fraction(1, 2))
-    bas = order.basis()
-    gens = [e.scale(g.a) for e in bas] + [e * w for e in bas]
-    lat = Lattice4.from_elements(order.alg, gens)
-    ideal = LeftIdeal(lattice=lat, left_order=order)
-    if ideal.reduced_norm != g.a:
-        raise CertificateError(f"ideal norm {ideal.reduced_norm} != form value {g.a}")
+    # 2 vden iota((-b + sqrt(D))/2) = -b vden + vnum for iota(sqrt(D)) = vnum / vden
+    vden, vnum = emb.v.numerator()
+    w = [vnum[0] - g.b * vden, vnum[1], vnum[2], vnum[3]]
+    mat = base.lattice.mat
+    rows = [[2 * vden * g.a * x for x in r] for r in mat] + [_qmul(alg.a, alg.b, r, w) for r in mat]
+    lat = Lattice4.from_rows(alg, rows, 2 * vden * base.lattice.den)
+    ideal = LeftIdeal(lattice=lat, left_order=base.left_order)
+    if ideal.reduced_norm != base.reduced_norm * g.a:
+        raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {g.a}")
     return ideal
 
 
@@ -999,7 +931,7 @@ def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
         raise DomainError("class comparison requires identical left orders")
     if I.lattice == J.lattice:
         return True
-    M = I.conjugate_lattice().product(J.lattice)
+    M = I.conjugate_lattice.product(J.lattice)
     return lattice_min_norm_hits(M, I.reduced_norm * J.reduced_norm)
 
 
@@ -1075,15 +1007,7 @@ def _inverse_transpose_rows(m: list[list[int]]) -> list[list[Fraction]]:
         for c in range(4):
             minor = [[m[i][j] for j in range(4) if j != c] for i in range(4) if i != r]
             sign = -1 if (r + c) % 2 else 1
-
-            def det3(a):
-                return (
-                    a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-                    - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-                    + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-                )
-
-            cof[r][c] = Fraction(sign * det3(minor), det)
+            cof[r][c] = Fraction(sign * _det3(minor), det)
     return cof
 
 
@@ -1123,7 +1047,7 @@ def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
 def _stable_subspaces_dim2(mats, ell: int):
     """Dimension-2 subspaces of F_ell^4 stable under all matrices (row
     convention: vector v maps to [sum_k v_k m[k][j]]_j)."""
-    vecs = [v for v in _tuples_mod(ell) if any(v)]
+    vecs = [v for v in product(range(ell), repeat=4) if any(v)]
     seen = set()
     out = []
     for i, v1 in enumerate(vecs):
@@ -1249,7 +1173,8 @@ def _ad_matrix(x: QuatElement) -> list[list[Fraction]]:
     cols = []
     for e in alg.basis_elements()[1:]:
         img = x * e - e * x
-        assert img.c[0] == 0
+        if img.c[0] != 0:
+            raise CertificateError("commutator with a basis element has nonzero trace")
         cols.append(img.c[1:])
     # cols[j] = image of basis vector j; matrix M[i][j] = cols[j][i]
     return [[cols[j][i] for j in range(3)] for i in range(3)]
@@ -1337,12 +1262,7 @@ def _hs_from_ad(M, d: int) -> float:
         + M[0][0] * M[2][2] - M[0][2] * M[2][0]
         + M[1][1] * M[2][2] - M[1][2] * M[2][1]
     )
-    det = (
-        M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-        - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-        + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-    )
-    c0 = -det
+    c0 = -_det3(M)
     if c2 != 0 or c0 != 0:
         raise CertificateError("ad matrix is not of the expected semisimple shape")
     # spectrum {0, mu, -mu} with mu^2 = -c1; sum |lambda|^2 = 2 |c1|
@@ -1390,7 +1310,8 @@ def _norms_cover(order: Order, q: int, level: int) -> bool:
     for i in range(4):
         for j in range(i + 1, 4):
             v = (bas[i] * bas[j].conj()).trace()
-            assert v.denominator == 1
+            if v.denominator != 1:
+                raise CertificateError("norm form of the order is not integral")
             cross[(i, j)] = int(v)
     needed = {u for u in range(mod) if math.gcd(u, q) == 1}
     seen = set()

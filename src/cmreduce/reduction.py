@@ -35,9 +35,8 @@ from .quadforms import (
     splitting,
 )
 from .quatalg import (
-    LeftIdeal,
-    Lattice4,
     find_optimal_embedding,
+    left_ideal_from_class,
     quaternion_data,
 )
 
@@ -151,28 +150,9 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
     base = cls.representatives[base_idx]
     out = []
     for f in reduced_forms(d):
-        ideal = _ideal_times_quadratic(base, emb, f, p)
+        ideal = left_ideal_from_class(base, emb, f)
         out.append((f.as_tuple(), cls.index_of(ideal)))
     return tuple(out)
-
-
-def _ideal_times_quadratic(base: LeftIdeal, emb, f: QuadForm, p: int) -> LeftIdeal:
-    """Left ideal base * iota(a_f) where a_f = Z a + Z (-b + sqrt(D))/2."""
-    from .quatalg import _equivalent_form_coprime_to
-
-    g = f
-    if math.gcd(g.a, p) != 1:
-        g = _equivalent_form_coprime_to(f, p)
-        if g is None:
-            raise CertificateError(f"no equivalent form with value coprime to {p}")
-    w = emb.iota_of_quadratic(Fraction(-g.b, 2), Fraction(1, 2))
-    bas = base.lattice.basis()
-    gens = [e.scale(g.a) for e in bas] + [e * w for e in bas]
-    lat = Lattice4.from_elements(base.lattice.alg, gens)
-    ideal = LeftIdeal(lattice=lat, left_order=base.left_order)
-    if ideal.reduced_norm != base.reduced_norm * g.a:
-        raise CertificateError("ideal norm does not match Nr(base) * a")
-    return ideal
 
 
 def reduce_at_prime(D, p: int) -> dict[QuadForm, int]:
@@ -256,8 +236,10 @@ def joint_reduce(D, primes) -> JointDistribution:
         tv += abs(emp - prob)
         chi2 += float((emp - prob) ** 2 / prob)
     tv = tv / 2
-    assert sum(counts.values()) == h
-    assert sum(product.values()) == 1
+    if sum(counts.values()) != h:
+        raise CertificateError(f"class tuples of D={d} count {sum(counts.values())}, not h = {h}")
+    if sum(product.values()) != 1:
+        raise CertificateError(f"product measure over {primes} has total mass {sum(product.values())}")
     return JointDistribution(
         D=disc,
         primes=primes,

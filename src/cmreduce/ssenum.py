@@ -206,5 +206,6 @@ def nu_p(locus: SupersingularLocus) -> list[Fraction]:
     """The weighted probability measure: nu_p(E) = (12/(p-1)) / w_E."""
     scale = Fraction(12, locus.p - 1)
     out = [scale / pt.weight for pt in locus.points]
-    assert sum(out) == 1
+    if sum(out) != 1:
+        raise CertificateError(f"nu_p at p={locus.p} has total mass {sum(out)}")
     return out

@@ -1,0 +1,26 @@
+"""Byte-for-byte CLI outputs that pin the labelling conventions: the class
+order, the HNF representatives and the class indices that `reduce` and
+`joint` print.  A change that alters any of them must refresh the files in
+tests/golden/ on purpose."""
+
+import pathlib
+
+import pytest
+
+from cmreduce.cli import run
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+CASES = {
+    "quat_p11_classes.json": ["quat", "--p", "11", "classes", "--json"],
+    "quat_p23_classes.json": ["quat", "--p", "23", "classes", "--json"],
+    "quat_p53_classes.json": ["quat", "--p", "53", "classes", "--json"],
+    "reduce_D-23_p11.txt": ["reduce", "--D", "-23", "--p", "11"],
+    "joint_D-71_p11-23.json": ["joint", "--D", "-71", "--primes", "11,23", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(capsys, name):
+    assert run(CASES[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()

@@ -1,0 +1,252 @@
+"""The integer lattice kernel of quatalg against independent references:
+lattice products, right multiplication and ideal formation against
+`Lattice4.from_elements` over `QuatElement` products, and the LLL +
+Fincke-Pohst short-vector search against brute-force box enumeration."""
+
+import math
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from cmreduce.errors import DomainError, NotRepresented
+from cmreduce.numbase import kronecker
+from cmreduce.quadforms import reduced_forms
+from cmreduce.quatalg import (
+    Lattice4,
+    _det3,
+    _det4,
+    _equivalent_form_coprime_to,
+    _fincke_pohst,
+    _lll_gram,
+    _neighbor_ideals,
+    _unreduce,
+    find_optimal_embedding,
+    lattice_shortest_vectors,
+    lattice_vectors_with_norm,
+    left_ideal_from_class,
+    order_as_ideal,
+    quaternion_data,
+)
+
+PRIMES = (5, 11, 23, 37)
+BOX_CAP = 10**5
+
+
+def _class_lattices(p):
+    _, O, cls = quaternion_data(p)
+    return [I.lattice for I in cls.representatives] + [Or.lattice for Or in cls.right_orders]
+
+
+def _product_reference(L1, L2):
+    return Lattice4.from_elements(L1.alg, [x * y for x in L1.basis() for y in L2.basis()])
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_integer_product_matches_element_products(p):
+    _, O, cls = quaternion_data(p)
+    ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    for I in ideals:
+        for J in cls.representatives:
+            assert I.conjugate_lattice.product(J.lattice) == _product_reference(I.lattice.conjugate(), J.lattice)
+        for Or in cls.right_orders:
+            assert I.lattice.product(Or.lattice) == _product_reference(I.lattice, Or.lattice)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_integer_right_multiply_matches_element_products(p):
+    rng = random.Random(p)
+    _, O, cls = quaternion_data(p)
+    for I in cls.representatives:
+        for _ in range(6):
+            x = O.alg.element(*(Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)) for _ in range(4)))
+            if x.norm() == 0:
+                continue
+            expected = Lattice4.from_elements(O.alg, [b * x for b in I.lattice.basis()])
+            assert I.lattice.right_multiply(x) == expected
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_integer_ideal_formation_matches_element_products(p):
+    _, O, cls = quaternion_data(p)
+    checked = 0
+    for D in range(-3, -200, -1):
+        if D % 4 not in (0, 1) or kronecker(D, p) != -1:
+            continue
+        for I, Or in zip(cls.representatives, cls.right_orders):
+            try:
+                emb = find_optimal_embedding(Or, D)
+            except NotRepresented:
+                continue
+            for f in reduced_forms(D):
+                g = f if math.gcd(f.a, p) == 1 else _equivalent_form_coprime_to(f, p)
+                w = emb.iota((-g.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
+                bas = I.lattice.basis()
+                expected = Lattice4.from_elements(O.alg, [e.scale(g.a) for e in bas] + [e * w for e in bas])
+                ideal = left_ideal_from_class(I, emb, f)
+                assert ideal.lattice == expected
+                assert ideal.reduced_norm == I.reduced_norm * g.a
+                checked += 1
+        if checked >= 40:
+            break
+    assert checked >= 40
+    # the order itself is the base case
+    emb = find_optimal_embedding(O, next(D for D in range(-3, -200, -1) if _hosts(O, D, p)))
+    f = reduced_forms(emb.disc.D)[0]
+    assert left_ideal_from_class(order_as_ideal(O), emb, f).reduced_norm == f.a
+
+
+def _hosts(O, D, p):
+    if D % 4 not in (0, 1) or kronecker(D, p) != -1:
+        return False
+    try:
+        find_optimal_embedding(O, D)
+    except NotRepresented:
+        return False
+    return True
+
+
+def _box_radii(G, bound):
+    """|x_i| <= sqrt(bound adj(G)_ii / det G) for every x with x^T G x <= bound."""
+    n = len(G)
+    det = _det4(G) if n == 4 else _det3(G)
+    minors = [[[G[a][b] for b in range(n) if b != i] for a in range(n) if a != i] for i in range(n)]
+    adj = [(_det3(m) if n == 4 else m[0][0] * m[1][1] - m[0][1] * m[1][0]) for m in minors]
+    return [math.isqrt(bound * adj[i] // det) for i in range(n)]
+
+
+def _box_vectors(G, bound):
+    """Brute force: every nonzero x in the adjugate box with x^T G x <= bound."""
+    n = len(G)
+    out = []
+    for x in product(*(range(-r, r + 1) for r in _box_radii(G, bound))):
+        value = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
+        if value <= bound and any(x):
+            out.append((x, value))
+    return out
+
+
+def _box_size(G, bound):
+    return math.prod(2 * r + 1 for r in _box_radii(G, bound))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_shortest_vectors_match_box_enumeration(p):
+    tested = 0
+    for L in _class_lattices(p):
+        T = L.trace_gram()
+        bound = min(T[i][i] for i in range(4))
+        if _box_size(T, bound) > BOX_CAP:
+            continue
+        found = _box_vectors(T, bound)
+        least = min(v for _, v in found)
+        expected = sorted(x for x, v in found if v == least)
+        assert lattice_shortest_vectors(L) == [L.vector(c) for c in expected]
+        tested += 1
+    assert tested >= 2
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unit_vectors_match_box_enumeration(p):
+    _, _, cls = quaternion_data(p)
+    for Or in cls.right_orders:
+        T = Or.lattice.trace_gram()
+        bound = 2 * Or.lattice.den**2
+        if _box_size(T, bound) > BOX_CAP:
+            continue
+        expected = sorted(x for x, v in _box_vectors(T, bound) if v == bound)
+        assert lattice_vectors_with_norm(Or.lattice, 1) == [Or.lattice.vector(c) for c in expected]
+
+
+def _random_unimodular(rng, n, steps=12):
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice([-3, -2, -1, 1, 2, 3])
+        U[i] = [u + q * v for u, v in zip(U[i], U[j])]
+        if rng.random() < 0.3:
+            U[i], U[j] = U[j], U[i]
+    return U
+
+
+def _transform(U, G):
+    n = len(G)
+    return [[sum(U[i][a] * G[a][b] * U[j][b] for a in range(n) for b in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _minimal_vectors(G):
+    H, R = _lll_gram(G)
+    found = list(_fincke_pohst(R, min(R[i][i] for i in range(len(G)))))
+    least = min(v for _, v in found)
+    return least, sorted(_unreduce(H, y) for y, v in found if v == least)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_unimodular_change_of_basis_keeps_canonical_shortest_vector(p):
+    rng = random.Random(1000 + p)
+    for L in _class_lattices(p):
+        T = L.trace_gram()
+        least, canonical = _minimal_vectors(T)
+        for _ in range(3):
+            U = _random_unimodular(rng, 4)
+            assert abs(_det4(U)) == 1
+            least_u, found = _minimal_vectors(_transform(U, T))
+            assert least_u == least
+            # coordinates z in the basis U M are the coordinates z U in the basis M
+            assert sorted(_unreduce(U, z) for z in found) == canonical
+        # the public entry point sees the same lattice whatever basis generated it
+        rows = [[sum(u * row[k] for u, row in zip(U_row, L.mat)) for k in range(4)] for U_row in _random_unimodular(rng, 4)]
+        same = Lattice4.from_rows(L.alg, rows, L.den)
+        assert same == L
+        assert lattice_shortest_vectors(same)[0] == lattice_shortest_vectors(L)[0]
+
+
+def test_lll_returns_a_reduced_unimodular_transform():
+    rng = random.Random(5)
+    for p in PRIMES:
+        for L in _class_lattices(p):
+            G = _transform(_random_unimodular(rng, 4, steps=20), L.trace_gram())
+            H, R = _lll_gram(G)
+            assert abs(_det4(H)) == 1
+            assert R == _transform(H, G)
+            # size reduction of the first off-diagonal entry and the Lovasz
+            # condition on the first pair
+            assert 2 * abs(R[0][1]) <= R[0][0]
+            assert 4 * (R[0][0] * R[1][1] - R[0][1] ** 2) >= 3 * R[0][0] ** 2 - 4 * R[0][1] ** 2
+
+
+def _random_definite_grams(seed, n, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        B = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
+        G = [[sum(B[k][i] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        if (_det4(G) if n == 4 else _det3(G)) and _box_size(G, 40) <= BOX_CAP:
+            out.append((G, rng.randrange(0, 41)))
+    return out
+
+
+@pytest.mark.parametrize("G, bound", _random_definite_grams(7, 4, 60))
+def test_fincke_pohst_matches_box_enumeration(G, bound):
+    expected = sorted(_box_vectors(G, bound))
+    assert sorted(_fincke_pohst(G, bound)) == expected
+    assert sorted(_fincke_pohst(G, bound, exact=True)) == [(x, v) for x, v in expected if v == bound]
+    H, R = _lll_gram(G)
+    assert sorted((_unreduce(H, y), v) for y, v in _fincke_pohst(R, bound)) == expected
+
+
+@pytest.mark.parametrize("G, bound", _random_definite_grams(8, 3, 40))
+def test_fincke_pohst_ternary_exact_values(G, bound):
+    H, R = _lll_gram(G)
+    got = sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, bound, exact=True))
+    assert got == sorted(x for x, v in _box_vectors(G, bound) if v == bound)
+
+
+def test_fincke_pohst_rejects_indefinite_forms():
+    with pytest.raises(DomainError):
+        list(_fincke_pohst([[1, 0], [0, -1]], 5))
+    with pytest.raises(DomainError):
+        _lll_gram([[1, 2], [2, 1]])
+    with pytest.raises(DomainError):
+        _lll_gram([[0, 0], [0, 1]])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmreduce.errors import BudgetError, ConfigError, DomainError
+from cmreduce.errors import BudgetError, CertificateError, ConfigError, DomainError
 from cmreduce.quadforms import QuadForm, compose, principal_form, reduced_forms
 from cmreduce.reduction import (
     NU_INFTY_Y2,
@@ -88,6 +88,16 @@ def pytest_inert(D, p):
     from cmreduce.numbase import kronecker
 
     return kronecker(D, p)
+
+
+def test_joint_reduce_certifies_the_product_measure(monkeypatch):
+    # a measure of total mass != 1 must fail loudly, also under python -O
+    from cmreduce import reduction
+
+    good = reduction._nu_weights
+    monkeypatch.setattr(reduction, "_nu_weights", lambda p: [w * 2 for w in good(p)])
+    with pytest.raises(CertificateError):
+        joint_reduce(-71, (11,))
 
 
 def test_marginal_consistency():
