@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fundamental", action="store_true")
     s.add_argument("--json", action="store_true")
     s.add_argument("--csv", action="store_true")
-    s.add_argument("--cache-dir", default=None)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=1)
 
@@ -237,7 +236,6 @@ def _cmd_scan(args) -> int:
         split_filter=split,
         seed=args.seed,
         threads=args.threads,
-        cache_dir=args.cache_dir,
     )
     report = scan(cfg)
     if args.csv:
@@ -264,6 +262,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _check(cond: bool, msg: str) -> None:
+    """A verify check that survives `python -O`, unlike `assert`."""
+    if not cond:
+        raise CertificateError(msg)
+
+
 def _verify_checks(quick: bool):
     import random
 
@@ -281,8 +285,8 @@ def _verify_checks(quick: bool):
         for p in primes_up_to(p_cap):
             if p >= 5:
                 locus = enumerate_ss(p)
-                assert locus.mass == Fraction(p - 1, 12), p
-                assert abs(locus.size - p / 12) <= 2
+                _check(locus.mass == Fraction(p - 1, 12), f"mass at p = {p}")
+                _check(abs(locus.size - p / 12) <= 2, f"locus size at p = {p}")
 
     def group_law():
         rng = random.Random(1)
@@ -290,10 +294,10 @@ def _verify_checks(quick: bool):
             forms = reduced_forms(D)
             e = principal_form(D)
             for f in forms:
-                assert compose(f, f.inverse(), D) == e
+                _check(compose(f, f.inverse(), D) == e, f"inverse of {f.as_tuple()} at D = {D}")
             for _ in range(25):
                 f, g, k = (rng.choice(forms) for _ in range(3))
-                assert compose(compose(f, g, D), k, D) == compose(f, compose(g, k, D), D)
+                _check(compose(compose(f, g, D), k, D) == compose(f, compose(g, k, D), D), f"associativity at D = {D}")
 
     def class_numbers():
         from .quadforms import class_number_table
@@ -301,13 +305,13 @@ def _verify_checks(quick: bool):
         table = class_number_table(d_cap)
         for D in range(-d_cap, 0):
             if D % 4 in (0, 1):
-                assert table[D] == class_number(D), D
+                _check(table[D] == class_number(D), f"h({D})")
 
     def j_values():
         import mpmath
 
-        assert abs(j_eval(cm_point(QuadForm(1, 0, 1), -4), 96) - 1728) < mpmath.mpf(2) ** -64
-        assert hilbert_class_poly(-23).coeffs == (12771880859375, -5151296875, 3491750, 1)
+        _check(abs(j_eval(cm_point(QuadForm(1, 0, 1), -4), 96) - 1728) < mpmath.mpf(2) ** -64, "j(i) != 1728")
+        _check(hilbert_class_poly(-23).coeffs == (12771880859375, -5151296875, 3491750, 1), "H_-23")
 
     def deuring_cardinalities():
         for p in primes_up_to(30 if quick else 50):
@@ -315,8 +319,8 @@ def _verify_checks(quick: bool):
                 continue
             locus = enumerate_ss(p)
             _, _, cls = quaternion_data(p)
-            assert locus.size == cls.h
-            assert sorted(pt.weight for pt in locus.points) == sorted(cls.weights)
+            _check(locus.size == cls.h, f"class number at p = {p}")
+            _check(sorted(pt.weight for pt in locus.points) == sorted(cls.weights), f"weights at p = {p}")
 
     def killing():
         rng = random.Random(2)
@@ -325,26 +329,26 @@ def _verify_checks(quick: bool):
             for _ in range(50):
                 x = B.element(0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
                 u, v = killing_check(B, x)
-                assert u == v
+                _check(u == v, f"trace(ad_x^2) != -8 Nr(x) at p = {p}")
 
     def hs_ratio():
         import math
 
         for D in (-4, -23, -84):
-            assert abs(hs_norm_ratio(D) - math.sqrt(8)) < 1e-9
+            _check(abs(hs_norm_ratio(D) - math.sqrt(8)) < 1e-9, f"ratio at D = {D}")
 
     def norm_surjectivity():
         _, O, _ = quaternion_data(11)
         for q, k in ((2, 3), (3, 2), (5, 1), (11, 1)):
-            assert local_norm_surjectivity(O, q, k)
+            _check(local_norm_surjectivity(O, q, k), f"q^k = {q}^{k}")
 
     def crosscheck():
-        assert fiber_multiset_crosscheck(-23, 5)
-        assert fiber_multiset_crosscheck(-4, 11)
+        _check(fiber_multiset_crosscheck(-23, 5), "D = -23, p = 5")
+        _check(fiber_multiset_crosscheck(-4, 11), "D = -4, p = 11")
 
     def characters():
-        assert character_average(-84, 1) == 1
-        assert character_average(-84, -3) == 0
+        _check(character_average(-84, 1) == 1, "trivial character at D = -84")
+        _check(character_average(-84, -3) == 0, "character -3 at D = -84")
 
     return [
         ("eichler mass formula", mass_formula),

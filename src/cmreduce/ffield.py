@@ -232,20 +232,6 @@ class FfPoly:
             e >>= 1
         return result
 
-    def derivative(self) -> "FfPoly":
-        ctx = self.ctx
-        p = ctx.p
-        return FfPoly(
-            [((i * c[0]) % p, (i * c[1]) % p) for i, c in enumerate(self.coeffs)][1:], ctx
-        )
-
-    def evaluate(self, x: Fp2) -> Fp2:
-        ctx = self.ctx
-        acc: Fp2 = (0, 0)
-        for c in reversed(self.coeffs):
-            acc = ctx.add(ctx.mul(acc, x), c)
-        return acc
-
 
 def _stable_seed(p: int, f: FfPoly) -> int:
     blob = repr((p, f.coeffs)).encode()

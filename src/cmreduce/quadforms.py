@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import ConfigError, DomainError
+from .errors import CertificateError, ConfigError, DomainError
 from .numbase import factorize, is_prime, isqrt, kronecker
 
 __all__ = [
@@ -74,7 +74,8 @@ class Discriminant:
         s = _squarefree(D)
         d0 = s if s % 4 == 1 else 4 * s
         c = isqrt(D // d0)
-        assert c * c * d0 == D
+        if c * c * d0 != D:
+            raise CertificateError(f"{D} is not {d0} times a square")
         return cls(D=D, fundamental=(c == 1), conductor=c, fundamental_part=d0)
 
     def __int__(self) -> int:
@@ -242,20 +243,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         a, x0, y0 = -a, -x0, -y0
     return a, x0, y0
-
-
-def form_power(f: QuadForm, n: int, D) -> QuadForm:
-    d = _as_D(D)
-    result = principal_form(d)
-    base = reduce_form(f)
-    if n < 0:
-        base, n = base.inverse(), -n
-    while n:
-        if n & 1:
-            result = compose(result, base, d)
-        base = compose(base, base, d)
-        n >>= 1
-    return result
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,12 @@ norm surjectivity.
 
 Lattices are stored as (denominator, integer HNF basis matrix) against the
 1, i, j, k frame, so lattice equality is matrix equality.  All arithmetic
-is exact.  Lattice products, right multiplication and ideal formation
-multiply the integer rows with the structure constants of the algebra.
+is exact and every lattice coordinate is an integer: lattice products,
+right multiplication, ideal formation, neighbour ideals and maximal-order
+saturation multiply the integer rows with the structure constants of the
+algebra, and one back-substitution on the HNF rows (`_hnf_coordinates`)
+decides membership.  The right order of a left ideal I of a maximal order
+is conj(I) I / Nr(I).
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
 maps the vectors found back to HNF coordinates.
@@ -224,9 +228,6 @@ class QuatElement:
             raise ZeroDivisionError("inverse of a norm-zero quaternion")
         return self.conj().scale(Fraction(1, 1) / n)
 
-    def is_integral_coords(self) -> bool:
-        return all(x.denominator == 1 for x in self.c)
-
     def numerator(self) -> tuple[int, list[int]]:
         """(den, n) with self = n / den and den the least common denominator."""
         den = math.lcm(*(x.denominator for x in self.c))
@@ -296,6 +297,20 @@ def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
     return out
 
 
+def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
+    """Integer c with c . mat = target / den for HNF rows `mat` of width 3
+    or 4 and an integer vector `target`, or None when there is none.  A
+    pivot that does not divide its entry leaves a nonzero remainder in t."""
+    t = list(target)
+    coords = []
+    for row in mat:
+        pcol = next(col for col, x in enumerate(row) if x)
+        c = t[pcol] // (den * row[pcol])
+        coords.append(c)
+        t = [u - c * den * x for u, x in zip(t, row)]
+    return None if any(t) else coords
+
+
 @dataclass(frozen=True)
 class Lattice4:
     """Full-rank lattice (1/den) * rowspan_Z(mat) in the 1, i, j, k frame."""
@@ -331,35 +346,19 @@ class Lattice4:
 
     def vector(self, coords) -> QuatElement:
         """The lattice vector with integer coordinates `coords` in the HNF basis."""
-        return QuatElement(
-            self.alg,
-            tuple(Fraction(sum(c * row[k] for c, row in zip(coords, self.mat)), self.den) for k in range(4)),
-        )
+        return QuatElement(self.alg, [Fraction(x, self.den) for x in _unreduce(self.mat, coords)])
 
     def det_fraction(self) -> Fraction:
         return Fraction(abs(_det4(self.mat)), self.den**4)
 
     def contains(self, x: QuatElement) -> bool:
-        coords = self.coordinates(x)
-        return coords is not None and all(c.denominator == 1 for c in coords)
+        return self.coordinates(x) is not None
 
-    def coordinates(self, x: QuatElement) -> list[Fraction] | None:
-        """Coordinates of x in this basis (exact), or None if not in span."""
-        target = [Fraction(v) * self.den for v in x.c]
-        coords = [Fraction(0)] * 4
-        pivots = []
-        for i, row in enumerate(self.mat):
-            pcol = next(c for c in range(4) if row[c] != 0)
-            pivots.append(pcol)
-        for i in range(4):
-            pcol = pivots[i]
-            c = target[pcol] / self.mat[i][pcol]
-            coords[i] = c
-            for col in range(4):
-                target[col] -= c * self.mat[i][col]
-        if any(target):
-            return None
-        return coords
+    def coordinates(self, x: QuatElement) -> list[int] | None:
+        """Integer coordinates of x in the HNF basis, or None if x is not in
+        the lattice."""
+        d, n = x.numerator()
+        return _hnf_coordinates(self.mat, [v * self.den for v in n], d)
 
     def scaled(self, s) -> "Lattice4":
         s = Fraction(s)
@@ -542,8 +541,9 @@ def _fp_first(tail, x, a, row, bound, exact):
 
 
 def _unreduce(H: list[list[int]], y) -> tuple[int, ...]:
-    """Coordinates y in the LLL basis H, as coordinates in the original basis."""
-    return tuple(sum(c * row[j] for c, row in zip(y, H)) for j in range(len(H)))
+    """The combination y . H of the rows of H: coordinates y in the basis H
+    (an LLL basis, or HNF rows) as coordinates in the frame of H's rows."""
+    return tuple(sum(c * row[j] for c, row in zip(y, H)) for j in range(len(H[0])))
 
 
 def _scaled_norm(lat: Lattice4, target) -> int | None:
@@ -611,8 +611,11 @@ class Order:
         return rd.numerator
 
     def is_multiplicatively_closed(self) -> bool:
-        bas = self.basis()
-        return all(self.lattice.contains(x * y) for x in bas for y in bas)
+        lat = self.lattice
+        a, b = lat.alg.a, lat.alg.b
+        rows = [_qmul(a, b, x, y) for x in lat.mat for y in lat.mat]
+        rows += [[lat.den * x for x in r] for r in lat.mat]
+        return Lattice4.from_rows(lat.alg, rows, lat.den**2) == lat
 
     @property
     def unit_weight(self) -> int:
@@ -662,22 +665,19 @@ def maximal_order(B: QuaternionAlgebra) -> Order:
 def _enlarge_at(order: Order, q: int) -> Order | None:
     """One superorder step of index q, if any: scan x in (1/q)O \\ O with
     integral trace and norm whose span with O is multiplicatively closed."""
-    bas = order.basis()
+    lat = order.lattice
+    a, b = lat.alg.a, lat.alg.b
+    qd = q * lat.den
+    rows = [[q * x for x in r] for r in lat.mat]
     for c in product(range(q), repeat=4):
         if not any(c):
             continue
-        x = QuatElement(order.alg, (0, 0, 0, 0))
-        for coef, b in zip(c, bas):
-            if coef:
-                x = x + b.scale(Fraction(coef, q))
-        if x.trace().denominator != 1 or x.norm().denominator != 1:
+        n = _unreduce(lat.mat, c)  # x = n / (q den)
+        if 2 * n[0] % qd or (n[0] ** 2 - a * n[1] ** 2 - b * n[2] ** 2 + a * b * n[3] ** 2) % (qd * qd):
             continue
-        candidate = Lattice4.from_elements(order.alg, bas + [x])
-        if candidate == order.lattice:
-            continue
-        cand_order = Order(lattice=candidate)
-        if cand_order.is_multiplicatively_closed():
-            return cand_order
+        candidate = Order(lattice=Lattice4.from_rows(lat.alg, rows + [n], qd))
+        if candidate.lattice != lat and candidate.is_multiplicatively_closed():
+            return candidate
     return None
 
 
@@ -711,29 +711,17 @@ class GrossLattice:
                 T[i][j] = T[j][i] = v
         return T
 
-    def coordinates(self, v: QuatElement) -> list[Fraction] | None:
+    def coordinates(self, v: QuatElement) -> list[int] | None:
+        """Integer coordinates of v in this basis, or None if v is not in
+        the lattice."""
         if v.c[0] != 0:
             return None
-        target = [Fraction(x) * self.den for x in v.c[1:]]
-        coords = [Fraction(0)] * 3
-        for i in range(3):
-            pcol = next(c for c in range(3) if self.mat[i][c] != 0)
-            cc = target[pcol] / self.mat[i][pcol]
-            coords[i] = cc
-            for col in range(3):
-                target[col] -= cc * self.mat[i][col]
-        if any(target):
-            return None
-        return coords
+        d, n = v.numerator()
+        return _hnf_coordinates(self.mat, [x * self.den for x in n[1:]], d)
 
     def contains_primitive(self, v: QuatElement) -> bool:
         coords = self.coordinates(v)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            return False
-        g = 0
-        for c in coords:
-            g = math.gcd(g, c.numerator)
-        return g == 1
+        return coords is not None and math.gcd(*coords) == 1
 
 
 def gross_lattice(order: Order) -> GrossLattice:
@@ -814,10 +802,7 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     )
     if c is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
-    v = QuatElement(
-        gl.alg,
-        (Fraction(0),) + tuple(Fraction(sum(c[i] * gl.mat[i][k] for i in range(3)), gl.den) for k in range(3)),
-    )
+    v = QuatElement(gl.alg, [0] + [Fraction(x, gl.den) for x in _unreduce(gl.mat, c)])
     emb = Embedding(disc=disc, v=v, order=order)
     # contract: iota lands in the order
     w = emb.iota(0, 1)
@@ -828,33 +813,19 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
 
 def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fraction]]:
     """Basis (rows, coordinates in (1, v)) of {m + n v : m, n in Q} cap O."""
-    # condition: x = m + n v in O, i.e. dual of the projection conditions
-    one = order.alg.element(1, 0, 0, 0)
-    lat = order.lattice
-    cols = []
-    # x in O iff coords(x) . inv(M/d) integral; linear in (m, n)
-    b_one = lat.coordinates(one)
-    b_v = lat.coordinates(v)
+    b_one = order.lattice.coordinates(order.alg.one())
+    b_v = order.lattice.coordinates(v)
     if b_one is None or b_v is None:
-        raise DomainError("1 and v must lie in the rational span of O")
-    # (m, n) such that m * b_one + n * b_v is integral: dual lattice of
-    # the span of the 4 condition columns (b_one[i], b_v[i])
-    conditions = [(b_one[i], b_v[i]) for i in range(4)]
-    den = 1
-    for u, w in conditions:
-        den = den * u.denominator // math.gcd(den, u.denominator)
-        den = den * w.denominator // math.gcd(den, w.denominator)
-    rows = [[int(u * den), int(w * den)] for u, w in conditions]
-    h = hnf_rows([r + [0, 0] for r in rows])
-    g = [r[:2] for r in h]
+        raise DomainError("1 and v must lie in O")
+    # m + n v lies in O iff m b_one + n b_v is integral: the preimage is the
+    # dual of the lattice spanned by the condition columns (b_one[i], b_v[i])
+    g = [r[:2] for r in hnf_rows([[u, w, 0, 0] for u, w in zip(b_one, b_v)])]
     if len(g) != 2:
         raise CertificateError("expected rank-2 condition lattice")
-    # dual: basis rows of (G^{-1})^T scaled back by den
-    a, b = g[0]
-    c, d = g[1]
+    # dual basis: the rows of (G^{-1})^T
+    (a, b), (c, d) = g
     det = Fraction(a * d - b * c)
-    inv_t = [[Fraction(d) / det, Fraction(-c) / det], [Fraction(-b) / det, Fraction(a) / det]]
-    return [[x * den for x in row] for row in inv_t]
+    return [[d / det, -c / det], [-b / det, a / det]]
 
 
 # ---------------------------------------------------------------------------
@@ -958,89 +929,42 @@ class IdealClassSet:
 
 
 def right_order(I: LeftIdeal) -> Order:
-    """{x : I x subseteq I} by exact rational linear algebra (dual lattice of
-    the stacked membership conditions)."""
-    lat = I.lattice
-    alg = lat.alg
-    basis = lat.basis()
-    cols: list[list[Fraction]] = []
-    for b in basis:
-        # condition: coords(b * x) integral in I's basis; columns of the
-        # 4x4 rational matrix A with (b x) -> coords are linear functionals
-        images = []
-        for e in alg.basis_elements():
-            img = lat.coordinates(b * e)
-            if img is None:
-                raise CertificateError("product left the rational span")
-            images.append(img)
-        # A[r][c]: coefficient of x_c in the r-th coordinate
-        for r in range(4):
-            cols.append([images[c][r] for c in range(4)])
-    den = 1
-    for col in cols:
-        for x in col:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    int_rows = [[int(x * den) for x in col] for col in cols]
-    h = hnf_rows(int_rows)
-    if len(h) != 4:
-        raise CertificateError("membership conditions not of full rank")
-    # solution lattice = den * dual of rowspan(h)
-    inv_t = _inverse_transpose_rows(h)
-    rows = [[x * den for x in row] for row in inv_t]
-    lat_rows = []
-    lcm = 1
-    for row in rows:
-        for x in row:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    lat_rows = [[int(x * lcm) for x in row] for row in rows]
-    return Order(lattice=Lattice4.from_rows(alg, lat_rows, lcm))
-
-
-def _inverse_transpose_rows(m: list[list[int]]) -> list[list[Fraction]]:
-    """Rows of (M^{-1})^T for an integer 4x4 matrix M given by rows."""
-    det = _det4(m)
-    if det == 0:
-        raise DomainError("singular matrix")
-    # cofactor matrix: inv = adj / det, adj = cofactor^T, so (inv)^T = cofactor / det
-    cof = [[Fraction(0)] * 4 for _ in range(4)]
-    for r in range(4):
-        for c in range(4):
-            minor = [[m[i][j] for j in range(4) if j != c] for i in range(4) if i != r]
-            sign = -1 if (r + c) % 2 else 1
-            cof[r][c] = Fraction(sign * _det3(minor), det)
-    return cof
+    """{x : I x subseteq I} = I^-1 I = conj(I) I / Nr(I): every left ideal of
+    a maximal order is invertible (Kirschmer-Voight, SIAM J. Comput. 39
+    (2010)).  Certified by I O_R = I and reduced discriminant p, which
+    together force O_R to be the maximal order {x : I x subseteq I}."""
+    lat = I.conjugate_lattice.product(I.lattice).scaled(1 / I.reduced_norm)
+    Or = Order(lattice=lat)
+    p = next(q for q in lat.alg.ramified if q != "inf")
+    if I.lattice.product(lat) != I.lattice or Or.reduced_discriminant != p:
+        raise CertificateError("conj(I) I / Nr(I) is not the right order of I")
+    return Or
 
 
 def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
     """The ell + 1 left subideals J with ell I < J < I of index ell^2,
     found as O-stable dimension-2 subspaces of I / ell I."""
     lat = I.lattice
-    alg = lat.alg
+    a, b = lat.alg.a, lat.alg.b
     order = I.left_order
     # matrices of left multiplication by O's basis on I / ell I
     mats = []
-    basis = lat.basis()
-    for g in order.basis():
+    for g in order.lattice.mat:
         rows = []
-        for b in basis:
-            coords = lat.coordinates(g * b)
-            if coords is None or any(c.denominator != 1 for c in coords):
+        for r in lat.mat:
+            coords = _hnf_coordinates(lat.mat, _qmul(a, b, g, r), order.lattice.den)
+            if coords is None:
                 raise CertificateError("order does not stabilize the ideal")
-            rows.append([int(c) % ell for c in coords])
+            rows.append([c % ell for c in coords])
         mats.append(rows)
     subspaces = _stable_subspaces_dim2(mats, ell)
     if len(subspaces) != ell + 1:
         raise CertificateError(f"{len(subspaces)} stable subspaces, expected {ell + 1}")
+    ell_rows = [[ell * x for x in r] for r in lat.mat]
     out = []
-    for v1, v2 in subspaces:
-        gens = [b.scale(ell) for b in basis]
-        for v in (v1, v2):
-            x = QuatElement(alg, (0, 0, 0, 0))
-            for coef, b in zip(v, basis):
-                if coef:
-                    x = x + b.scale(coef)
-            gens.append(x)
-        out.append(LeftIdeal(lattice=Lattice4.from_elements(alg, gens), left_order=order))
+    for pair in subspaces:
+        rows = ell_rows + [_unreduce(lat.mat, v) for v in pair]
+        out.append(LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, lat.den), left_order=order))
     return out
 
 

@@ -23,14 +23,12 @@ from . import __version__
 from .classpoly import classpoly_mod, hilbert_class_poly
 from .errors import BudgetError, CertificateError, ConfigError, DomainError, NotRepresented
 from .ffield import FfPoly, fp2_construct, roots_with_multiplicity
-from .numbase import is_prime, kronecker, squarefree_part
+from .numbase import is_prime, squarefree_part
 from .quadforms import (
-    CMPoint,
     Discriminant,
     QuadForm,
     admissible_discriminants,
     cm_point,
-    is_fundamental,
     reduced_forms,
     splitting,
 )
@@ -41,7 +39,6 @@ from .quatalg import (
 )
 
 __all__ = [
-    "ReductionRecord",
     "JointDistribution",
     "CharacterSpec",
     "ArchimedeanStats",
@@ -109,14 +106,6 @@ def reduce_archimedean(D, y_cut: float = 2.0, x_cut: float = 0.25):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionRecord:
-    D: Discriminant
-    form: QuadForm
-    point: CMPoint
-    class_indices: tuple[int, ...]
-
-
 def _check_reducible(d: int, p: int) -> Discriminant:
     disc = Discriminant.of(d)
     if splitting(d, p) != "inert":
@@ -180,20 +169,6 @@ class JointDistribution:
     @property
     def surjective(self) -> bool:
         return len(self.tuple_counts) == len(self.product_measure)
-
-    def records(self) -> list[ReductionRecord]:
-        maps = [reduce_at_prime(self.D.D, p) for p in self.primes]
-        out = []
-        for f in reduced_forms(self.D.D):
-            out.append(
-                ReductionRecord(
-                    D=self.D,
-                    form=f,
-                    point=cm_point(f, self.D.D),
-                    class_indices=tuple(m[f] for m in maps),
-                )
-            )
-        return out
 
 
 def _nu_weights(p: int) -> list[Fraction]:
@@ -372,7 +347,6 @@ class ScanConfig:
     y_cut: float = 2.0
     seed: int = 0
     threads: int = 1
-    cache_dir: str | None = None
 
     def validate(self):
         if self.dmin < 3 or self.dmax < self.dmin:

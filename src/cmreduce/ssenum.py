@@ -54,12 +54,6 @@ class SupersingularLocus:
     def size(self) -> int:
         return len(self.points)
 
-    def index_of_j(self, j: Fp2) -> int:
-        for i, pt in enumerate(self.points):
-            if pt.j == j:
-                return i
-        raise DomainError(f"{j} is not a supersingular j-invariant for p={self.p}")
-
     def to_json(self) -> str:
         return json.dumps(
             {

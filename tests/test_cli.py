@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cmreduce
 from cmreduce.cli import run
 
 
@@ -113,3 +118,18 @@ def test_verify_quick(capsys):
     assert code == 0
     assert "all" in out and "passed" in out
     assert out.count("ok -") >= 10
+
+
+def test_verify_fails_loudly_under_python_O():
+    # the checks are not asserts, so -O must not turn a wrong value into "ok"
+    script = (
+        "import sys, cmreduce.reduction as r\n"
+        "r.character_average = lambda D, d: 7\n"
+        "from cmreduce.cli import run\n"
+        "sys.exit(run(['verify', '--quick']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cmreduce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "FAIL - character orthogonality" in proc.stdout
+    assert "1 of 10 checks failed" in proc.stdout

@@ -17,6 +17,11 @@ CASES = {
     "quat_p53_classes.json": ["quat", "--p", "53", "classes", "--json"],
     "reduce_D-23_p11.txt": ["reduce", "--D", "-23", "--p", "11"],
     "joint_D-71_p11-23.json": ["joint", "--D", "-71", "--primes", "11,23", "--json"],
+    "scan_p11-23_D3-600_fund.json": [
+        "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--json",
+    ],
+    "ss_p199.json": ["ss", "--p", "199", "--json"],
+    "classpoly_D-719.json": ["classpoly", "--D", "-719", "--json"],
 }
 
 

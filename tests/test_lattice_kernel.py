@@ -1,7 +1,8 @@
 """The integer lattice kernel of quatalg against independent references:
 lattice products, right multiplication and ideal formation against
-`Lattice4.from_elements` over `QuatElement` products, and the LLL +
-Fincke-Pohst short-vector search against brute-force box enumeration."""
+`Lattice4.from_elements` over `QuatElement` products, integer coordinates
+against `QuatElement` arithmetic, and the LLL + Fincke-Pohst short-vector
+search against brute-force box enumeration."""
 
 import math
 import random
@@ -23,6 +24,7 @@ from cmreduce.quatalg import (
     _neighbor_ideals,
     _unreduce,
     find_optimal_embedding,
+    gross_lattice,
     lattice_shortest_vectors,
     lattice_vectors_with_norm,
     left_ideal_from_class,
@@ -52,6 +54,38 @@ def test_integer_product_matches_element_products(p):
             assert I.conjugate_lattice.product(J.lattice) == _product_reference(I.lattice.conjugate(), J.lattice)
         for Or in cls.right_orders:
             assert I.lattice.product(Or.lattice) == _product_reference(I.lattice, Or.lattice)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_integer_coordinates_on_class_sets(p):
+    rng = random.Random(2000 + p)
+    _, O, cls = quaternion_data(p)
+    lattices = _class_lattices(p) + [J.lattice for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    grosses = [gross_lattice(Or) for Or in cls.right_orders]
+    for L in lattices + grosses:
+        basis = L.basis()
+        width = len(basis)
+        for _ in range(8):
+            c = [rng.randrange(-9, 10) for _ in range(width)]
+            x = O.alg.element(0, 0, 0, 0)
+            for coef, b in zip(c, basis):
+                x = x + b.scale(coef)
+            coords = L.coordinates(x)
+            assert coords == c
+            # coordinates(x) . mat / den == x, in the frame the rows are written in
+            back = [Fraction(sum(k * row[j] for k, row in zip(coords, L.mat)), L.den) for j in range(width)]
+            assert back == list(x.c[4 - width :])
+            # one non-integral coordinate puts the vector outside the lattice
+            i = rng.randrange(width)
+            off = x + basis[i].scale(Fraction(1, rng.randrange(2, 6)))
+            assert L.coordinates(off) is None
+            if width == 4:
+                assert L.contains(x) and not L.contains(off)
+            else:
+                assert L.contains_primitive(x) == (math.gcd(*c) == 1)
+                assert not L.contains_primitive(off)
+        if width == 3:
+            assert L.coordinates(O.alg.one()) is None  # not traceless
 
 
 @pytest.mark.parametrize("p", PRIMES)

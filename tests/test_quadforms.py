@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from cmreduce.errors import ConfigError, DomainError
+from cmreduce import quadforms
+from cmreduce.errors import CertificateError, ConfigError, DomainError
 from cmreduce.quadforms import (
     ClassGroup,
     Discriminant,
@@ -36,6 +37,13 @@ def test_discriminant_structure():
         Discriminant.of(-5)  # 3 mod 4
     with pytest.raises(DomainError):
         Discriminant.of(4)
+
+
+def test_discriminant_certifies_the_conductor_split(monkeypatch):
+    # a wrong squarefree part must fail loudly, also under python -O
+    monkeypatch.setattr(quadforms, "_squarefree", lambda D: -1)
+    with pytest.raises(CertificateError):
+        Discriminant.of(-23)
 
 
 def test_reduced_forms_examples():

@@ -12,6 +12,7 @@ from cmreduce.quadforms import QuadForm, reduced_forms
 from cmreduce.quatalg import (
     Embedding,
     Lattice4,
+    LeftIdeal,
     Order,
     construct_Bp,
     find_optimal_embedding,
@@ -132,6 +133,7 @@ def test_maximal_order_saturation():
     assert O.reduced_discriminant == 11
     assert O.contains(B.one())
     assert O.is_multiplicatively_closed()
+    assert not Order(lattice=O.lattice.scaled(Fraction(1, 2))).is_multiplicatively_closed()
     for b in O.basis():
         assert b.trace().denominator == 1 and b.norm().denominator == 1
 
@@ -303,6 +305,15 @@ def test_right_order():
         O.alg, [x.inverse() * b * x for b in Or.basis()]
     )
     assert Orx.lattice == conj
+
+
+def test_right_order_refuses_a_lattice_that_is_not_an_ideal():
+    B, O, _ = quaternion_data(11)
+    # Z<1, i, j, k> has index 2 in O and is not O-stable
+    L = Lattice4.from_elements(B, B.basis_elements())
+    assert O.lattice.product(L) != L
+    with pytest.raises(CertificateError):
+        right_order(LeftIdeal(lattice=L, left_order=O))
 
 
 def test_unit_weight():
