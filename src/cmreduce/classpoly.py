@@ -20,7 +20,7 @@ import mpmath
 
 from .errors import DomainError, PrecisionError
 from .numbase import is_prime
-from .quadforms import CMPoint, Discriminant, cm_point, reduced_forms
+from .quadforms import CMPoint, Discriminant, class_number, cm_point, reduced_forms
 
 __all__ = ["ClassPolynomial", "j_eval", "hilbert_class_poly", "classpoly_mod"]
 
@@ -186,12 +186,17 @@ def _cache_path(cache_dir: str, D: int) -> str:
 
 
 def _cache_load(cache_dir: str, D: int) -> ClassPolynomial | None:
+    """The cached H_D, or None when the entry is missing, unreadable or not a
+    monic polynomial of degree h(D) for this D (the caller recomputes it)."""
     path = _cache_path(cache_dir, D)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return ClassPolynomial.from_json(fh.read())
-    except (OSError, ValueError, KeyError):
+            poly = ClassPolynomial.from_json(fh.read())
+    except (OSError, ValueError, KeyError, TypeError):
         return None
+    if poly.D != D or poly.coeffs[-1:] != (1,) or poly.degree != class_number(D):
+        return None
+    return poly
 
 
 def _cache_store(cache_dir: str, poly: ClassPolynomial) -> None:

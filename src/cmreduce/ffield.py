@@ -73,11 +73,6 @@ class Fp2Ctx:
     def in_prime_field(self, a: Fp2) -> bool:
         return a[1] == 0
 
-    def all_elements(self):
-        for x in range(self.p):
-            for y in range(self.p):
-                yield (x, y)
-
     def serialize(self, a: Fp2) -> str:
         return f"{a[0]}+{a[1]}*t"
 

@@ -1145,17 +1145,10 @@ def hs_norm_ratio(D) -> float:
     return _hs_from_ad(M, d)
 
 
-def _mat2_ad_matrix(d: int, g: tuple[tuple[int, int], tuple[int, int]] | None = None):
-    """ad of w = [[0, 1], [d, 0]] (or of g w g^{-1}) on traceless 2x2
-    matrices in the basis H, E, F."""
+def _mat2_ad_matrix(d: int):
+    """ad of w = [[0, 1], [d, 0]] on traceless 2x2 matrices in the basis
+    H, E, F."""
     w = ((Fraction(0), Fraction(1)), (Fraction(d), Fraction(0)))
-    if g is not None:
-        det = Fraction(g[0][0] * g[1][1] - g[0][1] * g[1][0])
-        ginv = (
-            (g[1][1] / det, -Fraction(g[0][1]) / det),
-            (-Fraction(g[1][0]) / det, Fraction(g[0][0]) / det),
-        )
-        w = _mm(_mm(tuple(tuple(map(Fraction, r)) for r in g), w), ginv)
     H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
     E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
     F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))

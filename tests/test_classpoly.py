@@ -111,6 +111,18 @@ def test_cache_roundtrip(tmp_path):
         fh.write("{broken")
     c = hilbert_class_poly(-23, cache_dir=cache)
     assert c == a
+    # entries that are not H_{-23} are recomputed and overwritten
+    planted = (
+        "[]",  # JSON, but not an object
+        ClassPolynomial(D=-31, coeffs=a.coeffs).to_json(),  # wrong D
+        ClassPolynomial(D=-23, coeffs=a.coeffs[:-1] + (2,)).to_json(),  # not monic
+        ClassPolynomial(D=-23, coeffs=a.coeffs[1:]).to_json(),  # wrong degree
+    )
+    for blob in planted:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(blob)
+        assert hilbert_class_poly(-23, cache_dir=cache) == a
+        assert open(path, encoding="utf-8").read() == a.to_json()
 
 
 def test_classpolynomial_json_roundtrip():

@@ -369,12 +369,30 @@ def test_hs_norm_ratio():
 
     assert abs(hs_norm_ratio(-4) - m.sqrt(8)) < 1e-9
     assert abs(hs_norm_ratio(-23) - m.sqrt(8)) < 1e-9
-    # conjugation invariance via the exact char-poly route
+    # conjugation invariance via the exact char-poly route: change the basis
+    # of the ad matrix by P, M -> P M P^{-1}
     from cmreduce.quatalg import _hs_from_ad, _mat2_ad_matrix
 
-    for g in (((1, 2), (0, 1)), ((3, 1), (2, 1)), ((1, 0), (5, 1))):
-        got = _hs_from_ad(_mat2_ad_matrix(-23, g), -23)
-        assert abs(got - m.sqrt(8)) < 1e-6
+    def matmul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    def inverse(P):
+        # adjugate over the determinant
+        cof = [[P[(i + 1) % 3][(j + 1) % 3] * P[(i + 2) % 3][(j + 2) % 3]
+                - P[(i + 1) % 3][(j + 2) % 3] * P[(i + 2) % 3][(j + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        det = sum(P[0][j] * cof[0][j] for j in range(3))
+        return [[Fraction(cof[j][i], det) for j in range(3)] for i in range(3)]
+
+    M = _mat2_ad_matrix(-23)
+    for P in (
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+        [[3, 1, 0], [2, 1, 5], [0, 4, 1]],
+        [[1, 0, 0], [5, 1, 0], [-2, 7, 3]],
+    ):
+        conj = matmul(matmul(P, M), inverse(P))
+        assert conj != M
+        assert abs(_hs_from_ad(conj, -23) - m.sqrt(8)) < 1e-9
 
 
 def test_local_norm_surjectivity():

@@ -1,12 +1,14 @@
+import itertools
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from cmreduce.errors import BudgetError, DomainError
-from cmreduce.ffield import frobenius
-from cmreduce.numbase import primes_up_to
+from cmreduce import ssenum
+from cmreduce.errors import BudgetError, CertificateError, DomainError
+from cmreduce.ffield import fp2_construct, frobenius
+from cmreduce.numbase import is_prime, primes_up_to
 from cmreduce.ssenum import enumerate_ss, is_supersingular_j, nu_p, weierstrass_from_j
 
 
@@ -21,12 +23,10 @@ def test_is_supersingular_examples():
 
 def test_is_supersingular_matches_naive_exhaustive_power():
     # oracle: literally expand (x^3+Ax+B)^((p-1)/2) and read off x^(p-1)
-    from cmreduce.ffield import fp2_construct
-
     for p in (5, 7, 11, 13):
         ctx = fp2_construct(p)
         m = (p - 1) // 2
-        for j in ctx.all_elements():
+        for j in itertools.product(range(p), repeat=2):
             A, B = weierstrass_from_j(j, ctx)
             poly = {0: (1, 0)}
             base = {3: (1, 0), 1: A, 0: B}
@@ -82,10 +82,8 @@ def test_nu_p():
 
 
 def test_weierstrass_models_nonsingular():
-    from cmreduce.ffield import fp2_construct
-
     ctx = fp2_construct(13)
-    for j in ctx.all_elements():
+    for j in itertools.product(range(13), repeat=2):
         A, B = weierstrass_from_j(j, ctx)
         disc = ctx.add(
             ctx.mul(ctx.el(4), ctx.pow(A, 3)), ctx.mul(ctx.el(27), ctx.mul(B, B))
@@ -96,9 +94,16 @@ def test_weierstrass_models_nonsingular():
         assert ctx.mul(num, ctx.inv(disc)) == j
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    # 100019 is the first prime above the cap; the guard fires before the walk starts
+    assert is_prime(100019) and not any(map(is_prime, range(100004, 100019)))
+
+    def no_work(p, ctx):
+        raise AssertionError("the walk started above the cap")
+
+    monkeypatch.setattr(ssenum, "_start_j", no_work)
     with pytest.raises(BudgetError):
-        enumerate_ss(1009)
+        enumerate_ss(100019)
 
 
 def test_json_output():
@@ -115,3 +120,38 @@ def test_scan_speed_medium_prime():
     elapsed = time.time() - start
     assert locus.mass == Fraction(198, 12)
     assert elapsed < 30
+
+
+def test_walk_matches_hasse_scan():
+    # oracle: the Hasse test on every j in F_{p^2}, independent of the walk
+    for p in primes_up_to(200):
+        if p < 5:
+            continue
+        scan = [j for j in itertools.product(range(p), repeat=2) if is_supersingular_j(j, p)]
+        assert [pt.j for pt in enumerate_ss(p).points] == scan, p
+
+
+def _phi2(x, y):
+    return sum(c * x**a * y**b for b, row in enumerate(ssenum._PHI2) for a, c in enumerate(row))
+
+
+def test_phi2_coefficients():
+    # j(tau), j(2 tau) at tau = i, rho, (1 + sqrt(-7))/2, and sqrt(-2) as a
+    # 2-endomorphism of the curve with j = 8000
+    for x, y in ((1728, 287496), (0, 54000), (-3375, 16581375), (8000, 8000)):
+        assert _phi2(x, y) == 0 == _phi2(y, x)
+    assert _phi2(1, 2) != 0
+
+
+def test_walk_certifies_its_start(monkeypatch):
+    assert not is_supersingular_j(1, 13)
+    monkeypatch.setattr(ssenum, "_start_j", lambda p, ctx: (1, 0))
+    with pytest.raises(CertificateError, match="not supersingular"):
+        enumerate_ss.__wrapped__(13)
+
+
+def test_walk_certifies_its_mass(monkeypatch):
+    # a walk that reaches only its start misses mass on every p with |SS_p| > 1
+    monkeypatch.setattr(ssenum, "_phi2_neighbours", lambda j, ctx: [])
+    with pytest.raises(CertificateError, match="mass formula"):
+        enumerate_ss.__wrapped__(23)
