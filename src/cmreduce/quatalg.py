@@ -12,9 +12,12 @@ saturation multiply the integer rows with the structure constants of the
 algebra, and one back-substitution on the HNF rows (`_hnf_coordinates`)
 decides membership.  The right order of a left ideal I of a maximal order
 is conj(I) I / Nr(I).
+The ell-neighbours of I are the ideals O x + ell I for the x in I that are
+of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
+(Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
-maps the vectors found back to HNF coordinates.
+returns the vectors found as sorted integer HNF coordinates.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product
 
 from .errors import BudgetError, CertificateError, DomainError, NotRepresented
 from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
@@ -218,9 +221,7 @@ class QuatElement:
         return 2 * self.c[0]
 
     def norm(self) -> Fraction:
-        a, b = self.alg.a, self.alg.b
-        x0, x1, x2, x3 = self.c
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return _qnorm(self.alg.a, self.alg.b, self.c)
 
     def inverse(self) -> "QuatElement":
         n = self.norm()
@@ -244,6 +245,12 @@ def _qmul(a: int, b: int, x, y) -> list:
         x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
         x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     ]
+
+
+def _qnorm(a: int, b: int, x):
+    """Reduced norm of x in the 1, i, j, k frame of the algebra (a, b)."""
+    x0, x1, x2, x3 = x
+    return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +304,16 @@ def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
     return out
 
 
+def _content_free(den: int, h: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(den, h) with the gcd of den and every entry of h divided out, which
+    makes (1/den) rowspan(h) for HNF rows h a canonical pair."""
+    g = math.gcd(den, *chain.from_iterable(h))
+    if g > 1:
+        den //= g
+        h = [[x // g for x in r] for r in h]
+    return den, tuple(map(tuple, h))
+
+
 def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
     """Integer c with c . mat = target / den for HNF rows `mat` of width 3
     or 4 and an integer vector `target`, or None when there is none.  A
@@ -324,14 +341,8 @@ class Lattice4:
         h = hnf_rows(rows)
         if len(h) != 4:
             raise DomainError("lattice generators do not have full rank")
-        g = den
-        for r in h:
-            for x in r:
-                g = math.gcd(g, x)
-        if g > 1:
-            den //= g
-            h = [[x // g for x in r] for r in h]
-        return cls(alg=alg, den=den, mat=tuple(tuple(r) for r in h))
+        den, mat = _content_free(den, h)
+        return cls(alg=alg, den=den, mat=mat)
 
     @classmethod
     def from_elements(cls, alg: QuaternionAlgebra, elements: list[QuatElement]) -> "Lattice4":
@@ -343,10 +354,6 @@ class Lattice4:
         return [
             QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row)) for row in self.mat
         ]
-
-    def vector(self, coords) -> QuatElement:
-        """The lattice vector with integer coordinates `coords` in the HNF basis."""
-        return QuatElement(self.alg, [Fraction(x, self.den) for x in _unreduce(self.mat, coords)])
 
     def det_fraction(self) -> Fraction:
         return Fraction(abs(_det4(self.mat)), self.den**4)
@@ -553,14 +560,14 @@ def _scaled_norm(lat: Lattice4, target) -> int | None:
     return scaled.numerator if scaled.denominator == 1 else None
 
 
-def lattice_vectors_with_norm(lat: Lattice4, target) -> list[QuatElement]:
-    """All v in the lattice with Nr(v) = target (exact), canonical order."""
+def lattice_vectors_with_norm(lat: Lattice4, target) -> list[tuple[int, ...]]:
+    """HNF coordinates of every v in the lattice with Nr(v) = target
+    (exact), sorted."""
     scaled = _scaled_norm(lat, target)
     if scaled is None:
         return []
     H, R = _lll_gram(lat.trace_gram())
-    hits = sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
-    return [lat.vector(c) for c in hits]
+    return sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
 
 
 def lattice_min_norm_hits(lat: Lattice4, bound) -> bool:
@@ -574,13 +581,12 @@ def lattice_min_norm_hits(lat: Lattice4, bound) -> bool:
     return next(_fincke_pohst(R, scaled, exact=True), None) is not None
 
 
-def lattice_shortest_vectors(lat: Lattice4) -> list[QuatElement]:
-    """Nonzero vectors of minimal norm, sorted by their HNF coordinates."""
+def lattice_shortest_vectors(lat: Lattice4) -> list[tuple[int, ...]]:
+    """HNF coordinates of the nonzero vectors of minimal norm, sorted."""
     H, R = _lll_gram(lat.trace_gram())
     found = list(_fincke_pohst(R, min(R[i][i] for i in range(4))))
     least = min(value for _, value in found)
-    hits = sorted(_unreduce(H, y) for y, value in found if value == least)
-    return [lat.vector(c) for c in hits]
+    return sorted(_unreduce(H, y) for y, value in found if value == least)
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +679,7 @@ def _enlarge_at(order: Order, q: int) -> Order | None:
         if not any(c):
             continue
         n = _unreduce(lat.mat, c)  # x = n / (q den)
-        if 2 * n[0] % qd or (n[0] ** 2 - a * n[1] ** 2 - b * n[2] ** 2 + a * b * n[3] ** 2) % (qd * qd):
+        if 2 * n[0] % qd or _qnorm(a, b, n) % (qd * qd):
             continue
         candidate = Order(lattice=Lattice4.from_rows(lat.alg, rows + [n], qd))
         if candidate.lattice != lat and candidate.is_multiplicatively_closed():
@@ -726,23 +732,11 @@ class GrossLattice:
 
 def gross_lattice(order: Order) -> GrossLattice:
     """Basis of {2x - Tr(x) : x in O} with its positive definite norm Gram."""
-    den = order.lattice.den
-    rows = []
-    for row in order.lattice.mat:
-        rows.append([2 * row[1], 2 * row[2], 2 * row[3]])
-    h = hnf_rows([[0] + r for r in rows])  # embed in 4 cols with leading zero
-    # drop the leading zero column; rank must be 3
-    mat = [r[1:] for r in h]
-    if len(mat) != 3:
+    h = hnf_rows([[2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat], width=3)
+    if len(h) != 3:
         raise CertificateError("Gross lattice is not of rank 3")
-    g = den
-    for r in mat:
-        for x in r:
-            g = math.gcd(g, x)
-    if g > 1:
-        den //= g
-        mat = [[x // g for x in r] for r in mat]
-    return GrossLattice(alg=order.alg, den=den, mat=tuple(tuple(r) for r in mat))
+    den, mat = _content_free(order.lattice.den, h)
+    return GrossLattice(alg=order.alg, den=den, mat=mat)
 
 
 def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
@@ -860,11 +854,7 @@ def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftI
         raise DomainError("form discriminant does not match the embedding")
     alg = base.lattice.alg
     p = next(q for q in alg.ramified if q != "inf")
-    g = f
-    if math.gcd(g.a, p) != 1:
-        g = _equivalent_form_coprime_to(f, p)
-        if g is None:
-            raise CertificateError(f"no equivalent form with leading value coprime to {p}")
+    g = f if math.gcd(f.a, p) == 1 else _equivalent_form_coprime_to(f, p)
     # 2 vden iota((-b + sqrt(D))/2) = -b vden + vnum for iota(sqrt(D)) = vnum / vden
     vden, vnum = emb.v.numerator()
     w = [vnum[0] - g.b * vden, vnum[1], vnum[2], vnum[3]]
@@ -877,22 +867,26 @@ def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftI
     return ideal
 
 
-def _equivalent_form_coprime_to(f: QuadForm, p: int) -> QuadForm | None:
-    """Equivalent form whose leading coefficient is coprime to p, via a
-    primitively represented value and a unimodular completion."""
-    for s in range(1, 30):
-        for x in range(-s, s + 1):
-            for y in (-s, s) if abs(x) != s else range(-s, s + 1):
-                if math.gcd(x, y) != 1:
-                    continue
-                a2 = f.value(x, y)
-                if a2 > 0 and math.gcd(a2, p) == 1:
-                    g, u, wv = _xgcd(x, y)
-                    # complete (x, y) to a determinant-1 matrix [[x, -wv], [y, u]]
-                    b2 = 2 * (f.a * x * (-wv) + f.c * y * u) + f.b * (x * u - wv * y)
-                    c2 = f.value(-wv, u)
-                    return QuadForm(a2, b2, c2)
-    return None
+# the primitive vectors (x, y) with max(|x|, |y|) = 1, in lexicographic order
+_UNIT_RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _equivalent_form_coprime_to(f: QuadForm, p: int) -> QuadForm:
+    """Equivalent form whose leading coefficient is coprime to p: the first
+    value f(x, y) coprime to p on `_UNIT_RING`, moved to the front by a
+    unimodular completion of (x, y).
+
+    For a primitive f some value on the ring is coprime to p: if p divides
+    both a = f(1, 0) and c = f(0, 1), then p does not divide b, so it does
+    not divide a + b + c = f(1, 1)."""
+    for x, y in _UNIT_RING:
+        a2 = f.value(x, y)
+        if math.gcd(a2, p) == 1:
+            _, u, wv = _xgcd(x, y)
+            # complete (x, y) to a determinant-1 matrix [[x, -wv], [y, u]]
+            b2 = 2 * (f.a * x * (-wv) + f.c * y * u) + f.b * (x * u - wv * y)
+            return QuadForm(a2, b2, f.value(-wv, u))
+    raise DomainError(f"form {f.as_tuple()} is not primitive at {p}")
 
 
 def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
@@ -942,107 +936,54 @@ def right_order(I: LeftIdeal) -> Order:
 
 
 def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
-    """The ell + 1 left subideals J with ell I < J < I of index ell^2,
-    found as O-stable dimension-2 subspaces of I / ell I."""
-    lat = I.lattice
+    """The ell + 1 left ideals J with ell I < J < I of index ell^2.
+
+    I / ell I is free of rank 1 over O / ell O = M_2(F_ell), so the J are
+    O x + ell I for the x of rank 1, i.e. ell | Nr(x) / Nr(I), and every
+    x of rank 1 lies in exactly one J.  The residues x = c . I.mat with c
+    in [0, ell)^4 are walked in product order, so the J come out ordered by
+    their least residue."""
+    lat, order = I.lattice, I.left_order
     a, b = lat.alg.a, lat.alg.b
-    order = I.left_order
-    # matrices of left multiplication by O's basis on I / ell I
-    mats = []
-    for g in order.lattice.mat:
-        rows = []
-        for r in lat.mat:
-            coords = _hnf_coordinates(lat.mat, _qmul(a, b, g, r), order.lattice.den)
-            if coords is None:
-                raise CertificateError("order does not stabilize the ideal")
-            rows.append([c % ell for c in coords])
-        mats.append(rows)
-    subspaces = _stable_subspaces_dim2(mats, ell)
-    if len(subspaces) != ell + 1:
-        raise CertificateError(f"{len(subspaces)} stable subspaces, expected {ell + 1}")
-    ell_rows = [[ell * x for x in r] for r in lat.mat]
-    out = []
-    for pair in subspaces:
-        rows = ell_rows + [_unreduce(lat.mat, v) for v in pair]
-        out.append(LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, lat.den), left_order=order))
-    return out
-
-
-def _stable_subspaces_dim2(mats, ell: int):
-    """Dimension-2 subspaces of F_ell^4 stable under all matrices (row
-    convention: vector v maps to [sum_k v_k m[k][j]]_j)."""
-    vecs = [v for v in product(range(ell), repeat=4) if any(v)]
-    seen = set()
-    out = []
-    for i, v1 in enumerate(vecs):
-        for v2 in vecs[i + 1 :]:
-            basis = _rref2(v1, v2, ell)
-            if basis is None or basis in seen:
-                continue
-            seen.add(basis)
-            if all(_in_span2(_apply(m, v, ell), basis, ell) for m in mats for v in basis):
-                out.append(basis)
-    return out
-
-
-def _apply(m, v, ell):
-    return tuple(sum(v[k] * m[k][j] for k in range(4)) % ell for j in range(4))
-
-
-def _rref2(v1, v2, ell):
-    rows = [list(v1), list(v2)]
-    pivots = []
-    r = 0
-    for c in range(4):
-        pr = None
-        for i in range(r, 2):
-            if rows[i][c] % ell:
-                pr = i
-                break
-        if pr is None:
+    den = order.lattice.den * lat.den
+    ell_rows = [[ell * order.lattice.den * x for x in r] for r in lat.mat]
+    nrm = I.reduced_norm
+    target = ell * nrm
+    out: list[LeftIdeal] = []
+    for c in product(range(ell), repeat=4):
+        if not any(c):
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], -1, ell)
-        rows[r] = [(x * inv) % ell for x in rows[r]]
-        for i in range(2):
-            if i != r and rows[i][c] % ell:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % ell for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == 2:
-            break
-    if r != 2:
-        return None
-    return (tuple(rows[0]), tuple(rows[1]))
-
-
-def _in_span2(v, basis, ell):
-    b1, b2 = basis
-    # reduce v against the RREF basis
-    v = list(v)
-    for b in (b1, b2):
-        pc = next((c for c in range(4) if b[c]), None)
-        if pc is not None and v[pc]:
-            f = v[pc]
-            v = [(x - f * y) % ell for x, y in zip(v, b)]
-    return not any(v)
+        x = _unreduce(lat.mat, c)  # the element x / lat.den of I
+        if any(_hnf_coordinates(J.lattice.mat, [J.lattice.den * v for v in x], lat.den) is not None for J in out):
+            continue
+        # Nr(x) / Nr(I) = N(x) nrm.denominator / (lat.den^2 nrm.numerator)
+        if _qnorm(a, b, x) * nrm.denominator % (ell * lat.den**2 * nrm.numerator):
+            continue
+        rows = ell_rows + [_qmul(a, b, g, x) for g in order.lattice.mat]
+        J = LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, den), left_order=order)
+        if J.reduced_norm != target:
+            raise CertificateError(f"neighbour of norm {J.reduced_norm}, expected {target}")
+        out.append(J)
+    if len(out) != ell + 1:
+        raise CertificateError(f"{len(out)} neighbour ideals, expected {ell + 1}")
+    return out
 
 
 def _reduce_ideal(I: LeftIdeal) -> LeftIdeal:
-    """Equivalent ideal of small norm: multiply by the inverse of a
-    canonical shortest vector."""
-    shorts = lattice_shortest_vectors(I.lattice)
-    x = shorts[0]
-    lat = I.lattice.right_multiply(x.inverse())
-    return LeftIdeal(lattice=lat, left_order=I.left_order)
+    """Equivalent ideal of small norm: I x^-1 = I conj(n) / N(n) for the
+    canonical shortest vector x = n / den, N(n) = den^2 Nr(x)."""
+    lat = I.lattice
+    a, b = lat.alg.a, lat.alg.b
+    n = _unreduce(lat.mat, lattice_shortest_vectors(lat)[0])
+    conj = (n[0], -n[1], -n[2], -n[3])
+    rows = [_qmul(a, b, r, conj) for r in lat.mat]
+    return LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, _qnorm(a, b, n)), left_order=I.left_order)
 
 
 def ideal_classes(order: Order) -> IdealClassSet:
     """BFS over 2-neighbors with the mass formula as completeness
     certificate: stop exactly when sum 1/w = (p - 1)/12."""
     p = next(q for q in order.alg.ramified if q != "inf")
-    ell = 2 if p != 2 else 3
     target = Fraction(p - 1, 12)
     start = order_as_ideal(order)
     reps = [start]
@@ -1052,7 +993,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
     queue = [start]
     while mass < target and queue:
         current = queue.pop(0)
-        for J in _neighbor_ideals(current, ell):
+        for J in _neighbor_ideals(current, 2):
             J = _reduce_ideal(J)
             if any(is_same_class(J, R) for R in reps):
                 continue
@@ -1220,16 +1161,15 @@ def local_norm_surjectivity(order: Order, q: int, k: int) -> bool:
 
 def _norms_cover(order: Order, q: int, level: int) -> bool:
     mod = q**level
-    bas = order.basis()
-    # integer quadratic form data for Nr on the basis
-    diag = [int(b.norm()) for b in bas]
-    cross = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            v = (bas[i] * bas[j].conj()).trace()
-            if v.denominator != 1:
-                raise CertificateError("norm form of the order is not integral")
-            cross[(i, j)] = int(v)
+    # Nr(c . M / den) = c^T T c / (2 den^2) for the integer trace Gram T:
+    # the coefficients of x_i^2 and of x_i x_j are T[i][i] / (2 den^2) and
+    # T[i][j] / den^2
+    T = order.lattice.trace_gram()
+    dd = order.lattice.den**2
+    if any(T[i][i] % (2 * dd) for i in range(4)) or any(T[i][j] % dd for i in range(4) for j in range(i + 1, 4)):
+        raise CertificateError("norm form of the order is not integral")
+    diag = [T[i][i] // (2 * dd) for i in range(4)]
+    cross = {(i, j): T[i][j] // dd for i in range(4) for j in range(i + 1, 4)}
     needed = {u for u in range(mod) if math.gcd(u, q) == 1}
     seen = set()
     rng = range(mod)

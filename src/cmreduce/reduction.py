@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 from . import __version__
 from .classpoly import classpoly_mod, hilbert_class_poly
@@ -77,26 +78,21 @@ class ArchimedeanStats:
     max_im: float
     mass_y_at_least: Fraction
     y_cut: float
-    mass_x_at_most: Fraction
-    x_cut: float
 
 
-def reduce_archimedean(D, y_cut: float = 2.0, x_cut: float = 0.25):
+def reduce_archimedean(D, y_cut: float = 2.0):
     """CM points of all reduced forms plus box-mass statistics."""
     d = int(D) if not isinstance(D, Discriminant) else D.D
     forms = reduced_forms(d)
     points = [cm_point(f, d) for f in forms]
     h = len(points)
     n_y = sum(1 for pt in points if pt.im >= y_cut)
-    n_x = sum(1 for pt in points if abs(pt.re) <= x_cut)
     stats = ArchimedeanStats(
         h=h,
         min_im=min(pt.im for pt in points),
         max_im=max(pt.im for pt in points),
         mass_y_at_least=Fraction(n_y, h),
         y_cut=y_cut,
-        mass_x_at_most=Fraction(n_x, h),
-        x_cut=x_cut,
     )
     return points, stats
 
@@ -192,35 +188,26 @@ def joint_reduce(D, primes) -> JointDistribution:
     counts: Counter = Counter()
     for f in forms:
         counts[tuple(m[f] for m in maps)] += 1
-    nus = [_nu_weights(p) for p in primes]
-    product: dict[tuple, Fraction] = {}
-
-    def build(prefix, weight):
-        i = len(prefix)
-        if i == len(primes):
-            product[tuple(prefix)] = weight
-            return
-        for idx, w in enumerate(nus[i]):
-            build(prefix + [idx], weight * w)
-
-    build([], Fraction(1))
+    measure: dict[tuple, Fraction] = {}
+    for combo in product(*(enumerate(_nu_weights(p)) for p in primes)):
+        measure[tuple(idx for idx, _ in combo)] = math.prod((w for _, w in combo), start=Fraction(1))
     tv = Fraction(0)
     chi2 = 0.0
-    for t, prob in product.items():
+    for t, prob in measure.items():
         emp = Fraction(counts.get(t, 0), h)
         tv += abs(emp - prob)
         chi2 += float((emp - prob) ** 2 / prob)
     tv = tv / 2
     if sum(counts.values()) != h:
         raise CertificateError(f"class tuples of D={d} count {sum(counts.values())}, not h = {h}")
-    if sum(product.values()) != 1:
-        raise CertificateError(f"product measure over {primes} has total mass {sum(product.values())}")
+    if sum(measure.values()) != 1:
+        raise CertificateError(f"product measure over {primes} has total mass {sum(measure.values())}")
     return JointDistribution(
         D=disc,
         primes=primes,
         h=h,
         tuple_counts=dict(counts),
-        product_measure=product,
+        product_measure=measure,
         tv=tv,
         chi2=chi2,
     )
@@ -231,16 +218,13 @@ def joint_reduce(D, primes) -> JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-def fiber_multiset_crosscheck(D, p: int, cache_dir: str | None = None,
-                              _perturb_for_tests: bool = False) -> bool:
+def fiber_multiset_crosscheck(D, p: int, cache_dir: str | None = None) -> bool:
     """True iff the fiber-size multiset of reduce_at_prime equals the root
     multiplicity multiset of H_D over F_{p^2} (label-free validation)."""
     d = int(D) if not isinstance(D, Discriminant) else D.D
     _check_reducible(d, p)
     fibers = Counter(reduce_at_prime(d, p).values())
     fiber_multiset = sorted(fibers.values())
-    if _perturb_for_tests and fiber_multiset:
-        fiber_multiset[-1] += 1
     H = hilbert_class_poly(d, cache_dir=cache_dir)
     ctx = fp2_construct(p)
     poly = FfPoly([ctx.el(c) for c in classpoly_mod(H, p)], ctx)
@@ -316,18 +300,10 @@ def exceptional_fields(spec: CharacterSpec) -> set[int]:
     """Fundamental discriminants of the nontrivial products Pi chi_i over
     all invariant character tuples; empty for Eichler-type specs."""
     out: set[int] = set()
-
-    def walk(i: int, chosen: list[int]):
-        if i == len(spec.factors):
-            prod = _character_product(chosen)
-            if prod != 1:
-                out.add(prod)
-            return
-        walk(i + 1, chosen + [1])
-        if spec.factors[i] != 1:
-            walk(i + 1, chosen + [spec.factors[i]])
-
-    walk(0, [])
+    for chosen in product(*((1,) if dd == 1 else (1, dd) for dd in spec.factors)):
+        prod = _character_product(chosen)
+        if prod != 1:
+            out.add(prod)
     return out
 
 

@@ -1,8 +1,9 @@
 """The integer lattice kernel of quatalg against independent references:
 lattice products, right multiplication and ideal formation against
 `Lattice4.from_elements` over `QuatElement` products, integer coordinates
-against `QuatElement` arithmetic, and the LLL + Fincke-Pohst short-vector
-search against brute-force box enumeration."""
+against `QuatElement` arithmetic, neighbour ideals against their defining
+properties, and the LLL + Fincke-Pohst short-vector search against
+brute-force box enumeration."""
 
 import math
 import random
@@ -10,10 +11,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmreduce.errors import DomainError, NotRepresented
-from cmreduce.numbase import kronecker
-from cmreduce.quadforms import reduced_forms
+from cmreduce.numbase import kronecker, primes_up_to
+from cmreduce.quadforms import QuadForm, reduce_form, reduced_forms
 from cmreduce.quatalg import (
     Lattice4,
     _det3,
@@ -131,6 +134,55 @@ def test_integer_ideal_formation_matches_element_products(p):
     assert left_ideal_from_class(order_as_ideal(O), emb, f).reduced_norm == f.a
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_neighbor_ideals_are_the_ell_neighbours(p):
+    ell = 2
+    _, O, cls = quaternion_data(p)
+    for I in cls.representatives:
+        neighbours = _neighbor_ideals(I, ell)
+        assert len(neighbours) == ell + 1
+        assert len({J.lattice for J in neighbours}) == ell + 1
+        for J in neighbours:
+            # ell I < J < I, J a left O-ideal of norm ell Nr(I)
+            assert all(J.lattice.contains(b.scale(ell)) for b in I.lattice.basis())
+            assert all(I.lattice.contains(b) for b in J.lattice.basis())
+            assert O.lattice.product(J.lattice) == J.lattice
+            assert J.reduced_norm == ell * I.reduced_norm
+        # ordered by the least residue c in [0, ell)^4, in product order,
+        # whose element c . basis(I) lies in J
+        basis = I.lattice.basis()
+        residues = [
+            sum((e.scale(k) for k, e in zip(c, basis)), O.alg.element(0, 0, 0, 0))
+            for c in product(range(ell), repeat=4)
+            if any(c)
+        ]
+        least = [next(i for i, x in enumerate(residues) if J.lattice.contains(x)) for J in neighbours]
+        assert least == sorted(least)
+
+
+@given(
+    st.sampled_from([q for q in primes_up_to(1000) if q >= 5]),
+    st.integers(1, 10**4),
+    st.integers(-(10**5), 10**5),
+    st.integers(1, 10**4),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_equivalent_form_coprime_to_leading_coefficient(p, k, b, c, p_divides_c):
+    # p | a always, and p | c when asked: the cases the search has to move
+    f = QuadForm(p * k, b, p * c if p_divides_c else c)
+    assume(f.discriminant < 0 and f.is_primitive())
+    g = _equivalent_form_coprime_to(f, p)
+    assert math.gcd(g.a, p) == 1
+    assert g.discriminant == f.discriminant
+    assert reduce_form(g) == reduce_form(f)
+
+
+def test_equivalent_form_coprime_to_rejects_an_imprimitive_form():
+    with pytest.raises(DomainError):
+        _equivalent_form_coprime_to(QuadForm(5, 5, 5), 5)
+
+
 def _hosts(O, D, p):
     if D % 4 not in (0, 1) or kronecker(D, p) != -1:
         return False
@@ -176,7 +228,7 @@ def test_shortest_vectors_match_box_enumeration(p):
         found = _box_vectors(T, bound)
         least = min(v for _, v in found)
         expected = sorted(x for x, v in found if v == least)
-        assert lattice_shortest_vectors(L) == [L.vector(c) for c in expected]
+        assert lattice_shortest_vectors(L) == expected
         tested += 1
     assert tested >= 2
 
@@ -190,7 +242,7 @@ def test_unit_vectors_match_box_enumeration(p):
         if _box_size(T, bound) > BOX_CAP:
             continue
         expected = sorted(x for x, v in _box_vectors(T, bound) if v == bound)
-        assert lattice_vectors_with_norm(Or.lattice, 1) == [Or.lattice.vector(c) for c in expected]
+        assert lattice_vectors_with_norm(Or.lattice, 1) == expected
 
 
 def _random_unimodular(rng, n, steps=12):

@@ -406,6 +406,16 @@ def test_local_norm_surjectivity():
         local_norm_surjectivity(O, 4, 1)
 
 
+def test_local_norm_surjectivity_rejects_a_non_integral_norm_form():
+    # (1/2) Z<1, i, j, k> has basis norms 1/4 and 11/4 and orthogonal cross
+    # terms: only the diagonal of the norm form is non-integral
+    B = construct_Bp(11)
+    half = Order(Lattice4.from_rows(B, [[int(i == j) for j in range(4)] for i in range(4)], 2))
+    assert sorted(b.norm() for b in half.basis()) == [Fraction(1, 4)] * 2 + [Fraction(11, 4)] * 2
+    with pytest.raises(CertificateError):
+        local_norm_surjectivity(half, 3, 1)
+
+
 def test_local_norm_surjectivity_lifting_consistency():
     # the Hensel-reduced level agrees with exhaustive enumeration where
     # both are feasible

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cmreduce import reduction
 from cmreduce.errors import BudgetError, CertificateError, ConfigError, DomainError
 from cmreduce.quadforms import QuadForm, compose, principal_form, reduced_forms
 from cmreduce.reduction import (
@@ -128,10 +129,19 @@ def test_picard_equivariance_multiset():
         assert translated == Counter(m.values())
 
 
-def test_fiber_crosscheck_examples(tmp_path):
+def test_fiber_crosscheck_examples(tmp_path, monkeypatch):
     assert fiber_multiset_crosscheck(-23, 5, cache_dir=str(tmp_path))
     assert fiber_multiset_crosscheck(-4, 11)
-    assert not fiber_multiset_crosscheck(-23, 5, _perturb_for_tests=True)
+    honest = reduction.reduce_at_prime
+
+    def one_form_moved(D, p):
+        # move the first form to a class of its own, which shifts one fiber
+        m = honest(D, p)
+        m[next(iter(m))] = max(m.values()) + 1
+        return m
+
+    monkeypatch.setattr(reduction, "reduce_at_prime", one_form_moved)
+    assert not fiber_multiset_crosscheck(-23, 5, cache_dir=str(tmp_path))
 
 
 def test_fiber_crosscheck_batch():
