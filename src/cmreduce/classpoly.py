@@ -1,15 +1,17 @@
 """High-precision evaluation of the modular j-function at CM points and
 assembly of Hilbert class polynomials over Z.
 
-j is computed from truncated q-expansions of the Eisenstein series E4 and
-E6 (j = 1728 E4^3 / (E4^3 - E6^2)), which matches the g2, g3 lattice
-presentation and avoids branch-cut issues of eta products.  Arbitrary
-precision arithmetic is delegated to mpmath; BigFloatComplex is an
+j is computed from the eta quotient t = (eta(2 tau) / eta(tau))^24 =
+q (E(q^2) / E(q))^24, E(x) = prod (1 - x^n), as j = (1 + 256 t)^3 / t.  t is
+an integer power of a quotient of q-products, so no branch of a root is
+involved, and E is a sparse series by Euler's pentagonal number theorem.
+Arbitrary precision arithmetic is delegated to mpmath; BigFloatComplex is an
 ``mpmath.mpc`` at the stated working precision.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -52,49 +54,62 @@ class ClassPolynomial:
         return cls(D=int(data["D"]), coeffs=tuple(int(c) for c in data["coeffs"]))
 
 
-def _sigma_table(n: int, k: int) -> list[int]:
-    """sigma_k(1..n) by divisor sieve."""
-    out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        dk = d**k
-        for m in range(d, n + 1, d):
-            out[m] += dk
-    return out
+def _euler_products(q: mpmath.mpc, n_max: int) -> tuple[mpmath.mpc, mpmath.mpc]:
+    """E(q) and E(q^2) for E(x) = prod_(n >= 1) (1 - x^n), each summed over
+    its terms q^n with n <= n_max.
+
+    E(x) = 1 + sum_(k >= 1) (-1)^k (x^(k(3k-1)/2) + x^(k(3k+1)/2)) (Euler's
+    pentagonal number theorem).  Each power of q is the previous one of its
+    sequence times q^(3k+1) or q^(3k+2), themselves updated by one product
+    with q^3, and the terms of E(q^2) are their squares: at these
+    precisions mpmath's integer powers cost far more than products.
+    """
+    q2 = q * q
+    q3 = q2 * q
+    a, b = q, q2  # q^(k(3k-1)/2) and q^(k(3k+1)/2) for k = 1
+    step_a, step_b = q3 * q, q3 * q2  # q^(3k+1) and q^(3k+2)
+    e1 = e2 = mpmath.mpc(1)
+    k = 1
+    while k * (3 * k - 1) // 2 <= n_max:
+        s1 = a + b
+        s2 = a * a + b * b if k * (3 * k - 1) <= n_max else 0
+        if k % 2:
+            e1, e2 = e1 - s1, e2 - s2
+        else:
+            e1, e2 = e1 + s1, e2 + s2
+        a *= step_a
+        b *= step_b
+        step_a *= q3
+        step_b *= q3
+        k += 1
+    return e1, e2
 
 
 def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
     """j(tau) with absolute error <= 2^(8 - precision_bits) * max(1, |j|).
 
-    The q-expansions of E4 and E6 are truncated at the first N with
-    |q|^N < 2^(-precision_bits - 16).
+    Works at precision_bits + 32; the series of E(q) and E(q^2) drop the
+    terms q^n with |q|^n < 2^(-precision_bits - 32).
     """
     if precision_bits < _MIN_PRECISION:
         precision_bits = _MIN_PRECISION
     # reduced CM points satisfy im >= sqrt(3)/2
     if tau.im < math.sqrt(3) / 2 - _SQRT3_HALF_SLACK:
         raise DomainError("j_eval expects a reduced CM point (im >= sqrt(3)/2)")
-    # E4^3 - E6^2 = 1728 q + O(q^2) cancels ~ 2 pi Im(tau) / ln 2 leading
-    # bits of the two series; work at a precision that absorbs the loss
-    cancel = int(2 * math.pi * tau.im / math.log(2)) + 8
-    guard = 32 + cancel
-    with mpmath.workprec(precision_bits + guard):
+    work = precision_bits + 32
+    with mpmath.workprec(work):
         im = mpmath.sqrt(tau.abs_D) / tau.two_a
         re = mpmath.mpf(tau.minus_b) / tau.two_a
-        two_pi_im = 2 * mpmath.pi * im
-        N = int(mpmath.ceil((precision_bits + 16) * mpmath.log(2) / two_pi_im)) + 2
-        s3 = _sigma_table(N, 3)
-        s5 = _sigma_table(N, 5)
+        n_max = int(mpmath.ceil(work * mpmath.log(2) / (2 * mpmath.pi * im)))
         q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(re, im))
-        qn = mpmath.mpc(1)
-        e4 = mpmath.mpc(1)
-        e6 = mpmath.mpc(1)
-        for n in range(1, N + 1):
-            qn *= q
-            e4 += 240 * s3[n] * qn
-            e6 -= 504 * s5[n] * qn
-        e4cube = e4**3
-        delta = e4cube - e6**2
-        return mpmath.mpc(1728) * e4cube / delta
+        e1, e2 = _euler_products(q, n_max)
+        r = e2 / e1
+        r2 = r * r
+        r4 = r2 * r2
+        r8 = r4 * r4
+        t = q * (r8 * r8) * r8  # q r^24
+        u = 1 + 256 * t
+        return u * u * u / t
 
 
 def _initial_precision(D: int, forms) -> int:
@@ -109,22 +124,29 @@ def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
     recognized as integers (within 0.25) and rounded.
 
     Retries with doubled precision at most twice; never rounds silently.
+    Computed once per D per process; entries read from cache_dir are
+    validated and recomputed when they fail.
     """
     d = int(D) if not isinstance(D, Discriminant) else D.D
     if cache_dir is not None:
         cached = _cache_load(cache_dir, d)
         if cached is not None:
             return cached
+    poly = _compute(d)
+    if cache_dir is not None:
+        _cache_store(cache_dir, poly)
+    return poly
+
+
+@functools.lru_cache(maxsize=None)
+def _compute(d: int) -> ClassPolynomial:
     forms = reduced_forms(d)
     bits = _initial_precision(d, forms)
     last_gap = None
     for _ in range(_MAX_DOUBLINGS + 1):
         result = _assemble(d, forms, bits)
         if result is not None:
-            poly = ClassPolynomial(D=d, coeffs=tuple(result))
-            if cache_dir is not None:
-                _cache_store(cache_dir, poly)
-            return poly
+            return ClassPolynomial(D=d, coeffs=tuple(result))
         last_gap = bits
         bits *= 2
     raise PrecisionError(f"coefficients of H_{d} not integral at {last_gap} bits (twice doubled)")
@@ -134,23 +156,18 @@ def _assemble(d: int, forms, bits: int) -> list[int] | None:
     with mpmath.workprec(bits + 48):
         # forms pair up under b -> -b; boundary forms (b = 0, b = a, a = c)
         # have j real, so the product is assembled from real factors
-        linear: list[mpmath.mpf] = []
-        quadratic: list[tuple[mpmath.mpf, mpmath.mpf]] = []
+        one = mpmath.mpf(1)
+        factors = []
         for f in forms:
             if f.b < 0:
                 continue  # the mirror of a paired form
             jval = j_eval(cm_point(f, d), bits)
             if f.b == 0 or f.b == f.a or f.a == f.c:
-                linear.append(jval.real)
+                factors.append([-jval.real, one])
             else:
-                quadratic.append((-2 * jval.real, jval.real**2 + jval.imag**2))
-        coeffs = [mpmath.mpf(1)]  # ascending, so far the constant 1
-        for r in linear:
-            coeffs = _poly_mul(coeffs, [-r, mpmath.mpf(1)])
-        for b1, b0 in quadratic:
-            coeffs = _poly_mul(coeffs, [b0, b1, mpmath.mpf(1)])
+                factors.append([jval.real**2 + jval.imag**2, -2 * jval.real, one])
         out = []
-        for c in coeffs:
+        for c in _product_tree(factors):
             r = mpmath.nint(c)
             if abs(c - r) > 0.25:
                 return None
@@ -158,6 +175,14 @@ def _assemble(d: int, forms, bits: int) -> list[int] | None:
         if out[-1] != 1 or len(out) - 1 != len(forms):
             return None
         return out
+
+
+def _product_tree(polys):
+    """The product of the ascending coefficient lists, halves first."""
+    if len(polys) == 1:
+        return polys[0]
+    mid = len(polys) // 2
+    return _poly_mul(_product_tree(polys[:mid]), _product_tree(polys[mid:]))
 
 
 def _poly_mul(a, b):
@@ -178,7 +203,7 @@ def classpoly_mod(H: ClassPolynomial, p: int) -> list[int]:
 # -- disk cache (atomic write-then-rename) ----------------------------------
 
 # bump on any change to the evaluation algorithm; keys cache entries
-_ALGORITHM_VERSION = 2
+_ALGORITHM_VERSION = 3
 
 
 def _cache_path(cache_dir: str, D: int) -> str:

@@ -189,21 +189,31 @@ class FfPoly:
         ctx = self.ctx
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        num = list(self.coeffs)
         den = other.coeffs
         dd = len(den) - 1
-        lead_inv = ctx.inv(den[-1])
-        if len(num) - 1 < dd:
-            return FfPoly([], ctx), FfPoly(num, ctx)
-        q = [(0, 0)] * (len(num) - dd)
-        for k in range(len(num) - 1, dd - 1, -1):
-            coef = ctx.mul(num[k], lead_inv)
-            if coef == (0, 0):
+        if len(self.coeffs) - 1 < dd:
+            return FfPoly([], ctx), FfPoly(self.coeffs, ctx)
+        p, nu = ctx.p, ctx.nu
+        li0, li1 = ctx.inv(den[-1])
+        # the working coefficients are unreduced integers; each is reduced
+        # mod p only when it becomes the leading term or part of the remainder
+        xs = [c[0] for c in self.coeffs]
+        ys = [c[1] for c in self.coeffs]
+        low = den[:dd]
+        q = [(0, 0)] * (len(xs) - dd)
+        for k in range(len(xs) - 1, dd - 1, -1):
+            a, b = xs[k] % p, ys[k] % p
+            cx, cy = (a * li0 + nu * b * li1) % p, (a * li1 + b * li0) % p
+            if cx == 0 and cy == 0:
                 continue
-            q[k - dd] = coef
-            for i in range(dd + 1):
-                num[k - dd + i] = ctx.sub(num[k - dd + i], ctx.mul(coef, den[i]))
-        return FfPoly(q, ctx), FfPoly(num[:dd], ctx)
+            q[k - dd] = (cx, cy)
+            ncy = nu * cy
+            j = k - dd
+            for u, v in low:
+                xs[j] -= cx * u + ncy * v
+                ys[j] -= cx * v + cy * u
+                j += 1
+        return FfPoly(q, ctx), FfPoly([(x % p, y % p) for x, y in zip(xs[:dd], ys)], ctx)
 
     def __mod__(self, other: "FfPoly") -> "FfPoly":
         return self.divmod(other)[1]
@@ -218,14 +228,87 @@ class FfPoly:
         return a.monic() if not a.is_zero() else a
 
     def pow_mod(self, e: int, mod: "FfPoly") -> "FfPoly":
-        result = FfPoly([(1, 0)], self.ctx)
         base = self % mod
-        while e:
-            if e & 1:
+        if mod.degree >= _PACKED_MIN_DEGREE:
+            return _PackedModulus(mod).pow(base, e)
+        result = FfPoly([(1, 0)], self.ctx)
+        for bit in bin(e)[2:]:
+            result = (result * result) % mod
+            if bit == "1":
                 result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
         return result
+
+
+# From this modulus degree on, pow_mod multiplies packed integers; below it
+# the pack and unpack cost more than the schoolbook products they replace
+# (the cubics of the 2-isogeny walk take the schoolbook path).
+_PACKED_MIN_DEGREE = 8
+
+
+class _PackedModulus:
+    """Products modulo f of degree n >= 2 as single integer products
+    (Kronecker substitution).
+
+    A polynomial sum (x_i + y_i t) X^i with x_i, y_i in [0, p) is the
+    integer with x_i in slot 3i and y_i in slot 3i + 1, each slot W bytes,
+    slot 3i + 2 empty: X = 256^(3W) and t = 256^W.  In a product, slot 3k
+    holds the sum of x x', slot 3k + 1 that of x y' + y x', and slot 3k + 2
+    that of y y', the t^2 part, which unpacking folds into slot 3k times nu.
+    For factors of at most n coefficients every slot is below
+    2n(p - 1)^2 < 256^W, so no slot carries into the next.
+
+    With mu = floor(X^(2n-2) / f), a = a_hi X^n + a_lo of degree <= 2n - 2
+    has quotient floor(a / f) = floor(a_hi mu / X^(n-2)) exactly: the rest
+    of a / f, a_hi (X^(2n-2)/f - mu) / X^(n-2) + a_lo / f, has no
+    polynomial part.  So a mod f = a_lo - (q f) mod X^n, with no correction.
+    """
+
+    def __init__(self, f: FfPoly):
+        ctx = f.ctx
+        n = f.degree
+        self.ctx, self.n = ctx, n
+        self.width = ((2 * n * (ctx.p - 1) ** 2).bit_length() + 7) // 8
+        mu = FfPoly([(0, 0)] * (2 * n - 2) + [(1, 0)], ctx) // f
+        self.mu = self.pack(mu.coeffs)
+        self.f_low = self.pack(f.coeffs[:n])
+
+    def pack(self, coeffs) -> int:
+        w = self.width
+        empty = bytes(w)
+        return int.from_bytes(
+            b"".join(x.to_bytes(w, "little") + y.to_bytes(w, "little") + empty for x, y in coeffs),
+            "little",
+        )
+
+    def unpack(self, v: int, lo: int, hi: int) -> list[Fp2]:
+        """Coefficients lo .. hi - 1 of the packed product v, reduced."""
+        p, nu, w = self.ctx.p, self.ctx.nu, self.width
+        raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
+        get = int.from_bytes
+        s = 3 * w
+        return [
+            ((get(raw[i : i + w], "little") + nu * get(raw[i + 2 * w : i + s], "little")) % p,
+             get(raw[i + w : i + 2 * w], "little") % p)
+            for i in range(s * lo, s * hi, s)
+        ]
+
+    def mulmod(self, a: int, b: int) -> int:
+        n, p = self.n, self.ctx.p
+        c = self.unpack(a * b, 0, 2 * n - 1)
+        q = self.unpack(self.pack(c[n:]) * self.mu, n - 2, 2 * n - 3)
+        qf = self.unpack(self.pack(q) * self.f_low, 0, n)
+        return self.pack([((x - u) % p, (y - v) % p) for (x, y), (u, v) in zip(c, qf)])
+
+    def pow(self, base: FfPoly, e: int) -> FfPoly:
+        """base^e mod f for base of degree < n, left to right."""
+        if e == 0:
+            return FfPoly([(1, 0)], self.ctx)
+        b = r = self.pack(base.coeffs)
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, b)
+        return FfPoly(self.unpack(r, 0, self.n), self.ctx)
 
 
 def _stable_seed(p: int, f: FfPoly) -> int:
@@ -256,7 +339,7 @@ def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, i
 
     Distinct roots come from gcd(f, X^{q} - X) (computed by square-and-multiply
     in the quotient ring) followed by seeded equal-degree splitting;
-    multiplicities by repeated deflation.
+    multiplicities by deflating f / gcd, which holds each root once less.
     """
     ctx = ctx or f.ctx
     if f.is_zero():
@@ -269,17 +352,15 @@ def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, i
     xq = x.pow_mod(q, fm)
     g = fm.gcd(xq - x)
     rng = random.Random(_stable_seed(ctx.p, fm))
-    roots = _distinct_roots(g, rng)
-    out: dict[Fp2, int] = {}
-    for r in sorted(roots):
+    roots = sorted(_distinct_roots(g, rng))
+    out = dict.fromkeys(roots, 1)
+    rest = fm // g
+    for r in roots:
         lin = FfPoly([ctx.neg(r), (1, 0)], ctx)
-        m = 0
-        cur = fm
-        while True:
-            quo, rem = cur.divmod(lin)
+        while rest.degree > 0:
+            quo, rem = rest.divmod(lin)
             if not rem.is_zero():
                 break
-            m += 1
-            cur = quo
-        out[r] = m
+            out[r] += 1
+            rest = quo
     return out

@@ -223,12 +223,6 @@ class QuatElement:
     def norm(self) -> Fraction:
         return _qnorm(self.alg.a, self.alg.b, self.c)
 
-    def inverse(self) -> "QuatElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of a norm-zero quaternion")
-        return self.conj().scale(Fraction(1, 1) / n)
-
     def numerator(self) -> tuple[int, list[int]]:
         """(den, n) with self = n / den and den the least common denominator."""
         den = math.lcm(*(x.denominator for x in self.c))
@@ -375,11 +369,6 @@ class Lattice4:
     def conjugate(self) -> "Lattice4":
         rows = [[r[0], -r[1], -r[2], -r[3]] for r in self.mat]
         return Lattice4.from_rows(self.alg, rows, self.den)
-
-    def right_multiply(self, x: QuatElement) -> "Lattice4":
-        den, n = x.numerator()
-        a, b = self.alg.a, self.alg.b
-        return Lattice4.from_rows(self.alg, [_qmul(a, b, r, n) for r in self.mat], self.den * den)
 
     def product(self, other: "Lattice4") -> "Lattice4":
         a, b = self.alg.a, self.alg.b
@@ -601,9 +590,6 @@ class Order:
     @property
     def alg(self) -> QuaternionAlgebra:
         return self.lattice.alg
-
-    def basis(self) -> list[QuatElement]:
-        return self.lattice.basis()
 
     def contains(self, x: QuatElement) -> bool:
         return self.lattice.contains(x)

@@ -129,3 +129,29 @@ def test_classpolynomial_json_roundtrip():
     poly = hilbert_class_poly(-47)
     again = ClassPolynomial.from_json(poly.to_json())
     assert again == poly
+
+
+def test_hilbert_class_poly_is_computed_once_per_discriminant(monkeypatch, tmp_path):
+    from cmreduce import classpoly
+
+    calls = []
+
+    def counting_j_eval(tau, bits):
+        calls.append(tau)
+        return j_eval(tau, bits)
+
+    monkeypatch.setattr(classpoly, "j_eval", counting_j_eval)
+    classpoly._compute.cache_clear()
+    first = hilbert_class_poly(-191)
+    assert len(calls) == sum(1 for f in reduced_forms(-191) if f.b >= 0)
+    calls.clear()
+    assert hilbert_class_poly(-191) == first
+    # an on-disk entry is still validated, and a bad one replaced, but from
+    # the polynomial already computed
+    cache = str(tmp_path)
+    path = classpoly._cache_path(cache, -191)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(ClassPolynomial(D=-191, coeffs=first.coeffs[1:]).to_json())  # wrong degree
+    assert hilbert_class_poly(-191, cache_dir=cache) == first
+    assert open(path, encoding="utf-8").read() == first.to_json()
+    assert calls == []

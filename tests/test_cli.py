@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -133,3 +134,21 @@ def test_verify_fails_loudly_under_python_O():
     assert proc.returncode == 2
     assert "FAIL - character orthogonality" in proc.stdout
     assert "1 of 10 checks failed" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["cmreduce", "cmreduce.cli"])
+def test_python_dash_m_runs_the_command_line(module):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cmreduce.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "mass", "--p", "23"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "11/6\n"
+    proc = subprocess.run([sys.executable, "-m", module, "frobnicate"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+
+
+def test_importing_the_main_module_runs_nothing(capsys):
+    # tools import every cmreduce module; only `python -m` may run the CLI
+    importlib.import_module("cmreduce.__main__")
+    assert capsys.readouterr().out == ""

@@ -123,6 +123,78 @@ def test_poly_divmod_roundtrip():
         assert r.degree < g.degree or r.is_zero()
 
 
+def _oracle_mulmod(a, b, f, p, nu):
+    """a * b mod the monic f on (x, y) coefficient lists, schoolbook."""
+    n = len(f) - 1
+    prod = [[0, 0] for _ in range(max(len(a) + len(b) - 1, n))]
+    for i, (x1, y1) in enumerate(a):
+        for j, (x2, y2) in enumerate(b):
+            cell = prod[i + j]
+            cell[0] += x1 * x2 + nu * y1 * y2
+            cell[1] += x1 * y2 + y1 * x2
+    for k in range(len(prod) - 1, n - 1, -1):
+        cx, cy = prod[k][0] % p, prod[k][1] % p
+        for i, (fx, fy) in enumerate(f):
+            cell = prod[k - n + i]
+            cell[0] -= cx * fx + nu * cy * fy
+            cell[1] -= cx * fy + cy * fx
+    return [(x % p, y % p) for x, y in prod[:n]]
+
+
+def _oracle_pow_mod(base, e, f, p, nu):
+    """base^e mod the monic f by right-to-left square-and-multiply."""
+    result = _oracle_mulmod([(1, 0)], [(1, 0)], f, p, nu)
+    b = _oracle_mulmod(base, [(1, 0)], f, p, nu)
+    while e:
+        if e & 1:
+            result = _oracle_mulmod(result, b, f, p, nu)
+        b = _oracle_mulmod(b, b, f, p, nu)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [5, 11, 1009, 100003])
+def test_pow_mod_matches_schoolbook_oracle(p):
+    # degrees on both sides of the packed-product crossover, up to 120;
+    # the exponents of root finding (p^2 and (p^2 - 1)/2) and random ones
+    ctx = fp2_construct(p)
+    rng = random.Random(p)
+    cases = 0
+    for n in (1, 2, 3, 7, 8, 9, 16, 33, 64, 120):
+        exponents = [p * p, (p * p - 1) // 2, rng.randrange(2, p**4)]
+        if n == 120:
+            exponents = [exponents[p % 3]]
+        for e in exponents:
+            f = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)] + [(1, 0)]
+            base = [(rng.randrange(p), rng.randrange(p)) for _ in range(rng.randrange(1, 2 * n + 2))]
+            expected = FfPoly(_oracle_pow_mod(base, e, f, p, ctx.nu), ctx)
+            got = FfPoly(base, ctx).pow_mod(e, FfPoly(f, ctx))
+            assert got == expected, (p, n, e)
+            # a non-monic modulus generates the same ideal: same remainder
+            lead = (rng.randrange(1, p), rng.randrange(p))
+            assert FfPoly(base, ctx).pow_mod(e, FfPoly(f, ctx).scale(lead)) == expected
+            cases += 1
+    assert cases == 28
+
+
+def test_roots_of_large_split_products_with_planted_multiplicities():
+    p = 100003
+    ctx = fp2_construct(p)
+    rng = random.Random(2024)
+    for degree in (20, 57, 101, 150):
+        expected: dict = {(0, 0): 2, (rng.randrange(1, p), 0): 1}  # a root in F_p
+        while sum(expected.values()) < degree:
+            r = (rng.randrange(p), rng.randrange(1, p))
+            room = degree - sum(expected.values())
+            expected[r] = expected.get(r, 0) + min(rng.choice((1, 1, 1, 2, 3, 7)), room)
+        f = FfPoly.const((rng.randrange(1, p), rng.randrange(p)), ctx)
+        for r, m in expected.items():
+            for _ in range(m):
+                f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
+        assert f.degree == degree
+        assert roots_with_multiplicity(f) == expected
+
+
 def test_serialize_roundtrip():
     ctx = fp2_construct(23)
     s = ctx.serialize((7, 19))

@@ -92,19 +92,6 @@ def test_integer_coordinates_on_class_sets(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_integer_right_multiply_matches_element_products(p):
-    rng = random.Random(p)
-    _, O, cls = quaternion_data(p)
-    for I in cls.representatives:
-        for _ in range(6):
-            x = O.alg.element(*(Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)) for _ in range(4)))
-            if x.norm() == 0:
-                continue
-            expected = Lattice4.from_elements(O.alg, [b * x for b in I.lattice.basis()])
-            assert I.lattice.right_multiply(x) == expected
-
-
-@pytest.mark.parametrize("p", PRIMES)
 def test_integer_ideal_formation_matches_element_products(p):
     _, O, cls = quaternion_data(p)
     checked = 0
