@@ -70,9 +70,6 @@ class Fp2Ctx:
             e >>= 1
         return result
 
-    def in_prime_field(self, a: Fp2) -> bool:
-        return a[1] == 0
-
     def serialize(self, a: Fp2) -> str:
         return f"{a[0]}+{a[1]}*t"
 
@@ -102,11 +99,10 @@ class FfPoly:
 
     __slots__ = ("coeffs", "ctx")
 
-    def __init__(self, coeffs, ctx: Fp2Ctx, normalize: bool = True):
+    def __init__(self, coeffs, ctx: Fp2Ctx):
         cs = [c if isinstance(c, tuple) else ctx.el(c) for c in coeffs]
-        if normalize:
-            while cs and cs[-1] == (0, 0):
-                cs.pop()
+        while cs and cs[-1] == (0, 0):
+            cs.pop()
         self.coeffs = cs
         self.ctx = ctx
 
@@ -130,10 +126,6 @@ class FfPoly:
     @classmethod
     def x(cls, ctx: Fp2Ctx) -> "FfPoly":
         return cls([(0, 0), (1, 0)], ctx)
-
-    @classmethod
-    def const(cls, c, ctx: Fp2Ctx) -> "FfPoly":
-        return cls([c], ctx)
 
     def monic(self) -> "FfPoly":
         if self.is_zero():

@@ -13,11 +13,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 from .errors import CertificateError, ConfigError, DomainError
-from .numbase import factorize, is_prime, isqrt, kronecker
+from .numbase import factorize, is_prime, isqrt, kronecker, squarefree_part
 
 __all__ = [
     "Discriminant",
@@ -28,7 +27,6 @@ __all__ = [
     "class_number",
     "class_number_table",
     "compose",
-    "form_to_ideal",
     "cm_point",
     "splitting",
     "admissible_discriminants",
@@ -47,15 +45,9 @@ def is_fundamental(D: int) -> bool:
     if not _is_discriminant(D):
         return False
     if D % 4 == 1:
-        return abs(_squarefree(D)) == abs(D)
+        return abs(squarefree_part(D)) == abs(D)
     m = D // 4
-    return m % 4 in (2, 3) and abs(_squarefree(m)) == abs(m)
-
-
-def _squarefree(n: int) -> int:
-    from .numbase import squarefree_part
-
-    return squarefree_part(n)
+    return m % 4 in (2, 3) and abs(squarefree_part(m)) == abs(m)
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class Discriminant:
     def of(cls, D: int) -> "Discriminant":
         if not _is_discriminant(D):
             raise DomainError(f"{D} is not a negative quadratic discriminant")
-        s = _squarefree(D)
+        s = squarefree_part(D)
         d0 = s if s % 4 == 1 else 4 * s
         c = isqrt(D // d0)
         if c * c * d0 != D:
@@ -261,12 +253,6 @@ class ClassGroup:
     def h(self) -> int:
         return len(self.forms)
 
-    def index_of(self, f: QuadForm) -> int:
-        return self.forms.index(reduce_form(f))
-
-    def compose(self, f: QuadForm, g: QuadForm) -> QuadForm:
-        return compose(f, g, self.D.D)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -276,19 +262,6 @@ class ClassGroup:
             },
             sort_keys=True,
         )
-
-
-def form_to_ideal(f: QuadForm, D) -> tuple[int, tuple[Fraction, Fraction]]:
-    """Z-basis (a, (-b + sqrt(D))/2) of the proper O_D-ideal attached to f.
-
-    The second generator is returned as (rational part, sqrt(D)-coefficient).
-    """
-    d = _as_D(D)
-    if f.discriminant != d:
-        raise DomainError("form/discriminant mismatch")
-    if not (f.is_reduced() and f.is_primitive()):
-        raise DomainError("form must be reduced and primitive")
-    return f.a, (Fraction(-f.b, 2), Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -307,14 +280,6 @@ class CMPoint:
     @property
     def im(self) -> float:
         return math.sqrt(self.abs_D) / self.two_a
-
-    @property
-    def re_exact(self) -> Fraction:
-        return Fraction(self.minus_b, self.two_a)
-
-    def norm_squared_exact(self) -> Fraction:
-        # |tau|^2 = c/a, exactly
-        return Fraction(self.form.c, self.form.a)
 
 
 def cm_point(f: QuadForm, D) -> CMPoint:
@@ -389,15 +354,30 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-_GENUS_SCAN = 50
+# the primitive vectors (x, y) with max(|x|, |y|) = 1, in lexicographic order
+_UNIT_RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _coprime_ring_point(f: QuadForm, q: int) -> tuple[int, int]:
+    """The first (x, y) on `_UNIT_RING` with q not dividing f(x, y), for a
+    prime q.
+
+    One exists when f is primitive at q: if q divides both a = f(1, 0) and
+    c = f(0, 1), then q does not divide b, so it does not divide
+    a + b + c = f(1, 1)."""
+    for x, y in _UNIT_RING:
+        if f.value(x, y) % q:
+            return x, y
+    raise DomainError(f"form {f.as_tuple()} is not primitive at {q}")
 
 
 def genus_character(f: QuadForm, d1: int, D) -> int:
     """Genus character chi_{d1} evaluated on the class of f.
 
-    Computed as kronecker(d1, m) for the smallest value m = f(x, y) coprime
-    to 2D over the scan window |x|, |y| <= 50 (the represented value is not
-    prescribed; any admissible one gives the same answer).
+    Computed as kronecker(d1, m) for one value m = f(X, Y) coprime to 2D
+    (any such value gives the same answer): (X, Y) agrees modulo each prime
+    q | 2D with a ring point where q does not divide f (Chinese remainder
+    theorem), and m > 0 because f is positive definite.
     """
     d = _as_D(D)
     if d1 == 1:
@@ -407,14 +387,11 @@ def genus_character(f: QuadForm, d1: int, D) -> int:
     d2 = d // d1
     if not (d2 == 1 or d2 % 4 in (0, 1)):
         raise DomainError(f"{d1} does not induce a genus decomposition of {d}")
-    best = None
-    for x in range(-_GENUS_SCAN, _GENUS_SCAN + 1):
-        for y in range(-_GENUS_SCAN, _GENUS_SCAN + 1):
-            m = f.value(x, y)
-            if m <= 0 or math.gcd(m, 2 * d) != 1:
-                continue
-            if best is None or m < best:
-                best = m
-    if best is None:
-        raise DomainError("no represented value coprime to 2D in scan window")
-    return kronecker(d1, best)
+    qs = [q for q, _ in factorize(-2 * d)]
+    M = math.prod(qs)
+    X = Y = 0
+    for q in qs:
+        x, y = _coprime_ring_point(f, q)
+        e = M // q * pow(M // q, -1, q)  # 1 mod q, 0 mod the other primes
+        X, Y = X + x * e, Y + y * e
+    return kronecker(d1, f.value(X % M, Y % M))

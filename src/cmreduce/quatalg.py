@@ -31,7 +31,7 @@ from itertools import chain, product
 
 from .errors import BudgetError, CertificateError, DomainError, NotRepresented
 from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
-from .quadforms import Discriminant, QuadForm, _xgcd
+from .quadforms import Discriminant, QuadForm, _coprime_ring_point, _xgcd
 
 __all__ = [
     "QuaternionAlgebra",
@@ -118,9 +118,6 @@ class QuaternionAlgebra:
     @property
     def is_definite(self) -> bool:
         return self.a < 0 and self.b < 0
-
-    def one(self) -> "QuatElement":
-        return QuatElement(self, (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
 
     def element(self, x0, x1, x2, x3) -> "QuatElement":
         return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
@@ -609,10 +606,6 @@ class Order:
         rows += [[lat.den * x for x in r] for r in lat.mat]
         return Lattice4.from_rows(lat.alg, rows, lat.den**2) == lat
 
-    @property
-    def unit_weight(self) -> int:
-        return unit_weight(self)
-
 
 def unit_weight(order: Order) -> int:
     """|O^x / {+-1}| = half the number of norm-1 lattice vectors."""
@@ -725,30 +718,6 @@ def gross_lattice(order: Order) -> GrossLattice:
     return GrossLattice(alg=order.alg, den=den, mat=mat)
 
 
-def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
-    """(1/2){x in Z + O^T : Nr(x) in 4Z} as a lattice; equals O for orders.
-
-    The set is 4L-periodic for L = Z + O^T, so it is assembled from the
-    residues of L/4L with norm divisible by 4.
-    """
-    alg = gl.alg
-    gens4 = [QuatElement(alg, (1, 0, 0, 0))] + gl.basis()
-    L = Lattice4.from_elements(alg, gens4)
-    Lbasis = L.basis()
-    reps = []
-    for c in product(range(4), repeat=4):
-        x = QuatElement(alg, (0, 0, 0, 0))
-        for coef, b in zip(c, Lbasis):
-            if coef:
-                x = x + b.scale(coef)
-        n = x.norm()
-        if n.denominator == 1 and n.numerator % 4 == 0:
-            reps.append(x)
-    gens = [b.scale(4) for b in Lbasis] + reps
-    span = Lattice4.from_elements(alg, gens)
-    return span.scaled(Fraction(1, 2))
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Optimal embedding of the quadratic order of discriminant D recorded
@@ -789,23 +758,6 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     if not order.contains(w):
         raise CertificateError("(D + v)/2 fails to land in the order")
     return emb
-
-
-def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fraction]]:
-    """Basis (rows, coordinates in (1, v)) of {m + n v : m, n in Q} cap O."""
-    b_one = order.lattice.coordinates(order.alg.one())
-    b_v = order.lattice.coordinates(v)
-    if b_one is None or b_v is None:
-        raise DomainError("1 and v must lie in O")
-    # m + n v lies in O iff m b_one + n b_v is integral: the preimage is the
-    # dual of the lattice spanned by the condition columns (b_one[i], b_v[i])
-    g = [r[:2] for r in hnf_rows([[u, w, 0, 0] for u, w in zip(b_one, b_v)])]
-    if len(g) != 2:
-        raise CertificateError("expected rank-2 condition lattice")
-    # dual basis: the rows of (G^{-1})^T
-    (a, b), (c, d) = g
-    det = Fraction(a * d - b * c)
-    return [[d / det, -c / det], [-b / det, a / det]]
 
 
 # ---------------------------------------------------------------------------
@@ -853,26 +805,15 @@ def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftI
     return ideal
 
 
-# the primitive vectors (x, y) with max(|x|, |y|) = 1, in lexicographic order
-_UNIT_RING = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def _equivalent_form_coprime_to(f: QuadForm, p: int) -> QuadForm:
-    """Equivalent form whose leading coefficient is coprime to p: the first
-    value f(x, y) coprime to p on `_UNIT_RING`, moved to the front by a
-    unimodular completion of (x, y).
-
-    For a primitive f some value on the ring is coprime to p: if p divides
-    both a = f(1, 0) and c = f(0, 1), then p does not divide b, so it does
-    not divide a + b + c = f(1, 1)."""
-    for x, y in _UNIT_RING:
-        a2 = f.value(x, y)
-        if math.gcd(a2, p) == 1:
-            _, u, wv = _xgcd(x, y)
-            # complete (x, y) to a determinant-1 matrix [[x, -wv], [y, u]]
-            b2 = 2 * (f.a * x * (-wv) + f.c * y * u) + f.b * (x * u - wv * y)
-            return QuadForm(a2, b2, f.value(-wv, u))
-    raise DomainError(f"form {f.as_tuple()} is not primitive at {p}")
+    """Equivalent form whose leading coefficient is coprime to the prime p:
+    the value f(x, y) at `_coprime_ring_point`, moved to the front by a
+    unimodular completion of (x, y)."""
+    x, y = _coprime_ring_point(f, p)
+    _, u, wv = _xgcd(x, y)
+    # complete (x, y) to a determinant-1 matrix [[x, -wv], [y, u]]
+    b2 = 2 * (f.a * x * (-wv) + f.c * y * u) + f.b * (x * u - wv * y)
+    return QuadForm(f.value(x, y), b2, f.value(-wv, u))
 
 
 def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
@@ -1072,29 +1013,10 @@ def hs_norm_ratio(D) -> float:
     return _hs_from_ad(M, d)
 
 
-def _mat2_ad_matrix(d: int):
+def _mat2_ad_matrix(d: int) -> list[list[int]]:
     """ad of w = [[0, 1], [d, 0]] on traceless 2x2 matrices in the basis
-    H, E, F."""
-    w = ((Fraction(0), Fraction(1)), (Fraction(d), Fraction(0)))
-    H = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    E = ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0)))
-    F = ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
-    cols = []
-    for X in (H, E, F):
-        img = _msub(_mm(w, X), _mm(X, w))
-        # traceless [[alpha, beta], [gamma, -alpha]] -> (alpha, beta, gamma)
-        cols.append((img[0][0], img[0][1], img[1][0]))
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
-
-
-def _mm(A, B):
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(2)) for j in range(2)) for i in range(2)
-    )
-
-
-def _msub(A, B):
-    return tuple(tuple(A[i][j] - B[i][j] for j in range(2)) for i in range(2))
+    H, E, F: [w, H] = -2E + 2dF, [w, E] = -dH and [w, F] = H."""
+    return [[0, -d, 1], [-2, 0, 0], [2 * d, 0, 0]]
 
 
 def _hs_from_ad(M, d: int) -> float:

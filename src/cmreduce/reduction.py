@@ -30,6 +30,7 @@ from .quadforms import (
     QuadForm,
     admissible_discriminants,
     cm_point,
+    genus_character,
     reduced_forms,
     splitting,
 )
@@ -75,9 +76,7 @@ def nu_infty_y_mass(Y: float) -> float:
 class ArchimedeanStats:
     h: int
     min_im: float
-    max_im: float
     mass_y_at_least: Fraction
-    y_cut: float
 
 
 def reduce_archimedean(D, y_cut: float = 2.0):
@@ -90,9 +89,7 @@ def reduce_archimedean(D, y_cut: float = 2.0):
     stats = ArchimedeanStats(
         h=h,
         min_im=min(pt.im for pt in points),
-        max_im=max(pt.im for pt in points),
         mass_y_at_least=Fraction(n_y, h),
-        y_cut=y_cut,
     )
     return points, stats
 
@@ -240,6 +237,9 @@ def fiber_multiset_crosscheck(D, p: int, cache_dir: str | None = None) -> bool:
 # ---------------------------------------------------------------------------
 
 
+_CONDUCTOR_BOUND = 10**4
+
+
 @dataclass(frozen=True)
 class CharacterSpec:
     """Per factor: the fundamental discriminant of the one quadratic
@@ -247,15 +247,12 @@ class CharacterSpec:
     Eichler factor (no invariant character at all)."""
 
     factors: tuple[int, ...]
-    conductor_bound: int = 10**4
 
     def __post_init__(self):
-        if self.conductor_bound > 10**4:
-            raise BudgetError("conductor bound capped at 10^4")
         for dd in self.factors:
             if dd == 1:
                 continue
-            if abs(dd) > self.conductor_bound:
+            if abs(dd) > _CONDUCTOR_BOUND:
                 raise BudgetError(f"|{dd}| exceeds the conductor bound")
             if not _is_fundamental_or_unit(dd):
                 raise DomainError(f"{dd} is not a fundamental discriminant")
@@ -286,8 +283,6 @@ def _character_product(ds) -> int:
 def character_average(D, d1: int) -> Fraction:
     """(1/h) sum of the genus character chi_{d1} over the class group;
     exactly 1 for the trivial character, 0 otherwise (orthogonality)."""
-    from .quadforms import genus_character
-
     d = int(D) if not isinstance(D, Discriminant) else D.D
     forms = reduced_forms(d)
     if d1 == 1:

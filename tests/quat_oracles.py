@@ -1,0 +1,41 @@
+"""Independent constructions that the quaternion tests compare against,
+written on the integer HNF rows (`mat`, `den`) of the lattices."""
+
+from fractions import Fraction
+from itertools import product
+
+from cmreduce.errors import CertificateError, DomainError
+from cmreduce.quatalg import GrossLattice, Lattice4, Order, QuatElement, _qnorm, _unreduce, hnf_rows
+
+
+def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
+    """(1/2){x in Z + O^T : Nr(x) in 4Z} as a lattice; equals O for orders.
+
+    The set is 4L-periodic for L = Z + O^T, so it is assembled from the
+    residues of L/4L with norm divisible by 4.
+    """
+    alg = gl.alg
+    L = Lattice4.from_rows(alg, [[gl.den, 0, 0, 0]] + [[0, *r] for r in gl.mat], gl.den)
+    reps = []
+    for c in product(range(4), repeat=4):
+        x = _unreduce(L.mat, c)  # the element x / L.den, of norm N(x) / L.den^2
+        if _qnorm(alg.a, alg.b, x) % (4 * L.den**2) == 0:
+            reps.append(x)
+    return Lattice4.from_rows(alg, [[4 * v for v in r] for r in L.mat] + reps, 2 * L.den)
+
+
+def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fraction]]:
+    """Basis (rows, coordinates in (1, v)) of {m + n v : m, n in Q} cap O."""
+    b_one = order.lattice.coordinates(order.alg.element(1, 0, 0, 0))
+    b_v = order.lattice.coordinates(v)
+    if b_one is None or b_v is None:
+        raise DomainError("1 and v must lie in O")
+    # m + n v lies in O iff m b_one + n b_v is integral: the preimage is the
+    # dual of the lattice spanned by the condition columns (b_one[i], b_v[i])
+    g = [r[:2] for r in hnf_rows([[u, w, 0, 0] for u, w in zip(b_one, b_v)])]
+    if len(g) != 2:
+        raise CertificateError("expected rank-2 condition lattice")
+    # dual basis: the rows of (G^{-1})^T
+    (a, b), (c, d) = g
+    det = Fraction(a * d - b * c)
+    return [[d / det, -c / det], [-b / det, a / det]]

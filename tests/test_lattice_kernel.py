@@ -88,7 +88,7 @@ def test_integer_coordinates_on_class_sets(p):
                 assert L.contains_primitive(x) == (math.gcd(*c) == 1)
                 assert not L.contains_primitive(off)
         if width == 3:
-            assert L.coordinates(O.alg.one()) is None  # not traceless
+            assert L.coordinates(O.alg.element(1, 0, 0, 0)) is None  # not traceless
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -7,6 +7,7 @@ import pytest
 
 from cmreduce import quadforms
 from cmreduce.errors import CertificateError, ConfigError, DomainError
+from cmreduce.numbase import kronecker
 from cmreduce.quadforms import (
     ClassGroup,
     Discriminant,
@@ -16,7 +17,6 @@ from cmreduce.quadforms import (
     class_number_table,
     cm_point,
     compose,
-    form_to_ideal,
     genus_character,
     genus_decompositions,
     is_fundamental,
@@ -41,7 +41,7 @@ def test_discriminant_structure():
 
 def test_discriminant_certifies_the_conductor_split(monkeypatch):
     # a wrong squarefree part must fail loudly, also under python -O
-    monkeypatch.setattr(quadforms, "_squarefree", lambda D: -1)
+    monkeypatch.setattr(quadforms, "squarefree_part", lambda D: -1)
     with pytest.raises(CertificateError):
         Discriminant.of(-23)
 
@@ -113,33 +113,20 @@ def test_group_axioms_sampled_fundamental_discs():
             assert compose(f, g, D) in forms
 
 
-def test_form_to_ideal():
-    a, (r, s) = form_to_ideal(QuadForm(1, 1, 6), -23)
-    assert a == 1 and (r, s) == (Fraction(-1, 2), Fraction(1, 2))
-    a, (r, s) = form_to_ideal(QuadForm(2, 1, 3), -23)
-    assert a == 2 and (r, s) == (Fraction(-1, 2), Fraction(1, 2))
-    # ideal norm = a: index of the ideal lattice in O_D is a
-    # lattice [a, (-b+sqrt(D))/2] vs [1, (D+sqrt(D))/2]: determinant ratio = a
-    # det of basis change matrix [[a, 0], [(-b-D)/2, 1]] = a
-    f = QuadForm(2, 1, 3)
-    det = f.a * 1 - 0
-    assert det == 2
-
-
 def test_cm_points():
     p = cm_point(QuadForm(1, 0, 1), -4)
     assert p.re == 0 and abs(p.im - 1.0) < 1e-15
     p = cm_point(QuadForm(1, 1, 6), -23)
-    assert p.re_exact == Fraction(-1, 2)
+    assert Fraction(p.minus_b, p.two_a) == Fraction(-1, 2)
     assert abs(p.im - math.sqrt(23) / 2) < 1e-12
     p = cm_point(QuadForm(2, 1, 3), -23)
-    assert p.norm_squared_exact() == Fraction(3, 2)
+    assert Fraction(p.form.c, p.form.a) == Fraction(3, 2)  # |tau|^2 = c/a
     # fundamental domain, exactly, for a batch of discriminants
     for D in (-23, -47, -84, -499, -1051):
         for f in reduced_forms(D):
             q = cm_point(f, D)
-            assert abs(q.re_exact) <= Fraction(1, 2)
-            assert q.norm_squared_exact() >= 1
+            assert abs(Fraction(q.minus_b, q.two_a)) <= Fraction(1, 2)
+            assert Fraction(q.form.c, q.form.a) >= 1
 
 
 def test_splitting():
@@ -179,6 +166,37 @@ def test_genus_character_homomorphism():
             for g in forms:
                 chi_fg = genus_character(compose(f, g, D), d1, D)
                 assert chi_fg == genus_character(f, d1, D) * genus_character(g, d1, D)
+
+
+def _genus_character_by_search(f, d1, D, box=6):
+    """kronecker(d1, m) for the least value m = f(x, y) > 0 coprime to 2D with
+    |x|, |y| <= box, or None when the box holds no such value."""
+    values = (f.value(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1))
+    m = min((v for v in values if v > 0 and math.gcd(v, 2 * D) == 1), default=None)
+    return None if m is None else kronecker(d1, m)
+
+
+def test_genus_character_matches_a_small_box_search():
+    checked = 0
+    for D in range(-3, -1001, -1):
+        if D % 4 not in (0, 1):
+            continue
+        decs = [d1 for d1, _ in genus_decompositions(D) if d1 != 1]
+        for f in reduced_forms(D):
+            for d1 in decs:
+                want = _genus_character_by_search(f, d1, D)
+                if want is not None:
+                    assert genus_character(f, d1, D) == want, (f, d1, D)
+                    checked += 1
+    assert checked > 10**4
+
+
+def test_genus_character_rejects_an_imprimitive_form():
+    # every value of an imprimitive form shares its content with 2D
+    with pytest.raises(DomainError):
+        genus_character(QuadForm(2, 2, 2), -3, -12)
+    with pytest.raises(DomainError):
+        genus_character(QuadForm(3, 3, 3), -3, -27)
 
 
 def test_genus_decompositions():

@@ -190,8 +190,6 @@ def test_exceptional_fields():
     got = exceptional_fields(CharacterSpec(factors=(-4, -8)))
     assert got == {-4, -8, 8}
     with pytest.raises(BudgetError):
-        CharacterSpec(factors=(-4,), conductor_bound=10**5)
-    with pytest.raises(BudgetError):
         CharacterSpec(factors=(-10**5,))
     with pytest.raises(DomainError):
         CharacterSpec(factors=(-5,))  # 3 mod 4: not a discriminant

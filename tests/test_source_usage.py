@@ -1,0 +1,70 @@
+"""No test-only code in src/: every function and class defined under
+src/cmreduce is referred to from src/cmreduce, outside its own body, or is
+exported in its module's __all__, or is on the allow-list below."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cmreduce"
+
+# read from outside src/: `Fp2Ctx.parse`, which reads back the F_(p^2)
+# elements that `ss --json` prints, and `basis`, the element view of a
+# lattice, by users and tests
+ALLOWED = {"parse", "basis"}
+
+
+def _exports(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def _references(node: ast.AST, inside: frozenset, out: set) -> None:
+    """Add every name `node` refers to outside a definition of that name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    names = []
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        names = [node.id]
+    elif isinstance(node, ast.Attribute):
+        names = [node.attr]
+    elif isinstance(node, ast.ImportFrom):
+        names = [alias.name for alias in node.names]
+    out.update(n for n in names if n not in inside)
+    for child in ast.iter_child_nodes(node):
+        _references(child, inside, out)
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each unused definition in the module sources."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used: set[str] = set()
+    for tree in trees.values():
+        _references(tree, frozenset(), used)
+    found = []
+    for name, tree in sorted(trees.items()):
+        exported = _exports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            d = node.name
+            if d.startswith("__") and d.endswith("__"):
+                continue
+            if d not in used and d not in exported and d not in ALLOWED:
+                found.append(f"{name}.{d}")
+    return found
+
+
+def _sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def test_every_definition_in_src_is_used_in_src_or_exported():
+    assert unreferenced(_sources()) == []
+
+
+def test_a_function_only_its_own_body_calls_is_flagged():
+    sources = _sources()
+    sources["quadforms"] += "\n\ndef _planted(n):\n    return _planted(n - 1) if n else 0\n"
+    assert unreferenced(sources) == ["quadforms._planted"]
