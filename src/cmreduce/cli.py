@@ -272,7 +272,7 @@ def _verify_checks(quick: bool):
     import random
 
     from .classpoly import hilbert_class_poly, j_eval
-    from .numbase import kronecker, primes_up_to
+    from .numbase import primes_up_to
     from .quadforms import QuadForm, class_number, cm_point, compose, principal_form, reduced_forms
     from .quatalg import construct_Bp, hs_norm_ratio, killing_check, local_norm_surjectivity, quaternion_data
     from .reduction import character_average, fiber_multiset_crosscheck

@@ -380,6 +380,8 @@ def genus_character(f: QuadForm, d1: int, D) -> int:
     theorem), and m > 0 because f is positive definite.
     """
     d = _as_D(D)
+    if f.discriminant != d:
+        raise DomainError("form/discriminant mismatch")
     if d1 == 1:
         return 1
     if d % d1 or not (d1 % 4 in (0, 1)):

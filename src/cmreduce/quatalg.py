@@ -18,6 +18,8 @@ of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
 returns the vectors found as sorted integer HNF coordinates.
+Ideal classes are compared through their reduced lattices I m^-1 for the m
+of least reduced norm in I: that set of lattices is a class invariant.
 """
 
 from __future__ import annotations
@@ -556,17 +558,6 @@ def lattice_vectors_with_norm(lat: Lattice4, target) -> list[tuple[int, ...]]:
     return sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
 
 
-def lattice_min_norm_hits(lat: Lattice4, bound) -> bool:
-    """True iff some nonzero lattice vector has Nr exactly `bound` -- used
-    for the principality test where `bound` = Nr(lattice) is the a priori
-    minimum of the norm on the lattice."""
-    scaled = _scaled_norm(lat, bound)
-    if scaled is None:
-        return False
-    _, R = _lll_gram(lat.trace_gram())
-    return next(_fincke_pohst(R, scaled, exact=True), None) is not None
-
-
 def lattice_shortest_vectors(lat: Lattice4) -> list[tuple[int, ...]]:
     """HNF coordinates of the nonzero vectors of minimal norm, sorted."""
     H, R = _lll_gram(lat.trace_gram())
@@ -779,6 +770,29 @@ class LeftIdeal:
     def conjugate_lattice(self) -> Lattice4:
         return self.lattice.conjugate()
 
+    @cached_property
+    def reduced_lattice(self) -> Lattice4:
+        """I m^-1 for the canonical (sorted first) m of least reduced norm
+        in I: a member of `reduced_lattices` with a fixed HNF."""
+        lat = self.lattice
+        return _divided_by(lat, _unreduce(lat.mat, lattice_shortest_vectors(lat)[0]))
+
+    @cached_property
+    def reduced_lattices(self) -> frozenset[Lattice4]:
+        """R(I) = {I m^-1 : m of least reduced norm in I}, a class invariant:
+        for J = I y the least vectors of J are those of I times y, and
+        J (m y)^-1 = I m^-1, so R(J) = R(I)."""
+        lat = self.lattice
+        return frozenset(_divided_by(lat, _unreduce(lat.mat, c)) for c in lattice_shortest_vectors(lat))
+
+
+def _divided_by(lat: Lattice4, n) -> Lattice4:
+    """The lattice L x^-1 for x = n / den: as x^-1 = conj(x) / Nr(x), its
+    rows are the integer rows of L times conj(n), over N(n) = den^2 Nr(x)."""
+    a, b = lat.alg.a, lat.alg.b
+    conj = (n[0], -n[1], -n[2], -n[3])
+    return Lattice4.from_rows(lat.alg, [_qmul(a, b, r, conj) for r in lat.mat], _qnorm(a, b, n))
+
 
 def order_as_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(lattice=order.lattice, left_order=order)
@@ -817,14 +831,14 @@ def _equivalent_form_coprime_to(f: QuadForm, p: int) -> QuadForm:
 
 
 def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
-    """True iff J = I x for some invertible x; decided by whether conj(I)*J
-    contains a vector of norm Nr(I)*Nr(J) (its a priori minimum)."""
+    """True iff J = I x for some invertible x.  The reduced lattice of I
+    lies in R(I), which equals R(J) when I ~ J; conversely I m^-1 = J n^-1
+    gives J = I m^-1 n.  So I ~ J iff I's reduced lattice lies in R(J)."""
     if I.left_order.lattice != J.left_order.lattice:
         raise DomainError("class comparison requires identical left orders")
     if I.lattice == J.lattice:
         return True
-    M = I.conjugate_lattice.product(J.lattice)
-    return lattice_min_norm_hits(M, I.reduced_norm * J.reduced_norm)
+    return I.reduced_lattice in J.reduced_lattices
 
 
 @dataclass(frozen=True)
@@ -843,10 +857,10 @@ class IdealClassSet:
         return sum((Fraction(1, w) for w in self.weights), Fraction(0))
 
     def index_of(self, I: LeftIdeal) -> int:
-        for idx, rep in enumerate(self.representatives):
-            if is_same_class(I, rep):
-                return idx
-        raise CertificateError("ideal matches no enumerated class")
+        hits = [idx for idx, rep in enumerate(self.representatives) if is_same_class(I, rep)]
+        if len(hits) != 1:
+            raise CertificateError(f"ideal matches {len(hits)} enumerated classes, expected 1")
+        return hits[0]
 
 
 def right_order(I: LeftIdeal) -> Order:
@@ -897,14 +911,8 @@ def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
 
 
 def _reduce_ideal(I: LeftIdeal) -> LeftIdeal:
-    """Equivalent ideal of small norm: I x^-1 = I conj(n) / N(n) for the
-    canonical shortest vector x = n / den, N(n) = den^2 Nr(x)."""
-    lat = I.lattice
-    a, b = lat.alg.a, lat.alg.b
-    n = _unreduce(lat.mat, lattice_shortest_vectors(lat)[0])
-    conj = (n[0], -n[1], -n[2], -n[3])
-    rows = [_qmul(a, b, r, conj) for r in lat.mat]
-    return LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, _qnorm(a, b, n)), left_order=I.left_order)
+    """Equivalent ideal of small norm, I's reduced lattice."""
+    return LeftIdeal(lattice=I.reduced_lattice, left_order=I.left_order)
 
 
 def ideal_classes(order: Order) -> IdealClassSet:

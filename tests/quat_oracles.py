@@ -5,7 +5,17 @@ from fractions import Fraction
 from itertools import product
 
 from cmreduce.errors import CertificateError, DomainError
-from cmreduce.quatalg import GrossLattice, Lattice4, Order, QuatElement, _qnorm, _unreduce, hnf_rows
+from cmreduce.quatalg import (
+    GrossLattice,
+    Lattice4,
+    LeftIdeal,
+    Order,
+    QuatElement,
+    _qnorm,
+    _unreduce,
+    hnf_rows,
+    lattice_vectors_with_norm,
+)
 
 
 def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
@@ -39,3 +49,10 @@ def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fracti
     (a, b), (c, d) = g
     det = Fraction(a * d - b * c)
     return [[d / det, -c / det], [-b / det, a / det]]
+
+
+def same_class_by_product(I: LeftIdeal, J: LeftIdeal) -> bool:
+    """I ~ J iff conj(I) J holds a vector of norm Nr(I) Nr(J), the least norm
+    on it; for J = I x it holds Nr(I) x."""
+    M = I.conjugate_lattice.product(J.lattice)
+    return bool(lattice_vectors_with_norm(M, I.reduced_norm * J.reduced_norm))

@@ -14,7 +14,6 @@ from cmreduce.quadforms import (
     class_number_table,
     genus_decompositions,
     is_fundamental,
-    reduced_forms,
 )
 from cmreduce.quatalg import (
     construct_Bp,

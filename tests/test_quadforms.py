@@ -199,6 +199,14 @@ def test_genus_character_rejects_an_imprimitive_form():
         genus_character(QuadForm(3, 3, 3), -3, -27)
 
 
+def test_genus_character_rejects_a_form_of_another_discriminant():
+    # (1, 1, 6) has discriminant -23
+    with pytest.raises(DomainError):
+        genus_character(QuadForm(1, 1, 6), -3, -84)
+    with pytest.raises(DomainError):
+        genus_character(QuadForm(1, 1, 6), 1, -84)
+
+
 def test_genus_decompositions():
     decs = genus_decompositions(-84)
     assert (-3, 28) in decs and (-4, 21) in decs and (1, -84) in decs

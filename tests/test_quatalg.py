@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -14,15 +15,14 @@ from cmreduce.quatalg import (
     Lattice4,
     LeftIdeal,
     Order,
+    _neighbor_ideals,
     construct_Bp,
     find_optimal_embedding,
     gross_lattice,
     hilbert_symbol,
     hs_norm_ratio,
-    ideal_classes,
     is_same_class,
     killing_check,
-    lattice_vectors_with_norm,
     left_ideal_from_class,
     local_norm_surjectivity,
     mat2_model,
@@ -34,7 +34,7 @@ from cmreduce.quatalg import (
     right_order,
     unit_weight,
 )
-from quat_oracles import embedding_preimage_lattice, reconstruct_order_from_gross
+from quat_oracles import embedding_preimage_lattice, reconstruct_order_from_gross, same_class_by_product
 
 
 def test_hilbert_symbol_examples():
@@ -448,3 +448,43 @@ def test_is_same_class_equivalence_relation():
                 for C in ideals:
                     if ab and is_same_class(Bi, C):
                         assert is_same_class(A, C)
+
+
+@pytest.mark.parametrize("p", [5, 11, 23, 37, 53, 101])
+def test_is_same_class_matches_the_product_oracle(p):
+    # every ordered pair of representatives, their 2-neighbours and I x for
+    # seeded integral x, against conj(I) J holding a vector of norm Nr(I) Nr(J)
+    rng = random.Random(p)
+    _, O, cls = quaternion_data(p)
+    reps = cls.representatives
+    basis = O.lattice.basis()
+    ideals = list(reps) + [J for I in reps for J in _neighbor_ideals(I, 2)]
+    for I in reps:
+        for _ in range(2):
+            x = sum((b.scale(rng.randrange(-3, 4)) for b in basis), O.alg.element(0, 0, 0, 0))
+            if x.norm() != 0:
+                ideals.append(LeftIdeal(lattice=_times(I.lattice, x), left_order=O))
+    for A in ideals:
+        assert A.reduced_lattice in A.reduced_lattices
+        classes = [B for B in reps if same_class_by_product(A, B)]
+        assert len(classes) == 1
+        assert reps[cls.index_of(A)] is classes[0]
+        for B in ideals:
+            assert is_same_class(A, B) == same_class_by_product(A, B), (p, A.lattice, B.lattice)
+
+
+def test_index_of_refuses_a_second_match_and_no_match():
+    # a class set with one representative listed twice, then with one missing
+    _, O, cls = quaternion_data(23)
+    reps = cls.representatives
+    assert [cls.index_of(I) for I in reps] == [0, 1, 2]
+    x = O.lattice.basis()[1] + O.lattice.basis()[2]
+    query = LeftIdeal(lattice=_times(reps[1].lattice, x), left_order=O)
+    assert cls.index_of(query) == 1
+    twice = dataclasses.replace(cls, representatives=reps + (reps[1],))
+    with pytest.raises(CertificateError):
+        twice.index_of(query)
+    missing = dataclasses.replace(cls, representatives=reps[:1] + reps[2:])
+    with pytest.raises(CertificateError):
+        missing.index_of(query)
+

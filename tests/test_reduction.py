@@ -1,12 +1,11 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 
 from cmreduce import reduction
 from cmreduce.errors import BudgetError, CertificateError, ConfigError, DomainError
-from cmreduce.quadforms import QuadForm, compose, principal_form, reduced_forms
+from cmreduce.quadforms import compose, reduced_forms
 from cmreduce.reduction import (
     NU_INFTY_Y2,
     CharacterSpec,

@@ -1,6 +1,7 @@
-"""No test-only code in src/: every function and class defined under
-src/cmreduce is referred to from src/cmreduce, outside its own body, or is
-exported in its module's __all__, or is on the allow-list below."""
+"""No test-only or dead code in src/: every function and class defined
+under src/cmreduce is referred to from src/cmreduce, outside its own body,
+or is exported in its module's __all__, or is on the allow-list below; and
+every name a module imports is used in that module or exported."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,24 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def unused_imports(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each imported name its module never loads."""
+    found = []
+    for name, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        used = loaded | _exports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        found.append(f"{name}.{bound}")
+    return found
+
+
 def _sources() -> dict[str, str]:
     return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
 
@@ -68,3 +87,14 @@ def test_a_function_only_its_own_body_calls_is_flagged():
     sources = _sources()
     sources["quadforms"] += "\n\ndef _planted(n):\n    return _planted(n - 1) if n else 0\n"
     assert unreferenced(sources) == ["quadforms._planted"]
+
+
+def test_every_name_imported_in_src_is_used_or_exported():
+    assert unused_imports(_sources()) == []
+
+
+def test_an_unused_import_is_flagged():
+    sources = _sources()
+    sources["ssenum"] += "\n\ndef _planted():\n    from math import comb\n    return 0\n"
+    sources["quadforms"] += "\nimport os.path\n"
+    assert unused_imports(sources) == ["quadforms.os", "ssenum.comb"]
