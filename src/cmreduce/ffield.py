@@ -12,11 +12,19 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import DomainError
+from .errors import CertificateError, DomainError
 from .numbase import is_prime, kronecker
 
-__all__ = ["Fp2Ctx", "fp2_construct", "FfPoly", "roots_with_multiplicity", "frobenius"]
+__all__ = [
+    "Fp2Ctx",
+    "fp2_construct",
+    "FfPoly",
+    "roots_with_multiplicity",
+    "frobenius",
+    "quadratic_roots",
+]
 
 Fp2 = tuple[int, int]
 
@@ -308,30 +316,98 @@ def _stable_seed(p: int, f: FfPoly) -> int:
     return zlib.crc32(blob) ^ (p << 16)
 
 
-def _distinct_roots(g: FfPoly, rng: random.Random) -> list[Fp2]:
-    """Roots of a monic product of distinct linear factors over F_{p^2}."""
+@lru_cache(maxsize=None)
+def _tonelli_shanks_data(ctx: Fp2Ctx) -> tuple[int, int, Fp2]:
+    """(s, m, z) with q - 1 = 2^s m, m odd, and z = n^m for the non-square
+    n = x + t of least x >= 0: a is a square in F_{p^2} exactly when its
+    norm a^(p+1) is a square mod p, and x + t has norm x^2 - nu."""
+    m, s = ctx.q - 1, 0
+    while m % 2 == 0:
+        m, s = m // 2, s + 1
+    x = 0
+    while kronecker(x * x - ctx.nu, ctx.p) != -1:
+        x += 1
+    return s, m, ctx.pow((x, 1), m)
+
+
+def _fp2_sqrt(a: Fp2, ctx: Fp2Ctx) -> Fp2:
+    """A square root of a in F_{p^2} (Tonelli-Shanks on the 2-part of
+    q - 1); CertificateError when a has none."""
+    s, m, z = _tonelli_shanks_data(ctx)
+    one = (1, 0)
+    # invariant r^2 = a b; b has order dividing 2^(k-1) when a is a nonzero
+    # square, and z has order exactly 2^k
+    r, b, k = ctx.pow(a, (m + 1) // 2), ctx.pow(a, m), s
+    while b != one:
+        i, bb = 0, b
+        while bb != one and i < k:
+            bb = ctx.mul(bb, bb)
+            i += 1
+        if i == k:
+            break  # a is zero or not a square: the check below decides
+        w = z
+        for _ in range(k - i - 1):
+            w = ctx.mul(w, w)
+        r, z = ctx.mul(r, w), ctx.mul(w, w)
+        b, k = ctx.mul(b, z), i
+    if ctx.mul(r, r) != a:
+        raise CertificateError(f"{ctx.serialize(a)} has no square root in F_{ctx.p}^2")
+    return r
+
+
+def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
+    """The roots (-b +- r)/2, r^2 = b^2 - 4c, of X^2 + bX + c in F_{p^2};
+    CertificateError when the quadratic does not split there."""
+    r = _fp2_sqrt(ctx.sub(ctx.mul(b, b), ctx.mul(ctx.el(4), c)), ctx)
+    half, nb = ctx.el((ctx.p + 1) // 2), ctx.neg(b)
+    return ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)
+
+
+# (r + c)^((q-1)/2) differs between two distinct roots r for about half
+# of all c (a Jacobsthal sum), so a correct split fails this many draws in
+# a row with probability about 2^-64
+_MAX_DRAWS = 64
+
+
+def _split_power(g: FfPoly, xp: FfPoly, c: Fp2) -> FfPoly:
+    """(X + c)^((q-1)/2) mod g from xp = X^p mod g, as the norm
+    ((X + c)(X^p + c^p))^((p-1)/2): (q-1)/2 = (p+1)(p-1)/2, and a -> a^p
+    is a ring map of F_{p^2}[X]/(g), so (X + c)^p = X^p + c^p."""
+    ctx = g.ctx
+    norm = FfPoly([c, (1, 0)], ctx) * (xp + FfPoly([frobenius(c, ctx)], ctx))
+    return norm.pow_mod((ctx.p - 1) // 2, g)
+
+
+def _distinct_roots(g: FfPoly, xp: FfPoly, rng: random.Random) -> list[Fp2]:
+    """Roots of a monic product of distinct linear factors over F_{p^2},
+    given xp = X^p mod g."""
     ctx = g.ctx
     if g.degree == 0:
         return []
     if g.degree == 1:
         return [ctx.neg(g.coeffs[0])]
-    q = ctx.q
-    while True:
+    if g.degree == 2:
+        return list(quadratic_roots(g.coeffs[1], g.coeffs[0], ctx))
+    one = FfPoly([(1, 0)], ctx)
+    for _ in range(_MAX_DRAWS):
         c = (rng.randrange(ctx.p), rng.randrange(ctx.p))
-        shift = FfPoly([c, (1, 0)], ctx)  # X + c
-        h = shift.pow_mod((q - 1) // 2, g) - FfPoly([(1, 0)], ctx)
-        g1 = g.gcd(h)
+        g1 = g.gcd(_split_power(g, xp, c) - one)
         if 0 < g1.degree < g.degree:
             g2 = g // g1
-            return _distinct_roots(g1, rng) + _distinct_roots(g2, rng)
+            return _distinct_roots(g1, xp % g1, rng) + _distinct_roots(g2, xp % g2, rng)
+    raise CertificateError(f"no split of a degree-{g.degree} factor in {_MAX_DRAWS} draws")
 
 
 def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, int]:
     """All roots of f in F_{p^2} with exact multiplicities.
 
-    Distinct roots come from gcd(f, X^{q} - X) (computed by square-and-multiply
-    in the quotient ring) followed by seeded equal-degree splitting;
-    multiplicities by deflating f / gcd, which holds each root once less.
+    X^p mod f is computed once and raised to the p-th power for X^q, and
+    the distinct roots are those of g = gcd(f, X^q - X).  Seeded
+    equal-degree splitting takes gcd(g, (X + c)^((q-1)/2) - 1) for random
+    c, with the power computed as the norm ((X + c)(X^p + c^p))^((p-1)/2)
+    from X^p mod g; a factor of degree 2 is solved by the quadratic
+    formula with one square root in F_{p^2}.  Multiplicities come from
+    deflating f / g, which holds each root once less.
     """
     ctx = ctx or f.ctx
     if f.is_zero():
@@ -339,12 +415,11 @@ def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, i
     if f.degree == 0:
         return {}
     fm = f.monic()
-    q = ctx.q
     x = FfPoly.x(ctx)
-    xq = x.pow_mod(q, fm)
-    g = fm.gcd(xq - x)
+    xp = x.pow_mod(ctx.p, fm)
+    g = fm.gcd(xp.pow_mod(ctx.p, fm) - x)
     rng = random.Random(_stable_seed(ctx.p, fm))
-    roots = sorted(_distinct_roots(g, rng))
+    roots = sorted(_distinct_roots(g, xp % g, rng))
     out = dict.fromkeys(roots, 1)
     rest = fm // g
     for r in roots:

@@ -349,7 +349,8 @@ class Lattice4:
         ]
 
     def det_fraction(self) -> Fraction:
-        return Fraction(abs(_det4(self.mat)), self.den**4)
+        # HNF rows of a full-rank lattice are upper triangular
+        return Fraction(math.prod(self.mat[i][i] for i in range(4)), self.den**4)
 
     def contains(self, x: QuatElement) -> bool:
         return self.coordinates(x) is not None

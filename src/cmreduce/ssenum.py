@@ -3,11 +3,15 @@ weights, the total mass, and the weighted probability measure on it.
 
 The locus is found by a breadth-first walk on the 2-isogeny graph, which
 is connected on the supersingular j-invariants (Pizer 1990): the
-neighbours of j are the roots of the cubic Phi_2(j, Y) in F_{p^2}.  The
-walk starts at a root of H_D mod p for the least |D| with (D/p) = -1, and
-two certificates make the result exact: the start passes the Hasse test
-(so every point the walk reaches is supersingular), and the weights meet
-the Eichler mass sum 1/w = (p-1)/12 (so the walk reached every point).
+neighbours of j are the roots of the cubic Phi_2(j, Y) in F_{p^2}.
+Phi_2 is symmetric, so every point but the start has the point it was
+reached from among these roots: its cubic is divided by Y - parent (a
+nonzero remainder raises CertificateError) and the quadratic left is
+solved with one square root in F_{p^2}.  The walk starts at a root of
+H_D mod p for the least |D| with (D/p) = -1, and two certificates make
+the result exact: the start passes the Hasse test (so every point the
+walk reaches is supersingular), and the weights meet the Eichler mass
+sum 1/w = (p-1)/12 (so the walk reached every point).
 
 A j-invariant is supersingular iff the coefficient of x^(p-1) in
 (x^3 + Ax + B)^((p-1)/2) vanishes, where y^2 = x^3 + Ax + B is a short
@@ -24,7 +28,7 @@ from functools import lru_cache
 
 from .classpoly import classpoly_mod, hilbert_class_poly
 from .errors import BudgetError, CertificateError, DomainError
-from .ffield import FfPoly, Fp2, Fp2Ctx, fp2_construct, roots_with_multiplicity
+from .ffield import FfPoly, Fp2, Fp2Ctx, fp2_construct, quadratic_roots, roots_with_multiplicity
 from .numbase import is_prime, kronecker
 
 __all__ = [
@@ -36,8 +40,8 @@ __all__ = [
     "weierstrass_from_j",
 ]
 
-# the walk finds O(p) points with one cubic root-finding each: about half
-# a minute at this p on one core
+# the walk finds O(p) points with one square root in F_{p^2} each: under
+# a second at this p on one core
 _MAX_P = 100003
 
 # the classical modular polynomial of level 2: _PHI2[b][a] is the
@@ -190,15 +194,29 @@ def _weight(j: Fp2, ctx: Fp2Ctx) -> int:
     return 1
 
 
-def _phi2_neighbours(j: Fp2, ctx: Fp2Ctx) -> list[Fp2]:
-    """Roots in F_{p^2} of the cubic Phi_2(j, Y): the 2-isogenous j."""
+def _phi2_neighbours(j: Fp2, ctx: Fp2Ctx, parent: Fp2 | None) -> list[Fp2]:
+    """Roots in F_{p^2} of the cubic Phi_2(j, Y): the 2-isogenous j.
+
+    Phi_2 is symmetric, so the j a walk came from is a root: it is divided
+    out, and the quadratic left is solved by the formula.  Only the start
+    of the walk, which has no parent, goes through root finding."""
     cubic = []
     for row in _PHI2:
         c = (0, 0)
         for coef in reversed(row):
             c = ctx.add(ctx.mul(c, j), ctx.el(coef))
         cubic.append(c)
-    return list(roots_with_multiplicity(FfPoly(cubic, ctx)))
+    if parent is None:
+        return list(roots_with_multiplicity(FfPoly(cubic, ctx)))
+    # synthetic division of the monic cubic by Y - parent
+    c0, c1, c2, _ = cubic
+    q1 = ctx.add(c2, parent)
+    q0 = ctx.add(c1, ctx.mul(q1, parent))
+    if ctx.add(c0, ctx.mul(q0, parent)) != (0, 0):
+        raise CertificateError(
+            f"j = {ctx.serialize(parent)} is not a root of Phi_2({ctx.serialize(j)}, Y)"
+        )
+    return [parent, *quadratic_roots(q1, q0, ctx)]
 
 
 def _start_j(p: int, ctx: Fp2Ctx) -> Fp2:
@@ -225,15 +243,15 @@ def enumerate_ss(p: int) -> SupersingularLocus:
         raise CertificateError(
             f"walk start j = {ctx.serialize(start)} is not supersingular at p={p}"
         )
-    seen = {start}
+    parent: dict[Fp2, Fp2 | None] = {start: None}
     queue = [start]
     for j in queue:
-        for nb in _phi2_neighbours(j, ctx):
-            if nb not in seen:
-                seen.add(nb)
+        for nb in _phi2_neighbours(j, ctx, parent[j]):
+            if nb not in parent:
+                parent[nb] = j
                 queue.append(nb)
     pts = []
-    for j in sorted(seen):
+    for j in sorted(parent):
         A, B = weierstrass_from_j(j, ctx)
         pts.append(SupersingularPoint(j=j, weight=_weight(j, ctx), A=A, B=B))
     locus = SupersingularLocus(p=p, ctx=ctx, points=tuple(pts))

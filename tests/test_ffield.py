@@ -1,11 +1,20 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmreduce.errors import DomainError
-from cmreduce.ffield import FfPoly, fp2_construct, frobenius, roots_with_multiplicity
+from cmreduce.errors import CertificateError, DomainError
+from cmreduce.ffield import (
+    FfPoly,
+    _split_power,
+    fp2_construct,
+    frobenius,
+    quadratic_roots,
+    roots_with_multiplicity,
+)
+from cmreduce.numbase import kronecker
 
 
 def test_fp2_construct_minimal_nonresidue():
@@ -156,12 +165,13 @@ def _oracle_pow_mod(base, e, f, p, nu):
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
 def test_pow_mod_matches_schoolbook_oracle(p):
     # degrees on both sides of the packed-product crossover, up to 120;
-    # the exponents of root finding (p^2 and (p^2 - 1)/2) and random ones
+    # the exponents of root finding (p for X^p and X^q, (p - 1)/2 for the
+    # split), the older (p^2 - 1)/2 and p^2, and random ones
     ctx = fp2_construct(p)
     rng = random.Random(p)
     cases = 0
     for n in (1, 2, 3, 7, 8, 9, 16, 33, 64, 120):
-        exponents = [p * p, (p * p - 1) // 2, rng.randrange(2, p**4)]
+        exponents = [p * p, (p * p - 1) // 2, rng.randrange(2, p**4), p, (p - 1) // 2]
         if n == 120:
             exponents = [exponents[p % 3]]
         for e in exponents:
@@ -174,7 +184,7 @@ def test_pow_mod_matches_schoolbook_oracle(p):
             lead = (rng.randrange(1, p), rng.randrange(p))
             assert FfPoly(base, ctx).pow_mod(e, FfPoly(f, ctx).scale(lead)) == expected
             cases += 1
-    assert cases == 28
+    assert cases == 46
 
 
 def test_roots_of_large_split_products_with_planted_multiplicities():
@@ -193,6 +203,66 @@ def test_roots_of_large_split_products_with_planted_multiplicities():
                 f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
         assert f.degree == degree
         assert roots_with_multiplicity(f) == expected
+
+
+@pytest.mark.parametrize("p", [5, 11, 1009, 100003])
+def test_norm_split_exponent_matches_the_direct_power(p):
+    # ((X + c)(X^p mod g + c^p))^((p-1)/2) = (X + c)^((q-1)/2) mod g for
+    # any monic g: a -> a^p is a ring map of F_(p^2)[X]/(g)
+    ctx = fp2_construct(p)
+    rng = random.Random(7 * p)
+    x = [(0, 0), (1, 0)]
+    for n in (2, 3, 7, 8, 9, 33, 64):
+        g = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)] + [(1, 0)]
+        xp = _oracle_pow_mod(x, p, g, p, ctx.nu)
+        for _ in range(2):
+            c = (rng.randrange(p), rng.randrange(p))
+            shifted_xp = [ctx.add(xp[0], frobenius(c, ctx))] + xp[1:]
+            norm = _oracle_mulmod([c, (1, 0)], shifted_xp, g, p, ctx.nu)
+            direct = _oracle_pow_mod([c, (1, 0)], (p * p - 1) // 2, g, p, ctx.nu)
+            assert _oracle_pow_mod(norm, (p - 1) // 2, g, p, ctx.nu) == direct, (p, n, c)
+            got = _split_power(FfPoly(g, ctx), FfPoly(xp, ctx), c)
+            assert got == FfPoly(direct, ctx), (p, n, c)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_quadratic_roots_exhaustive(p):
+    ctx = fp2_construct(p)
+    field = list(product(range(p), repeat=2))
+    for r1, r2 in combinations_with_replacement(field, 2):
+        b = ctx.neg(ctx.add(r1, r2))
+        assert sorted(quadratic_roots(b, ctx.mul(r1, r2), ctx)) == sorted((r1, r2))
+    # X^2 - d splits exactly when d is a square, i.e. its norm is a square mod p
+    squares = {ctx.mul(a, a) for a in field}
+    non_squares = [d for d in field if d not in squares]
+    assert len(non_squares) == (p * p - 1) // 2
+    for d in non_squares:
+        assert kronecker((d[0] * d[0] - ctx.nu * d[1] * d[1]) % p, p) == -1
+        with pytest.raises(CertificateError):
+            quadratic_roots((0, 0), ctx.neg(d), ctx)
+
+
+@pytest.mark.parametrize("p", [1009, 100003])
+def test_roots_of_planted_class_polynomial_shape(p):
+    # like H_D mod p: coefficients in F_p, roots in F_p and conjugate pairs
+    # (r, r^p), with multiplicities, times X^3 - a with a not a cube mod p,
+    # which is irreducible over F_p and so over F_(p^2)
+    assert p % 3 == 1
+    ctx = fp2_construct(p)
+    rng = random.Random(p + 1)
+    expected: dict = {}
+    for _ in range(4):
+        expected[(rng.randrange(p), 0)] = rng.choice((1, 1, 2))
+    for _ in range(15):
+        r, m = (rng.randrange(p), rng.randrange(1, p)), rng.choice((1, 1, 1, 2, 3))
+        expected[r] = expected[frobenius(r, ctx)] = m
+    a = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
+    f = FfPoly([ctx.neg((a, 0)), (0, 0), (0, 0), (1, 0)], ctx)
+    for r, m in expected.items():
+        for _ in range(m):
+            f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
+    assert all(y == 0 for _, y in f.coeffs)
+    assert roots_with_multiplicity(f) == expected
 
 
 def test_serialize_roundtrip():

@@ -91,6 +91,27 @@ def test_integer_coordinates_on_class_sets(p):
             assert L.coordinates(O.alg.element(1, 0, 0, 0)) is None  # not traceless
 
 
+def test_determinant_is_the_hnf_diagonal_product():
+    # HNF rows of a full-rank lattice are upper triangular, so det_fraction
+    # reads the diagonal; four generators span a lattice of covolume |det|
+    rng = random.Random(3)
+    alg = quaternion_data(5)[1].alg
+    cases = 0
+    while cases < 200:
+        count = rng.choice((4, 4, 5, 7))
+        rows = [[rng.randrange(-20, 21) for _ in range(4)] for _ in range(count)]
+        den = rng.randrange(1, 13)
+        try:
+            L = Lattice4.from_rows(alg, rows, den)
+        except DomainError:
+            continue
+        assert all(L.mat[i][j] == 0 for i in range(4) for j in range(i))
+        assert L.det_fraction() == Fraction(abs(_det4(L.mat)), L.den**4)
+        if count == 4:
+            assert L.det_fraction() == Fraction(abs(_det4(rows)), den**4)
+        cases += 1
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_integer_ideal_formation_matches_element_products(p):
     _, O, cls = quaternion_data(p)

@@ -152,6 +152,6 @@ def test_walk_certifies_its_start(monkeypatch):
 
 def test_walk_certifies_its_mass(monkeypatch):
     # a walk that reaches only its start misses mass on every p with |SS_p| > 1
-    monkeypatch.setattr(ssenum, "_phi2_neighbours", lambda j, ctx: [])
+    monkeypatch.setattr(ssenum, "_phi2_neighbours", lambda j, ctx, parent: [])
     with pytest.raises(CertificateError, match="mass formula"):
         enumerate_ss.__wrapped__(23)
