@@ -22,7 +22,7 @@ import mpmath
 
 from .errors import DomainError, PrecisionError
 from .numbase import is_prime
-from .quadforms import CMPoint, Discriminant, class_number, cm_point, reduced_forms
+from .quadforms import CMPoint, class_number, cm_point, reduced_forms
 
 __all__ = ["ClassPolynomial", "j_eval", "hilbert_class_poly", "classpoly_mod"]
 
@@ -127,7 +127,7 @@ def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
     Computed once per D per process; entries read from cache_dir are
     validated and recomputed when they fail.
     """
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     if cache_dir is not None:
         cached = _cache_load(cache_dir, d)
         if cached is not None:

@@ -181,10 +181,6 @@ class FfPoly:
                 cell[1] += x1 * y2 + y1 * x2
         return FfPoly([(c[0] % p, c[1] % p) for c in out], ctx)
 
-    def scale(self, c: Fp2) -> "FfPoly":
-        ctx = self.ctx
-        return FfPoly([ctx.mul(c, x) for x in self.coeffs], ctx)
-
     def divmod(self, other: "FfPoly") -> tuple["FfPoly", "FfPoly"]:
         ctx = self.ctx
         if other.is_zero():

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
 
-from .errors import BudgetError, CertificateError, DomainError, NotRepresented
+from .errors import CertificateError, DomainError, NotRepresented
 from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
 from .quadforms import Discriminant, QuadForm, _coprime_ring_point, _xgcd
 
@@ -251,13 +251,13 @@ def _qnorm(a: int, b: int, x):
 # ---------------------------------------------------------------------------
 
 
-def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
+def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form: pivots positive on the diagonal of
     successive pivot columns, entries above each pivot reduced into
     [0, pivot)."""
     work = [list(r) for r in rows if any(r)]
     out: list[list[int]] = []
-    for col in range(width):
+    for col in range(4):
         pivot = None
         rest = []
         for r in work:
@@ -289,7 +289,7 @@ def hnf_rows(rows: list[list[int]], width: int = 4) -> list[list[int]]:
     # reductions cannot spoil earlier ones
     for upper in range(len(out)):
         for idx in range(upper + 1, len(out)):
-            pcol = next(c for c in range(width) if out[idx][c] != 0)
+            pcol = next(c for c in range(4) if out[idx][c] != 0)
             piv = out[idx][pcol]
             q = out[upper][pcol] // piv
             if q:
@@ -308,9 +308,9 @@ def _content_free(den: int, h: list[list[int]]) -> tuple[int, tuple[tuple[int, .
 
 
 def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
-    """Integer c with c . mat = target / den for HNF rows `mat` of width 3
-    or 4 and an integer vector `target`, or None when there is none.  A
-    pivot that does not divide its entry leaves a nonzero remainder in t."""
+    """Integer c with c . mat = target / den for HNF rows `mat` and an
+    integer vector `target`, or None when there is none.  A pivot that does
+    not divide its entry leaves a nonzero remainder in t."""
     t = list(target)
     coords = []
     for row in mat:
@@ -323,7 +323,7 @@ def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
 
 @dataclass(frozen=True)
 class Lattice4:
-    """Full-rank lattice (1/den) * rowspan_Z(mat) in the 1, i, j, k frame."""
+    """Lattice (1/den) * rowspan_Z(mat) in the 1, i, j, k frame; full rank except in GrossLattice."""
 
     alg: QuaternionAlgebra
     den: int
@@ -379,10 +379,11 @@ class Lattice4:
         """Integer matrix T with T[i][j] = Tr(m_i conj(m_j)) for the scaled
         integer rows m_i; Nr((1/den) c.M) = c^T T c / (2 den^2)."""
         a, b = self.alg.a, self.alg.b
-        T = [[0] * 4 for _ in range(4)]
-        for i in range(4):
+        n = len(self.mat)
+        T = [[0] * n for _ in range(n)]
+        for i in range(n):
             xi = self.mat[i]
-            for j in range(i, 4):
+            for j in range(i, n):
                 yj = self.mat[j]
                 v = 2 * (xi[0] * yj[0] - a * xi[1] * yj[1] - b * xi[2] * yj[2] + a * b * xi[3] * yj[3])
                 T[i][j] = T[j][i] = v
@@ -663,38 +664,9 @@ def _enlarge_at(order: Order, q: int) -> Order | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrossLattice:
+class GrossLattice(Lattice4):
     """Rank-3 lattice {2x - Tr(x): x in O} inside the traceless subspace,
-    stored as (den, 3 rows in (i, j, k) coordinates)."""
-
-    alg: QuaternionAlgebra
-    den: int
-    mat: tuple[tuple[int, int, int], ...]
-
-    def basis(self) -> list[QuatElement]:
-        return [
-            QuatElement(self.alg, (Fraction(0),) + tuple(Fraction(x, self.den) for x in row))
-            for row in self.mat
-        ]
-
-    def gram(self) -> list[list[int]]:
-        a, b = self.alg.a, self.alg.b
-        T = [[0] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                xi, yj = self.mat[i], self.mat[j]
-                v = 2 * (-a * xi[0] * yj[0] - b * xi[1] * yj[1] + a * b * xi[2] * yj[2])
-                T[i][j] = T[j][i] = v
-        return T
-
-    def coordinates(self, v: QuatElement) -> list[int] | None:
-        """Integer coordinates of v in this basis, or None if v is not in
-        the lattice."""
-        if v.c[0] != 0:
-            return None
-        d, n = v.numerator()
-        return _hnf_coordinates(self.mat, [x * self.den for x in n[1:]], d)
+    stored like a Lattice4 with HNF rows whose first column is zero."""
 
     def contains_primitive(self, v: QuatElement) -> bool:
         coords = self.coordinates(v)
@@ -703,7 +675,7 @@ class GrossLattice:
 
 def gross_lattice(order: Order) -> GrossLattice:
     """Basis of {2x - Tr(x) : x in O} with its positive definite norm Gram."""
-    h = hnf_rows([[2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat], width=3)
+    h = hnf_rows([[0, 2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat])
     if len(h) != 3:
         raise CertificateError("Gross lattice is not of rank 3")
     den, mat = _content_free(order.lattice.den, h)
@@ -731,11 +703,7 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     coordinate ordering; NotRepresented if none exists."""
     disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
     gl = gross_lattice(order)
-    T = gl.gram()
-    target = -disc.D
-    scaled = 2 * gl.den**2 * target
-    H, R = _lll_gram(T)
-    hits = (_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
+    hits = lattice_vectors_with_norm(gl, -disc.D)
     # the least primitive solution, signed so its first nonzero coordinate is positive
     c = min(
         (c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in hits if math.gcd(*c) == 1),
@@ -743,7 +711,7 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     )
     if c is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
-    v = QuatElement(gl.alg, [0] + [Fraction(x, gl.den) for x in _unreduce(gl.mat, c)])
+    v = QuatElement(gl.alg, [Fraction(x, gl.den) for x in _unreduce(gl.mat, c)])
     emb = Embedding(disc=disc, v=v, order=order)
     # contract: iota lands in the order
     w = emb.iota(0, 1)
@@ -1049,31 +1017,20 @@ def _hs_from_ad(M, d: int) -> float:
 # Local norm surjectivity
 # ---------------------------------------------------------------------------
 
-_LOCAL_BUDGET = 10**5
-_EXHAUSTIVE_RING_CAP = 2 * 10**6
-
-
 def local_norm_surjectivity(order: Order, q: int, k: int) -> bool:
     """True iff reduced norms of units of O/q^k O cover (Z/q^k)^x.
 
-    For rings small enough the unit norms are enumerated exhaustively.
-    Beyond that the answer at level q^k equals the answer at level q (odd
-    q) or 2^3 (q = 2): a unit-norm witness Hensel-lifts its norm across
-    the whole fiber, since B(x, x) = 2 Nr(x) is a q-unit for odd q and
-    h = x gives a valid Newton step modulo 8 and beyond.  Both paths agree
-    wherever both are feasible.
+    The unit norms are counted exhaustively at level L = min(k, 1), or
+    min(k, 3) for q = 2, and the answer at q^L is the answer at q^k.
+    Reduction mod q^L carries a cover at q^k down to q^L.  Conversely, let
+    u be a q-unit and Nr(x) = u mod q^L.  Then u / Nr(x) lies in 1 + qZ_q
+    (odd q) or 1 + 8Z_2 (q = 2), where every element is the square s^2 of a
+    unit s of Z_q, and Nr(s x) = s^2 Nr(x) = u; an integer s' = s mod q^k
+    gives s' x in O with Nr(s' x) = u mod q^k.
     """
     if not is_prime(q) or k < 1:
         raise DomainError("local_norm_surjectivity expects a prime q and k >= 1")
-    if q**k > _LOCAL_BUDGET:
-        raise BudgetError(f"q^k = {q**k} exceeds the budget {_LOCAL_BUDGET}")
-    lift_level = 3 if q == 2 else 1
-    level = k
-    if q ** (4 * k) > _EXHAUSTIVE_RING_CAP:
-        level = max(lift_level, 1)
-        while q ** (4 * (level + 1)) <= _EXHAUSTIVE_RING_CAP and level < k:
-            level += 1
-    return _norms_cover(order, q, level)
+    return _norms_cover(order, q, min(k, 3 if q == 2 else 1))
 
 
 def _norms_cover(order: Order, q: int, level: int) -> bool:

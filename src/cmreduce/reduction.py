@@ -81,7 +81,7 @@ class ArchimedeanStats:
 
 def reduce_archimedean(D, y_cut: float = 2.0):
     """CM points of all reduced forms plus box-mass statistics."""
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     forms = reduced_forms(d)
     points = [cm_point(f, d) for f in forms]
     h = len(points)
@@ -140,7 +140,7 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
 def reduce_at_prime(D, p: int) -> dict[QuadForm, int]:
     """Class index at p for every reduced form of D (p inert, conductor
     coprime to p)."""
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     return {QuadForm(*ft): idx for ft, idx in _prime_reduction(d, p)}
 
 
@@ -174,7 +174,7 @@ def joint_reduce(D, primes) -> JointDistribution:
     """Tuple of class indices per Picard class (the same class across all
     primes), with empirical counts, the product measure, total variation
     distance and chi-square."""
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     primes = tuple(primes)
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be pairwise distinct")
@@ -218,7 +218,7 @@ def joint_reduce(D, primes) -> JointDistribution:
 def fiber_multiset_crosscheck(D, p: int, cache_dir: str | None = None) -> bool:
     """True iff the fiber-size multiset of reduce_at_prime equals the root
     multiplicity multiset of H_D over F_{p^2} (label-free validation)."""
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     _check_reducible(d, p)
     fibers = Counter(reduce_at_prime(d, p).values())
     fiber_multiset = sorted(fibers.values())
@@ -283,7 +283,7 @@ def _character_product(ds) -> int:
 def character_average(D, d1: int) -> Fraction:
     """(1/h) sum of the genus character chi_{d1} over the class group;
     exactly 1 for the trivial character, 0 otherwise (orthogonality)."""
-    d = int(D) if not isinstance(D, Discriminant) else D.D
+    d = int(D)
     forms = reduced_forms(d)
     if d1 == 1:
         return Fraction(1)

@@ -125,48 +125,28 @@ class _HasseEvaluator:
 
     def hasse_coefficient(self, A: Fp2, B: Fp2) -> Fp2:
         ctx, m, p = self.ctx, self.m, self.ctx.p
-        fact, inv_fact = self.fact, self.inv_fact
+        inv_fact = self.inv_fact
         nu = ctx.nu
         i_lo = (m + 1) // 2
         i_hi = (2 * m) // 3
-        if A == (0, 0):
-            # only terms with j-exponent 0 survive: need 3i = p - 1
-            if (p - 1) % 3:
-                return (0, 0)
-            i = (p - 1) // 3
-            if not (m // 2 <= i <= m) or 2 * i - m < 0:
-                return (0, 0)
-            coef = fact[m] * inv_fact[i] % p * inv_fact[2 * i - m] % p  # j = 0 here
-            return ctx.mul((coef, 0), ctx.pow(B, 2 * i - m))
-        if B == (0, 0):
-            # (x^3 + Ax)^m: need j-exponent with 3i + j = 2m, i + j = m -> i = m/2
-            if m % 2:
-                return (0, 0)
-            i = m // 2
-            coef = fact[m] * inv_fact[i] % p * inv_fact[m - i] % p
-            return ctx.mul((coef, 0), ctx.pow(A, m - i))
-        acc0 = acc1 = 0
-        powA = ctx.pow(A, 2 * m - 3 * i_lo)
-        powB = ctx.pow(B, 2 * i_lo - m)
-        a_inv = ctx.inv(A)
-        a_inv3 = ctx.pow(a_inv, 3)
+        # B^(2i - m) for i = i_lo, ..., i_hi, ascending in steps of B^2
         b_sq = ctx.mul(B, B)
-        fm = fact[m]
-        for i in range(i_lo, i_hi + 1):
-            jj = 2 * m - 3 * i
-            kk = 2 * i - m
-            coef = fm * inv_fact[i] % p * inv_fact[jj] % p * inv_fact[kk] % p
+        powsB = [B if m % 2 else (1, 0)]
+        for _ in range(i_hi - i_lo):
+            powsB.append(ctx.mul(powsB[-1], b_sq))
+        # A^(2m - 3i) for i = i_hi, ..., i_lo, ascending in steps of A^3
+        a_cube = ctx.mul(ctx.mul(A, A), A)
+        powA = ctx.pow(A, 2 * m - 3 * i_hi)
+        acc0 = acc1 = 0
+        for i in range(i_hi, i_lo - 1, -1):
+            coef = inv_fact[i] * inv_fact[2 * m - 3 * i] % p * inv_fact[2 * i - m] % p
             t0, t1 = powA
-            u0, u1 = powB
-            # term = coef * powA * powB
-            w0 = (t0 * u0 + nu * t1 * u1) % p
-            w1 = (t0 * u1 + t1 * u0) % p
-            acc0 += coef * w0
-            acc1 += coef * w1
-            if i < i_hi:
-                powA = ctx.mul(powA, a_inv3)
-                powB = ctx.mul(powB, b_sq)
-        return (acc0 % p, acc1 % p)
+            u0, u1 = powsB[i - i_lo]
+            acc0 += coef * ((t0 * u0 + nu * t1 * u1) % p)
+            acc1 += coef * ((t0 * u1 + t1 * u0) % p)
+            powA = ctx.mul(powA, a_cube)
+        fm = self.fact[m]
+        return (fm * acc0 % p, fm * acc1 % p)
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Independent constructions that the quaternion tests compare against,
 written on the integer HNF rows (`mat`, `den`) of the lattices."""
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,8 @@ from cmreduce.quatalg import (
     LeftIdeal,
     Order,
     QuatElement,
+    _det3,
+    _det4,
     _qnorm,
     _unreduce,
     hnf_rows,
@@ -25,7 +28,7 @@ def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
     residues of L/4L with norm divisible by 4.
     """
     alg = gl.alg
-    L = Lattice4.from_rows(alg, [[gl.den, 0, 0, 0]] + [[0, *r] for r in gl.mat], gl.den)
+    L = Lattice4.from_rows(alg, [[gl.den, 0, 0, 0]] + [list(r) for r in gl.mat], gl.den)
     reps = []
     for c in product(range(4), repeat=4):
         x = _unreduce(L.mat, c)  # the element x / L.den, of norm N(x) / L.den^2
@@ -56,3 +59,43 @@ def same_class_by_product(I: LeftIdeal, J: LeftIdeal) -> bool:
     on it; for J = I x it holds Nr(I) x."""
     M = I.conjugate_lattice.product(J.lattice)
     return bool(lattice_vectors_with_norm(M, I.reduced_norm * J.reduced_norm))
+
+
+def box_radii(G, bound):
+    """|x_i| <= sqrt(bound adj(G)_ii / det G) for every x with x^T G x <= bound."""
+    n = len(G)
+    det = _det4(G) if n == 4 else _det3(G)
+    minors = [[[G[a][b] for b in range(n) if b != i] for a in range(n) if a != i] for i in range(n)]
+    adj = [(_det3(m) if n == 4 else m[0][0] * m[1][1] - m[0][1] * m[1][0]) for m in minors]
+    return [math.isqrt(bound * adj[i] // det) for i in range(n)]
+
+
+def box_vectors(G, bound):
+    """Brute force: every nonzero x in the adjugate box with x^T G x <= bound."""
+    n = len(G)
+    out = []
+    for x in product(*(range(-r, r + 1) for r in box_radii(G, bound))):
+        value = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
+        if value <= bound and any(x):
+            out.append((x, value))
+    return out
+
+
+def box_size(G, bound):
+    return math.prod(2 * r + 1 for r in box_radii(G, bound))
+
+
+def least_primitive_gross_vectors(gl: GrossLattice, nmax: int) -> dict[int, tuple[int, ...]]:
+    """For every n <= nmax that is the norm of a primitive vector of the
+    Gross lattice, the least such vector in HNF coordinates, signed so that
+    its first nonzero coordinate is positive; one box enumeration serves
+    every n."""
+    scale = 2 * gl.den**2  # Nr(c . mat / den) = c^T T c / (2 den^2)
+    least: dict[int, tuple[int, ...]] = {}
+    for x, value in box_vectors(gl.trace_gram(), scale * nmax):
+        if value % scale or math.gcd(*x) != 1 or next(c for c in x if c) < 0:
+            continue
+        n = value // scale
+        if n not in least or x < least[n]:
+            least[n] = x
+    return least

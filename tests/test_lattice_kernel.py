@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from cmreduce.errors import DomainError, NotRepresented
 from cmreduce.numbase import kronecker, primes_up_to
-from cmreduce.quadforms import QuadForm, reduce_form, reduced_forms
+from cmreduce.quadforms import QuadForm, is_fundamental, reduce_form, reduced_forms
 from cmreduce.quatalg import (
+    GrossLattice,
     Lattice4,
     _det3,
     _det4,
@@ -34,6 +35,7 @@ from cmreduce.quatalg import (
     order_as_ideal,
     quaternion_data,
 )
+from quat_oracles import box_size, box_vectors, least_primitive_gross_vectors
 
 PRIMES = (5, 11, 23, 37)
 BOX_CAP = 10**5
@@ -67,27 +69,25 @@ def test_integer_coordinates_on_class_sets(p):
     grosses = [gross_lattice(Or) for Or in cls.right_orders]
     for L in lattices + grosses:
         basis = L.basis()
-        width = len(basis)
         for _ in range(8):
-            c = [rng.randrange(-9, 10) for _ in range(width)]
+            c = [rng.randrange(-9, 10) for _ in basis]
             x = O.alg.element(0, 0, 0, 0)
             for coef, b in zip(c, basis):
                 x = x + b.scale(coef)
             coords = L.coordinates(x)
             assert coords == c
-            # coordinates(x) . mat / den == x, in the frame the rows are written in
-            back = [Fraction(sum(k * row[j] for k, row in zip(coords, L.mat)), L.den) for j in range(width)]
-            assert back == list(x.c[4 - width :])
+            # coordinates(x) . mat / den == x in the 1, i, j, k frame
+            back = [Fraction(sum(k * row[j] for k, row in zip(coords, L.mat)), L.den) for j in range(4)]
+            assert back == list(x.c)
             # one non-integral coordinate puts the vector outside the lattice
-            i = rng.randrange(width)
+            i = rng.randrange(len(basis))
             off = x + basis[i].scale(Fraction(1, rng.randrange(2, 6)))
             assert L.coordinates(off) is None
-            if width == 4:
-                assert L.contains(x) and not L.contains(off)
-            else:
+            assert L.contains(x) and not L.contains(off)
+            if isinstance(L, GrossLattice):
                 assert L.contains_primitive(x) == (math.gcd(*c) == 1)
                 assert not L.contains_primitive(off)
-        if width == 3:
+        if isinstance(L, GrossLattice):
             assert L.coordinates(O.alg.element(1, 0, 0, 0)) is None  # not traceless
 
 
@@ -201,39 +201,15 @@ def _hosts(O, D, p):
     return True
 
 
-def _box_radii(G, bound):
-    """|x_i| <= sqrt(bound adj(G)_ii / det G) for every x with x^T G x <= bound."""
-    n = len(G)
-    det = _det4(G) if n == 4 else _det3(G)
-    minors = [[[G[a][b] for b in range(n) if b != i] for a in range(n) if a != i] for i in range(n)]
-    adj = [(_det3(m) if n == 4 else m[0][0] * m[1][1] - m[0][1] * m[1][0]) for m in minors]
-    return [math.isqrt(bound * adj[i] // det) for i in range(n)]
-
-
-def _box_vectors(G, bound):
-    """Brute force: every nonzero x in the adjugate box with x^T G x <= bound."""
-    n = len(G)
-    out = []
-    for x in product(*(range(-r, r + 1) for r in _box_radii(G, bound))):
-        value = sum(x[i] * G[i][j] * x[j] for i in range(n) for j in range(n))
-        if value <= bound and any(x):
-            out.append((x, value))
-    return out
-
-
-def _box_size(G, bound):
-    return math.prod(2 * r + 1 for r in _box_radii(G, bound))
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_shortest_vectors_match_box_enumeration(p):
     tested = 0
     for L in _class_lattices(p):
         T = L.trace_gram()
         bound = min(T[i][i] for i in range(4))
-        if _box_size(T, bound) > BOX_CAP:
+        if box_size(T, bound) > BOX_CAP:
             continue
-        found = _box_vectors(T, bound)
+        found = box_vectors(T, bound)
         least = min(v for _, v in found)
         expected = sorted(x for x, v in found if v == least)
         assert lattice_shortest_vectors(L) == expected
@@ -247,10 +223,31 @@ def test_unit_vectors_match_box_enumeration(p):
     for Or in cls.right_orders:
         T = Or.lattice.trace_gram()
         bound = 2 * Or.lattice.den**2
-        if _box_size(T, bound) > BOX_CAP:
+        if box_size(T, bound) > BOX_CAP:
             continue
-        expected = sorted(x for x, v in _box_vectors(T, bound) if v == bound)
+        expected = sorted(x for x, v in box_vectors(T, bound) if v == bound)
         assert lattice_vectors_with_norm(Or.lattice, 1) == expected
+
+
+@pytest.mark.parametrize("p", (11, 23, 37))
+def test_optimal_embedding_is_the_least_primitive_box_vector(p):
+    # every inert fundamental D with |D| <= 300, on every right order of the
+    # class set, against one box enumeration of the Gross lattice per order
+    discs = [D for D in range(-3, -301, -1) if is_fundamental(D) and kronecker(D, p) == -1]
+    represented = missing = 0
+    for Or in quaternion_data(p)[2].right_orders:
+        gl = gross_lattice(Or)
+        least = least_primitive_gross_vectors(gl, 300)
+        for D in discs:
+            if -D not in least:
+                with pytest.raises(NotRepresented):
+                    find_optimal_embedding(Or, D)
+                missing += 1
+                continue
+            emb = find_optimal_embedding(Or, D)
+            assert tuple(gl.coordinates(emb.v)) == least[-D], (p, D)
+            represented += 1
+    assert represented and missing
 
 
 def _random_unimodular(rng, n, steps=12):
@@ -316,14 +313,14 @@ def _random_definite_grams(seed, n, count):
     while len(out) < count:
         B = [[rng.randrange(-4, 5) for _ in range(n)] for _ in range(n)]
         G = [[sum(B[k][i] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-        if (_det4(G) if n == 4 else _det3(G)) and _box_size(G, 40) <= BOX_CAP:
+        if (_det4(G) if n == 4 else _det3(G)) and box_size(G, 40) <= BOX_CAP:
             out.append((G, rng.randrange(0, 41)))
     return out
 
 
 @pytest.mark.parametrize("G, bound", _random_definite_grams(7, 4, 60))
 def test_fincke_pohst_matches_box_enumeration(G, bound):
-    expected = sorted(_box_vectors(G, bound))
+    expected = sorted(box_vectors(G, bound))
     assert sorted(_fincke_pohst(G, bound)) == expected
     assert sorted(_fincke_pohst(G, bound, exact=True)) == [(x, v) for x, v in expected if v == bound]
     H, R = _lll_gram(G)
@@ -334,7 +331,7 @@ def test_fincke_pohst_matches_box_enumeration(G, bound):
 def test_fincke_pohst_ternary_exact_values(G, bound):
     H, R = _lll_gram(G)
     got = sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, bound, exact=True))
-    assert got == sorted(x for x, v in _box_vectors(G, bound) if v == bound)
+    assert got == sorted(x for x, v in box_vectors(G, bound) if v == bound)
 
 
 def test_fincke_pohst_rejects_indefinite_forms():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmreduce.errors import BudgetError, CertificateError, DomainError, NotRepresented
+from cmreduce.errors import CertificateError, DomainError, NotRepresented
 from cmreduce.numbase import kronecker, primes_up_to
 from cmreduce.quadforms import QuadForm, reduced_forms
 from cmreduce.quatalg import (
@@ -16,6 +16,7 @@ from cmreduce.quatalg import (
     LeftIdeal,
     Order,
     _neighbor_ideals,
+    _norms_cover,
     construct_Bp,
     find_optimal_embedding,
     gross_lattice,
@@ -403,8 +404,8 @@ def test_local_norm_surjectivity():
     assert local_norm_surjectivity(O, 3, 2)
     assert local_norm_surjectivity(O, 2, 3)
     assert local_norm_surjectivity(O, 11, 1)  # ramified case
-    with pytest.raises(BudgetError):
-        local_norm_surjectivity(O, 2, 20)
+    # any k runs at the Hensel level: 2^3 for q = 2
+    assert local_norm_surjectivity(O, 2, 20) == _norms_cover(O, 2, 3)
     with pytest.raises(DomainError):
         local_norm_surjectivity(O, 4, 1)
 
@@ -420,14 +421,24 @@ def test_local_norm_surjectivity_rejects_a_non_integral_norm_form():
 
 
 def test_local_norm_surjectivity_lifting_consistency():
-    # the Hensel-reduced level agrees with exhaustive enumeration where
-    # both are feasible
-    from cmreduce.quatalg import _norms_cover
-
-    _, O, _ = quaternion_data(11)
-    assert _norms_cover(O, 3, 2) == _norms_cover(O, 3, 1)
-    assert _norms_cover(O, 2, 4) == _norms_cover(O, 2, 3)
-    assert _norms_cover(O, 5, 2) == _norms_cover(O, 5, 1)
+    # the exhaustive count at level k is the reference for the count at the
+    # Hensel level, wherever the ring O / q^k O has at most 2 * 10^6 elements;
+    # the unit norms of the suborder Z + q^2 O are squares mod q (mod 8 for
+    # q = 2), so it supplies the cases where they do not cover
+    outcomes = set()
+    for p in (11, 23):
+        _, O, _ = quaternion_data(p)
+        L = O.lattice
+        for q in primes_up_to(20):
+            sub = Order(Lattice4.from_rows(L.alg, [[L.den, 0, 0, 0]] + [[q * q * x for x in r] for r in L.mat], L.den))
+            k = 1
+            while q ** (4 * k) <= 2 * 10**6:
+                for order in (O, sub):
+                    covers = local_norm_surjectivity(order, q, k)
+                    assert _norms_cover(order, q, k) == covers, (p, q, k)
+                    outcomes.add(covers)
+                k += 1
+    assert outcomes == {True, False}
 
 
 def test_is_same_class_equivalence_relation():
