@@ -314,7 +314,8 @@ def _verify_checks(quick: bool):
         _check(hilbert_class_poly(-23).coeffs == (12771880859375, -5151296875, 3491750, 1), "H_-23")
 
     def deuring_cardinalities():
-        for p in primes_up_to(30 if quick else 50):
+        # p = 401 needs an algebra (a, b) with |a| + |b| > 400
+        for p in [*primes_up_to(30 if quick else 50), 401]:
             if p < 5:
                 continue
             locus = enumerate_ss(p)

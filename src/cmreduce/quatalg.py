@@ -1,8 +1,8 @@
-"""Definite rational quaternion algebras B_{inf,p}: construction with
-certified ramification, maximal orders, rank-4 lattice and ideal
-arithmetic, ideal class sets with mass certificates, Gross lattices,
-optimal embeddings, Killing-form and discriminant computations, and local
-norm surjectivity.
+"""Definite rational quaternion algebras B_{inf,p} for every prime p >= 5:
+construction by Pizer's closed form with certified ramification, maximal
+orders, rank-4 lattice and ideal arithmetic, ideal class sets with mass
+certificates, Gross lattices, optimal embeddings, Killing-form and
+discriminant computations, and local norm surjectivity.
 
 Lattices are stored as (denominator, integer HNF basis matrix) against the
 1, i, j, k frame, so lattice equality is matrix equality.  All arithmetic
@@ -11,7 +11,7 @@ right multiplication, ideal formation, neighbour ideals and maximal-order
 saturation multiply the integer rows with the structure constants of the
 algebra, and one back-substitution on the HNF rows (`_hnf_coordinates`)
 decides membership.  The right order of a left ideal I of a maximal order
-is conj(I) I / Nr(I).
+is conj(I) I / Nr(I), spanned by the products conj(r_i) r_j of I's rows.
 The ell-neighbours of I are the ideals O x + ell I for the x in I that are
 of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 (Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
@@ -33,7 +33,7 @@ from itertools import chain, product
 
 from .errors import CertificateError, DomainError, NotRepresented
 from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
-from .quadforms import Discriminant, QuadForm, _coprime_ring_point, _xgcd
+from .quadforms import Discriminant, QuadForm, _xgcd
 
 __all__ = [
     "QuaternionAlgebra",
@@ -84,10 +84,10 @@ def _split_prime_power(n: int, p: int) -> tuple[int, int]:
 
 
 def hilbert_symbol(a: int, b: int, place) -> int:
-    """Local Hilbert symbol (a, b)_v for v a prime or the string/float 'inf'."""
+    """Local Hilbert symbol (a, b)_v for v a prime or the string 'inf'."""
     if a == 0 or b == 0:
         raise DomainError("hilbert symbol requires nonzero arguments")
-    if place in ("inf", "infty", math.inf):
+    if place == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = place
     if not (isinstance(p, int) and is_prime(p)):
@@ -143,24 +143,27 @@ def ramified_places(a: int, b: int) -> frozenset:
     return frozenset(out)
 
 
-_BP_SEARCH_BOUND = 200
-
-
 def construct_Bp(p: int) -> QuaternionAlgebra:
-    """The quaternion algebra ramified exactly at inf and p, found by a
-    deterministic search over negative pairs (a, b) with certified
-    ramification."""
+    """The algebra (a, -p) ramified exactly at inf and p, for any prime
+    p >= 5, by Pizer's closed form (J. Algebra 64 (1980)): a = -1 for
+    p = 3 mod 4, a = -2 for p = 5 mod 8, else a = -q for the least prime
+    q = 3 mod 4 with (p/q) = -1 (Dirichlet and reciprocity give one).
+    The ramification is certified by Hilbert symbols."""
     if p in (2, 3) or not is_prime(p):
         raise DomainError(f"construct_Bp requires a prime p >= 5, got {p}")
-    for s in range(2, 2 * _BP_SEARCH_BOUND + 1):
-        for a in range(-1, -s, -1):
-            b = -(s - abs(a))
-            if b >= 0:
-                continue
-            ram = ramified_places(a, b)
-            if ram == frozenset({"inf", p}):
-                return QuaternionAlgebra(a=a, b=b, ramified=ram)
-    raise CertificateError(f"no (a, b) pair with |a|+|b| <= {2 * _BP_SEARCH_BOUND} found for p={p}")
+    if p % 4 == 3:
+        a = -1
+    elif p % 8 == 5:
+        a = -2
+    else:
+        q = 3
+        while not (is_prime(q) and kronecker(p, q) == -1):
+            q += 4
+        a = -q
+    ram = ramified_places(a, -p)
+    if ram != frozenset({"inf", p}):
+        raise CertificateError(f"({a}, {-p}) is ramified at {sorted(map(str, ram))}, not at inf and {p}")
+    return QuaternionAlgebra(a=a, b=-p, ramified=ram)
 
 
 def mat2_model() -> QuaternionAlgebra:
@@ -297,16 +300,6 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _content_free(den: int, h: list[list[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(den, h) with the gcd of den and every entry of h divided out, which
-    makes (1/den) rowspan(h) for HNF rows h a canonical pair."""
-    g = math.gcd(den, *chain.from_iterable(h))
-    if g > 1:
-        den //= g
-        h = [[x // g for x in r] for r in h]
-    return den, tuple(map(tuple, h))
-
-
 def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
     """Integer c with c . mat = target / den for HNF rows `mat` and an
     integer vector `target`, or None when there is none.  A pivot that does
@@ -323,19 +316,22 @@ def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
 
 @dataclass(frozen=True)
 class Lattice4:
-    """Lattice (1/den) * rowspan_Z(mat) in the 1, i, j, k frame; full rank except in GrossLattice."""
+    """Lattice (1/den) * rowspan_Z(mat) in the 1, i, j, k frame, of rank
+    `rank`: full rank except in GrossLattice."""
 
     alg: QuaternionAlgebra
     den: int
     mat: tuple[tuple[int, int, int, int], ...]
+    rank = 4
 
     @classmethod
     def from_rows(cls, alg: QuaternionAlgebra, rows: list[list[int]], den: int) -> "Lattice4":
         h = hnf_rows(rows)
-        if len(h) != 4:
-            raise DomainError("lattice generators do not have full rank")
-        den, mat = _content_free(den, h)
-        return cls(alg=alg, den=den, mat=mat)
+        if len(h) != cls.rank:
+            raise DomainError(f"lattice generators do not have rank {cls.rank}")
+        # the gcd of den and every entry divided out makes (den, HNF rows) canonical
+        g = math.gcd(den, *chain.from_iterable(h))
+        return cls(alg=alg, den=den // g, mat=tuple(tuple(x // g for x in r) for r in h))
 
     @classmethod
     def from_elements(cls, alg: QuaternionAlgebra, elements: list[QuatElement]) -> "Lattice4":
@@ -349,8 +345,9 @@ class Lattice4:
         ]
 
     def det_fraction(self) -> Fraction:
-        # HNF rows of a full-rank lattice are upper triangular
-        return Fraction(math.prod(self.mat[i][i] for i in range(4)), self.den**4)
+        """Covolume in the span: the product of the HNF pivots, the first
+        nonzero entry of each row, over den^rank."""
+        return Fraction(math.prod(next(filter(None, r)) for r in self.mat), self.den ** len(self.mat))
 
     def contains(self, x: QuatElement) -> bool:
         return self.coordinates(x) is not None
@@ -360,15 +357,6 @@ class Lattice4:
         the lattice."""
         d, n = x.numerator()
         return _hnf_coordinates(self.mat, [v * self.den for v in n], d)
-
-    def scaled(self, s) -> "Lattice4":
-        s = Fraction(s)
-        rows = [[x * s.numerator for x in r] for r in self.mat]
-        return Lattice4.from_rows(self.alg, rows, self.den * s.denominator)
-
-    def conjugate(self) -> "Lattice4":
-        rows = [[r[0], -r[1], -r[2], -r[3]] for r in self.mat]
-        return Lattice4.from_rows(self.alg, rows, self.den)
 
     def product(self, other: "Lattice4") -> "Lattice4":
         a, b = self.alg.a, self.alg.b
@@ -668,6 +656,8 @@ class GrossLattice(Lattice4):
     """Rank-3 lattice {2x - Tr(x): x in O} inside the traceless subspace,
     stored like a Lattice4 with HNF rows whose first column is zero."""
 
+    rank = 3
+
     def contains_primitive(self, v: QuatElement) -> bool:
         coords = self.coordinates(v)
         return coords is not None and math.gcd(*coords) == 1
@@ -675,11 +665,8 @@ class GrossLattice(Lattice4):
 
 def gross_lattice(order: Order) -> GrossLattice:
     """Basis of {2x - Tr(x) : x in O} with its positive definite norm Gram."""
-    h = hnf_rows([[0, 2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat])
-    if len(h) != 3:
-        raise CertificateError("Gross lattice is not of rank 3")
-    den, mat = _content_free(order.lattice.den, h)
-    return GrossLattice(alg=order.alg, den=den, mat=mat)
+    return GrossLattice.from_rows(order.alg, [[0, 2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat],
+                                  order.lattice.den)
 
 
 @dataclass(frozen=True)
@@ -736,10 +723,6 @@ class LeftIdeal:
         return exact_sqrt_fraction(ratio)
 
     @cached_property
-    def conjugate_lattice(self) -> Lattice4:
-        return self.lattice.conjugate()
-
-    @cached_property
     def reduced_lattice(self) -> Lattice4:
         """I m^-1 for the canonical (sorted first) m of least reduced norm
         in I: a member of `reduced_lattices` with a fixed HNF."""
@@ -770,33 +753,25 @@ def order_as_ideal(order: Order) -> LeftIdeal:
 def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftIdeal:
     """base * (Z a + Z (-b + sqrt(D))/2) = base a + base iota((-b + sqrt(D))/2),
     of reduced norm Nr(base) a; `emb` embeds D into the right order of
-    `base`.  For base = order_as_ideal(O) this is O a + O iota(...)."""
+    `base`.  For base = order_as_ideal(O) this is O a + O iota(...).
+    Requires p not dividing a, which holds whenever p is inert in Q(sqrt(D)):
+    p | a would give D = b^2 mod p."""
     if f.discriminant != emb.disc.D:
         raise DomainError("form discriminant does not match the embedding")
     alg = base.lattice.alg
     p = next(q for q in alg.ramified if q != "inf")
-    g = f if math.gcd(f.a, p) == 1 else _equivalent_form_coprime_to(f, p)
+    if f.a % p == 0:
+        raise DomainError(f"p = {p} divides the leading coefficient of {f.as_tuple()}")
     # 2 vden iota((-b + sqrt(D))/2) = -b vden + vnum for iota(sqrt(D)) = vnum / vden
     vden, vnum = emb.v.numerator()
-    w = [vnum[0] - g.b * vden, vnum[1], vnum[2], vnum[3]]
+    w = [vnum[0] - f.b * vden, vnum[1], vnum[2], vnum[3]]
     mat = base.lattice.mat
-    rows = [[2 * vden * g.a * x for x in r] for r in mat] + [_qmul(alg.a, alg.b, r, w) for r in mat]
+    rows = [[2 * vden * f.a * x for x in r] for r in mat] + [_qmul(alg.a, alg.b, r, w) for r in mat]
     lat = Lattice4.from_rows(alg, rows, 2 * vden * base.lattice.den)
     ideal = LeftIdeal(lattice=lat, left_order=base.left_order)
-    if ideal.reduced_norm != base.reduced_norm * g.a:
-        raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {g.a}")
+    if ideal.reduced_norm != base.reduced_norm * f.a:
+        raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {f.a}")
     return ideal
-
-
-def _equivalent_form_coprime_to(f: QuadForm, p: int) -> QuadForm:
-    """Equivalent form whose leading coefficient is coprime to the prime p:
-    the value f(x, y) at `_coprime_ring_point`, moved to the front by a
-    unimodular completion of (x, y)."""
-    x, y = _coprime_ring_point(f, p)
-    _, u, wv = _xgcd(x, y)
-    # complete (x, y) to a determinant-1 matrix [[x, -wv], [y, u]]
-    b2 = 2 * (f.a * x * (-wv) + f.c * y * u) + f.b * (x * u - wv * y)
-    return QuadForm(f.value(x, y), b2, f.value(-wv, u))
 
 
 def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
@@ -836,11 +811,19 @@ def right_order(I: LeftIdeal) -> Order:
     """{x : I x subseteq I} = I^-1 I = conj(I) I / Nr(I): every left ideal of
     a maximal order is invertible (Kirschmer-Voight, SIAM J. Comput. 39
     (2010)).  Certified by I O_R = I and reduced discriminant p, which
-    together force O_R to be the maximal order {x : I x subseteq I}."""
-    lat = I.conjugate_lattice.product(I.lattice).scaled(1 / I.reduced_norm)
+    together force O_R to be the maximal order {x : I x subseteq I}.
+
+    For I's integer rows r_i over den and Nr(I) = n / d, conj(I) I / Nr(I)
+    is spanned by the d conj(r_i) r_j over den^2 n."""
+    L = I.lattice
+    a, b = L.alg.a, L.alg.b
+    nrm = I.reduced_norm
+    conj = [(r[0], -r[1], -r[2], -r[3]) for r in L.mat]
+    rows = [[nrm.denominator * x for x in _qmul(a, b, c, r)] for c in conj for r in L.mat]
+    lat = Lattice4.from_rows(L.alg, rows, L.den**2 * nrm.numerator)
     Or = Order(lattice=lat)
     p = next(q for q in lat.alg.ramified if q != "inf")
-    if I.lattice.product(lat) != I.lattice or Or.reduced_discriminant != p:
+    if L.product(lat) != L or Or.reduced_discriminant != p:
         raise CertificateError("conj(I) I / Nr(I) is not the right order of I")
     return Or
 
@@ -879,35 +862,30 @@ def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
     return out
 
 
-def _reduce_ideal(I: LeftIdeal) -> LeftIdeal:
-    """Equivalent ideal of small norm, I's reduced lattice."""
-    return LeftIdeal(lattice=I.reduced_lattice, left_order=I.left_order)
-
-
 def ideal_classes(order: Order) -> IdealClassSet:
     """BFS over 2-neighbors with the mass formula as completeness
-    certificate: stop exactly when sum 1/w = (p - 1)/12."""
+    certificate: stop exactly when sum 1/w = (p - 1)/12.  The list of
+    representatives is the BFS queue, and a new class is represented by
+    the reduced lattice of the neighbour that found it."""
     p = next(q for q in order.alg.ramified if q != "inf")
     target = Fraction(p - 1, 12)
-    start = order_as_ideal(order)
-    reps = [start]
+    reps = [order_as_ideal(order)]
     orders = [order]
     weights = [unit_weight(order)]
     mass = Fraction(1, weights[0])
-    queue = [start]
-    while mass < target and queue:
-        current = queue.pop(0)
+    for current in reps:
+        if mass == target:
+            break
         for J in _neighbor_ideals(current, 2):
-            J = _reduce_ideal(J)
             if any(is_same_class(J, R) for R in reps):
                 continue
+            J = LeftIdeal(lattice=J.reduced_lattice, left_order=order)
             Or = right_order(J)
             w = unit_weight(Or)
             reps.append(J)
             orders.append(Or)
             weights.append(w)
             mass += Fraction(1, w)
-            queue.append(J)
             if mass == target:
                 break
             if mass > target:
@@ -969,11 +947,7 @@ def packet_discriminant(emb: Embedding) -> int:
     gl = gross_lattice(emb.order)
     if not gl.contains_primitive(emb.v):
         raise DomainError("embedding vector is not primitive in the Gross lattice")
-    D = emb.disc.D
-    out = 1
-    for q, e in factorize(-D):
-        out *= q**e  # |D|_q^{-1} = q^{v_q(D)}
-    return out
+    return -emb.disc.D
 
 
 def hs_norm_ratio(D) -> float:

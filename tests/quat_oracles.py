@@ -18,7 +18,26 @@ from cmreduce.quatalg import (
     _unreduce,
     hnf_rows,
     lattice_vectors_with_norm,
+    ramified_places,
 )
+
+
+def least_bp_pair(p: int) -> tuple[int, int]:
+    """The least pair of negative (a, b), by |a| + |b| and then by |a|, with
+    (a, b) ramified exactly at inf and p.  (a, b)_p = 1 for two p-units, so
+    a pair that works has p | ab and |a| + |b| >= p + 1."""
+    s = p + 1
+    while True:
+        for m in range(1, s):
+            a, b = -m, m - s
+            if a * b % p == 0 and ramified_places(a, b) == frozenset({"inf", p}):
+                return a, b
+        s += 1
+
+
+def conjugate(L: Lattice4) -> Lattice4:
+    """conj(L), from the conjugated integer rows of L."""
+    return Lattice4.from_rows(L.alg, [[r[0], -r[1], -r[2], -r[3]] for r in L.mat], L.den)
 
 
 def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
@@ -57,7 +76,7 @@ def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fracti
 def same_class_by_product(I: LeftIdeal, J: LeftIdeal) -> bool:
     """I ~ J iff conj(I) J holds a vector of norm Nr(I) Nr(J), the least norm
     on it; for J = I x it holds Nr(I) x."""
-    M = I.conjugate_lattice.product(J.lattice)
+    M = conjugate(I.lattice).product(J.lattice)
     return bool(lattice_vectors_with_norm(M, I.reduced_norm * J.reduced_norm))
 
 

@@ -60,6 +60,14 @@ def test_quat_classes(capsys):
         assert len(cls["hnf"]) == 4
 
 
+def test_quat_classes_above_400(capsys):
+    code, out, _ = run_capture(capsys, ["quat", "--p", "401", "classes", "--json"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["algebra"]["b"] == -401
+    assert data["mass"] == "100/3"
+
+
 def test_reduce_and_joint(capsys):
     code, out, _ = run_capture(capsys, ["reduce", "--D", "-23", "--p", "5", "--json"])
     assert code == 0

@@ -11,18 +11,15 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from cmreduce.errors import DomainError, NotRepresented
-from cmreduce.numbase import kronecker, primes_up_to
-from cmreduce.quadforms import QuadForm, is_fundamental, reduce_form, reduced_forms
+from cmreduce.numbase import kronecker
+from cmreduce.quadforms import QuadForm, is_fundamental, reduced_forms
 from cmreduce.quatalg import (
     GrossLattice,
     Lattice4,
     _det3,
     _det4,
-    _equivalent_form_coprime_to,
     _fincke_pohst,
     _lll_gram,
     _neighbor_ideals,
@@ -34,8 +31,9 @@ from cmreduce.quatalg import (
     left_ideal_from_class,
     order_as_ideal,
     quaternion_data,
+    right_order,
 )
-from quat_oracles import box_size, box_vectors, least_primitive_gross_vectors
+from quat_oracles import box_size, box_vectors, conjugate, least_primitive_gross_vectors
 
 PRIMES = (5, 11, 23, 37)
 BOX_CAP = 10**5
@@ -56,9 +54,44 @@ def test_integer_product_matches_element_products(p):
     ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
     for I in ideals:
         for J in cls.representatives:
-            assert I.conjugate_lattice.product(J.lattice) == _product_reference(I.lattice.conjugate(), J.lattice)
+            assert conjugate(I.lattice).product(J.lattice) == _product_reference(conjugate(I.lattice), J.lattice)
         for Or in cls.right_orders:
             assert I.lattice.product(Or.lattice) == _product_reference(I.lattice, Or.lattice)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_right_order_matches_element_products(p):
+    # conj(b) c / Nr(I) over the basis pairs of I, for every class
+    # representative and every 2-neighbour of one
+    _, O, cls = quaternion_data(p)
+    ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    for I in ideals:
+        basis = I.lattice.basis()
+        expected = Lattice4.from_elements(O.alg, [(b.conj() * c).scale(1 / I.reduced_norm) for b in basis for c in basis])
+        assert right_order(I).lattice == expected
+
+
+@pytest.mark.parametrize("p", (11, 23))
+def test_every_public_method_on_a_gross_lattice(p):
+    _, O, cls = quaternion_data(p)
+    for Or in cls.right_orders:
+        gl = gross_lattice(Or)
+        assert len(gl.mat) == 3 and all(r[0] == 0 for r in gl.mat)
+        minor = [list(r[1:]) for r in gl.mat]
+        assert gl.det_fraction() == Fraction(abs(_det3(minor)), gl.den**3)
+        basis = gl.basis()
+        assert all(v.trace() == 0 for v in basis)
+        assert GrossLattice.from_elements(O.alg, basis) == gl
+        assert GrossLattice.from_rows(O.alg, [[2 * x for x in r] for r in gl.mat], 2 * gl.den) == gl
+        with pytest.raises(DomainError):
+            GrossLattice.from_rows(O.alg, [list(r) for r in Or.lattice.mat], Or.lattice.den)
+        for k, v in enumerate(basis):
+            assert gl.contains(v) and gl.contains_primitive(v)
+            assert gl.coordinates(v) == [int(i == k) for i in range(3)]
+        assert not gl.contains(O.alg.element(1, 0, 0, 0))
+        T = gl.trace_gram()
+        assert [[2 * gl.den**2 * (x * y.conj()).c[0] for y in basis] for x in basis] == T
+        assert gl.product(Or.lattice) == _product_reference(gl, Or.lattice)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -125,13 +158,12 @@ def test_integer_ideal_formation_matches_element_products(p):
             except NotRepresented:
                 continue
             for f in reduced_forms(D):
-                g = f if math.gcd(f.a, p) == 1 else _equivalent_form_coprime_to(f, p)
-                w = emb.iota((-g.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
+                w = emb.iota((-f.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
                 bas = I.lattice.basis()
-                expected = Lattice4.from_elements(O.alg, [e.scale(g.a) for e in bas] + [e * w for e in bas])
+                expected = Lattice4.from_elements(O.alg, [e.scale(f.a) for e in bas] + [e * w for e in bas])
                 ideal = left_ideal_from_class(I, emb, f)
                 assert ideal.lattice == expected
-                assert ideal.reduced_norm == I.reduced_norm * g.a
+                assert ideal.reduced_norm == I.reduced_norm * f.a
                 checked += 1
         if checked >= 40:
             break
@@ -168,27 +200,20 @@ def test_neighbor_ideals_are_the_ell_neighbours(p):
         assert least == sorted(least)
 
 
-@given(
-    st.sampled_from([q for q in primes_up_to(1000) if q >= 5]),
-    st.integers(1, 10**4),
-    st.integers(-(10**5), 10**5),
-    st.integers(1, 10**4),
-    st.booleans(),
-)
-@settings(max_examples=300, deadline=None)
-def test_equivalent_form_coprime_to_leading_coefficient(p, k, b, c, p_divides_c):
-    # p | a always, and p | c when asked: the cases the search has to move
-    f = QuadForm(p * k, b, p * c if p_divides_c else c)
-    assume(f.discriminant < 0 and f.is_primitive())
-    g = _equivalent_form_coprime_to(f, p)
-    assert math.gcd(g.a, p) == 1
-    assert g.discriminant == f.discriminant
-    assert reduce_form(g) == reduce_form(f)
-
-
-def test_equivalent_form_coprime_to_rejects_an_imprimitive_form():
-    with pytest.raises(DomainError):
-        _equivalent_form_coprime_to(QuadForm(5, 5, 5), 5)
+def test_left_ideal_from_class_refuses_a_leading_coefficient_divisible_by_p():
+    # p | a forces D = b^2 mod p, so D is not inert at p; D = -23 is
+    # ramified at 23 and embeds into a maximal order of B_(inf,23)
+    _, _, cls = quaternion_data(23)
+    for I, Or in zip(cls.representatives, cls.right_orders):
+        try:
+            emb = find_optimal_embedding(Or, -23)
+        except NotRepresented:
+            continue
+        assert left_ideal_from_class(I, emb, QuadForm(2, 1, 3)).reduced_norm == 2 * I.reduced_norm
+        with pytest.raises(DomainError):
+            left_ideal_from_class(I, emb, QuadForm(23, 23, 6))
+        return
+    pytest.fail("no class of B_(inf,23) hosts D = -23")
 
 
 def _hosts(O, D, p):

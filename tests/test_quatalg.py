@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmreduce import quatalg
 from cmreduce.errors import CertificateError, DomainError, NotRepresented
 from cmreduce.numbase import kronecker, primes_up_to
 from cmreduce.quadforms import QuadForm, reduced_forms
@@ -35,7 +36,8 @@ from cmreduce.quatalg import (
     right_order,
     unit_weight,
 )
-from quat_oracles import embedding_preimage_lattice, reconstruct_order_from_gross, same_class_by_product
+from cmreduce.ssenum import enumerate_ss
+from quat_oracles import embedding_preimage_lattice, least_bp_pair, reconstruct_order_from_gross, same_class_by_product
 
 
 def test_hilbert_symbol_examples():
@@ -46,6 +48,9 @@ def test_hilbert_symbol_examples():
         hilbert_symbol(0, 1, 2)
     with pytest.raises(DomainError):
         hilbert_symbol(1, 1, 6)
+    for place in ("infty", math.inf):
+        with pytest.raises(DomainError):
+            hilbert_symbol(-1, -1, place)
 
 
 def test_hilbert_symbol_product_formula():
@@ -82,6 +87,36 @@ def test_construct_bp():
         construct_Bp(2)
     with pytest.raises(DomainError):
         construct_Bp(3)
+
+
+def test_construct_bp_is_the_least_pair_below_400():
+    # below 400 the closed form is the least pair (a, b) by |a| + |b|, then |a|
+    for p in primes_up_to(397):
+        if p >= 5:
+            B = construct_Bp(p)
+            assert (B.a, B.b) == least_bp_pair(p), p
+
+
+@pytest.mark.parametrize("p", [401, 409, 1009, 10007, 65537, 100003])
+def test_construct_bp_above_400(p):
+    B = construct_Bp(p)
+    assert B.b == -p and B.a < 0
+    assert B.ramified == ramified_places(B.a, B.b) == frozenset({"inf", p})
+
+
+def test_construct_bp_certifies_its_ramification(monkeypatch):
+    monkeypatch.setattr(quatalg, "ramified_places", lambda a, b: frozenset({"inf", 2}))
+    with pytest.raises(CertificateError):
+        construct_Bp(11)
+
+
+@pytest.mark.parametrize("p", [401, 409, 1009])
+def test_deuring_cardinalities_above_400(p):
+    locus = enumerate_ss(p)
+    _, _, cls = quaternion_data(p)
+    assert cls.mass == Fraction(p - 1, 12)
+    assert locus.size == cls.h
+    assert sorted(pt.weight for pt in locus.points) == sorted(cls.weights)
 
 
 def test_element_algebra_identities():
@@ -134,7 +169,8 @@ def test_maximal_order_saturation():
     assert O.reduced_discriminant == 11
     assert O.contains(B.element(1, 0, 0, 0))
     assert O.is_multiplicatively_closed()
-    assert not Order(lattice=O.lattice.scaled(Fraction(1, 2))).is_multiplicatively_closed()
+    half = Lattice4.from_rows(B, [list(r) for r in O.lattice.mat], 2 * O.lattice.den)
+    assert not Order(lattice=half).is_multiplicatively_closed()
     for b in O.lattice.basis():
         assert b.trace().denominator == 1 and b.norm().denominator == 1
 
