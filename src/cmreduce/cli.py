@@ -346,6 +346,8 @@ def _verify_checks(quick: bool):
     def crosscheck():
         _check(fiber_multiset_crosscheck(-23, 5), "D = -23, p = 5")
         _check(fiber_multiset_crosscheck(-4, 11), "D = -4, p = 11")
+        # h = 10 in three classes: the walk needs the forms over 2 and 3
+        _check(fiber_multiset_crosscheck(-119, 23), "D = -119, p = 23")
 
     def characters():
         _check(character_average(-84, 1) == 1, "trivial character at D = -84")

@@ -81,11 +81,6 @@ class Fp2Ctx:
     def serialize(self, a: Fp2) -> str:
         return f"{a[0]}+{a[1]}*t"
 
-    def parse(self, s: str) -> Fp2:
-        x, rest = s.split("+", 1)
-        y = rest.split("*", 1)[0]
-        return self.el(int(x), int(y))
-
 
 def fp2_construct(p: int) -> Fp2Ctx:
     """Context for F_{p^2} with the minimal positive non-residue nu."""

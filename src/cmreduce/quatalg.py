@@ -723,19 +723,26 @@ class LeftIdeal:
         return exact_sqrt_fraction(ratio)
 
     @cached_property
-    def reduced_lattice(self) -> Lattice4:
-        """I m^-1 for the canonical (sorted first) m of least reduced norm
-        in I: a member of `reduced_lattices` with a fixed HNF."""
-        lat = self.lattice
-        return _divided_by(lat, _unreduce(lat.mat, lattice_shortest_vectors(lat)[0]))
+    def shortest_vectors(self) -> list[tuple[int, ...]]:
+        """HNF coordinates of the elements of least reduced norm in I, sorted;
+        one search serves `reduced_lattice` and `reduced_lattices`."""
+        return lattice_shortest_vectors(self.lattice)
 
     @cached_property
-    def reduced_lattices(self) -> frozenset[Lattice4]:
-        """R(I) = {I m^-1 : m of least reduced norm in I}, a class invariant:
-        for J = I y the least vectors of J are those of I times y, and
-        J (m y)^-1 = I m^-1, so R(J) = R(I)."""
+    def reduced_lattice(self) -> Lattice4:
+        """I m^-1 for the canonical (sorted first) m of `shortest_vectors`:
+        a key of `reduced_lattices` with a fixed HNF."""
         lat = self.lattice
-        return frozenset(_divided_by(lat, _unreduce(lat.mat, c)) for c in lattice_shortest_vectors(lat))
+        return _divided_by(lat, _unreduce(lat.mat, self.shortest_vectors[0]))
+
+    @cached_property
+    def reduced_lattices(self) -> dict[Lattice4, tuple[int, ...]]:
+        """R(I) = {I n^-1 : n of least reduced norm in I}, a class invariant,
+        each lattice mapped to one of its n as an integer row over den: for
+        J = I y the least vectors of J are those of I times y, and
+        J (n y)^-1 = I n^-1, so R(J) = R(I)."""
+        lat = self.lattice
+        return {_divided_by(lat, n): n for n in (_unreduce(lat.mat, c) for c in self.shortest_vectors)}
 
 
 def _divided_by(lat: Lattice4, n) -> Lattice4:
@@ -750,28 +757,27 @@ def order_as_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(lattice=order.lattice, left_order=order)
 
 
-def left_ideal_from_class(base: LeftIdeal, emb: Embedding, f: QuadForm) -> LeftIdeal:
-    """base * (Z a + Z (-b + sqrt(D))/2) = base a + base iota((-b + sqrt(D))/2),
-    of reduced norm Nr(base) a; `emb` embeds D into the right order of
-    `base`.  For base = order_as_ideal(O) this is O a + O iota(...).
+def left_ideal_from_class(base: LeftIdeal, v: tuple[int, list[int] | tuple[int, ...]], f: QuadForm) -> LeftIdeal:
+    """base * (Z a + Z (-b + v)/2) = base a + base (-b + v)/2 for the form
+    f = (a, b, c), where v = iota(sqrt(D)) = vnum / vden, given as the
+    integer row (vden, vnum) that `QuatElement.numerator` returns, embeds the
+    order of discriminant D = disc(f) into the right order of `base`.  Its
+    reduced norm is Nr(base) a, which callers certify.  For
+    base = order_as_ideal(O) and v = emb.v this is O a + O iota((-b + sqrt(D))/2).
     Requires p not dividing a, which holds whenever p is inert in Q(sqrt(D)):
     p | a would give D = b^2 mod p."""
-    if f.discriminant != emb.disc.D:
-        raise DomainError("form discriminant does not match the embedding")
     alg = base.lattice.alg
+    vden, vnum = v
+    if vnum[0] or _qnorm(alg.a, alg.b, vnum) != -f.discriminant * vden * vden:
+        raise DomainError("form discriminant does not match the embedding")
     p = next(q for q in alg.ramified if q != "inf")
     if f.a % p == 0:
         raise DomainError(f"p = {p} divides the leading coefficient of {f.as_tuple()}")
-    # 2 vden iota((-b + sqrt(D))/2) = -b vden + vnum for iota(sqrt(D)) = vnum / vden
-    vden, vnum = emb.v.numerator()
-    w = [vnum[0] - f.b * vden, vnum[1], vnum[2], vnum[3]]
+    # 2 vden (-b + v)/2 = -b vden + vnum
+    w = [-f.b * vden, vnum[1], vnum[2], vnum[3]]
     mat = base.lattice.mat
     rows = [[2 * vden * f.a * x for x in r] for r in mat] + [_qmul(alg.a, alg.b, r, w) for r in mat]
-    lat = Lattice4.from_rows(alg, rows, 2 * vden * base.lattice.den)
-    ideal = LeftIdeal(lattice=lat, left_order=base.left_order)
-    if ideal.reduced_norm != base.reduced_norm * f.a:
-        raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {f.a}")
-    return ideal
+    return LeftIdeal(lattice=Lattice4.from_rows(alg, rows, 2 * vden * base.lattice.den), left_order=base.left_order)
 
 
 def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:

@@ -30,11 +30,15 @@ from .quadforms import (
     QuadForm,
     admissible_discriminants,
     cm_point,
+    compose,
     genus_character,
     reduced_forms,
     splitting,
 )
 from .quatalg import (
+    _qmul,
+    _qnorm,
+    _unreduce,
     find_optimal_embedding,
     left_ideal_from_class,
     quaternion_data,
@@ -108,16 +112,77 @@ def _check_reducible(d: int, p: int) -> Discriminant:
     return disc
 
 
+# (p, t, K.den, K.mat) -> (s, z) for every ell-neighbour K of a class
+# representative J_t met by a walk, with K = J_s z and z an integer row up to
+# a rational factor; filled lazily, so it holds at most h_p sum (ell + 1)
+# entries over the primes ell the walks use
+_NEIGHBOURS: dict = {}
+
+
+def _generators(d: int):
+    """The forms (ell, b, c) of discriminant d over the primes ell < |d| in
+    increasing order, each with its least b >= 0; a prime with no primitive
+    form of norm ell (inert, or dividing the conductor) is skipped."""
+    for ell in filter(is_prime, range(2, -d)):
+        b = next((b for b in range(d % 2, ell + 1, 2) if (b * b - d) % (4 * ell) == 0), None)
+        if b is not None:
+            g = QuadForm(ell, b, (b * b - d) // (4 * ell))
+            if g.is_primitive():
+                yield g
+
+
+def _conjugate(alg, z, w: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """z w z^-1 as an integer row (den, n) in lowest terms, for w = wnum / wden
+    and an integer row z (a rational multiple of z acts the same):
+    z w z^-1 = z wnum conj(z) / (wden N(z))."""
+    wden, wnum = w
+    n = _qmul(alg.a, alg.b, _qmul(alg.a, alg.b, z, wnum), (z[0], -z[1], -z[2], -z[3]))
+    den = wden * _qnorm(alg.a, alg.b, z)
+    g = math.gcd(den, *n)
+    return den // g, tuple(x // g for x in n)
+
+
+def _step(p: int, cls, t: int, w, g: QuadForm):
+    """The state (s, z w z^-1) that the form g = (ell, b, c) carries the
+    state (t, w) to: K = ell J_t + J_t (w - b)/2 is an ell-neighbour of J_t, and
+    K = J_s z.  A neighbour met for the first time is classified once by
+    `index_of`, after its norm is certified, and z = n^-1 m comes from the
+    reduced lattices K m^-1 = J_s n^-1, m the first of K's shortest vectors."""
+    alg = cls.order.alg
+    J = cls.representatives[t]
+    K = left_ideal_from_class(J, w, g)
+    key = (p, t, K.lattice.den, K.lattice.mat)
+    hit = _NEIGHBOURS.get(key)
+    if hit is None:
+        if K.reduced_norm != J.reduced_norm * g.a:
+            raise CertificateError(f"neighbour of norm {K.reduced_norm}, expected {J.reduced_norm * g.a}")
+        s = cls.index_of(K)
+        n = cls.representatives[s].reduced_lattices.get(K.reduced_lattice)
+        if n is None:
+            raise CertificateError(f"a reduced lattice of class {s} is missing from its representative's")
+        m = _unreduce(K.lattice.mat, K.shortest_vectors[0])
+        # conj(n) m = Nr(n) n^-1 m
+        hit = _NEIGHBOURS[key] = (s, tuple(_qmul(alg.a, alg.b, (n[0], -n[1], -n[2], -n[3]), m)))
+    s, z = hit
+    return s, _conjugate(alg, z, w)
+
+
 @lru_cache(maxsize=4096)
 def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], ...]:
     """Map (as tuple pairs) from reduced forms of D to ideal class indices.
 
     The base point is the first ideal class whose right order admits an
     optimal embedding of the order of discriminant D; the class of a form
-    [a] is that of I_base * iota(a).
+    [a] is that of I_base * iota(a).  The map is computed by a walk over
+    Pic(O_D): if I_f = J_t y for the representative J_t, the state of f is
+    (t, w) with w = y iota(sqrt(D)) y^-1, an optimal embedding into the right
+    order of J_t, and I_(f g) = I_f iota(g) = K y for the ell-neighbour K of
+    `_step`.  The forms over the least primes (`_generators`) are added one at
+    a time, each walked as chains f g, f g^2, ... from the forms labelled so
+    far, up to the first form labelled already, whose label must agree.
     """
     disc = _check_reducible(d, p)
-    _, order, cls = quaternion_data(p)
+    _, _, cls = quaternion_data(p)
     base_idx = None
     emb = None
     for t, Or in enumerate(cls.right_orders):
@@ -129,12 +194,24 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
             continue
     if emb is None:
         raise CertificateError(f"no ideal class hosts an embedding of D={d} at p={p}")
-    base = cls.representatives[base_idx]
-    out = []
-    for f in reduced_forms(d):
-        ideal = left_ideal_from_class(base, emb, f)
-        out.append((f.as_tuple(), cls.index_of(ideal)))
-    return tuple(out)
+    forms = reduced_forms(d)
+    state = {forms[0]: (base_idx, emb.v.numerator())}
+    for g in _generators(d):
+        if len(state) == len(forms):
+            break
+        for f in list(state):
+            t, w = state[f]
+            while True:
+                f = compose(f, g, d)
+                t, w = _step(p, cls, t, w, g)
+                if f in state:
+                    if state[f][0] != t:
+                        raise CertificateError(f"the walk gives {f.as_tuple()} classes {state[f][0]} and {t} at p={p}")
+                    break
+                state[f] = (t, w)
+    if state.keys() != set(forms):
+        raise CertificateError(f"the walk labels {len(state)} forms of D={d}, not h = {len(forms)}")
+    return tuple((f.as_tuple(), state[f][0]) for f in forms)
 
 
 def reduce_at_prime(D, p: int) -> dict[QuadForm, int]:

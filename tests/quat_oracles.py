@@ -5,7 +5,8 @@ import math
 from fractions import Fraction
 from itertools import product
 
-from cmreduce.errors import CertificateError, DomainError
+from cmreduce.errors import CertificateError, DomainError, NotRepresented
+from cmreduce.quadforms import reduced_forms
 from cmreduce.quatalg import (
     GrossLattice,
     Lattice4,
@@ -16,8 +17,11 @@ from cmreduce.quatalg import (
     _det4,
     _qnorm,
     _unreduce,
+    find_optimal_embedding,
     hnf_rows,
     lattice_vectors_with_norm,
+    left_ideal_from_class,
+    quaternion_data,
     ramified_places,
 )
 
@@ -118,3 +122,24 @@ def least_primitive_gross_vectors(gl: GrossLattice, nmax: int) -> dict[int, tupl
         if n not in least or x < least[n]:
             least[n] = x
     return least
+
+
+def direct_prime_reduction(d: int, p: int) -> dict[tuple[int, int, int], int]:
+    """The class of I_base iota(a_f) for every reduced form f of d, each by
+    its own ideal and its own `index_of`: the per-form route that the walk
+    of `reduction._prime_reduction` replaces, from the same base (the first
+    class whose right order embeds d)."""
+    _, _, cls = quaternion_data(p)
+    for base, Or in zip(cls.representatives, cls.right_orders):
+        try:
+            emb = find_optimal_embedding(Or, d)
+        except NotRepresented:
+            continue
+        labels = {}
+        for f in reduced_forms(d):
+            ideal = left_ideal_from_class(base, emb.v.numerator(), f)
+            if ideal.reduced_norm != base.reduced_norm * f.a:
+                raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {f.a}")
+            labels[f.as_tuple()] = cls.index_of(ideal)
+        return labels
+    raise CertificateError(f"no ideal class hosts an embedding of D={d} at p={p}")

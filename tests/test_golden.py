@@ -16,6 +16,8 @@ CASES = {
     "quat_p23_classes.json": ["quat", "--p", "23", "classes", "--json"],
     "quat_p53_classes.json": ["quat", "--p", "53", "classes", "--json"],
     "reduce_D-23_p11.txt": ["reduce", "--D", "-23", "--p", "11"],
+    "reduce_D-10055_p23.txt": ["reduce", "--D", "-10055", "--p", "23"],
+    "reduce_D-1127_p37.txt": ["reduce", "--D", "-1127", "--p", "37"],
     "joint_D-71_p11-23.json": ["joint", "--D", "-71", "--primes", "11,23", "--json"],
     "scan_p11-23_D3-600_fund.json": [
         "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--json",

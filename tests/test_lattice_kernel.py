@@ -161,7 +161,7 @@ def test_integer_ideal_formation_matches_element_products(p):
                 w = emb.iota((-f.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
                 bas = I.lattice.basis()
                 expected = Lattice4.from_elements(O.alg, [e.scale(f.a) for e in bas] + [e * w for e in bas])
-                ideal = left_ideal_from_class(I, emb, f)
+                ideal = left_ideal_from_class(I, emb.v.numerator(), f)
                 assert ideal.lattice == expected
                 assert ideal.reduced_norm == I.reduced_norm * f.a
                 checked += 1
@@ -171,7 +171,7 @@ def test_integer_ideal_formation_matches_element_products(p):
     # the order itself is the base case
     emb = find_optimal_embedding(O, next(D for D in range(-3, -200, -1) if _hosts(O, D, p)))
     f = reduced_forms(emb.disc.D)[0]
-    assert left_ideal_from_class(order_as_ideal(O), emb, f).reduced_norm == f.a
+    assert left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), f).reduced_norm == f.a
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -209,9 +209,9 @@ def test_left_ideal_from_class_refuses_a_leading_coefficient_divisible_by_p():
             emb = find_optimal_embedding(Or, -23)
         except NotRepresented:
             continue
-        assert left_ideal_from_class(I, emb, QuadForm(2, 1, 3)).reduced_norm == 2 * I.reduced_norm
+        assert left_ideal_from_class(I, emb.v.numerator(), QuadForm(2, 1, 3)).reduced_norm == 2 * I.reduced_norm
         with pytest.raises(DomainError):
-            left_ideal_from_class(I, emb, QuadForm(23, 23, 6))
+            left_ideal_from_class(I, emb.v.numerator(), QuadForm(23, 23, 6))
         return
     pytest.fail("no class of B_(inf,23) hosts D = -23")
 

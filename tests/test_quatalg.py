@@ -286,10 +286,10 @@ def test_left_ideal_from_class():
     O = p5[1]
     emb = find_optimal_embedding(O, -23)
     forms = reduced_forms(-23)
-    principal = left_ideal_from_class(order_as_ideal(O), emb, forms[0])
+    principal = left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), forms[0])
     assert principal.reduced_norm == 1
     assert is_same_class(principal, order_as_ideal(O))
-    I = left_ideal_from_class(order_as_ideal(O), emb, QuadForm(2, 1, 3))
+    I = left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), QuadForm(2, 1, 3))
     assert I.reduced_norm == 2
     # O * I = I
     prod = O.lattice.product(I.lattice)

@@ -1,0 +1,150 @@
+"""The reduction map at p computed by the walk over Pic(O_D) against the
+per-form route of `quat_oracles.direct_prime_reduction`, and planted faults
+in the walk that its certificates or the oracle must catch."""
+
+import itertools
+import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
+
+import pytest
+
+import cmreduce
+from cmreduce import reduction
+from cmreduce.errors import CertificateError
+from cmreduce.numbase import kronecker
+from cmreduce.quadforms import Discriminant, QuadForm, admissible_discriminants, reduced_forms
+from cmreduce.quatalg import Lattice4, _qmul
+from quat_oracles import direct_prime_reduction
+
+
+def _reducible(d, p):
+    return d % 4 in (0, 1) and kronecker(d, p) == -1 and Discriminant.of(d).conductor % p
+
+
+def _fresh_walk(d, p):
+    """The walk's labels, bypassing the per-process map cache; run it with
+    `_NEIGHBOURS` monkeypatched to a fresh dict."""
+    return dict(reduction._prime_reduction.__wrapped__(d, p))
+
+
+@pytest.mark.parametrize("p", [5, 11, 23, 37])
+def test_walk_matches_the_direct_route_up_to_1500(p):
+    # every D with |D| <= 1500, non-fundamental ones included
+    checked = 0
+    for d in range(-3, -1501, -1):
+        if _reducible(d, p):
+            assert dict(reduction._prime_reduction(d, p)) == direct_prime_reduction(d, p), (d, p)
+            checked += 1
+    assert checked > 250
+
+
+def test_walk_matches_the_direct_route_on_large_discriminants():
+    pool = [dd.D for dd in admissible_discriminants(inert=(11, 23), coprime_to=(11, 23), abs_range=(10001, 20000))]
+    sample = random.Random(12).sample(pool, 40)
+    assert any(not Discriminant.of(d).fundamental for d in sample)
+    for d in sample:
+        for p in (11, 23):
+            assert dict(reduction._prime_reduction(d, p)) == direct_prime_reduction(d, p), (d, p)
+
+
+@pytest.mark.parametrize("p", [11, 23, 37])
+def test_neighbour_cache_entries_are_twists_of_their_class_representative(monkeypatch, p):
+    # each cached (t, K) -> (s, z) has K = J_s z up to a rational factor: the
+    # lattices J_s z and K have the same primitive HNF rows
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    for d in (-71, -119, -1127, -10055):
+        if _reducible(d, p):
+            _fresh_walk(d, p)
+    _, O, cls = reduction.quaternion_data(p)
+    alg = O.alg
+    assert reduction._NEIGHBOURS
+    for (_, t, _, mat), (s, z) in reduction._NEIGHBOURS.items():
+        assert 0 <= t < cls.h
+        twisted = Lattice4.from_rows(alg, [_qmul(alg.a, alg.b, r, z) for r in cls.representatives[s].lattice.mat], 1)
+        assert _primitive(twisted.mat) == _primitive(mat)
+
+
+def _primitive(mat):
+    g = math.gcd(*itertools.chain.from_iterable(mat))
+    return tuple(tuple(x // g for x in r) for r in mat)
+
+
+def _caught(d, p):
+    """True when the walk raises CertificateError or disagrees with the oracle."""
+    try:
+        labels = _fresh_walk(d, p)
+    except CertificateError:
+        return True
+    return labels != direct_prime_reduction(d, p)
+
+
+FAULT_CASES = [(-71, 11), (-119, 23), (-1127, 37), (-10055, 23)]
+
+
+@pytest.mark.parametrize("d, p", FAULT_CASES)
+def test_planted_fault_wrong_sign_of_b_is_caught(monkeypatch, d, p):
+    # K = ell J + J (w + b)/2 walks by the inverse form
+    honest = reduction.left_ideal_from_class
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "left_ideal_from_class", lambda J, w, g: honest(J, w, QuadForm(g.a, -g.b, g.c)))
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", FAULT_CASES)
+def test_planted_fault_inverse_twist_is_caught(monkeypatch, d, p):
+    # z^-1 w z in place of z w z^-1: conj(z) is a rational multiple of z^-1
+    honest = reduction._conjugate
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_conjugate", lambda alg, z, w: honest(alg, (z[0], -z[1], -z[2], -z[3]), w))
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", [(-23, 11), (-71, 11), (-10055, 23)])
+def test_closure_check_catches_a_wrong_closing_edge(monkeypatch, d, p):
+    # the last step of a walk closes a chain; a wrong class there changes no
+    # label, so only the closure check sees it
+    honest = reduction._step
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    calls = []
+    monkeypatch.setattr(reduction, "_step", lambda *args: calls.append(args) or honest(*args))
+    _fresh_walk(d, p)
+    last = len(calls)
+    _, _, cls = reduction.quaternion_data(p)
+
+    def wrong_last(*args):
+        calls.append(args)
+        s, w = honest(*args)
+        return ((s + 1) % cls.h if len(calls) == 2 * last else s), w
+
+    monkeypatch.setattr(reduction, "_step", wrong_last)
+    with pytest.raises(CertificateError, match="classes"):
+        _fresh_walk(d, p)
+
+
+def test_a_walk_that_stops_short_of_h_fails_under_python_O():
+    # -119 needs the forms over two primes; with the first alone the walk
+    # labels 5 of its 10 forms, and the certificate is not an assert
+    assert len(reduced_forms(-119)) == 10
+    script = (
+        "import itertools, sys, cmreduce.reduction as r\n"
+        "from cmreduce.errors import CertificateError\n"
+        "honest = r._generators\n"
+        "r._generators = lambda d: itertools.islice(honest(d), 1)\n"
+        "try:\n"
+        "    r.reduce_at_prime(-119, 23)\n"
+        "except CertificateError as exc:\n"
+        "    sys.exit(3 if 'not h = 10' in str(exc) else 4)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cmreduce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_generators_are_the_least_forms_over_the_least_primes():
+    # -1127 = -23 * 7^2: 5 and 11 are inert, 7 divides the conductor
+    assert list(itertools.islice(reduction._generators(-1127), 3)) == [
+        QuadForm(2, 1, 141), QuadForm(3, 1, 94), QuadForm(13, 11, 24)]

@@ -8,10 +8,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmreduce"
 
-# read from outside src/: `Fp2Ctx.parse`, which reads back the F_(p^2)
-# elements that `ss --json` prints, and `basis`, the element view of a
-# lattice, by users and tests
-ALLOWED = {"parse", "basis"}
+# read from outside src/: `basis`, the element view of a lattice, by users
+# and tests
+ALLOWED = {"basis"}
 
 
 def _exports(tree: ast.Module) -> set[str]:
