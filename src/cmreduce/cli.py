@@ -314,8 +314,10 @@ def _verify_checks(quick: bool):
         _check(hilbert_class_poly(-23).coeffs == (12771880859375, -5151296875, 3491750, 1), "H_-23")
 
     def deuring_cardinalities():
-        # p = 401 needs an algebra (a, b) with |a| + |b| > 400
-        for p in [*primes_up_to(30 if quick else 50), 401]:
+        # Pizer's maximal order has three branches: a = -1 (p = 3 mod 4),
+        # a = -2 (p = 5 mod 8) and a = -q, where 17 and 401 take q = 3 and
+        # 73 is the first prime to take q = 7
+        for p in [*primes_up_to(30 if quick else 50), 73, 401]:
             if p < 5:
                 continue
             locus = enumerate_ss(p)

@@ -41,13 +41,13 @@ def _is_discriminant(D: int) -> bool:
 
 
 def is_fundamental(D: int) -> bool:
-    """True iff D is a fundamental (field) discriminant."""
-    if not _is_discriminant(D):
-        return False
+    """True iff D is the discriminant of a quadratic field, real or
+    imaginary: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4
+    squarefree, and D not in {0, 1}."""
     if D % 4 == 1:
-        return abs(squarefree_part(D)) == abs(D)
+        return D != 1 and squarefree_part(D) == D
     m = D // 4
-    return m % 4 in (2, 3) and abs(squarefree_part(m)) == abs(m)
+    return D % 4 == 0 and m % 4 in (2, 3) and squarefree_part(m) == m
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Definite rational quaternion algebras B_{inf,p} for every prime p >= 5:
-construction by Pizer's closed form with certified ramification, maximal
-orders, rank-4 lattice and ideal arithmetic, ideal class sets with mass
-certificates, Gross lattices, optimal embeddings, Killing-form and
-discriminant computations, and local norm surjectivity.
+construction and maximal orders by Pizer's closed forms, certified by
+ramification, discriminant and closure, rank-4 lattice and ideal
+arithmetic, ideal class sets with mass certificates, Gross lattices,
+optimal embeddings, Killing-form and discriminant computations, and local
+norm surjectivity.
 
 Lattices are stored as (denominator, integer HNF basis matrix) against the
 1, i, j, k frame, so lattice equality is matrix equality.  All arithmetic
 is exact and every lattice coordinate is an integer: lattice products,
-right multiplication, ideal formation, neighbour ideals and maximal-order
-saturation multiply the integer rows with the structure constants of the
-algebra, and one back-substitution on the HNF rows (`_hnf_coordinates`)
-decides membership.  The right order of a left ideal I of a maximal order
-is conj(I) I / Nr(I), spanned by the products conj(r_i) r_j of I's rows.
+right multiplication, ideal formation and neighbour ideals multiply the
+integer rows with the structure constants of the algebra, and one
+back-substitution on the HNF rows (`_hnf_coordinates`) decides
+membership.  The right order of a left ideal I of a maximal order is
+conj(I) I / Nr(I), spanned by the products conj(r_i) r_j of I's rows.
 The ell-neighbours of I are the ideals O x + ell I for the x in I that are
 of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 (Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
@@ -599,52 +600,29 @@ def unit_weight(order: Order) -> int:
 
 
 def maximal_order(B: QuaternionAlgebra) -> Order:
-    """Saturate Z<1,i,j,k> at the primes dividing the reduced discriminant
-    until it equals p; certified by the trace-pairing Gram determinant."""
-    if not B.is_definite:
-        raise DomainError("maximal_order expects a definite algebra")
-    if B.ramified != frozenset({"inf"}) and len(B.ramified) != 2:
-        raise DomainError("algebra must be ramified at exactly {inf, p}")
-    p = next(q for q in B.ramified if q != "inf")
-    lat = Lattice4.from_elements(B, B.basis_elements())
-    order = Order(lattice=lat)
-    rd = order.reduced_discriminant
-    while rd != p:
-        enlarged = False
-        for q, _ in factorize(rd):
-            bigger = _enlarge_at(order, q)
-            if bigger is not None:
-                order = bigger
-                rd = order.reduced_discriminant
-                enlarged = True
-                break
-        if not enlarged:
-            break
-    if order.reduced_discriminant != p:
-        raise CertificateError(
-            f"saturation stalled at reduced discriminant {order.reduced_discriminant}, "
-            f"expected {p}; ramification certificate is suspect"
-        )
+    """The maximal order of Pizer (J. Algebra 64 (1980), Prop. 5.2) for the
+    algebra (a, -p) that `construct_Bp(p)` builds: Z<1, i, (1+j)/2, (i+k)/2>
+    for a = -1, Z<(1+j+k)/2, (i+2j+k)/4, j, k> for a = -2, and
+    Z<(1+i)/2, (j-k)/2, (i-ck)/q, k> for a = -q, with c the larger root in
+    [0, q) of c^2 p = -1 mod q.  Certified by reduced discriminant p and
+    multiplicative closure: the lattice then lies in its left order, whose
+    reduced discriminant is a multiple of p, so the two are equal."""
+    p = next((q for q in B.ramified if q != "inf"), None)
+    if p is None or B != construct_Bp(p):
+        raise DomainError("maximal_order expects the algebra construct_Bp(p)")
+    h, f = Fraction(1, 2), Fraction(1, 4)
+    if B.a == -1:
+        gens = [(1, 0, 0, 0), (0, 1, 0, 0), (h, 0, h, 0), (0, h, 0, h)]
+    elif B.a == -2:
+        gens = [(h, 0, h, h), (0, f, h, f), (0, 0, 1, 0), (0, 0, 0, 1)]
+    else:
+        q = -B.a
+        c = max(c for c in range(q) if (c * c * p + 1) % q == 0)
+        gens = [(h, h, 0, 0), (0, 0, h, -h), (0, Fraction(1, q), 0, Fraction(-c, q)), (0, 0, 0, 1)]
+    order = Order(lattice=Lattice4.from_elements(B, [B.element(*g) for g in gens]))
+    if order.reduced_discriminant != p or not order.is_multiplicatively_closed():
+        raise CertificateError(f"Pizer's basis for ({B.a}, {B.b}) is not a maximal order")
     return order
-
-
-def _enlarge_at(order: Order, q: int) -> Order | None:
-    """One superorder step of index q, if any: scan x in (1/q)O \\ O with
-    integral trace and norm whose span with O is multiplicatively closed."""
-    lat = order.lattice
-    a, b = lat.alg.a, lat.alg.b
-    qd = q * lat.den
-    rows = [[q * x for x in r] for r in lat.mat]
-    for c in product(range(q), repeat=4):
-        if not any(c):
-            continue
-        n = _unreduce(lat.mat, c)  # x = n / (q den)
-        if 2 * n[0] % qd or _qnorm(a, b, n) % (qd * qd):
-            continue
-        candidate = Order(lattice=Lattice4.from_rows(lat.alg, rows + [n], qd))
-        if candidate.lattice != lat and candidate.is_multiplicatively_closed():
-            return candidate
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -872,10 +850,14 @@ def ideal_classes(order: Order) -> IdealClassSet:
     """BFS over 2-neighbors with the mass formula as completeness
     certificate: stop exactly when sum 1/w = (p - 1)/12.  The list of
     representatives is the BFS queue, and a new class is represented by
-    the reduced lattice of the neighbour that found it."""
+    the reduced lattice of the neighbour that found it.  `seen` is the union
+    of R(J) over the representatives J, taken from the neighbour as R is a
+    class invariant, so by `is_same_class` a neighbour is in a known class
+    iff its reduced lattice is in `seen`."""
     p = next(q for q in order.alg.ramified if q != "inf")
     target = Fraction(p - 1, 12)
     reps = [order_as_ideal(order)]
+    seen = set(reps[0].reduced_lattices)
     orders = [order]
     weights = [unit_weight(order)]
     mass = Fraction(1, weights[0])
@@ -883,8 +865,9 @@ def ideal_classes(order: Order) -> IdealClassSet:
         if mass == target:
             break
         for J in _neighbor_ideals(current, 2):
-            if any(is_same_class(J, R) for R in reps):
+            if J.reduced_lattice in seen:
                 continue
+            seen.update(J.reduced_lattices)
             J = LeftIdeal(lattice=J.reduced_lattice, left_order=order)
             Or = right_order(J)
             w = unit_weight(Or)

@@ -32,6 +32,7 @@ from .quadforms import (
     cm_point,
     compose,
     genus_character,
+    is_fundamental,
     reduced_forms,
     splitting,
 )
@@ -331,19 +332,8 @@ class CharacterSpec:
                 continue
             if abs(dd) > _CONDUCTOR_BOUND:
                 raise BudgetError(f"|{dd}| exceeds the conductor bound")
-            if not _is_fundamental_or_unit(dd):
+            if not is_fundamental(dd):
                 raise DomainError(f"{dd} is not a fundamental discriminant")
-
-
-def _is_fundamental_or_unit(dd: int) -> bool:
-    if dd == 1:
-        return True
-    if dd % 4 == 1:
-        return squarefree_part(dd) == dd
-    if dd % 4 == 0:
-        m = dd // 4
-        return m % 4 in (2, 3) and squarefree_part(m) == m
-    return False
 
 
 def _character_product(ds) -> int:

@@ -6,12 +6,14 @@ from fractions import Fraction
 from itertools import product
 
 from cmreduce.errors import CertificateError, DomainError, NotRepresented
+from cmreduce.numbase import factorize
 from cmreduce.quadforms import reduced_forms
 from cmreduce.quatalg import (
     GrossLattice,
     Lattice4,
     LeftIdeal,
     Order,
+    QuaternionAlgebra,
     QuatElement,
     _det3,
     _det4,
@@ -37,6 +39,37 @@ def least_bp_pair(p: int) -> tuple[int, int]:
             if a * b % p == 0 and ramified_places(a, b) == frozenset({"inf", p}):
                 return a, b
         s += 1
+
+
+def saturated_maximal_order(B: QuaternionAlgebra) -> Order:
+    """A maximal order of B found by search: Z<1, i, j, k> is enlarged, one
+    superorder of prime index q dividing its reduced discriminant at a time,
+    until the reduced discriminant is p.  Each step takes the first x in
+    (1/q)O \\ O, over HNF coordinates in [0, q)^4 in product order, with
+    integral trace and norm whose span with O is multiplicatively closed."""
+    p = next(q for q in B.ramified if q != "inf")
+    a, b = B.a, B.b
+    order = Order(lattice=Lattice4.from_rows(B, [[int(i == j) for j in range(4)] for i in range(4)], 1))
+    while order.reduced_discriminant != p:
+        for q, _ in factorize(order.reduced_discriminant):
+            lat = order.lattice
+            qd = q * lat.den
+            rows = [[q * x for x in r] for r in lat.mat]
+            bigger = None
+            for c in product(range(q), repeat=4):
+                n = _unreduce(lat.mat, c)  # x = n / (q den)
+                if not any(c) or 2 * n[0] % qd or _qnorm(a, b, n) % (qd * qd):
+                    continue
+                candidate = Order(lattice=Lattice4.from_rows(B, rows + [n], qd))
+                if candidate.lattice != lat and candidate.is_multiplicatively_closed():
+                    bigger = candidate
+                    break
+            if bigger is not None:
+                order = bigger
+                break
+        else:
+            raise CertificateError(f"saturation stalled at reduced discriminant {order.reduced_discriminant}")
+    return order
 
 
 def conjugate(L: Lattice4) -> Lattice4:

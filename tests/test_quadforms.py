@@ -96,6 +96,21 @@ def test_compose_discriminant_mismatch():
         compose(QuadForm(1, 1, 6), QuadForm(1, 0, 1), -23)
 
 
+def test_is_fundamental_is_the_field_discriminant_of_either_sign():
+    assert all(is_fundamental(D) for D in (5, 8, 12, -3, -4, -8))
+    assert not any(is_fundamental(D) for D in (0, 1, 4, 20, -12, -5))
+
+    def squarefree(d):
+        return all(d % (m * m) for m in range(2, math.isqrt(abs(d)) + 1))
+
+    # the discriminant of Q(sqrt(d)) for squarefree d != 0, 1
+    fields = {d if d % 4 == 1 else 4 * d for d in range(-500, 501) if d not in (0, 1) and squarefree(d)}
+    assert {D for D in range(-500, 501) if is_fundamental(D)} == {D for D in fields if abs(D) <= 500}
+    for D in range(-3000, 0):
+        if D % 4 in (0, 1):
+            assert is_fundamental(D) == Discriminant.of(D).fundamental, D
+
+
 def test_group_axioms_sampled_fundamental_discs():
     rng = random.Random(7)
     discs = [D for D in range(-9999, 0) if D % 4 in (0, 1) and is_fundamental(D)]

@@ -16,6 +16,7 @@ from cmreduce.quatalg import (
     Lattice4,
     LeftIdeal,
     Order,
+    QuaternionAlgebra,
     _neighbor_ideals,
     _norms_cover,
     construct_Bp,
@@ -37,7 +38,13 @@ from cmreduce.quatalg import (
     unit_weight,
 )
 from cmreduce.ssenum import enumerate_ss
-from quat_oracles import embedding_preimage_lattice, least_bp_pair, reconstruct_order_from_gross, same_class_by_product
+from quat_oracles import (
+    embedding_preimage_lattice,
+    least_bp_pair,
+    reconstruct_order_from_gross,
+    same_class_by_product,
+    saturated_maximal_order,
+)
 
 
 def test_hilbert_symbol_examples():
@@ -110,7 +117,7 @@ def test_construct_bp_certifies_its_ramification(monkeypatch):
         construct_Bp(11)
 
 
-@pytest.mark.parametrize("p", [401, 409, 1009])
+@pytest.mark.parametrize("p", [401, 409, 1009, 10007])
 def test_deuring_cardinalities_above_400(p):
     locus = enumerate_ss(p)
     _, _, cls = quaternion_data(p)
@@ -161,7 +168,7 @@ def test_mat2_order_gram_det_is_one():
     assert e11 * e12 == e12 and e12 * e21 == e11 and e21 * e12 == e22
 
 
-def test_maximal_order_saturation():
+def test_maximal_order_certificates(monkeypatch):
     B = construct_Bp(11)
     lat0 = Lattice4.from_elements(B, B.basis_elements())
     assert Order(lattice=lat0).reduced_discriminant == 44
@@ -173,6 +180,35 @@ def test_maximal_order_saturation():
     assert not Order(lattice=half).is_multiplicatively_closed()
     for b in O.lattice.basis():
         assert b.trace().denominator == 1 and b.norm().denominator == 1
+    # a basis that fails either certificate is refused
+    monkeypatch.setattr(Order, "is_multiplicatively_closed", lambda self: False)
+    with pytest.raises(CertificateError):
+        maximal_order(B)
+    monkeypatch.undo()
+    monkeypatch.setattr(Order, "reduced_discriminant", property(lambda self: 44))
+    with pytest.raises(CertificateError):
+        maximal_order(B)
+
+
+def test_maximal_order_is_the_saturated_order():
+    # Pizer's formula against the superorder search, through all three
+    # branches a = -1, -2 and -q of construct_Bp
+    branches = set()
+    for p in primes_up_to(10**4):
+        if p >= 5:
+            B = construct_Bp(p)
+            branches.add(B.a if B.a in (-1, -2) else "-q")
+            assert maximal_order(B).lattice == saturated_maximal_order(B).lattice, p
+    assert branches == {-1, -2, "-q"}
+
+
+def test_maximal_order_refuses_other_algebras():
+    with pytest.raises(DomainError):
+        maximal_order(mat2_model())
+    # B_(inf,11) again, but not in the presentation construct_Bp(11) takes
+    assert ramified_places(-11, -1) == frozenset({"inf", 11})
+    with pytest.raises(DomainError):
+        maximal_order(QuaternionAlgebra(a=-11, b=-1, ramified=frozenset({"inf", 11})))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23, 31, 43])
@@ -316,6 +352,16 @@ def test_is_same_class_properties():
             continue
         Ix = type(I)(lattice=_times(I.lattice, x), left_order=I.left_order)
         assert is_same_class(I, Ix)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(200) if p >= 5] + [401])
+def test_class_representatives_are_pairwise_inequivalent(p):
+    # the mass certificate cannot see a duplicate class standing in for a
+    # missing class of the same weight; the product oracle can
+    reps = quaternion_data(p)[2].representatives
+    for n, I in enumerate(reps):
+        for J in reps[n + 1 :]:
+            assert not same_class_by_product(I, J), p
 
 
 def test_ideal_classes_examples():

@@ -192,6 +192,10 @@ def test_exceptional_fields():
         CharacterSpec(factors=(-10**5,))
     with pytest.raises(DomainError):
         CharacterSpec(factors=(-5,))  # 3 mod 4: not a discriminant
+    # real quadratic fields: 5 is a field discriminant, 20 = 4 * 5 is not
+    assert CharacterSpec(factors=(5,)).factors == (5,)
+    with pytest.raises(DomainError):
+        CharacterSpec(factors=(20,))
 
 
 def test_scan_smoke_and_reproducibility():
