@@ -91,15 +91,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_classgroup(args) -> int:
-    from .quadforms import ClassGroup
+    from .quadforms import reduced_forms
 
-    cg = ClassGroup.of(args.D)
+    forms = reduced_forms(args.D)
     if args.json:
-        print(cg.to_json())
+        payload = {"D": str(args.D), "h": len(forms), "forms": [list(f.as_tuple()) for f in forms]}
+        print(json.dumps(payload, sort_keys=True))
     else:
         print(f"D = {args.D}")
-        print(f"h = {cg.h}")
-        for f in cg.forms:
+        print(f"h = {len(forms)}")
+        for f in forms:
             print(f"({f.a}, {f.b}, {f.c})")
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from .errors import DomainError
 __all__ = [
     "kronecker",
     "is_prime",
-    "isqrt",
     "exact_sqrt_fraction",
     "squarefree_part",
     "factorize",
@@ -26,13 +25,6 @@ __all__ = [
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_DIVISION_LIMIT = 10**6
 _FACTOR_BOUND = 10**7
-
-
-def isqrt(n: int) -> int:
-    """Floor of the square root of n >= 0."""
-    if n < 0:
-        raise DomainError("isqrt of negative integer")
-    return math.isqrt(n)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -108,7 +100,7 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(limit) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
     return [i for i in range(2, limit + 1) if sieve[i]]
@@ -163,7 +155,7 @@ def exact_sqrt_fraction(q: Fraction) -> Fraction:
     """Square root of a rational that must be a perfect square of a rational."""
     if q < 0:
         raise DomainError("square root of negative rational")
-    rn, rd = isqrt(q.numerator), isqrt(q.denominator)
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if rn * rn != q.numerator or rd * rd != q.denominator:
         raise DomainError(f"{q} is not the square of a rational")
     return Fraction(rn, rd)

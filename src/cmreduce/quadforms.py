@@ -10,18 +10,17 @@ list with the principal form first.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import CertificateError, ConfigError, DomainError
-from .numbase import factorize, is_prime, isqrt, kronecker, squarefree_part
+from .numbase import factorize, is_prime, kronecker, squarefree_part
 
 __all__ = [
     "Discriminant",
     "QuadForm",
-    "ClassGroup",
     "CMPoint",
     "reduced_forms",
     "class_number",
@@ -65,7 +64,7 @@ class Discriminant:
             raise DomainError(f"{D} is not a negative quadratic discriminant")
         s = squarefree_part(D)
         d0 = s if s % 4 == 1 else 4 * s
-        c = isqrt(D // d0)
+        c = math.isqrt(D // d0)
         if c * c * d0 != D:
             raise CertificateError(f"{D} is not {d0} times a square")
         return cls(D=D, fundamental=(c == 1), conductor=c, fundamental_part=d0)
@@ -137,12 +136,14 @@ def principal_form(D: int) -> QuadForm:
     return QuadForm(1, k, (k * k - D) // 4)
 
 
-def reduced_forms(D) -> list[QuadForm]:
+@lru_cache(maxsize=4096)
+def reduced_forms(D) -> tuple[QuadForm, ...]:
     """All primitive reduced forms of discriminant D, sorted by (a, b),
-    principal form first."""
+    principal form first.  Computed once per D per process (a scan asks
+    for the forms of each D at every stage), so the result is a tuple."""
     d = _as_D(D)
     forms = []
-    amax = isqrt(-d // 3)
+    amax = math.isqrt(-d // 3)
     for a in range(1, amax + 1):
         b0 = d % 2
         for b in range(b0, a + 1, 2):
@@ -161,7 +162,7 @@ def reduced_forms(D) -> list[QuadForm]:
     forms.sort(key=lambda f: (f.a, f.b))
     p = principal_form(d)
     forms.remove(p)
-    return [p] + forms
+    return (p, *forms)
 
 
 def class_number(D) -> int:
@@ -177,7 +178,7 @@ def class_number_table(limit: int) -> dict[int, int]:
     """
     h: dict[int, int] = {}
     gcd = math.gcd
-    amax = isqrt(limit // 3)
+    amax = math.isqrt(limit // 3)
     for a in range(1, amax + 1):
         for b in range(-a + 1, a + 1):
             bb = b * b
@@ -238,33 +239,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True)
-class ClassGroup:
-    """Pic(O_D) realized on sorted reduced forms (principal first)."""
-
-    D: Discriminant
-    forms: tuple[QuadForm, ...]
-
-    @classmethod
-    def of(cls, D) -> "ClassGroup":
-        disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
-        return cls(D=disc, forms=tuple(reduced_forms(disc.D)))
-
-    @property
-    def h(self) -> int:
-        return len(self.forms)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "D": str(self.D.D),
-                "h": self.h,
-                "forms": [list(f.as_tuple()) for f in self.forms],
-            },
-            sort_keys=True,
-        )
-
-
-@dataclass(frozen=True)
 class CMPoint:
     """tau = (-b + i*sqrt(|D|)) / (2a) in the standard fundamental domain."""
 
@@ -272,10 +246,6 @@ class CMPoint:
     minus_b: int
     abs_D: int
     two_a: int
-
-    @property
-    def re(self) -> float:
-        return self.minus_b / self.two_a
 
     @property
     def im(self) -> float:

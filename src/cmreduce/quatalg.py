@@ -387,16 +387,6 @@ def _det3(a):
     )
 
 
-def _det4(m) -> int:
-    # cofactor expansion, exact
-    total = 0
-    for col in range(4):
-        minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
-        term = m[0][col] * _det3(minor)
-        total += term if col % 2 == 0 else -term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Exact LLL reduction and Fincke-Pohst enumeration
 # ---------------------------------------------------------------------------
@@ -575,8 +565,10 @@ class Order:
 
     @property
     def reduced_discriminant(self) -> int:
-        det = Fraction(abs(_det4(self.lattice.trace_gram())), self.lattice.den**8)
-        rd = exact_sqrt_fraction(det)
+        """The square root of |det Trd(e_i conj(e_j))| over a basis e: the
+        trace form has determinant 16 a^2 b^2 on the 1, i, j, k frame, so
+        this is 4 |ab| times the covolume of the lattice."""
+        rd = 4 * abs(self.alg.a * self.alg.b) * self.lattice.det_fraction()
         if rd.denominator != 1:
             raise CertificateError("non-integral reduced discriminant")
         return rd.numerator

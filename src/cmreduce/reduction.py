@@ -52,7 +52,6 @@ __all__ = [
     "ScanConfig",
     "ScanReport",
     "NU_INFTY_Y2",
-    "nu_infty_y_mass",
     "reduce_archimedean",
     "reduce_at_prime",
     "joint_reduce",
@@ -64,12 +63,6 @@ __all__ = [
 
 # nu_infty({Im tau >= Y}) = integral of (3/pi) dx dy / y^2 = 3/(pi Y) for Y >= 1
 NU_INFTY_Y2 = 3 / (2 * math.pi)
-
-
-def nu_infty_y_mass(Y: float) -> float:
-    if Y < 1:
-        raise DomainError("closed form only valid for Y >= 1 (full-width strip)")
-    return 3 / (math.pi * Y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +286,13 @@ def joint_reduce(D, primes) -> JointDistribution:
 # ---------------------------------------------------------------------------
 
 
-def fiber_multiset_crosscheck(D, p: int, cache_dir: str | None = None) -> bool:
+def fiber_multiset_crosscheck(D, p: int) -> bool:
     """True iff the fiber-size multiset of reduce_at_prime equals the root
     multiplicity multiset of H_D over F_{p^2} (label-free validation)."""
     d = int(D)
-    _check_reducible(d, p)
     fibers = Counter(reduce_at_prime(d, p).values())
     fiber_multiset = sorted(fibers.values())
-    H = hilbert_class_poly(d, cache_dir=cache_dir)
+    H = hilbert_class_poly(d)
     ctx = fp2_construct(p)
     poly = FfPoly([ctx.el(c) for c in classpoly_mod(H, p)], ctx)
     roots = roots_with_multiplicity(poly, ctx)

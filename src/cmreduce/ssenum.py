@@ -1,5 +1,5 @@
 """Enumeration of the supersingular locus over F_{p^2} with automorphism
-weights, the total mass, and the weighted probability measure on it.
+weights and the total mass.
 
 The locus is found by a breadth-first walk on the 2-isogeny graph, which
 is connected on the supersingular j-invariants (Pizer 1990): the
@@ -36,7 +36,6 @@ __all__ = [
     "SupersingularLocus",
     "is_supersingular_j",
     "enumerate_ss",
-    "nu_p",
     "weierstrass_from_j",
 ]
 
@@ -58,8 +57,6 @@ _PHI2 = (
 class SupersingularPoint:
     j: Fp2
     weight: int
-    A: Fp2
-    B: Fp2
 
 
 @dataclass(frozen=True)
@@ -230,20 +227,9 @@ def enumerate_ss(p: int) -> SupersingularLocus:
             if nb not in parent:
                 parent[nb] = j
                 queue.append(nb)
-    pts = []
-    for j in sorted(parent):
-        A, B = weierstrass_from_j(j, ctx)
-        pts.append(SupersingularPoint(j=j, weight=_weight(j, ctx), A=A, B=B))
-    locus = SupersingularLocus(p=p, ctx=ctx, points=tuple(pts))
+    pts = tuple(SupersingularPoint(j=j, weight=_weight(j, ctx)) for j in sorted(parent))
+    locus = SupersingularLocus(p=p, ctx=ctx, points=pts)
     if locus.mass != Fraction(p - 1, 12):
         raise CertificateError(f"mass formula violated at p={p}: {locus.mass} != ({p}-1)/12")
     return locus
 
-
-def nu_p(locus: SupersingularLocus) -> list[Fraction]:
-    """The weighted probability measure: nu_p(E) = (12/(p-1)) / w_E."""
-    scale = Fraction(12, locus.p - 1)
-    out = [scale / pt.weight for pt in locus.points]
-    if sum(out) != 1:
-        raise CertificateError(f"nu_p at p={locus.p} has total mass {sum(out)}")
-    return out

@@ -16,7 +16,6 @@ from cmreduce.quatalg import (
     QuaternionAlgebra,
     QuatElement,
     _det3,
-    _det4,
     _qnorm,
     _unreduce,
     find_optimal_embedding,
@@ -26,6 +25,16 @@ from cmreduce.quatalg import (
     quaternion_data,
     ramified_places,
 )
+
+
+def _det4(m) -> int:
+    # cofactor expansion, exact
+    total = 0
+    for col in range(4):
+        minor = [[m[r][c] for c in range(4) if c != col] for r in range(1, 4)]
+        term = m[0][col] * _det3(minor)
+        total += term if col % 2 == 0 else -term
+    return total
 
 
 def least_bp_pair(p: int) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -31,6 +32,27 @@ def test_classgroup(capsys):
     code, out, _ = run_capture(capsys, ["classgroup", "--D", "-23", "--json"])
     data = json.loads(out)
     assert data["h"] == 3 and data["D"] == "-23"
+
+
+# D = -1127 = -23 * 7^2: a non-fundamental discriminant, h = 24
+FORMS_1127 = (
+    (1, 1, 282), (2, -1, 141), (2, 1, 141), (3, -1, 94), (3, 1, 94), (4, -3, 71), (4, 3, 71), (6, -5, 48),
+    (6, -1, 47), (6, 1, 47), (6, 5, 48), (8, -5, 36), (8, 5, 36), (9, -5, 32), (9, 5, 32), (12, -11, 26),
+    (12, -5, 24), (12, 5, 24), (12, 11, 26), (13, -11, 24), (13, 11, 24), (16, -5, 18), (16, 5, 18), (18, 13, 18),
+)
+
+
+def test_classgroup_output_is_pinned(capsys):
+    # the exact bytes of both output formats, key order and spacing included
+    code, out, _ = run_capture(capsys, ["classgroup", "--D", "-23", "--json"])
+    assert code == 0
+    assert out == '{"D": "-23", "forms": [[1, 1, 6], [2, -1, 3], [2, 1, 3]], "h": 3}\n'
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("e90cd7ccbd5463b6")
+    code, out, _ = run_capture(capsys, ["classgroup", "--D", "-1127"])
+    assert code == 0
+    assert out == "D = -1127\nh = 24\n" + "".join(f"({a}, {b}, {c})\n" for a, b, c in FORMS_1127)
+    code, out, _ = run_capture(capsys, ["classgroup", "--D", "-1127", "--json"])
+    assert out == json.dumps({"D": "-1127", "forms": [list(f) for f in FORMS_1127], "h": 24}) + "\n"
 
 
 def test_classpoly(capsys):

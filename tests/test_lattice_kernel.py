@@ -19,7 +19,6 @@ from cmreduce.quatalg import (
     GrossLattice,
     Lattice4,
     _det3,
-    _det4,
     _fincke_pohst,
     _lll_gram,
     _neighbor_ideals,
@@ -33,7 +32,7 @@ from cmreduce.quatalg import (
     quaternion_data,
     right_order,
 )
-from quat_oracles import box_size, box_vectors, conjugate, least_primitive_gross_vectors
+from quat_oracles import _det4, box_size, box_vectors, conjugate, least_primitive_gross_vectors
 
 PRIMES = (5, 11, 23, 37)
 BOX_CAP = 10**5

@@ -10,7 +10,6 @@ from cmreduce.numbase import (
     exact_sqrt_fraction,
     factorize,
     is_prime,
-    isqrt,
     kronecker,
     primes_up_to,
     squarefree_part,
@@ -69,22 +68,6 @@ def test_is_prime_matches_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2000):
         assert is_prime(n) == (n in sieve)
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(24) == 4
-    assert isqrt(10**40) == 10**20
-    with pytest.raises(DomainError):
-        isqrt(-1)
-
-
-def test_isqrt_postcondition_random_256bit():
-    rng = random.Random(999)
-    for _ in range(10**4):
-        n = rng.getrandbits(256)
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 def test_factorize_and_squarefree():

@@ -39,6 +39,7 @@ from cmreduce.quatalg import (
 )
 from cmreduce.ssenum import enumerate_ss
 from quat_oracles import (
+    _det4,
     embedding_preimage_lattice,
     least_bp_pair,
     reconstruct_order_from_gross,
@@ -163,6 +164,7 @@ def test_mat2_order_gram_det_is_one():
     lat = Lattice4.from_elements(B, [e11, e12, e21, e22])
     order = Order(lattice=lat)
     assert order.is_multiplicatively_closed()
+    assert abs(_det_of_gram(order)) == 1
     assert order.reduced_discriminant == 1
     # sanity: the quaternion model reproduces matrix multiplication
     assert e11 * e12 == e12 and e12 * e21 == e11 and e21 * e12 == e22
@@ -221,11 +223,31 @@ def test_maximal_orders_certified(p):
 
 
 def _det_of_gram(order):
-    from cmreduce.quatalg import _det4
-
     T = order.lattice.trace_gram()
     num = _det4(T)
     return Fraction(num, order.lattice.den**8)
+
+
+def test_reduced_discriminant_is_the_gram_determinant_route():
+    # 4 |ab| covolume against sqrt |det Trd(e_i conj(e_j))|, on every right
+    # order of a class set and on the non-maximal orders Z + qO
+    checked = 0
+    for p in primes_up_to(200):
+        if p < 5:
+            continue
+        _, O, cls = quaternion_data(p)
+        orders = list(cls.right_orders)
+        for q in (2, 3):
+            lat = O.lattice
+            rows = [[q * x for x in r] for r in lat.mat] + [[lat.den, 0, 0, 0]]
+            sub = Order(lattice=Lattice4.from_rows(O.alg, rows, lat.den))
+            assert sub.is_multiplicatively_closed()
+            assert sub.reduced_discriminant == q**3 * p
+            orders.append(sub)
+        for order in orders:
+            assert abs(_det_of_gram(order)) == order.reduced_discriminant**2, p
+            checked += 1
+    assert checked > 200
 
 
 def test_gross_lattice():

@@ -14,7 +14,6 @@ from cmreduce.reduction import (
     exceptional_fields,
     fiber_multiset_crosscheck,
     joint_reduce,
-    nu_infty_y_mass,
     reduce_archimedean,
     reduce_at_prime,
     scan,
@@ -29,9 +28,6 @@ def test_reduce_archimedean_examples():
     assert stats.h == 3
     assert abs(stats.min_im - math.sqrt(23) / 4) < 1e-12
     assert abs(NU_INFTY_Y2 - 0.477464829276) < 1e-10
-    assert abs(nu_infty_y_mass(2.0) - NU_INFTY_Y2) < 1e-15
-    with pytest.raises(DomainError):
-        nu_infty_y_mass(0.5)
 
 
 def test_reduce_at_prime_minus23_at_5():
@@ -128,8 +124,8 @@ def test_picard_equivariance_multiset():
         assert translated == Counter(m.values())
 
 
-def test_fiber_crosscheck_examples(tmp_path, monkeypatch):
-    assert fiber_multiset_crosscheck(-23, 5, cache_dir=str(tmp_path))
+def test_fiber_crosscheck_examples(monkeypatch):
+    assert fiber_multiset_crosscheck(-23, 5)
     assert fiber_multiset_crosscheck(-4, 11)
     honest = reduction.reduce_at_prime
 
@@ -140,7 +136,7 @@ def test_fiber_crosscheck_examples(tmp_path, monkeypatch):
         return m
 
     monkeypatch.setattr(reduction, "reduce_at_prime", one_form_moved)
-    assert not fiber_multiset_crosscheck(-23, 5, cache_dir=str(tmp_path))
+    assert not fiber_multiset_crosscheck(-23, 5)
 
 
 def test_fiber_crosscheck_batch():

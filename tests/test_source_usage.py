@@ -1,12 +1,15 @@
 """No test-only or dead code in src/: every function and class defined
 under src/cmreduce is referred to from src/cmreduce, outside its own body,
-or is exported in its module's __all__, or is on the allow-list below; and
-every name a module imports is used in that module or exported."""
+or is exported in its module's __all__, or is on the allow-list below;
+every export is referred to from src/cmreduce or imported by the
+acceptance suite, which states the paper's criteria; and every name a
+module imports is used in that module or exported."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmreduce"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # read from outside src/: `basis`, the element view of a lattice, by users
 # and tests
@@ -56,6 +59,21 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def unused_exports(sources: dict[str, str], acceptance: str) -> list[str]:
+    """`module.name` for each name in a module's __all__ that no module
+    refers to outside its own body and the acceptance suite does not import."""
+    used: set[str] = set()
+    for text in sources.values():
+        _references(ast.parse(text), frozenset(), used)
+    for node in ast.walk(ast.parse(acceptance)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    found = []
+    for name, text in sorted(sources.items()):
+        found += [f"{name}.{d}" for d in sorted(_exports(ast.parse(text))) if d not in used]
+    return found
+
+
 def unused_imports(sources: dict[str, str]) -> list[str]:
     """`module.name` for each imported name its module never loads."""
     found = []
@@ -86,6 +104,17 @@ def test_a_function_only_its_own_body_calls_is_flagged():
     sources = _sources()
     sources["quadforms"] += "\n\ndef _planted(n):\n    return _planted(n - 1) if n else 0\n"
     assert unreferenced(sources) == ["quadforms._planted"]
+
+
+def test_every_export_is_used_in_src_or_by_the_acceptance_suite():
+    assert unused_exports(_sources(), ACCEPTANCE.read_text(encoding="utf-8")) == []
+
+
+def test_an_export_only_tests_use_is_flagged():
+    sources = _sources()
+    sources["ssenum"] = sources["ssenum"].replace('"enumerate_ss",', '"enumerate_ss",\n    "nu_p",')
+    sources["ssenum"] += "\n\ndef nu_p(locus):\n    return [1 / pt.weight for pt in locus.points]\n"
+    assert unused_exports(sources, ACCEPTANCE.read_text(encoding="utf-8")) == ["ssenum.nu_p"]
 
 
 def test_every_name_imported_in_src_is_used_or_exported():

@@ -9,7 +9,7 @@ from cmreduce import ssenum
 from cmreduce.errors import BudgetError, CertificateError, DomainError
 from cmreduce.ffield import fp2_construct, frobenius
 from cmreduce.numbase import is_prime, primes_up_to
-from cmreduce.ssenum import enumerate_ss, is_supersingular_j, nu_p, weierstrass_from_j
+from cmreduce.ssenum import enumerate_ss, is_supersingular_j, weierstrass_from_j
 
 
 def test_is_supersingular_examples():
@@ -70,15 +70,6 @@ def test_frobenius_stability():
         locus = enumerate_ss(p)
         js = {pt.j for pt in locus.points}
         assert {frobenius(j, locus.ctx) for j in js} == js
-
-
-def test_nu_p():
-    l13 = enumerate_ss(13)
-    assert nu_p(l13) == [Fraction(1)]
-    l11 = enumerate_ss(11)
-    assert nu_p(l11) == [Fraction(2, 5), Fraction(3, 5)]
-    l23 = enumerate_ss(23)
-    assert sum(nu_p(l23)) == 1
 
 
 def test_weierstrass_models_nonsingular():
