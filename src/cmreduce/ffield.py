@@ -1,10 +1,16 @@
-"""Arithmetic in F_p and F_{p^2} and univariate polynomial algebra over them.
+"""Arithmetic in F_p and F_{p^2}, univariate polynomials over them, and
+their roots in F_{p^2}.
 
 F_{p^2} is realized as F_p[t]/(t^2 - nu) for the least positive quadratic
 non-residue nu mod p, so element encodings are reproducible across runs.
 Elements are pairs (x, y) meaning x + y*t with 0 <= x, y < p.  Polynomials
 are dense coefficient lists of such pairs, lowest degree first, with no
 trailing zero coefficients.  p = 2, 3 are excluded everywhere.
+
+Root finding runs in F_p[X] (roots_with_multiplicity): the powering
+(FfPoly.pow_mod, on packed integers from degree 8 on), the gcds and the
+splitting work on lists of integer coefficients, and only the roots are
+elements of F_{p^2}.
 """
 
 from __future__ import annotations
@@ -212,41 +218,95 @@ class FfPoly:
     def __floordiv__(self, other: "FfPoly") -> "FfPoly":
         return self.divmod(other)[0]
 
-    def gcd(self, other: "FfPoly") -> "FfPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
-
     def pow_mod(self, e: int, mod: "FfPoly") -> "FfPoly":
-        base = self % mod
-        if mod.degree >= _PACKED_MIN_DEGREE:
-            return _PackedModulus(mod).pow(base, e)
-        result = FfPoly([(1, 0)], self.ctx)
-        for bit in bin(e)[2:]:
-            result = (result * result) % mod
-            if bit == "1":
-                result = (result * base) % mod
-        return result
+        """self^e mod `mod` for self and mod in F_p[X]; DomainError when a
+        coefficient of either lies outside F_p.  From modulus degree
+        _PACKED_MIN_DEGREE on, each product is one integer product
+        (_PackedModulus)."""
+        p = self.ctx.p
+        f = _fp_coeffs(mod.monic())
+        base = _fp_divmod(_fp_coeffs(self), f, p)[1]
+        if len(f) - 1 >= _PACKED_MIN_DEGREE:
+            out = _PackedModulus(f, p).pow(base, e)
+        else:
+            out = [1]
+            for bit in bin(e)[2:]:
+                out = _fp_divmod(_fp_mul(out, out), f, p)[1]
+                if bit == "1":
+                    out = _fp_divmod(_fp_mul(out, base), f, p)[1]
+        return FfPoly([(c, 0) for c in out], self.ctx)
+
+
+# -- F_p[X] on coefficient lists: integers in [0, p), lowest degree first,
+# no trailing zeros --------------------------------------------------------
+
+
+def _fp_coeffs(a: FfPoly) -> list[int]:
+    if any(y for _, y in a.coeffs):
+        raise DomainError(f"{a!r} has a coefficient outside F_{a.ctx.p}")
+    return [x for x, _ in a.coeffs]
+
+
+def _fp_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product, coefficients not reduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(b)] = [u + x * v for u, v in zip(out[i : i + len(b)], b)]
+    return out
+
+
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a (coefficients in any range) by b != 0."""
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) <= db:
+        quo = []
+    else:
+        inv = pow(b[-1], -1, p)
+        low = b[:db]
+        quo = [0] * (len(rem) - db)
+        # the working coefficients are unreduced; each is reduced mod p only
+        # when it becomes the leading term or part of the remainder
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k] % p * inv % p
+            if c:
+                quo[k - db] = c
+                rem[k - db : k] = [u - c * v for u, v in zip(rem[k - db : k], low)]
+        del rem[db:]
+    rem = [u % p for u in rem]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quo, rem
+
+
+def _fp_gcd(a: FfPoly, b: FfPoly) -> FfPoly:
+    """The monic gcd of a and b in F_p[X], not both zero."""
+    p = a.ctx.p
+    u, v = _fp_coeffs(a), _fp_coeffs(b)
+    while v:
+        u, v = v, _fp_divmod(u, v, p)[1]
+    inv = pow(u[-1], -1, p)
+    return FfPoly([(c * inv % p, 0) for c in u], a.ctx)
 
 
 # From this modulus degree on, pow_mod multiplies packed integers; below it
 # the pack and unpack cost more than the schoolbook products they replace
-# (the cubics of the 2-isogeny walk take the schoolbook path).
+# (H_D of degree 1 to 3 and the cubic that start the 2-isogeny walk take
+# the schoolbook path).
 _PACKED_MIN_DEGREE = 8
 
 
 class _PackedModulus:
-    """Products modulo f of degree n >= 2 as single integer products
-    (Kronecker substitution).
+    """Products modulo a monic f in F_p[X] of degree n >= 2 as single
+    integer products (Kronecker substitution).
 
-    A polynomial sum (x_i + y_i t) X^i with x_i, y_i in [0, p) is the
-    integer with x_i in slot 3i and y_i in slot 3i + 1, each slot W bytes,
-    slot 3i + 2 empty: X = 256^(3W) and t = 256^W.  In a product, slot 3k
-    holds the sum of x x', slot 3k + 1 that of x y' + y x', and slot 3k + 2
-    that of y y', the t^2 part, which unpacking folds into slot 3k times nu.
-    For factors of at most n coefficients every slot is below
-    2n(p - 1)^2 < 256^W, so no slot carries into the next.
+    A polynomial sum a_i X^i with a_i in [0, p) is the integer with a_i in
+    slot i, each slot W bytes: X = 256^W.  In a product of two factors of
+    at most n coefficients every slot is below n(p - 1)^2 < 256^W, so no
+    slot carries into the next.
 
     With mu = floor(X^(2n-2) / f), a = a_hi X^n + a_lo of degree <= 2n - 2
     has quotient floor(a / f) = floor(a_hi mu / X^(n-2)) exactly: the rest
@@ -254,52 +314,44 @@ class _PackedModulus:
     polynomial part.  So a mod f = a_lo - (q f) mod X^n, with no correction.
     """
 
-    def __init__(self, f: FfPoly):
-        ctx = f.ctx
-        n = f.degree
-        self.ctx, self.n = ctx, n
-        self.width = ((2 * n * (ctx.p - 1) ** 2).bit_length() + 7) // 8
-        mu = FfPoly([(0, 0)] * (2 * n - 2) + [(1, 0)], ctx) // f
-        self.mu = self.pack(mu.coeffs)
-        self.f_low = self.pack(f.coeffs[:n])
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.width = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+        self.mu = self.pack(_fp_divmod([0] * (2 * n - 2) + [1], f, p)[0])
+        self.f_low = self.pack(f[:n])
 
-    def pack(self, coeffs) -> int:
+    def pack(self, coeffs: list[int]) -> int:
         w = self.width
-        empty = bytes(w)
-        return int.from_bytes(
-            b"".join(x.to_bytes(w, "little") + y.to_bytes(w, "little") + empty for x, y in coeffs),
-            "little",
-        )
+        return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
-    def unpack(self, v: int, lo: int, hi: int) -> list[Fp2]:
-        """Coefficients lo .. hi - 1 of the packed product v, reduced."""
-        p, nu, w = self.ctx.p, self.ctx.nu, self.width
+    def unpack(self, v: int, lo: int, hi: int) -> list[int]:
+        """Slots lo .. hi - 1 of v, not reduced."""
+        w = self.width
         raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
         get = int.from_bytes
-        s = 3 * w
-        return [
-            ((get(raw[i : i + w], "little") + nu * get(raw[i + 2 * w : i + s], "little")) % p,
-             get(raw[i + w : i + 2 * w], "little") % p)
-            for i in range(s * lo, s * hi, s)
-        ]
+        return [get(raw[i : i + w], "little") for i in range(w * lo, w * hi, w)]
 
     def mulmod(self, a: int, b: int) -> int:
-        n, p = self.n, self.ctx.p
+        n, p = self.n, self.p
         c = self.unpack(a * b, 0, 2 * n - 1)
-        q = self.unpack(self.pack(c[n:]) * self.mu, n - 2, 2 * n - 3)
-        qf = self.unpack(self.pack(q) * self.f_low, 0, n)
-        return self.pack([((x - u) % p, (y - v) % p) for (x, y), (u, v) in zip(c, qf)])
+        q = self.unpack(self.pack([u % p for u in c[n:]]) * self.mu, n - 2, 2 * n - 3)
+        qf = self.unpack(self.pack([u % p for u in q]) * self.f_low, 0, n)
+        return self.pack([(u - v) % p for u, v in zip(c, qf)])
 
-    def pow(self, base: FfPoly, e: int) -> FfPoly:
+    def pow(self, base: list[int], e: int) -> list[int]:
         """base^e mod f for base of degree < n, left to right."""
         if e == 0:
-            return FfPoly([(1, 0)], self.ctx)
-        b = r = self.pack(base.coeffs)
+            return [1]
+        b = r = self.pack(base)
         for bit in bin(e)[3:]:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, b)
-        return FfPoly(self.unpack(r, 0, self.n), self.ctx)
+        out = self.unpack(r, 0, self.n)
+        while out and out[-1] == 0:
+            out.pop()
+        return out
 
 
 def _stable_seed(p: int, f: FfPoly) -> int:
@@ -354,24 +406,21 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
     return ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)
 
 
-# (r + c)^((q-1)/2) differs between two distinct roots r for about half
-# of all c (a Jacobsthal sum), so a correct split fails this many draws in
-# a row with probability about 2^-64
+# a correct split fails with probability about 1/2 per draw (see _split),
+# so this many draws in a row fail with probability about 2^-64
 _MAX_DRAWS = 64
 
 
-def _split_power(g: FfPoly, xp: FfPoly, c: Fp2) -> FfPoly:
-    """(X + c)^((q-1)/2) mod g from xp = X^p mod g, as the norm
-    ((X + c)(X^p + c^p))^((p-1)/2): (q-1)/2 = (p+1)(p-1)/2, and a -> a^p
-    is a ring map of F_{p^2}[X]/(g), so (X + c)^p = X^p + c^p."""
-    ctx = g.ctx
-    norm = FfPoly([c, (1, 0)], ctx) * (xp + FfPoly([frobenius(c, ctx)], ctx))
-    return norm.pow_mod((ctx.p - 1) // 2, g)
+def _split(g: FfPoly, xp: FfPoly | None, rng: random.Random) -> list[Fp2]:
+    """Roots in F_{p^2} of g, a monic product of distinct irreducibles over
+    F_p that are all linear (xp is None) or all quadratic (xp = X^p mod g).
 
-
-def _distinct_roots(g: FfPoly, xp: FfPoly, rng: random.Random) -> list[Fp2]:
-    """Roots of a monic product of distinct linear factors over F_{p^2},
-    given xp = X^p mod g."""
+    For c in F_p, s = (X + c)^((p-1)/2), or for quadratics the norm
+    ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
+    is the Legendre symbol of r + c, or of the norm (r + c)(r^p + c^p) of
+    r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
+    c.  A factor of degree 2 is solved by the quadratic formula.
+    """
     ctx = g.ctx
     if g.degree == 0:
         return []
@@ -379,41 +428,56 @@ def _distinct_roots(g: FfPoly, xp: FfPoly, rng: random.Random) -> list[Fp2]:
         return [ctx.neg(g.coeffs[0])]
     if g.degree == 2:
         return list(quadratic_roots(g.coeffs[1], g.coeffs[0], ctx))
-    one = FfPoly([(1, 0)], ctx)
+    x, one = FfPoly.x(ctx), FfPoly([1], ctx)
     for _ in range(_MAX_DRAWS):
-        c = (rng.randrange(ctx.p), rng.randrange(ctx.p))
-        g1 = g.gcd(_split_power(g, xp, c) - one)
+        c = FfPoly([rng.randrange(ctx.p)], ctx)
+        base = x + c if xp is None else (x + c) * (xp + c)
+        g1 = _fp_gcd(g, base.pow_mod((ctx.p - 1) // 2, g) - one)
         if 0 < g1.degree < g.degree:
-            g2 = g // g1
-            return _distinct_roots(g1, xp % g1, rng) + _distinct_roots(g2, xp % g2, rng)
+            return [r for h in (g1, g // g1) for r in _split(h, None if xp is None else xp % h, rng)]
     raise CertificateError(f"no split of a degree-{g.degree} factor in {_MAX_DRAWS} draws")
 
 
 def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, int]:
     """All roots of f in F_{p^2} with exact multiplicities.
 
-    X^p mod f is computed once and raised to the p-th power for X^q, and
-    the distinct roots are those of g = gcd(f, X^q - X).  Seeded
-    equal-degree splitting takes gcd(g, (X + c)^((q-1)/2) - 1) for random
-    c, with the power computed as the norm ((X + c)(X^p + c^p))^((p-1)/2)
-    from X^p mod g; a factor of degree 2 is solved by the quadratic
-    formula with one square root in F_{p^2}.  Multiplicities come from
-    deflating f / g, which holds each root once less.
+    The root finding runs in F_p[X], on F = f when every coefficient of f
+    lies in F_p and on F = f f^sigma otherwise (sigma is Frobenius on the
+    coefficients), whose roots hold those of f.  With xp = X^p mod F and
+    X^(p^2) = xp^p mod F, g = gcd(F, X^(p^2) - X) is the product of the
+    distinct roots, g_lin = gcd(g, xp - X) that of the roots in F_p, and
+    g / g_lin a product of distinct quadratics irreducible over F_p; _split
+    takes each apart.  A root r of F counts when f(r) = 0, and its
+    multiplicity comes from deflating f by X - r.  ctx, when given, must be
+    the context of f.
     """
-    ctx = ctx or f.ctx
+    if ctx is not None and ctx != f.ctx:
+        raise DomainError(f"roots over F_{ctx.p}^2 of a polynomial over F_{f.ctx.p}^2")
+    ctx = f.ctx
     if f.is_zero():
         raise DomainError("roots of the zero polynomial")
     if f.degree == 0:
         return {}
     fm = f.monic()
+    conj = FfPoly([frobenius(c, ctx) for c in fm.coeffs], ctx)
+    F = fm if conj == fm else fm * conj
     x = FfPoly.x(ctx)
-    xp = x.pow_mod(ctx.p, fm)
-    g = fm.gcd(xp.pow_mod(ctx.p, fm) - x)
+    xp = x.pow_mod(ctx.p, F)
+    g = _fp_gcd(F, xp.pow_mod(ctx.p, F) - x)
+    xp = xp % g
+    g_lin = _fp_gcd(g, xp - x)
+    g_quad = g // g_lin
     rng = random.Random(_stable_seed(ctx.p, fm))
-    roots = sorted(_distinct_roots(g, xp % g, rng))
-    out = dict.fromkeys(roots, 1)
-    rest = fm // g
-    for r in roots:
+    roots = sorted(_split(g_lin, None, rng) + _split(g_quad, xp % g_quad, rng))
+    if F is fm:
+        out, rest = dict.fromkeys(roots, 1), fm // g
+    else:
+        out, rest = {}, fm
+        for r in roots:
+            quo, rem = rest.divmod(FfPoly([ctx.neg(r), (1, 0)], ctx))
+            if rem.is_zero():
+                out[r], rest = 1, quo
+    for r in out:
         lin = FfPoly([ctx.neg(r), (1, 0)], ctx)
         while rest.degree > 0:
             quo, rem = rest.divmod(lin)

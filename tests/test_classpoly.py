@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from cmreduce.classpoly import ClassPolynomial, classpoly_mod, hilbert_class_poly, j_eval
-from cmreduce.errors import DomainError
+from cmreduce.errors import DomainError, PrecisionError
 from cmreduce.quadforms import QuadForm, cm_point, reduced_forms
 
 
@@ -155,3 +155,53 @@ def test_hilbert_class_poly_is_computed_once_per_discriminant(monkeypatch, tmp_p
     assert hilbert_class_poly(-191, cache_dir=cache) == first
     assert open(path, encoding="utf-8").read() == first.to_json()
     assert calls == []
+
+
+def _plant_a_miss(monkeypatch, d, every_precision):
+    """Move coefficient 1 of H_d 0.4 off its integer before rounding, at the
+    first working precision only or at every one; the list returned fills
+    with the working precisions of the full products."""
+    from cmreduce import classpoly
+
+    h = len(reduced_forms(d))
+    tree = classpoly._product_tree
+    precisions = []
+
+    def planted(polys):
+        out = tree(polys)
+        if len(out) == h + 1:  # the full product, not a subtree
+            precisions.append(mpmath.mp.prec)
+            if every_precision or len(precisions) == 1:
+                out = list(out)
+                out[1] += 0.4
+        return out
+
+    monkeypatch.setattr(classpoly, "_product_tree", planted)
+    classpoly._compute.cache_clear()
+    return precisions
+
+
+def test_a_coefficient_missing_its_integer_doubles_the_precision(monkeypatch):
+    from cmreduce import classpoly
+
+    classpoly._compute.cache_clear()
+    expected = hilbert_class_poly(-191)
+    precisions = _plant_a_miss(monkeypatch, -191, every_precision=False)
+    try:
+        assert hilbert_class_poly(-191) == expected
+    finally:
+        classpoly._compute.cache_clear()
+    # _assemble works at bits + 48
+    assert len(precisions) == 2 and precisions[1] - 48 == 2 * (precisions[0] - 48)
+
+
+def test_a_coefficient_missing_at_every_precision_raises(monkeypatch):
+    from cmreduce import classpoly
+
+    precisions = _plant_a_miss(monkeypatch, -191, every_precision=True)
+    try:
+        with pytest.raises(PrecisionError):
+            hilbert_class_poly(-191)
+    finally:
+        classpoly._compute.cache_clear()
+    assert len(precisions) == classpoly._MAX_DOUBLINGS + 1

@@ -7,8 +7,9 @@ import pytest
 
 from cmreduce import ssenum
 from cmreduce.errors import BudgetError, CertificateError, DomainError
-from cmreduce.ffield import fp2_construct, frobenius
-from cmreduce.numbase import is_prime, primes_up_to
+from cmreduce.classpoly import classpoly_mod, hilbert_class_poly
+from cmreduce.ffield import FfPoly, fp2_construct, frobenius, roots_with_multiplicity
+from cmreduce.numbase import is_prime, kronecker, primes_up_to
 from cmreduce.ssenum import enumerate_ss, is_supersingular_j, weierstrass_from_j
 
 
@@ -120,6 +121,23 @@ def test_walk_matches_hasse_scan():
             continue
         scan = [j for j in itertools.product(range(p), repeat=2) if is_supersingular_j(j, p)]
         assert [pt.j for pt in enumerate_ss(p).points] == scan, p
+
+
+def test_roots_of_class_polynomials_at_inert_primes_are_supersingular():
+    # Deuring: for p inert in the order of discriminant D, H_D mod p splits
+    # over F_(p^2) and every root is a supersingular j
+    for p in primes_up_to(200):
+        if p < 5:
+            continue
+        points = {pt.j for pt in enumerate_ss(p).points}
+        ctx = fp2_construct(p)
+        for d in range(3, 301):
+            if -d % 4 not in (0, 1) or kronecker(-d, p) != -1:
+                continue
+            H = hilbert_class_poly(-d)
+            roots = roots_with_multiplicity(FfPoly(classpoly_mod(H, p), ctx))
+            assert set(roots) <= points, (p, -d)
+            assert sum(roots.values()) == H.degree, (p, -d)
 
 
 def _phi2(x, y):
