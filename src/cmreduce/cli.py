@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import (
-    BudgetError,
     CertificateError,
     ConfigError,
     DomainError,
@@ -392,7 +391,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_DOMAIN
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, ConfigError, NotRepresented, BudgetError) as exc:
+    except (DomainError, ConfigError, NotRepresented) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except (CertificateError, PrecisionError) as exc:

@@ -9,10 +9,6 @@ class ConfigError(ValueError):
     """Invalid configuration (overlapping prime lists, bad ranges, ...)."""
 
 
-class BudgetError(RuntimeError):
-    """Requested computation exceeds the desk-scale budget of the implementation."""
-
-
 class PrecisionError(RuntimeError):
     """Floating-point precision could not be certified even after retries."""
 

@@ -1,16 +1,17 @@
-"""Arithmetic in F_p and F_{p^2}, univariate polynomials over them, and
-their roots in F_{p^2}.
+"""Arithmetic in F_p and F_{p^2}, and the roots in F_{p^2} of polynomials
+over F_p.
 
 F_{p^2} is realized as F_p[t]/(t^2 - nu) for the least positive quadratic
 non-residue nu mod p, so element encodings are reproducible across runs.
-Elements are pairs (x, y) meaning x + y*t with 0 <= x, y < p.  Polynomials
-are dense coefficient lists of such pairs, lowest degree first, with no
-trailing zero coefficients.  p = 2, 3 are excluded everywhere.
+Elements are pairs (x, y) meaning x + y*t with 0 <= x, y < p.  p = 2, 3 are
+excluded everywhere.
 
-Root finding runs in F_p[X] (roots_with_multiplicity): the powering
-(FfPoly.pow_mod, on packed integers from degree 8 on), the gcds and the
-splitting work on lists of integer coefficients, and only the roots are
-elements of F_{p^2}.
+Root finding (roots_with_multiplicity) takes a polynomial over F_p: every
+polynomial whose roots the package needs, H_D mod p and the cubic
+Phi_2(j, Y) at an F_p-rational j, has its coefficients there.  The
+powering (FfPoly.pow_mod, on packed integers from degree 8 on), the gcds,
+the splitting and the deflation all run on lists of integer coefficients;
+only the roots are elements of F_{p^2}.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 from .errors import CertificateError, DomainError
 from .numbase import is_prime, kronecker
@@ -28,7 +30,6 @@ __all__ = [
     "fp2_construct",
     "FfPoly",
     "roots_with_multiplicity",
-    "frobenius",
     "quadratic_roots",
 ]
 
@@ -64,17 +65,8 @@ class Fp2Ctx:
         p, nu = self.p, self.nu
         return ((a[0] * b[0] + nu * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
 
-    def inv(self, a: Fp2) -> Fp2:
-        p, nu = self.p, self.nu
-        n = (a[0] * a[0] - nu * a[1] * a[1]) % p
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in F_p^2")
-        ninv = pow(n, p - 2, p)
-        return (a[0] * ninv % p, -a[1] * ninv % p)
-
     def pow(self, a: Fp2, e: int) -> Fp2:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0."""
         result: Fp2 = (1, 0)
         base = a
         while e:
@@ -98,134 +90,33 @@ def fp2_construct(p: int) -> Fp2Ctx:
     return Fp2Ctx(p=p, nu=nu)
 
 
-def frobenius(a: Fp2, ctx: Fp2Ctx) -> Fp2:
-    """x + y*t -> (x + y*t)^p = x - y*t (t^p = -t since nu is a non-residue)."""
-    return (a[0], -a[1] % ctx.p)
-
-
 class FfPoly:
-    """Dense univariate polynomial over F_{p^2} (F_p embeds via y = 0)."""
+    """A polynomial over F_p: its coefficients are integers in [0, p),
+    lowest degree first, with no trailing zeros.  A coefficient may be given
+    as an element (x, 0) of F_{p^2}; one with a nonzero t-part raises
+    DomainError."""
 
     __slots__ = ("coeffs", "ctx")
 
     def __init__(self, coeffs, ctx: Fp2Ctx):
-        cs = [c if isinstance(c, tuple) else ctx.el(c) for c in coeffs]
-        while cs and cs[-1] == (0, 0):
-            cs.pop()
-        self.coeffs = cs
+        p = ctx.p
+        cs = []
+        for c in coeffs:
+            if isinstance(c, tuple):
+                if c[1] % p:
+                    raise DomainError(f"coefficient {ctx.serialize(ctx.el(*c))} lies outside F_{p}")
+                c = c[0]
+            cs.append(c % p)
+        self.coeffs = _trim(cs)
         self.ctx = ctx
 
-    # -- basics ------------------------------------------------------------
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FfPoly) and self.coeffs == other.coeffs and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((tuple(self.coeffs), self.ctx))
-
-    def __repr__(self):
-        return f"FfPoly({self.coeffs}, p={self.ctx.p})"
-
-    @classmethod
-    def x(cls, ctx: Fp2Ctx) -> "FfPoly":
-        return cls([(0, 0), (1, 0)], ctx)
-
-    def monic(self) -> "FfPoly":
-        if self.is_zero():
-            raise DomainError("monic form of the zero polynomial")
-        lead = self.coeffs[-1]
-        if lead == (1, 0):
-            return self
-        inv = self.ctx.inv(lead)
-        return FfPoly([self.ctx.mul(c, inv) for c in self.coeffs], self.ctx)
-
-    # -- ring operations ----------------------------------------------------
-    def __add__(self, other: "FfPoly") -> "FfPoly":
-        ctx = self.ctx
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = ctx.add(out[i], c)
-        return FfPoly(out, ctx)
-
-    def __sub__(self, other: "FfPoly") -> "FfPoly":
-        ctx = self.ctx
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            x = self.coeffs[i] if i < len(self.coeffs) else (0, 0)
-            y = other.coeffs[i] if i < len(other.coeffs) else (0, 0)
-            out.append(ctx.sub(x, y))
-        return FfPoly(out, ctx)
-
-    def __mul__(self, other: "FfPoly") -> "FfPoly":
-        ctx = self.ctx
-        if self.is_zero() or other.is_zero():
-            return FfPoly([], ctx)
-        p, nu = ctx.p, ctx.nu
-        a, b = self.coeffs, other.coeffs
-        out = [[0, 0] for _ in range(len(a) + len(b) - 1)]
-        for i, (x1, y1) in enumerate(a):
-            if x1 == 0 and y1 == 0:
-                continue
-            for j, (x2, y2) in enumerate(b):
-                cell = out[i + j]
-                cell[0] += x1 * x2 + nu * y1 * y2
-                cell[1] += x1 * y2 + y1 * x2
-        return FfPoly([(c[0] % p, c[1] % p) for c in out], ctx)
-
-    def divmod(self, other: "FfPoly") -> tuple["FfPoly", "FfPoly"]:
-        ctx = self.ctx
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        den = other.coeffs
-        dd = len(den) - 1
-        if len(self.coeffs) - 1 < dd:
-            return FfPoly([], ctx), FfPoly(self.coeffs, ctx)
-        p, nu = ctx.p, ctx.nu
-        li0, li1 = ctx.inv(den[-1])
-        # the working coefficients are unreduced integers; each is reduced
-        # mod p only when it becomes the leading term or part of the remainder
-        xs = [c[0] for c in self.coeffs]
-        ys = [c[1] for c in self.coeffs]
-        low = den[:dd]
-        q = [(0, 0)] * (len(xs) - dd)
-        for k in range(len(xs) - 1, dd - 1, -1):
-            a, b = xs[k] % p, ys[k] % p
-            cx, cy = (a * li0 + nu * b * li1) % p, (a * li1 + b * li0) % p
-            if cx == 0 and cy == 0:
-                continue
-            q[k - dd] = (cx, cy)
-            ncy = nu * cy
-            j = k - dd
-            for u, v in low:
-                xs[j] -= cx * u + ncy * v
-                ys[j] -= cx * v + cy * u
-                j += 1
-        return FfPoly(q, ctx), FfPoly([(x % p, y % p) for x, y in zip(xs[:dd], ys)], ctx)
-
-    def __mod__(self, other: "FfPoly") -> "FfPoly":
-        return self.divmod(other)[1]
-
-    def __floordiv__(self, other: "FfPoly") -> "FfPoly":
-        return self.divmod(other)[0]
-
     def pow_mod(self, e: int, mod: "FfPoly") -> "FfPoly":
-        """self^e mod `mod` for self and mod in F_p[X]; DomainError when a
-        coefficient of either lies outside F_p.  From modulus degree
+        """self^e mod `mod` (a nonzero polynomial).  From modulus degree
         _PACKED_MIN_DEGREE on, each product is one integer product
         (_PackedModulus)."""
         p = self.ctx.p
-        f = _fp_coeffs(mod.monic())
-        base = _fp_divmod(_fp_coeffs(self), f, p)[1]
+        f = _fp_monic(mod.coeffs, p)
+        base = _fp_divmod(self.coeffs, f, p)[1]
         if len(f) - 1 >= _PACKED_MIN_DEGREE:
             out = _PackedModulus(f, p).pow(base, e)
         else:
@@ -234,17 +125,27 @@ class FfPoly:
                 out = _fp_divmod(_fp_mul(out, out), f, p)[1]
                 if bit == "1":
                     out = _fp_divmod(_fp_mul(out, base), f, p)[1]
-        return FfPoly([(c, 0) for c in out], self.ctx)
+        return FfPoly(out, self.ctx)
 
 
 # -- F_p[X] on coefficient lists: integers in [0, p), lowest degree first,
 # no trailing zeros --------------------------------------------------------
 
 
-def _fp_coeffs(a: FfPoly) -> list[int]:
-    if any(y for _, y in a.coeffs):
-        raise DomainError(f"{a!r} has a coefficient outside F_{a.ctx.p}")
-    return [x for x, _ in a.coeffs]
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    """a - b, reduced."""
+    return _trim([(u - v) % p for u, v in zip_longest(a, b, fillvalue=0)])
 
 
 def _fp_mul(a: list[int], b: list[int]) -> list[int]:
@@ -276,20 +177,14 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
                 quo[k - db] = c
                 rem[k - db : k] = [u - c * v for u, v in zip(rem[k - db : k], low)]
         del rem[db:]
-    rem = [u % p for u in rem]
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+    return quo, _trim([u % p for u in rem])
 
 
-def _fp_gcd(a: FfPoly, b: FfPoly) -> FfPoly:
-    """The monic gcd of a and b in F_p[X], not both zero."""
-    p = a.ctx.p
-    u, v = _fp_coeffs(a), _fp_coeffs(b)
-    while v:
-        u, v = v, _fp_divmod(u, v, p)[1]
-    inv = pow(u[-1], -1, p)
-    return FfPoly([(c * inv % p, 0) for c in u], a.ctx)
+def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
 
 
 # From this modulus degree on, pow_mod multiplies packed integers; below it
@@ -354,9 +249,8 @@ class _PackedModulus:
         return out
 
 
-def _stable_seed(p: int, f: FfPoly) -> int:
-    blob = repr((p, f.coeffs)).encode()
-    return zlib.crc32(blob) ^ (p << 16)
+def _stable_seed(p: int, f: list[int]) -> int:
+    return zlib.crc32(repr((p, f)).encode()) ^ (p << 16)
 
 
 @lru_cache(maxsize=None)
@@ -411,9 +305,10 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
 _MAX_DRAWS = 64
 
 
-def _split(g: FfPoly, xp: FfPoly | None, rng: random.Random) -> list[Fp2]:
+def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) -> list[Fp2]:
     """Roots in F_{p^2} of g, a monic product of distinct irreducibles over
-    F_p that are all linear (xp is None) or all quadratic (xp = X^p mod g).
+    F_p that are all linear (xp is None) or all quadratic (xp = X^p modulo
+    a multiple of g).
 
     For c in F_p, s = (X + c)^((p-1)/2), or for quadratics the norm
     ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
@@ -421,68 +316,67 @@ def _split(g: FfPoly, xp: FfPoly | None, rng: random.Random) -> list[Fp2]:
     r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
     c.  A factor of degree 2 is solved by the quadratic formula.
     """
-    ctx = g.ctx
-    if g.degree == 0:
+    p = ctx.p
+    if len(g) == 1:
         return []
-    if g.degree == 1:
-        return [ctx.neg(g.coeffs[0])]
-    if g.degree == 2:
-        return list(quadratic_roots(g.coeffs[1], g.coeffs[0], ctx))
-    x, one = FfPoly.x(ctx), FfPoly([1], ctx)
+    if len(g) == 2:
+        return [(-g[0] % p, 0)]
+    if len(g) == 3:
+        return list(quadratic_roots(ctx.el(g[1]), ctx.el(g[0]), ctx))
+    if xp is not None:
+        xp = _fp_divmod(xp, g, p)[1]
+    mod = FfPoly(g, ctx)
     for _ in range(_MAX_DRAWS):
-        c = FfPoly([rng.randrange(ctx.p)], ctx)
-        base = x + c if xp is None else (x + c) * (xp + c)
-        g1 = _fp_gcd(g, base.pow_mod((ctx.p - 1) // 2, g) - one)
-        if 0 < g1.degree < g.degree:
-            return [r for h in (g1, g // g1) for r in _split(h, None if xp is None else xp % h, rng)]
-    raise CertificateError(f"no split of a degree-{g.degree} factor in {_MAX_DRAWS} draws")
+        c = rng.randrange(p)
+        base = [c, 1] if xp is None else _fp_mul([c, 1], [xp[0] + c, *xp[1:]])
+        s = FfPoly(base, ctx).pow_mod((p - 1) // 2, mod).coeffs
+        g1 = _fp_gcd(g, _fp_sub(s, [1], p), p)
+        if 1 < len(g1) < len(g):
+            return [r for h in (g1, _fp_divmod(g, g1, p)[0]) for r in _split(h, xp, ctx, rng)]
+    raise CertificateError(f"no split of a degree-{len(g) - 1} factor in {_MAX_DRAWS} draws")
 
 
 def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, int]:
-    """All roots of f in F_{p^2} with exact multiplicities.
+    """All roots in F_{p^2} of f, a polynomial over F_p, with exact
+    multiplicities.
 
-    The root finding runs in F_p[X], on F = f when every coefficient of f
-    lies in F_p and on F = f f^sigma otherwise (sigma is Frobenius on the
-    coefficients), whose roots hold those of f.  With xp = X^p mod F and
-    X^(p^2) = xp^p mod F, g = gcd(F, X^(p^2) - X) is the product of the
-    distinct roots, g_lin = gcd(g, xp - X) that of the roots in F_p, and
-    g / g_lin a product of distinct quadratics irreducible over F_p; _split
-    takes each apart.  A root r of F counts when f(r) = 0, and its
-    multiplicity comes from deflating f by X - r.  ctx, when given, must be
+    With F = f made monic, xp = X^p mod F and X^(p^2) = xp^p mod F,
+    g = gcd(F, X^(p^2) - X) is the product of the distinct roots,
+    g_lin = gcd(g, xp - X) that of the roots in F_p, and g / g_lin a product
+    of distinct quadratics irreducible over F_p; _split takes each apart.
+    The multiplicity of a root r in F_p comes from deflating F / g by X - r.
+    A root r = x + y t outside F_p has the conjugate r^p = x - y t with the
+    same multiplicity, and both come from one deflation of F / g by
+    (X - r)(X - r^p) = X^2 - 2x X + x^2 - nu y^2.  ctx, when given, must be
     the context of f.
     """
     if ctx is not None and ctx != f.ctx:
-        raise DomainError(f"roots over F_{ctx.p}^2 of a polynomial over F_{f.ctx.p}^2")
+        raise DomainError(f"roots over F_{ctx.p}^2 of a polynomial over F_{f.ctx.p}")
     ctx = f.ctx
-    if f.is_zero():
+    p = ctx.p
+    if not f.coeffs:
         raise DomainError("roots of the zero polynomial")
-    if f.degree == 0:
-        return {}
-    fm = f.monic()
-    conj = FfPoly([frobenius(c, ctx) for c in fm.coeffs], ctx)
-    F = fm if conj == fm else fm * conj
-    x = FfPoly.x(ctx)
-    xp = x.pow_mod(ctx.p, F)
-    g = _fp_gcd(F, xp.pow_mod(ctx.p, F) - x)
-    xp = xp % g
-    g_lin = _fp_gcd(g, xp - x)
-    g_quad = g // g_lin
-    rng = random.Random(_stable_seed(ctx.p, fm))
-    roots = sorted(_split(g_lin, None, rng) + _split(g_quad, xp % g_quad, rng))
-    if F is fm:
-        out, rest = dict.fromkeys(roots, 1), fm // g
-    else:
-        out, rest = {}, fm
-        for r in roots:
-            quo, rem = rest.divmod(FfPoly([ctx.neg(r), (1, 0)], ctx))
-            if rem.is_zero():
-                out[r], rest = 1, quo
-    for r in out:
-        lin = FfPoly([ctx.neg(r), (1, 0)], ctx)
-        while rest.degree > 0:
-            quo, rem = rest.divmod(lin)
-            if not rem.is_zero():
+    F = _fp_monic(f.coeffs, p)
+    x = [0, 1]
+    xp = FfPoly(x, ctx).pow_mod(p, f).coeffs
+    g = _fp_gcd(F, _fp_sub(FfPoly(xp, ctx).pow_mod(p, f).coeffs, x, p), p)
+    xp = _fp_divmod(xp, g, p)[1]
+    g_lin = _fp_gcd(g, _fp_sub(xp, x, p), p)
+    g_quad = _fp_divmod(g, g_lin, p)[0]
+    rng = random.Random(_stable_seed(p, F))
+    roots = sorted(_split(g_lin, None, ctx, rng) + _split(g_quad, xp, ctx, rng))
+    out = dict.fromkeys(roots, 0)
+    rest = _fp_divmod(F, g, p)[0]
+    for r in roots:
+        if out[r]:
+            continue  # r is the conjugate of a root counted before it
+        rx, ry = r
+        factor = [-rx % p, 1] if ry == 0 else [(rx * rx - ctx.nu * ry * ry) % p, -2 * rx % p, 1]
+        m = 1
+        while len(rest) >= len(factor):
+            quo, rem = _fp_divmod(rest, factor, p)
+            if rem:
                 break
-            out[r] += 1
-            rest = quo
+            rest, m = quo, m + 1
+        out[r] = out[(rx, -ry % p)] = m
     return out

@@ -22,7 +22,7 @@ from itertools import product
 
 from . import __version__
 from .classpoly import classpoly_mod, hilbert_class_poly
-from .errors import BudgetError, CertificateError, ConfigError, DomainError, NotRepresented
+from .errors import CertificateError, ConfigError, DomainError, NotRepresented
 from .ffield import FfPoly, fp2_construct, roots_with_multiplicity
 from .numbase import is_prime, squarefree_part
 from .quadforms import (
@@ -294,8 +294,7 @@ def fiber_multiset_crosscheck(D, p: int) -> bool:
     fiber_multiset = sorted(fibers.values())
     H = hilbert_class_poly(d)
     ctx = fp2_construct(p)
-    poly = FfPoly([ctx.el(c) for c in classpoly_mod(H, p)], ctx)
-    roots = roots_with_multiplicity(poly, ctx)
+    roots = roots_with_multiplicity(FfPoly(classpoly_mod(H, p), ctx), ctx)
     if sum(roots.values()) != H.degree:
         raise CertificateError(f"H_{d} mod {p} does not split over F_(p^2)")
     root_multiset = sorted(roots.values())
@@ -305,9 +304,6 @@ def fiber_multiset_crosscheck(D, p: int) -> bool:
 # ---------------------------------------------------------------------------
 # Characters
 # ---------------------------------------------------------------------------
-
-
-_CONDUCTOR_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -322,8 +318,6 @@ class CharacterSpec:
         for dd in self.factors:
             if dd == 1:
                 continue
-            if abs(dd) > _CONDUCTOR_BOUND:
-                raise BudgetError(f"|{dd}| exceeds the conductor bound")
             if not is_fundamental(dd):
                 raise DomainError(f"{dd} is not a fundamental discriminant")
 

@@ -7,8 +7,9 @@ neighbours of j are the roots of the cubic Phi_2(j, Y) in F_{p^2}.
 Phi_2 is symmetric, so every point but the start has the point it was
 reached from among these roots: its cubic is divided by Y - parent (a
 nonzero remainder raises CertificateError) and the quadratic left is
-solved with one square root in F_{p^2}.  The walk starts at a root of
-H_D mod p for the least |D| with (D/p) = -1, and two certificates make
+solved with one square root in F_{p^2}.  The walk starts at an F_p-rational
+root of H_D mod p for a D inert at p with h(D) odd (_start_discriminant), so
+root finding runs on polynomials over F_p only, and two certificates make
 the result exact: the start passes the Hasse test (so every point the
 walk reaches is supersingular), and the weights meet the Eichler mass
 sum 1/w = (p-1)/12 (so the walk reached every point).
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .classpoly import classpoly_mod, hilbert_class_poly
-from .errors import BudgetError, CertificateError, DomainError
+from .errors import CertificateError, DomainError
 from .ffield import FfPoly, Fp2, Fp2Ctx, fp2_construct, quadratic_roots, roots_with_multiplicity
 from .numbase import is_prime, kronecker
 
@@ -38,10 +39,6 @@ __all__ = [
     "enumerate_ss",
     "weierstrass_from_j",
 ]
-
-# the walk finds O(p) points with one square root in F_{p^2} each: under
-# a second at this p on one core
-_MAX_P = 100003
 
 # the classical modular polynomial of level 2: _PHI2[b][a] is the
 # coefficient of X^a Y^b in Phi_2(X, Y), which is symmetric in X and Y
@@ -176,7 +173,8 @@ def _phi2_neighbours(j: Fp2, ctx: Fp2Ctx, parent: Fp2 | None) -> list[Fp2]:
 
     Phi_2 is symmetric, so the j a walk came from is a root: it is divided
     out, and the quadratic left is solved by the formula.  Only the start
-    of the walk, which has no parent, goes through root finding."""
+    of the walk, which has no parent and lies in F_p, goes through root
+    finding."""
     cubic = []
     for row in _PHI2:
         c = (0, 0)
@@ -196,14 +194,30 @@ def _phi2_neighbours(j: Fp2, ctx: Fp2Ctx, parent: Fp2 | None) -> list[Fp2]:
     return [parent, *quadratic_roots(q1, q0, ctx)]
 
 
+def _start_discriminant(p: int) -> int:
+    """The first of -3, -4, -8 inert at p, else -q for the least prime
+    q = 3 mod 4 with (p/q) = -1, which is (-q/p) by reciprocity.  Either way
+    h(D) is odd: 1, or odd by genus theory since only q divides D."""
+    for D in (-3, -4, -8):
+        if kronecker(D, p) == -1:
+            return D
+    q = 3
+    while not is_prime(q) or kronecker(p, q) != -1:
+        q += 4
+    return -q
+
+
 def _start_j(p: int, ctx: Fp2Ctx) -> Fp2:
-    """Least root in F_{p^2} of H_D mod p for the least |D| with (D/p) = -1;
-    p is inert in Q(sqrt D), so the root is supersingular (Deuring)."""
-    D = -3
-    while D % 4 not in (0, 1) or kronecker(D, p) != -1:
-        D -= 1
+    """Least root in F_p of H_D mod p for D = _start_discriminant(p).  p is
+    inert in Q(sqrt D), so every root is supersingular (Deuring), and
+    Frobenius pairs off the roots outside F_p and h(D) is odd, so one lies in
+    F_p: the cubic Phi_2(j, Y) of the start then lies in F_p[Y]."""
+    D = _start_discriminant(p)
     H = FfPoly(classpoly_mod(hilbert_class_poly(D), p), ctx)
-    return min(roots_with_multiplicity(H))
+    rational = [r for r in roots_with_multiplicity(H) if r[1] == 0]
+    if not rational:
+        raise CertificateError(f"H_({D}) mod {p} has no root in F_{p} to start the walk")
+    return min(rational)
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +226,6 @@ def enumerate_ss(p: int) -> SupersingularLocus:
     automorphism weights 3 / 2 / 1; certify the start and the mass."""
     if p < 5 or not is_prime(p):
         raise DomainError(f"supersingular locus requires a prime p >= 5, got {p}")
-    if p > _MAX_P:
-        raise BudgetError(f"supersingular locus capped at p <= {_MAX_P}")
     ctx = fp2_construct(p)
     start = _start_j(p, ctx)
     if not is_supersingular_j(start, p):

@@ -2,7 +2,7 @@ import inspect
 import random
 import sys
 import types
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +14,52 @@ from cmreduce.errors import CertificateError, DomainError
 from cmreduce.ffield import (
     FfPoly,
     fp2_construct,
-    frobenius,
     quadratic_roots,
     roots_with_multiplicity,
 )
 from cmreduce.numbase import kronecker
+
+
+# -- polynomials over F_p built in the test: integer lists, lowest first ------
+
+
+def _mul(a, b, p):
+    """The product of a and b over F_p, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _product(factors, p, lead=1):
+    out = [lead % p]
+    for f in factors:
+        out = _mul(out, f, p)
+    return out
+
+
+def _pair(r, ctx):
+    """(X - r)(X - r^p), multiplied out over F_(p^2) with r^p by powering;
+    its coefficients lie in F_p."""
+    s = ctx.pow(r, ctx.p)
+    cs = [ctx.mul(r, s), ctx.neg(ctx.add(r, s)), (1, 0)]
+    assert all(y == 0 for _, y in cs)
+    return [x for x, _ in cs]
+
+
+def _planted(roots, ctx, lead=1):
+    """lead times the product of (X - r)^m over roots = {r: m}, which must
+    hold r^p with r's multiplicity for every r outside F_p."""
+    p = ctx.p
+    factors = []
+    for r, m in roots.items():
+        if r[1] == 0:
+            factors += [[-r[0] % p, 1]] * m
+        elif 2 * r[1] < p:
+            assert roots[ctx.pow(r, p)] == m
+            factors += [_pair(r, ctx)] * m
+    return _product(factors, p, lead)
 
 
 def test_fp2_construct_minimal_nonresidue():
@@ -31,32 +72,33 @@ def test_fp2_construct_minimal_nonresidue():
 
 
 def test_frobenius():
+    # the p-power map sends x + y t to x - y t, since t^p = -t when nu is a
+    # non-residue; root finding counts r and r^p by one deflation with
+    # (X - r)(X - r^p) = X^2 - 2x X + x^2 - nu y^2
     ctx = fp2_construct(13)
     for x in range(13):
-        assert frobenius((x, 0), ctx) == (x, 0)
-    assert frobenius((0, 1), ctx) == (0, 12)
+        assert ctx.pow((x, 0), 13) == (x, 0)
+    assert ctx.pow((0, 1), 13) == (0, 12)
     rng = random.Random(5)
     for _ in range(100):
         a = (rng.randrange(13), rng.randrange(13))
-        assert frobenius(frobenius(a, ctx), ctx) == a
-        # frobenius is the p-power map
-        assert frobenius(a, ctx) == ctx.pow(a, 13)
+        assert ctx.pow(a, 13) == (a[0], -a[1] % 13)
+        assert ctx.pow(ctx.pow(a, 13), 13) == a
+        x, y = a
+        assert _pair(a, ctx) == [(x * x - ctx.nu * y * y) % 13, -2 * x % 13, 1]
 
 
 def test_roots_examples():
     ctx5 = fp2_construct(5)
-    x3 = FfPoly([(0, 0), (0, 0), (0, 0), (1, 0)], ctx5)  # X^3 over F_25
+    x3 = FfPoly([0, 0, 0, 1], ctx5)  # X^3 over F_5
     assert roots_with_multiplicity(x3) == {(0, 0): 3}
 
     ctx7 = fp2_construct(7)
-    x = FfPoly.x(ctx7)
-    one = FfPoly([(1, 0)], ctx7)
-    three = FfPoly([(3, 0)], ctx7)
-    f = (x - one) * (x - one) * (x - three)
+    f = FfPoly(_product([[-1, 1], [-1, 1], [-3, 1]], 7), ctx7)
     assert roots_with_multiplicity(f) == {(1, 0): 2, (3, 0): 1}
 
     ctx13 = fp2_construct(13)
-    f = FfPoly([(-2 % 13, 0), (0, 0), (1, 0)], ctx13)  # X^2 - 2 over F_169
+    f = FfPoly([-2, 0, 1], ctx13)  # X^2 - 2 over F_13
     roots = roots_with_multiplicity(f)
     assert len(roots) == 2 and all(m == 1 for m in roots.values())
     rs = sorted(roots)
@@ -67,28 +109,27 @@ def test_roots_examples():
 
 
 def test_root_multiplicity_sum_on_random_split_products():
+    # roots in F_p and conjugate pairs (r, r^p), each with a multiplicity,
+    # under a random nonzero lead
     rng = random.Random(42)
     ctx = fp2_construct(11)
     for _ in range(200):
-        nlin = rng.randrange(1, 6)
-        f = FfPoly([(rng.randrange(1, 11), rng.randrange(11))], ctx)
         expected: dict = {}
-        for _ in range(nlin):
-            r = (rng.randrange(11), rng.randrange(11))
-            f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
+        for _ in range(rng.randrange(0, 4)):
+            r = (rng.randrange(11), 0)
             expected[r] = expected.get(r, 0) + 1
-        # optionally mix in an irreducible quadratic (no roots in F_{p^2}? a
-        # quadratic over F_{p^2} always splits over F_{p^4}; over F_{p^2} it
-        # splits iff its discriminant is a square there -- skip, keep split)
+        for _ in range(rng.randrange(0, 3)):
+            r = (rng.randrange(11), rng.randrange(1, 11))
+            expected[r] = expected[ctx.pow(r, 11)] = expected.get(r, 0) + 1
+        f = FfPoly(_planted(expected, ctx, rng.randrange(1, 11)), ctx)
         got = roots_with_multiplicity(f)
         assert got == expected
-        assert sum(got.values()) == f.degree
+        assert sum(got.values()) == len(f.coeffs) - 1
 
 
 def test_roots_seeded_determinism():
     ctx = fp2_construct(11)
-    x = FfPoly.x(ctx)
-    f = x * x * x - FfPoly([(5, 3)], ctx)
+    f = FfPoly([-5, 0, 0, 1], ctx)  # X^3 - 5
     assert roots_with_multiplicity(f) == roots_with_multiplicity(f)
 
 
@@ -96,6 +137,16 @@ def test_zero_polynomial_rejected():
     ctx = fp2_construct(5)
     with pytest.raises(DomainError):
         roots_with_multiplicity(FfPoly([], ctx))
+
+
+def test_coefficients_outside_f_p_rejected():
+    ctx = fp2_construct(11)
+    # an element of F_(p^2) with zero t-part is a coefficient in F_p
+    assert FfPoly([(3, 0), (12, 0), 22, (0, 11), 0], ctx).coeffs == [3, 1]
+    with pytest.raises(DomainError):
+        FfPoly([(0, 0), (1, 1)], ctx)
+    with pytest.raises(DomainError):
+        FfPoly([1, (2, 3), (1, 0)], ctx)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -110,7 +161,8 @@ def test_field_axioms(p):
         assert ctx.mul(a, b) == ctx.mul(b, a)
     for a in els:
         if a != (0, 0):
-            assert ctx.mul(a, ctx.inv(a)) == (1, 0)
+            # the multiplicative group has order q - 1
+            assert ctx.mul(a, ctx.pow(a, ctx.q - 2)) == (1, 0)
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
@@ -124,16 +176,17 @@ def test_fp2_mul_matches_polynomial_model(x1, y1, x2, y2):
 
 
 def test_poly_divmod_roundtrip():
-    ctx = fp2_construct(7)
+    # the F_p[X] division root finding uses, on integer coefficient lists
+    p = 7
     rng = random.Random(1)
     for _ in range(100):
-        f = FfPoly([(rng.randrange(7), rng.randrange(7)) for _ in range(6)], ctx)
-        g = FfPoly([(rng.randrange(7), rng.randrange(7)) for _ in range(3)], ctx)
-        if g.is_zero():
+        f = [rng.randrange(p) for _ in range(6)]
+        g = FfPoly([rng.randrange(p) for _ in range(3)], fp2_construct(p)).coeffs
+        if not g:
             continue
-        q, r = f.divmod(g)
-        assert q * g + r == f
-        assert r.degree < g.degree or r.is_zero()
+        q, r = ffield._fp_divmod(f, g, p)
+        assert len(r) < len(g) and (not r or r[-1] != 0)
+        assert [(u + v) % p for u, v in zip_longest(_mul(q, g, p), r, fillvalue=0)] == f
 
 
 def _oracle_mulmod(a, b, f, p):
@@ -162,10 +215,6 @@ def _oracle_pow_mod(base, e, f, p):
     return result
 
 
-def _fp_poly(coeffs, ctx):
-    return FfPoly([(c, 0) for c in coeffs], ctx)
-
-
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
 def test_pow_mod_matches_schoolbook_oracle(p):
     # F_p[X] powering modulo polynomials of degree 1 to 120, on both sides
@@ -182,21 +231,16 @@ def test_pow_mod_matches_schoolbook_oracle(p):
         for e in exponents:
             f = [rng.randrange(p) for _ in range(n)] + [1]
             base = [rng.randrange(p) for _ in range(rng.randrange(1, 2 * n + 2))]
-            expected = _fp_poly(_oracle_pow_mod(base, e, f, p), ctx)
-            got = _fp_poly(base, ctx).pow_mod(e, _fp_poly(f, ctx))
+            expected = FfPoly(_oracle_pow_mod(base, e, f, p), ctx).coeffs
+            got = FfPoly(base, ctx).pow_mod(e, FfPoly(f, ctx)).coeffs
             assert got == expected, (p, n, e)
             # a non-monic modulus generates the same ideal: same remainder
             lead = rng.randrange(1, p)
-            assert _fp_poly(base, ctx).pow_mod(e, _fp_poly([lead * c for c in f], ctx)) == expected
+            assert FfPoly(base, ctx).pow_mod(e, FfPoly([lead * c for c in f], ctx)).coeffs == expected
             cases += 1
     assert cases == 46
     # everything is 0 modulo a constant
-    assert _fp_poly([3, 1], ctx).pow_mod(5, _fp_poly([4], ctx)).is_zero()
-    # the powering is over F_p only
-    with pytest.raises(DomainError):
-        FfPoly([(0, 0), (1, 1)], ctx).pow_mod(p, _fp_poly([1, 2, 3, 1], ctx))
-    with pytest.raises(DomainError):
-        _fp_poly([0, 1], ctx).pow_mod(p, FfPoly([(1, 1), (2, 0), (0, 0), (1, 0)], ctx))
+    assert FfPoly([3, 1], ctx).pow_mod(5, FfPoly([4], ctx)).coeffs == []
 
 
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
@@ -216,9 +260,9 @@ def test_norm_split_exponent_matches_the_direct_power(p):
             direct = _oracle_pow_mod([c, 1], (p * p - 1) // 2, g, p)
             assert _oracle_pow_mod(norm, (p - 1) // 2, g, p) == direct, (p, n, c)
             # the norm as the split forms it, powered by pow_mod
-            shift = _fp_poly([c], ctx)
-            base = (FfPoly.x(ctx) + shift) * (_fp_poly(xp, ctx) + shift)
-            assert base.pow_mod((p - 1) // 2, _fp_poly(g, ctx)) == _fp_poly(direct, ctx), (p, n, c)
+            base = _mul([c, 1], [(xp[0] + c) % p] + xp[1:], p)
+            got = FfPoly(base, ctx).pow_mod((p - 1) // 2, FfPoly(g, ctx)).coeffs
+            assert got == FfPoly(direct, ctx).coeffs, (p, n, c)
 
 
 def test_roots_of_large_split_products_with_planted_multiplicities():
@@ -226,16 +270,15 @@ def test_roots_of_large_split_products_with_planted_multiplicities():
     ctx = fp2_construct(p)
     rng = random.Random(2024)
     for degree in (20, 57, 101, 150):
-        expected: dict = {(0, 0): 2, (rng.randrange(1, p), 0): 1}  # a root in F_p
-        while sum(expected.values()) < degree:
+        expected: dict = {(0, 0): 2, (rng.randrange(1, p), 0): 1}  # roots in F_p
+        while sum(expected.values()) < degree - 1:
             r = (rng.randrange(p), rng.randrange(1, p))
-            room = degree - sum(expected.values())
-            expected[r] = expected.get(r, 0) + min(rng.choice((1, 1, 1, 2, 3, 7)), room)
-        f = FfPoly([(rng.randrange(1, p), rng.randrange(p))], ctx)
-        for r, m in expected.items():
-            for _ in range(m):
-                f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
-        assert f.degree == degree
+            room = (degree - sum(expected.values())) // 2
+            expected[r] = expected[ctx.pow(r, p)] = min(rng.choice((1, 1, 1, 2, 3, 7)), room)
+        if sum(expected.values()) < degree:
+            expected[(0, 0)] += 1
+        f = FfPoly(_planted(expected, ctx, rng.randrange(1, p)), ctx)
+        assert len(f.coeffs) - 1 == degree
         assert roots_with_multiplicity(f) == expected
 
 
@@ -258,9 +301,9 @@ def test_quadratic_roots_exhaustive(p):
 
 @pytest.mark.parametrize("p", [1009, 100003])
 def test_roots_of_planted_class_polynomial_shape(p):
-    # like H_D mod p: coefficients in F_p, roots in F_p and conjugate pairs
-    # (r, r^p), with multiplicities, times X^3 - a with a not a cube mod p,
-    # which is irreducible over F_p and so over F_(p^2)
+    # like H_D mod p: roots in F_p and conjugate pairs (r, r^p), with
+    # multiplicities, times X^3 - a with a not a cube mod p, which is
+    # irreducible over F_p and so over F_(p^2)
     assert p % 3 == 1
     ctx = fp2_construct(p)
     rng = random.Random(p + 1)
@@ -269,14 +312,10 @@ def test_roots_of_planted_class_polynomial_shape(p):
         expected[(rng.randrange(p), 0)] = rng.choice((1, 1, 2))
     for _ in range(15):
         r, m = (rng.randrange(p), rng.randrange(1, p)), rng.choice((1, 1, 1, 2, 3))
-        expected[r] = expected[frobenius(r, ctx)] = m
+        expected[r] = expected[ctx.pow(r, p)] = m
     a = next(a for a in range(2, p) if pow(a, (p - 1) // 3, p) != 1)
-    f = FfPoly([ctx.neg((a, 0)), (0, 0), (0, 0), (1, 0)], ctx)
-    for r, m in expected.items():
-        for _ in range(m):
-            f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
-    assert all(y == 0 for _, y in f.coeffs)
-    assert roots_with_multiplicity(f) == expected
+    f = _mul(_planted(expected, ctx), [-a % p, 0, 0, 1], p)
+    assert roots_with_multiplicity(FfPoly(f, ctx)) == expected
 
 
 def test_serialize_roundtrip():
@@ -286,12 +325,10 @@ def test_serialize_roundtrip():
 
 
 def test_roots_reject_a_context_that_is_not_the_polynomials():
-    # (X - 1)(X - (2 + 3t))(X - (5 + 7t)) over F_(11^2), asked over F_(13^2)
+    # (X - 1)(X - (2 + 3t))(X - (2 - 3t)) over F_11, asked over F_(13^2)
     ctx11 = fp2_construct(11)
-    f = FfPoly([(1, 0)], ctx11)
-    for r in ((1, 0), (2, 3), (5, 7)):
-        f = f * FfPoly([ctx11.neg(r), (1, 0)], ctx11)
-    assert roots_with_multiplicity(f, ctx11) == {(1, 0): 1, (2, 3): 1, (5, 7): 1}
+    f = FfPoly(_planted({(1, 0): 1, (2, 3): 1, (2, 8): 1}, ctx11), ctx11)
+    assert roots_with_multiplicity(f, ctx11) == {(1, 0): 1, (2, 3): 1, (2, 8): 1}
     with pytest.raises(DomainError):
         roots_with_multiplicity(f, fp2_construct(13))
 
@@ -331,32 +368,30 @@ def _oracle_roots(coeffs, p, nu):
     return roots
 
 
-def _oracle_cases(p, nu):
-    """Coefficient lists over F_(p^2): H_D mod p for every D with |D| <= 500,
-    X - r for every r outside F_p (F = f f^sigma has the root r^p, which
-    must be dropped), and seeded products of linear factors with
-    multiplicities, irreducible quadratics and cubics over F_(p^2) and a
-    non-monic lead."""
+def _oracle_cases(ctx):
+    """Coefficient lists over F_p: H_D mod p for every D with |D| <= 500,
+    every monic quadratic, and seeded products of linear factors and
+    conjugate pairs (X - r)(X - r^p) with multiplicities, F_p-irreducible
+    cubics and a non-monic lead."""
+    p = ctx.p
     for d in range(3, 501):
         if -d % 4 in (0, 1):
-            yield [(c, 0) for c in classpoly_mod(hilbert_class_poly(-d), p)]
-    for r in product(range(p), range(1, p)):
-        yield [(-r[0] % p, -r[1] % p), (1, 0)]
-    ctx = fp2_construct(p)
-    field = list(product(range(p), repeat=2))
+            yield classpoly_mod(hilbert_class_poly(-d), p)
+    for c, b in product(range(p), repeat=2):
+        yield [c, b, 1]
     rng = random.Random(p)
     for _ in range(30):
-        f = FfPoly([rng.choice(field[1:])], ctx)
-        for _ in range(rng.randrange(0, 7)):
-            r = rng.choice(field)
-            f = f * FfPoly([ctx.neg(r), (1, 0)], ctx)
-        for degree in rng.choice(((), (2,), (3,), (2, 2), (2, 3))):
+        factors = [[rng.randrange(p), 1] for _ in range(rng.randrange(0, 5))]
+        for _ in range(rng.randrange(0, 3)):
+            r = (rng.randrange(p), rng.randrange(1, p))
+            factors += [_pair(r, ctx)] * rng.choice((1, 1, 2, 3))
+        for _ in range(rng.randrange(0, 2)):
             while True:
-                h = FfPoly([rng.choice(field) for _ in range(degree)] + [(1, 0)], ctx)
-                if not _oracle_roots(h.coeffs, p, nu):
+                cubic = [rng.randrange(p) for _ in range(3)] + [1]
+                if all(sum(c * x**i for i, c in enumerate(cubic)) % p for x in range(p)):
                     break
-            f = f * h
-        yield f.coeffs
+            factors.append(cubic)
+        yield _product(factors, p, rng.randrange(1, p))
 
 
 def _check_roots(module):
@@ -364,20 +399,18 @@ def _check_roots(module):
     ORACLE_PRIMES, then at p = 1009 and 100003 on planted roots: five in
     F_p, where c = -r, which splits a block of roots in F_p under the norm
     by chance, is too rare to hide a missing F_p-linear separation, and
-    four conjugate pairs."""
+    four conjugate pairs, two of them double."""
     for p in ORACLE_PRIMES:
         ctx = module.fp2_construct(p)
-        for coeffs in _oracle_cases(p, ctx.nu):
+        for coeffs in _oracle_cases(ctx):
             got = module.roots_with_multiplicity(module.FfPoly(coeffs, ctx), ctx)
-            assert got == _oracle_roots(coeffs, p, ctx.nu), (p, coeffs)
+            assert got == _oracle_roots([(c, 0) for c in coeffs], p, ctx.nu), (p, coeffs)
     for p in (1009, 100003):
         ctx = module.fp2_construct(p)
         expected = {(r, 0): 1 for r in range(1, 6)}
         expected.update({(r, s): 1 for r in range(1, 3) for s in (1, p - 1)})
-        expected.update({(r, s): 1 for r in (3, 4) for s in (2, p - 2)})
-        f = module.FfPoly([(1, 0)], ctx)
-        for r in expected:
-            f = f * module.FfPoly([ctx.neg(r), (1, 0)], ctx)
+        expected.update({(r, s): 2 for r in (3, 4) for s in (2, p - 2)})
+        f = module.FfPoly(_planted(expected, ctx), ctx)
         assert module.roots_with_multiplicity(f, ctx) == expected, p
 
 
@@ -401,10 +434,13 @@ def _mutant(old, new, monkeypatch):
     "old, new",
     [
         # no F_p-linear separation: the roots in F_p go through the norm split
-        ("g_lin = _fp_gcd(g, xp - x)", "g_lin = FfPoly([1], ctx)"),
-        # c drawn from F_(p^2): the norm is no longer in F_p[X]
-        ("c = FfPoly([rng.randrange(ctx.p)], ctx)",
-         "c = FfPoly([(rng.randrange(ctx.p), rng.randrange(ctx.p))], ctx)"),
+        ("g_lin = _fp_gcd(g, _fp_sub(xp, x, p), p)", "g_lin = [1]"),
+        # no norm: the quadratics split by (X + c)^((p-1)/2), which is not
+        # +-1 modulo a quadratic irreducible over F_p
+        ("base = [c, 1] if xp is None else", "base = [c, 1] if True else"),
+        # r^p deflated a second time: it finds nothing left, so r and r^p
+        # get multiplicity 1
+        ("if out[r]:", "if False:"),
     ],
 )
 def test_planted_split_faults_fail_the_oracle_checks(old, new, monkeypatch):

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from cmreduce import ssenum
-from cmreduce.errors import BudgetError, CertificateError, DomainError
+from cmreduce.errors import CertificateError, DomainError
 from cmreduce.classpoly import classpoly_mod, hilbert_class_poly
-from cmreduce.ffield import FfPoly, fp2_construct, frobenius, roots_with_multiplicity
-from cmreduce.numbase import is_prime, kronecker, primes_up_to
+from cmreduce.ffield import FfPoly, fp2_construct, roots_with_multiplicity
+from cmreduce.numbase import kronecker, primes_up_to
 from cmreduce.ssenum import enumerate_ss, is_supersingular_j, weierstrass_from_j
 
 
@@ -70,7 +70,7 @@ def test_frobenius_stability():
     for p in (13, 23, 37, 53):
         locus = enumerate_ss(p)
         js = {pt.j for pt in locus.points}
-        assert {frobenius(j, locus.ctx) for j in js} == js
+        assert {locus.ctx.pow(j, p) for j in js} == js
 
 
 def test_weierstrass_models_nonsingular():
@@ -83,19 +83,34 @@ def test_weierstrass_models_nonsingular():
         assert disc != (0, 0)
         # recompute j from (A, B): j = 1728 * 4A^3 / (4A^3 + 27B^2)
         num = ctx.mul(ctx.el(4 * 1728), ctx.pow(A, 3))
-        assert ctx.mul(num, ctx.inv(disc)) == j
+        assert ctx.mul(num, ctx.pow(disc, ctx.q - 2)) == j
 
 
-def test_budget_guard(monkeypatch):
-    # 100019 is the first prime above the cap; the guard fires before the walk starts
-    assert is_prime(100019) and not any(map(is_prime, range(100004, 100019)))
+def test_walk_starts_in_f_p():
+    # the start discriminant is inert at p with h(D) odd, so Frobenius fixes
+    # a root of H_D mod p and the start lies in F_p
+    for p in primes_up_to(20000):
+        if p < 5:
+            continue
+        D = ssenum._start_discriminant(p)
+        assert kronecker(D, p) == -1, p
+        assert hilbert_class_poly(D).degree % 2 == 1, (p, D)
+        assert ssenum._start_j(p, fp2_construct(p))[1] == 0, p
 
-    def no_work(p, ctx):
-        raise AssertionError("the walk started above the cap")
 
-    monkeypatch.setattr(ssenum, "_start_j", no_work)
-    with pytest.raises(BudgetError):
-        enumerate_ss(100019)
+def test_start_without_a_root_in_f_p_raises(monkeypatch):
+    # the least |D| inert at p, whatever its class number: at 1873 it is
+    # -15 (h = 2), whose roots mod p are one conjugate pair outside F_p
+    def least_inert(p):
+        D = -3
+        while D % 4 not in (0, 1) or kronecker(D, p) != -1:
+            D -= 1
+        return D
+
+    assert least_inert(1873) == -15
+    monkeypatch.setattr(ssenum, "_start_discriminant", least_inert)
+    with pytest.raises(CertificateError, match="no root in F_1873"):
+        ssenum._start_j(1873, fp2_construct(1873))
 
 
 def test_json_output():
