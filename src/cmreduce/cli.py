@@ -271,7 +271,7 @@ def _check(cond: bool, msg: str) -> None:
 def _verify_checks(quick: bool):
     import random
 
-    from .classpoly import hilbert_class_poly, j_eval
+    from .classpoly import hilbert_class_poly, hilbert_class_poly_from_j, j_eval
     from .numbase import primes_up_to
     from .quadforms import QuadForm, class_number, cm_point, compose, principal_form, reduced_forms
     from .quatalg import construct_Bp, hs_norm_ratio, killing_check, local_norm_surjectivity, quaternion_data
@@ -312,6 +312,10 @@ def _verify_checks(quick: bool):
 
         _check(abs(j_eval(cm_point(QuadForm(1, 0, 1), -4), 96) - 1728) < mpmath.mpf(2) ** -64, "j(i) != 1728")
         _check(hilbert_class_poly(-23).coeffs == (12771880859375, -5151296875, 3491750, 1), "H_-23")
+        # a second route: for 3 ∤ D, H_D comes from gamma_2 = j^(1/3); the
+        # product of the (X - j) themselves must agree
+        for D in (-719, -2351):
+            _check(hilbert_class_poly(D) == hilbert_class_poly_from_j(D), f"H_{D} by gamma_2 and by j")
 
     def deuring_cardinalities():
         # Pizer's maximal order has three branches: a = -1 (p = 3 mod 4),

@@ -273,8 +273,11 @@ def _fp2_sqrt(a: Fp2, ctx: Fp2Ctx) -> Fp2:
     s, m, z = _tonelli_shanks_data(ctx)
     one = (1, 0)
     # invariant r^2 = a b; b has order dividing 2^(k-1) when a is a nonzero
-    # square, and z has order exactly 2^k
-    r, b, k = ctx.pow(a, (m + 1) // 2), ctx.pow(a, m), s
+    # square, and z has order exactly 2^k.  r = a^((m+1)/2) and b = a^m
+    # come from one power u = a^((m-1)/2): r = u a and b = u r
+    u = ctx.pow(a, (m - 1) // 2)
+    r = ctx.mul(u, a)
+    b, k = ctx.mul(u, r), s
     while b != one:
         i, bb = 0, b
         while bb != one and i < k:

@@ -1,4 +1,6 @@
+import cmath
 import json
+import math
 
 import mpmath
 import pytest
@@ -205,3 +207,168 @@ def test_a_coefficient_missing_at_every_precision_raises(monkeypatch):
     finally:
         classpoly._compute.cache_clear()
     assert len(precisions) == classpoly._MAX_DOUBLINGS + 1
+
+
+def test_a_coefficient_missing_its_integer_doubles_the_precision_on_the_j_route(monkeypatch):
+    # 3 | 231, so H_-231 is assembled from j itself, not from gamma_2
+    from cmreduce import classpoly
+
+    classpoly._compute.cache_clear()
+    expected = hilbert_class_poly(-231)
+    assert expected == classpoly.hilbert_class_poly_from_j(-231)
+    precisions = _plant_a_miss(monkeypatch, -231, every_precision=False)
+    try:
+        assert hilbert_class_poly(-231) == expected
+    finally:
+        classpoly._compute.cache_clear()
+    assert len(precisions) == 2 and precisions[1] - 48 == 2 * (precisions[0] - 48)
+
+
+# -- H_D from gamma_2 = j^(1/3) for 3 ∤ D ------------------------------------
+
+
+def _gamma2_discriminants(lo, hi):
+    return [D for D in range(-hi, -lo + 1) if D % 4 in (0, 1) and D % 3 != 0]
+
+
+def _j_route(D):
+    from cmreduce.classpoly import _assemble, _initial_precision
+
+    forms = reduced_forms(D)
+    return tuple(_assemble(D, forms, _initial_precision(D, forms)))
+
+
+def _gamma2_route_agrees(D):
+    """Whether the gamma_2 route of _compute, run afresh, gives the H_D of
+    the j route; a route that cannot round W disagrees."""
+    from cmreduce import classpoly
+
+    try:
+        return classpoly._compute.__wrapped__(D).coeffs == _j_route(D)
+    except PrecisionError:
+        return False
+
+
+def test_gamma2_route_equals_j_route():
+    # every D = 0, 1 (mod 4) with 3 ∤ D down to -1500, non-fundamental
+    # ones included; hilbert_class_poly takes the gamma_2 route for all
+    Ds = _gamma2_discriminants(3, 1500)
+    assert len(Ds) == 500
+    for D in Ds:
+        assert hilbert_class_poly(D).coeffs == _j_route(D), D
+
+
+def test_gamma2_route_is_independent_of_precision():
+    from cmreduce.classpoly import _assemble, _gamma2_value, _initial_precision
+
+    for D in _gamma2_discriminants(3, 499):
+        forms = reduced_forms(D)
+        bits = _initial_precision(D, forms, 3)
+        a = _assemble(D, forms, bits, _gamma2_value)
+        b = _assemble(D, forms, 2 * bits, _gamma2_value)
+        assert a is not None and a == b, D
+
+
+def test_gamma2_precision_is_a_third_of_the_main_term():
+    from cmreduce.classpoly import _initial_precision
+
+    # 32 + main/3 + 8h bits against 32 + main + 8h for j
+    assert [_initial_precision(D, reduced_forms(D), 3) for D in (-2351, -4391, -15791)] == [1103, 1460, 3684]
+    assert [_initial_precision(D, reduced_forms(D)) for D in (-2351, -4391)] == [2237, 3050]
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cube_identity_matches_schoolbook_products():
+    import random
+
+    from cmreduce.classpoly import _h_from_w
+
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randrange(2, 16)
+        w = [rng.randrange(-(2 ** rng.randrange(1, 90)), 2 ** rng.randrange(1, 90)) for _ in range(n - 1)] + [1]
+        p0, p1, p2 = w[0::3], w[1::3], w[2::3]
+        expected = [0] * n
+        for shift, scale, poly in (
+            (0, 1, _schoolbook(_schoolbook(p0, p0), p0)),
+            (1, 1, _schoolbook(_schoolbook(p1, p1), p1)),
+            (2, 1, _schoolbook(_schoolbook(p2, p2), p2) if p2 else []),
+            (1, -3, _schoolbook(_schoolbook(p0, p1), p2) if p2 else []),
+        ):
+            for i, c in enumerate(poly):
+                expected[i + shift] += scale * c
+        assert _h_from_w(w) == expected, w
+
+
+def test_planted_fault_m_off_by_one_when_3_divides_a(monkeypatch):
+    # the S step dropped: forms with 3 | a keep the translation count of
+    # the form itself, one power of zeta_3 off
+    from cmreduce import classpoly
+
+    steps = classpoly._gamma2_steps
+    monkeypatch.setattr(classpoly, "_gamma2_steps", lambda f: (steps(f) + (f.a % 3 == 0)) % 3)
+    for D in (-35, -47, -71, -191):
+        assert not _gamma2_route_agrees(D), D
+
+
+def test_planted_fault_identity_with_plus_3y(monkeypatch):
+    from cmreduce import classpoly
+
+    h_from_w = classpoly._h_from_w
+
+    def flipped(w):
+        # P_0^3 + Y P_1^3 + Y^2 P_2^3 + 3Y P_0 P_1 P_2
+        cross = _schoolbook(_schoolbook(w[0::3], w[1::3]), w[2::3])
+        out = h_from_w(w)
+        for i, c in enumerate(cross):
+            out[i + 1] += 6 * c
+        return out
+
+    monkeypatch.setattr(classpoly, "_h_from_w", flipped)
+    for D in (-23, -47, -71, -191):
+        assert not _gamma2_route_agrees(D), D
+
+
+def test_planted_fault_wrong_cube_root_branch(monkeypatch):
+    # an estimate turned by 2 pi/3 is clearly nearest the wrong root, so the
+    # certificate passes, and only the comparison with j can catch it
+    from cmreduce import classpoly
+
+    estimate = classpoly._gamma2_estimate
+    omega = cmath.exp(2j * math.pi / 3)
+    monkeypatch.setattr(classpoly, "_gamma2_estimate", lambda tau: estimate(tau) * omega)
+    for D in (-4, -23, -35, -47):
+        assert not _gamma2_route_agrees(D), D
+
+
+@pytest.mark.parametrize("turn", [cmath.exp(1j * math.pi / 3), float("nan")])
+def test_an_uncertified_cube_root_branch_raises(monkeypatch, turn):
+    # turned by pi/3 the estimate lies halfway between two roots
+    from cmreduce import classpoly
+    from cmreduce.errors import CertificateError
+
+    estimate = classpoly._gamma2_estimate
+    monkeypatch.setattr(classpoly, "_gamma2_estimate", lambda tau: estimate(tau) * turn)
+    with pytest.raises(CertificateError):
+        classpoly._compute.__wrapped__(-23)
+
+
+def test_nearest_cube_root_certificate():
+    from cmreduce.classpoly import _nearest_cube_root
+    from cmreduce.errors import CertificateError
+
+    omega = cmath.exp(2j * math.pi / 3)
+    z = complex(3.0, 4.0)
+    for k in range(3):
+        assert abs(_nearest_cube_root(z**3, z * omega**k * 1.3) - z * omega**k) < 1e-12
+    # within half the gap sqrt(3)|z| of the root, and no further
+    assert abs(_nearest_cube_root(z**3, z * (1 + 0.86)) - z) < 1e-12
+    with pytest.raises(CertificateError):
+        _nearest_cube_root(z**3, z * (1 + 0.87))

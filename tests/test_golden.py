@@ -23,7 +23,8 @@ CASES = {
         "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--json",
     ],
     "ss_p199.json": ["ss", "--p", "199", "--json"],
-    "classpoly_D-719.json": ["classpoly", "--D", "-719", "--json"],
+    "classpoly_D-719.json": ["classpoly", "--D", "-719", "--json"],  # 3 ∤ D: from gamma_2
+    "classpoly_D-1335.json": ["classpoly", "--D", "-1335", "--json"],  # 3 | D: from j
 }
 
 
