@@ -22,14 +22,11 @@ from .errors import (
     NotRepresented,
     PrecisionError,
 )
+from .numbase import frac_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INTERNAL = 2
-
-
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +121,7 @@ def _cmd_ss(args) -> int:
     if args.json:
         print(locus.to_json())
     else:
-        print(f"p = {locus.p}: {locus.size} supersingular j-invariants, mass {_frac(locus.mass)}")
+        print(f"p = {locus.p}: {locus.size} supersingular j-invariants, mass {frac_str(locus.mass)}")
         for pt in locus.points:
             print(f"j = {locus.ctx.serialize(pt.j)}  w = {pt.weight}")
     return EXIT_OK
@@ -133,7 +130,7 @@ def _cmd_ss(args) -> int:
 def _cmd_mass(args) -> int:
     from .ssenum import enumerate_ss
 
-    print(_frac(enumerate_ss(args.p).mass))
+    print(frac_str(enumerate_ss(args.p).mass))
     return EXIT_OK
 
 
@@ -145,22 +142,22 @@ def _cmd_quat(args) -> int:
         payload = {
             "p": args.p,
             "algebra": {"a": B.a, "b": B.b},
-            "mass": _frac(cls.mass),
+            "mass": frac_str(cls.mass),
             "weights": list(cls.weights),
             "classes": [
                 {
                     "den": I.lattice.den,
                     "hnf": [[str(x) for x in row] for row in I.lattice.mat],
-                    "reduced_norm": _frac(I.reduced_norm),
+                    "reduced_norm": frac_str(I.reduced_norm),
                 }
                 for I in cls.representatives
             ],
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"B_(inf,{args.p}) = ({B.a}, {B.b}); h = {cls.h}; mass = {_frac(cls.mass)}")
+        print(f"B_(inf,{args.p}) = ({B.a}, {B.b}); h = {cls.h}; mass = {frac_str(cls.mass)}")
         for idx, (I, w) in enumerate(zip(cls.representatives, cls.weights)):
-            print(f"class {idx}: w = {w}, Nr = {_frac(I.reduced_norm)}, den = {I.lattice.den}")
+            print(f"class {idx}: w = {w}, Nr = {frac_str(I.reduced_norm)}, den = {I.lattice.den}")
             for row in I.lattice.mat:
                 print("   ", row)
     return EXIT_OK
@@ -202,9 +199,9 @@ def _cmd_joint(args) -> int:
             "h": jd.h,
             "tuples": {",".join(map(str, t)): c for t, c in sorted(jd.tuple_counts.items())},
             "product_measure": {
-                ",".join(map(str, t)): _frac(v) for t, v in sorted(jd.product_measure.items())
+                ",".join(map(str, t)): frac_str(v) for t, v in sorted(jd.product_measure.items())
             },
-            "tv": _frac(jd.tv),
+            "tv": frac_str(jd.tv),
             "chi2": f"{jd.chi2:.12g}",
             "surjective": jd.surjective,
         }
@@ -213,7 +210,7 @@ def _cmd_joint(args) -> int:
         print(f"D = {args.D}, primes = {jd.primes}, h = {jd.h}")
         for t, c in sorted(jd.tuple_counts.items()):
             print(f"tuple {t}: {c}")
-        print(f"tv = {_frac(jd.tv)}")
+        print(f"tv = {frac_str(jd.tv)}")
         print(f"chi2 = {jd.chi2:.12g}")
         print(f"surjective = {jd.surjective}")
     return EXIT_OK

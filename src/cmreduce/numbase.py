@@ -16,14 +16,19 @@ __all__ = [
     "kronecker",
     "is_prime",
     "exact_sqrt_fraction",
+    "frac_str",
     "squarefree_part",
     "factorize",
     "primes_up_to",
+    "least_nonresidue_prime_3mod4",
 ]
 
-# Deterministic Miller-Rabin witnesses, correct for n < 3.3e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_DIVISION_LIMIT = 10**6
+# The first 13 primes as Miller-Rabin bases: no composite below psi_13 is a
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)); the first 12
+# alone pass the composite psi_12 = 318665857834031151167461.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # psi_13
 _FACTOR_BOUND = 10**7
 
 
@@ -59,22 +64,15 @@ def kronecker(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed witnesses below 3.3e24)."""
+    """Deterministic primality test for 0 <= n < psi_13 = 3317044064679887385961981:
+    Miller-Rabin to the bases 2, 3, ..., 41.  Raises DomainError for larger
+    n, where these bases certify nothing."""
     if n < 0:
         raise DomainError("is_prime expects n >= 0")
-    if n < 2:
-        return False
-    if n < _TRIAL_DIVISION_LIMIT:
-        if n % 2 == 0:
-            return n == 2
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-    if n % 2 == 0:
-        return False
+    if n >= _MR_BOUND:
+        raise DomainError(f"is_prime is certified only below {_MR_BOUND}")
+    if n < 2 or n % 2 == 0:
+        return n == 2
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -106,8 +104,8 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if sieve[i]]
 
 
-def factorize(n: int, bound: int = _FACTOR_BOUND) -> list[tuple[int, int]]:
-    """Factor |n| by trial division up to `bound`; raises if a cofactor survives.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Factor |n| by trial division up to 10^7; raises if a cofactor survives.
 
     Desk-scale inputs (discriminants, small norms) stay far below the bound.
     """
@@ -123,7 +121,7 @@ def factorize(n: int, bound: int = _FACTOR_BOUND) -> list[tuple[int, int]]:
         if e:
             out.append((p, e))
     d = 5
-    while d * d <= n and d <= bound:
+    while d * d <= n and d <= _FACTOR_BOUND:
         for q in (d, d + 2):
             e = 0
             while n % q == 0:
@@ -133,10 +131,19 @@ def factorize(n: int, bound: int = _FACTOR_BOUND) -> list[tuple[int, int]]:
                 out.append((q, e))
         d += 6
     if n > 1:
-        if n > bound * bound and not is_prime(n):
-            raise DomainError(f"factorization bound {bound} exceeded for residue {n}")
+        if n > _FACTOR_BOUND**2 and not is_prime(n):
+            raise DomainError(f"factorization bound {_FACTOR_BOUND} exceeded for residue {n}")
         out.append((n, 1))
     return out
+
+
+def least_nonresidue_prime_3mod4(p: int) -> int:
+    """The least prime q = 3 mod 4 with (p/q) = -1, for a prime p
+    (Dirichlet and reciprocity give one)."""
+    q = 3
+    while not (is_prime(q) and kronecker(p, q) == -1):
+        q += 4
+    return q
 
 
 def squarefree_part(n: int) -> int:
@@ -149,6 +156,11 @@ def squarefree_part(n: int) -> int:
         if e % 2 == 1:
             out *= p
     return s * out
+
+
+def frac_str(x: Fraction) -> str:
+    """An exact rational as printed everywhere: "a/b", also when b = 1."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def exact_sqrt_fraction(q: Fraction) -> Fraction:

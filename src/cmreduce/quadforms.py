@@ -32,21 +32,21 @@ __all__ = [
     "genus_character",
     "genus_decompositions",
     "is_fundamental",
+    "field_discriminant",
 ]
 
 
-def _is_discriminant(D: int) -> bool:
-    return D < 0 and D % 4 in (0, 1)
+def field_discriminant(n: int) -> int:
+    """The discriminant of Q(sqrt n) for n != 0: s if s = 1 mod 4, else 4s,
+    for s the squarefree part of n (1 when n is a square)."""
+    s = squarefree_part(n)
+    return s if s % 4 == 1 else 4 * s
 
 
 def is_fundamental(D: int) -> bool:
     """True iff D is the discriminant of a quadratic field, real or
-    imaginary: D = 1 mod 4 squarefree, or D = 4m with m = 2, 3 mod 4
-    squarefree, and D not in {0, 1}."""
-    if D % 4 == 1:
-        return D != 1 and squarefree_part(D) == D
-    m = D // 4
-    return D % 4 == 0 and m % 4 in (2, 3) and squarefree_part(m) == m
+    imaginary."""
+    return D not in (0, 1) and field_discriminant(D) == D
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,8 @@ class Discriminant:
 
     @classmethod
     def of(cls, D: int) -> "Discriminant":
-        if not _is_discriminant(D):
-            raise DomainError(f"{D} is not a negative quadratic discriminant")
-        s = squarefree_part(D)
-        d0 = s if s % 4 == 1 else 4 * s
+        D = _as_D(D)
+        d0 = field_discriminant(D)
         c = math.isqrt(D // d0)
         if c * c * d0 != D:
             raise CertificateError(f"{D} is not {d0} times a square")
@@ -75,7 +73,7 @@ class Discriminant:
 
 def _as_D(D) -> int:
     d = int(D)
-    if not _is_discriminant(d):
+    if not (d < 0 and d % 4 in (0, 1)):
         raise DomainError(f"{d} is not a negative quadratic discriminant")
     return d
 
@@ -207,19 +205,11 @@ def compose(f: QuadForm, g: QuadForm, D) -> QuadForm:
         a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
     s = (b1 + b2) // 2
     n = b2 - s
-    # d0 = gcd(a1, a2, s) with Bezout data, solving the composition congruences
-    if a2 % a1 == 0:
-        y1, d0 = 0, a1
-    else:
-        d0, u, _ = _xgcd(a2, a1)
-        y1 = u
-    if s % d0 == 0:
-        y2, x2, d1 = -1, 0, d0
-    else:
-        d1, u, v = _xgcd(s, d0)
-        x2, y2 = u, -v
+    # d1 = gcd(a1, a2, s) with Bezout data, solving the composition congruences
+    d0, y1, _ = _xgcd(a2, a1)
+    d1, x2, y2 = _xgcd(s, d0)
     v1, v2 = a1 // d1, a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
+    r = -(y1 * y2 * n + x2 * c2) % v1
     b3 = b2 + 2 * v2 * r
     a3 = v1 * v2
     c3 = (c2 * d1 + r * (b2 + v2 * r)) // v1
@@ -352,8 +342,6 @@ def genus_character(f: QuadForm, d1: int, D) -> int:
     d = _as_D(D)
     if f.discriminant != d:
         raise DomainError("form/discriminant mismatch")
-    if d1 == 1:
-        return 1
     if d % d1 or not (d1 % 4 in (0, 1)):
         raise DomainError(f"{d1} does not induce a genus decomposition of {d}")
     d2 = d // d1

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
 
 from .errors import CertificateError, DomainError, NotRepresented
-from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker
+from .numbase import exact_sqrt_fraction, factorize, is_prime, kronecker, least_nonresidue_prime_3mod4
 from .quadforms import Discriminant, QuadForm, _xgcd
 
 __all__ = [
@@ -116,11 +116,17 @@ class QuaternionAlgebra:
 
     a: int
     b: int
-    ramified: frozenset = field(default_factory=frozenset)
+    ramified: frozenset
 
     @property
     def is_definite(self) -> bool:
         return self.a < 0 and self.b < 0
+
+    @property
+    def ramified_prime(self) -> int | None:
+        """The finite prime where the algebra ramifies (p for B_(inf,p)),
+        None where it ramifies at none."""
+        return next((q for q in self.ramified if q != "inf"), None)
 
     def element(self, x0, x1, x2, x3) -> "QuatElement":
         return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
@@ -157,10 +163,7 @@ def construct_Bp(p: int) -> QuaternionAlgebra:
     elif p % 8 == 5:
         a = -2
     else:
-        q = 3
-        while not (is_prime(q) and kronecker(p, q) == -1):
-            q += 4
-        a = -q
+        a = -least_nonresidue_prime_3mod4(p)
     ram = ramified_places(a, -p)
     if ram != frozenset({"inf", p}):
         raise CertificateError(f"({a}, {-p}) is ramified at {sorted(map(str, ram))}, not at inf and {p}")
@@ -560,9 +563,6 @@ class Order:
     def alg(self) -> QuaternionAlgebra:
         return self.lattice.alg
 
-    def contains(self, x: QuatElement) -> bool:
-        return self.lattice.contains(x)
-
     @property
     def reduced_discriminant(self) -> int:
         """The square root of |det Trd(e_i conj(e_j))| over a basis e: the
@@ -599,7 +599,7 @@ def maximal_order(B: QuaternionAlgebra) -> Order:
     [0, q) of c^2 p = -1 mod q.  Certified by reduced discriminant p and
     multiplicative closure: the lattice then lies in its left order, whose
     reduced discriminant is a multiple of p, so the two are equal."""
-    p = next((q for q in B.ramified if q != "inf"), None)
+    p = B.ramified_prime
     if p is None or B != construct_Bp(p):
         raise DomainError("maximal_order expects the algebra construct_Bp(p)")
     h, f = Fraction(1, 2), Fraction(1, 4)
@@ -672,7 +672,7 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     emb = Embedding(disc=disc, v=v, order=order)
     # contract: iota lands in the order
     w = emb.iota(0, 1)
-    if not order.contains(w):
+    if not order.lattice.contains(w):
         raise CertificateError("(D + v)/2 fails to land in the order")
     return emb
 
@@ -740,7 +740,7 @@ def left_ideal_from_class(base: LeftIdeal, v: tuple[int, list[int] | tuple[int, 
     vden, vnum = v
     if vnum[0] or _qnorm(alg.a, alg.b, vnum) != -f.discriminant * vden * vden:
         raise DomainError("form discriminant does not match the embedding")
-    p = next(q for q in alg.ramified if q != "inf")
+    p = alg.ramified_prime
     if f.a % p == 0:
         raise DomainError(f"p = {p} divides the leading coefficient of {f.as_tuple()}")
     # 2 vden (-b + v)/2 = -b vden + vnum
@@ -756,8 +756,6 @@ def is_same_class(I: LeftIdeal, J: LeftIdeal) -> bool:
     gives J = I m^-1 n.  So I ~ J iff I's reduced lattice lies in R(J)."""
     if I.left_order.lattice != J.left_order.lattice:
         raise DomainError("class comparison requires identical left orders")
-    if I.lattice == J.lattice:
-        return True
     return I.reduced_lattice in J.reduced_lattices
 
 
@@ -798,7 +796,7 @@ def right_order(I: LeftIdeal) -> Order:
     rows = [[nrm.denominator * x for x in _qmul(a, b, c, r)] for c in conj for r in L.mat]
     lat = Lattice4.from_rows(L.alg, rows, L.den**2 * nrm.numerator)
     Or = Order(lattice=lat)
-    p = next(q for q in lat.alg.ramified if q != "inf")
+    p = lat.alg.ramified_prime
     if L.product(lat) != L or Or.reduced_discriminant != p:
         raise CertificateError("conj(I) I / Nr(I) is not the right order of I")
     return Or
@@ -846,7 +844,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
     of R(J) over the representatives J, taken from the neighbour as R is a
     class invariant, so by `is_same_class` a neighbour is in a known class
     iff its reduced lattice is in `seen`."""
-    p = next(q for q in order.alg.ramified if q != "inf")
+    p = order.alg.ramified_prime
     target = Fraction(p - 1, 12)
     reps = [order_as_ideal(order)]
     seen = set(reps[0].reduced_lattices)
@@ -939,8 +937,7 @@ def hs_norm_ratio(D) -> float:
     the split model (eigenvalues are similarity invariants, so the ratio
     does not depend on the choice of conjugate embedding).
     """
-    disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
-    d = disc.D
+    d = Discriminant.of(D).D
     M = _mat2_ad_matrix(d)
     return _hs_from_ad(M, d)
 

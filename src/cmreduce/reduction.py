@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -24,13 +24,14 @@ from . import __version__
 from .classpoly import classpoly_mod, hilbert_class_poly
 from .errors import CertificateError, ConfigError, DomainError, NotRepresented
 from .ffield import FfPoly, fp2_construct, roots_with_multiplicity
-from .numbase import is_prime, squarefree_part
+from .numbase import frac_str, is_prime
 from .quadforms import (
     Discriminant,
     QuadForm,
     admissible_discriminants,
     cm_point,
     compose,
+    field_discriminant,
     genus_character,
     is_fundamental,
     reduced_forms,
@@ -61,6 +62,9 @@ __all__ = [
     "scan",
 ]
 
+# the height of the box {Im tau >= Y} whose share of CM points a scan reports
+_Y_CUT = 2.0
+
 # nu_infty({Im tau >= Y}) = integral of (3/pi) dx dy / y^2 = 3/(pi Y) for Y >= 1
 NU_INFTY_Y2 = 3 / (2 * math.pi)
 
@@ -77,7 +81,7 @@ class ArchimedeanStats:
     mass_y_at_least: Fraction
 
 
-def reduce_archimedean(D, y_cut: float = 2.0):
+def reduce_archimedean(D, y_cut: float = _Y_CUT):
     """CM points of all reduced forms plus box-mass statistics."""
     d = int(D)
     forms = reduced_forms(d)
@@ -322,24 +326,11 @@ class CharacterSpec:
                 raise DomainError(f"{dd} is not a fundamental discriminant")
 
 
-def _character_product(ds) -> int:
-    """Fundamental discriminant of prod chi_{d_i}; 1 for the trivial product."""
-    prod = 1
-    for dd in ds:
-        prod *= dd
-    s = squarefree_part(prod) if prod != 0 else 1
-    if s == 1:
-        return 1
-    return s if s % 4 == 1 else 4 * s
-
-
 def character_average(D, d1: int) -> Fraction:
     """(1/h) sum of the genus character chi_{d1} over the class group;
     exactly 1 for the trivial character, 0 otherwise (orthogonality)."""
     d = int(D)
     forms = reduced_forms(d)
-    if d1 == 1:
-        return Fraction(1)
     total = sum(genus_character(f, d1, d) for f in forms)
     return Fraction(total, len(forms))
 
@@ -349,7 +340,8 @@ def exceptional_fields(spec: CharacterSpec) -> set[int]:
     all invariant character tuples; empty for Eichler-type specs."""
     out: set[int] = set()
     for chosen in product(*((1,) if dd == 1 else (1, dd) for dd in spec.factors)):
-        prod = _character_product(chosen)
+        # prod chi_{d_i} is the character of the field Q(sqrt(prod d_i))
+        prod = field_discriminant(math.prod(chosen))
         if prod != 1:
             out.add(prod)
     return out
@@ -367,8 +359,6 @@ class ScanConfig:
     dmax: int
     fundamental_only: bool = True
     split_filter: tuple[int, int] | None = None
-    coprime_to: tuple[int, ...] = ()
-    y_cut: float = 2.0
     seed: int = 0
     threads: int = 1
 
@@ -397,8 +387,9 @@ class ScanConfig:
             "dmax": self.dmax,
             "fundamental_only": self.fundamental_only,
             "split_filter": list(self.split_filter) if self.split_filter else None,
-            "coprime_to": list(self.coprime_to),
-            "y_cut": self.y_cut,
+            # constant keys, kept so that config_hash does not change
+            "coprime_to": [],
+            "y_cut": _Y_CUT,
             "seed": self.seed,
         }
         return json.dumps(data, sort_keys=True)
@@ -422,7 +413,7 @@ class ScanRow:
 class ScanReport:
     config: ScanConfig
     rows: tuple[ScanRow, ...]
-    medians: dict = field(default_factory=dict)
+    medians: dict
 
     def to_json(self) -> str:
         payload = {
@@ -433,11 +424,11 @@ class ScanReport:
                 {
                     "D": str(r.D),
                     "h": r.h,
-                    "tv": _frac_str(r.tv),
+                    "tv": frac_str(r.tv),
                     "chi2": _float_str(r.chi2),
                     "surjective": r.surjective,
                     "min_im": _float_str(r.min_im),
-                    "box_mass_y2": _frac_str(r.box_mass_y2),
+                    "box_mass_y2": frac_str(r.box_mass_y2),
                 }
                 for r in self.rows
             ],
@@ -458,19 +449,15 @@ class ScanReport:
                         str(r.D),
                         str(r.h),
                         primes,
-                        _frac_str(r.tv),
+                        frac_str(r.tv),
                         _float_str(r.chi2),
                         "1" if r.surjective else "0",
                         _float_str(r.min_im),
-                        _frac_str(r.box_mass_y2),
+                        frac_str(r.box_mass_y2),
                     ]
                 )
             )
         return "\n".join(lines) + "\n"
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _float_str(x: float) -> str:
@@ -478,9 +465,9 @@ def _float_str(x: float) -> str:
 
 
 def _scan_one(args) -> ScanRow:
-    d, primes, y_cut = args
+    d, primes = args
     jd = joint_reduce(d, primes)
-    _, stats = reduce_archimedean(d, y_cut=y_cut)
+    _, stats = reduce_archimedean(d)
     return ScanRow(
         D=d,
         h=jd.h,
@@ -499,12 +486,11 @@ def scan(config: ScanConfig) -> ScanReport:
         admissible_discriminants(
             inert=config.primes,
             split=config.split_filter or (),
-            coprime_to=tuple(config.coprime_to) + tuple(config.primes),
             abs_range=(config.dmin, config.dmax),
             fundamental_only=config.fundamental_only,
         )
     )
-    jobs = [(dd.D, config.primes, config.y_cut) for dd in discs]
+    jobs = [(dd.D, config.primes) for dd in discs]
     if config.threads > 1 and len(jobs) > 1:
         import concurrent.futures as cf
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from .classpoly import classpoly_mod, hilbert_class_poly
 from .errors import CertificateError, DomainError
 from .ffield import FfPoly, Fp2, Fp2Ctx, fp2_construct, quadratic_roots, roots_with_multiplicity
-from .numbase import is_prime, kronecker
+from .numbase import frac_str, is_prime, kronecker, least_nonresidue_prime_3mod4
 
 __all__ = [
     "SupersingularPoint",
@@ -75,7 +75,7 @@ class SupersingularLocus:
             {
                 "p": self.p,
                 "points": [{"j": self.ctx.serialize(pt.j), "w": pt.weight} for pt in self.points],
-                "mass": f"{self.mass.numerator}/{self.mass.denominator}",
+                "mass": frac_str(self.mass),
             },
             sort_keys=True,
         )
@@ -201,10 +201,7 @@ def _start_discriminant(p: int) -> int:
     for D in (-3, -4, -8):
         if kronecker(D, p) == -1:
             return D
-    q = 3
-    while not is_prime(q) or kronecker(p, q) != -1:
-        q += 4
-    return -q
+    return -least_nonresidue_prime_3mod4(p)
 
 
 def _start_j(p: int, ctx: Fp2Ctx) -> Fp2:

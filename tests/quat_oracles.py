@@ -56,7 +56,7 @@ def saturated_maximal_order(B: QuaternionAlgebra) -> Order:
     until the reduced discriminant is p.  Each step takes the first x in
     (1/q)O \\ O, over HNF coordinates in [0, q)^4 in product order, with
     integral trace and norm whose span with O is multiplicatively closed."""
-    p = next(q for q in B.ramified if q != "inf")
+    p = B.ramified_prime
     a, b = B.a, B.b
     order = Order(lattice=Lattice4.from_rows(B, [[int(i == j) for j in range(4)] for i in range(4)], 1))
     while order.reduced_discriminant != p:

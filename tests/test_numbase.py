@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmreduce import numbase
 from cmreduce.errors import DomainError
 from cmreduce.numbase import (
     exact_sqrt_fraction,
@@ -64,9 +65,33 @@ def test_is_prime_examples():
     assert not is_prime((2**31 - 1) * (2**19 - 1))
 
 
+# psi_1, ..., psi_12 of OEIS A014233, the least composite that is a strong
+# pseudoprime to each of the first k prime bases (psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       3825123056546413051, 318665857834031151167461)
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_psi_k():
+    assert PSI[-1] == 399165290221 * 798330580441
+    for n in PSI:
+        assert not is_prime(n)
+    assert not is_prime(PSI_13 - 1)
+    with pytest.raises(DomainError):
+        is_prime(PSI_13)
+
+
+def test_dropping_the_witness_41_admits_psi_12(monkeypatch):
+    # planted fault: the first 12 prime bases alone pass psi_12
+    monkeypatch.setattr(numbase, "_MR_WITNESSES", numbase._MR_WITNESSES[:-1])
+    assert is_prime(PSI[-1])
+
+
 def test_is_prime_matches_sieve():
-    sieve = set(primes_up_to(2000))
-    for n in range(2000):
+    limit = 2 * 10**5
+    sieve = set(primes_up_to(limit))
+    for n in range(limit):
         assert is_prime(n) == (n in sieve)
 
 

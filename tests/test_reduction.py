@@ -213,6 +213,17 @@ def test_scan_smoke_and_reproducibility():
     assert data["version"]
 
 
+def test_scan_config_block_is_pinned():
+    # the block behind tests/golden/scan_p11-23_D3-600_fund.json; coprime_to
+    # and y_cut are constants, not fields, but their keys stay in the bytes
+    cfg = ScanConfig(primes=(11, 23), dmin=3, dmax=600, fundamental_only=True)
+    assert cfg.canonical_json() == (
+        '{"coprime_to": [], "dmax": 600, "dmin": 3, "fundamental_only": true, '
+        '"primes": [11, 23], "seed": 0, "split_filter": null, "y_cut": 2.0}'
+    )
+    assert cfg.digest() == "4c758a6fde757d5a"
+
+
 def test_scan_threads_match_serial():
     cfg1 = ScanConfig(primes=(11,), dmin=3, dmax=120, fundamental_only=True)
     cfg2 = ScanConfig(primes=(11,), dmin=3, dmax=120, fundamental_only=True, threads=2)
