@@ -14,6 +14,11 @@ W needs about a third of the bits.  Each gamma_2 is a cube root of j_eval's
 value: the branch is the one nearest a double-precision estimate, a
 certified choice.  H_D follows from W by an exact identity over Z.  For
 3 | D, H_D is the product of the (X - j) themselves.
+
+The values carry proven error bounds, and their product is taken in
+fixed-point integers and rounded only where an error bound certifies it
+(_assemble, after Enge, Math. Comp. 78 (2009)); the same bound sets the
+working precision.
 """
 
 from __future__ import annotations
@@ -94,10 +99,37 @@ def _euler_products(q: mpmath.mpc | complex, n_max: int) -> tuple[mpmath.mpc | c
 
 
 def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
-    """j(tau) with absolute error <= 2^(8 - precision_bits) * max(1, |j|).
+    """j(tau) with absolute error <= 2^(8 - precision_bits) * max(1, |j|),
+    for |D| < 2^40 and precision_bits < 2^40 (far beyond any H_D that can be
+    computed).
 
-    Works at precision_bits + 32; the series of E(q) and E(q^2) drop the
-    terms q^n with |q|^n < 2^(-precision_bits - 32).
+    Works at w = precision_bits + 32 bits; the series of E(q) and E(q^2)
+    drop the terms q^n with n > n_max, |q|^n_max <= 2^-w.  With u = 2^(1-w),
+    every real operation of mpmath errs by at most u relatively, and every
+    complex product or quotient, or exp of a complex argument, by at most 4u.
+
+    Proof of the error.  tau is reduced: Im tau >= sqrt(3)/2, so
+    |q| < 0.0044, and |tau| <= sqrt(|D| + 1)/2.
+    * Tail: every dropped term has exponent n > n_max, so each series loses
+      less than sum_(n > n_max) |q|^n < 0.005 * 2^-w, and |E(q)|, |E(q^2)|
+      lie in [0.995, 1.005].
+    * q: the argument 2 pi i tau has |2 pi tau| <= pi sqrt(|D| + 1) and is
+      formed with absolute error <= 7u pi sqrt(|D| + 1), so q errs relatively
+      by e_q <= (22 sqrt(|D| + 1) + 5) u.
+    * Products: the K = O(sqrt(n_max)) rounds of _euler_products make about
+      6K products.  The term of exponent n carries a relative error of at
+      most n e_q + 24 K u, but weighs |q|^n, so the products and the 4K
+      additions leave E(q) and E(q^2) with relative error
+      e_E <= e_q / 32 + 8 K u.
+    * r^24: r = E(q^2)/E(q) errs by e_r <= 2 e_E + 5u, and the 24th power
+      multiplies that 24-fold: t = q r^24 errs by
+      e_t <= e_q + 24 e_r + 24u <= (60 sqrt(|D| + 1) + 400 K + 160) u.
+    * U^3/t: |t| < 0.0056, so with U = 1 + 256 t, |U| < 2.5 and U errs
+      absolutely by at most 1.44 e_t + 3u.  If |U| >= 1/2, j = U^3/t errs
+      relatively by at most 10 e_t + 30u.  If |U| < 1/2, then |t| > 1/512
+      and |j| < 64, and j errs absolutely by at most 620 e_t + 2200u.
+    So j errs by at most 2^18 (sqrt(|D| + 1) + K + 1) u max(1, |j|), which is
+    below 2^(8 - precision_bits) max(1, |j|) while sqrt(|D| + 1) + K < 2^21.
     """
     if precision_bits < _MIN_PRECISION:
         precision_bits = _MIN_PRECISION
@@ -120,8 +152,13 @@ def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
         return u * u * u / t
 
 
-def _j_value(f: QuadForm, d: int, bits: int) -> mpmath.mpc:
-    return j_eval(cm_point(f, d), bits)
+# log2 of the factor of j_eval's stated error: 2^(8 - bits) max(1, |j|)
+_J_ERROR_BITS = 8
+
+
+def _j_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
+    """j(tau_f) and log2 of its relative error (see j_eval)."""
+    return j_eval(cm_point(f, d), bits), _J_ERROR_BITS - bits
 
 
 def _gamma2_estimate(tau: CMPoint) -> complex:
@@ -174,36 +211,85 @@ def _gamma2_steps(f: QuadForm) -> int:
     return (m + a * b) % 3
 
 
-def _gamma2_value(f: QuadForm, d: int, bits: int) -> mpmath.mpc:
+def _newton_precisions(target: int) -> list[int]:
+    """The precisions of the Newton steps that refine a 48-bit cube root:
+    each doubles the bits, and the last reaches target."""
+    out = []
+    p = 48
+    while p < target:
+        p = min(2 * p, target)
+        out.append(p)
+    return out
+
+
+def _gamma2_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
     """gamma_2 at the normalized CM point of f's class (see _gamma2_steps),
-    as a cube root of j_eval's j(tau_f) at the working precision."""
+    as a cube root of j_eval's j(tau_f), and log2 of its relative error.
+
+    The error is certified a posteriori.  With g the value and e >= |g^3 - j|
+    (the computed residual, its rounding and j_eval's error), the three
+    distances from g to the cube roots of j multiply to |g^3 - j|, so the
+    least, m, is at most e^(1/3).  When 8e <= |g|^3, m <= |g|/2, the other
+    two roots lie at least (sqrt(3) - 1/2)|g| from g, and m <= e/|g|^2.
+    That nearest root is the branch chosen in doubles (start) when
+    |g - start| <= |g|/4: the other roots lie sqrt(3)|gamma_2| >= 0.86|g|
+    from it.  Then |g - gamma_2| / max(1, |gamma_2|) <= 2e / (|g|^2
+    max(1, |g|)), as |gamma_2| >= |g|/2.  When 8e > |g|^3 the error is
+    infinite; a g that left the branch raises CertificateError.
+    """
     tau = cm_point(f, d)
     j = j_eval(tau, bits)
-    prec = mpmath.mp.prec
     with mpmath.workprec(64):
         # the scale of _gamma2_estimate: gamma_2(tau_f) / scale is near 1
         scale = mpmath.exp(2 * mpmath.pi * mpmath.sqrt(tau.abs_D) / (3 * tau.two_a))
         root = _nearest_cube_root(complex(j / scale**3), _gamma2_estimate(tau))
-        root = scale * mpmath.mpc(root * cmath.exp(2j * math.pi * _gamma2_steps(f) / 3))
+        start = root = scale * mpmath.mpc(root * cmath.exp(2j * math.pi * _gamma2_steps(f) / 3))
     # root holds about 50 correct bits, and Newton's step x -> (2x + j/x^2)/3
     # doubles them for the cube root of j that x is near
-    p = 48
-    while p < prec:
-        p = min(2 * p, prec)
+    for p in _newton_precisions(bits + 16):
         with mpmath.workprec(p + 16):
             root = (2 * root + j / (root * root)) / 3
-    return root
+    with mpmath.workprec(bits + 32):
+        residual = root * root * root - j
+    with mpmath.workprec(53):
+        size = abs(root)
+        # j_eval's error and the rounding of the residual
+        e = abs(residual) + max(1, abs(j), size**3) * mpmath.ldexp(1, _J_ERROR_BITS + 2 - bits)
+        if 8 * e > size**3:
+            return root, math.inf
+        if abs(root - start) > size / 4:
+            raise CertificateError(f"Newton's iteration left the cube root branch at {f}")
+        return root, float(mpmath.log(2 * e / (size**2 * max(1, size)), 2))
+
+
+# bits the start precision keeps above the bound's need; the estimates of
+# |j| and |gamma_2| are good to a fraction of a bit, and gamma_2's certified
+# error is a few bits above j's
+_GUARD_BITS = 20
 
 
 def _initial_precision(D: int, forms, height: int = 1) -> int:
     """Working bits for the class polynomial of an invariant of 1/height of
-    j's height (3 for gamma_2): 32 + main/height + 8h, where the main term
-    pi sqrt|D| sum 1/a / ln 2 estimates log2 of H_D's largest coefficient."""
-    h = len(forms)
-    inv_a = sum(1.0 / f.a for f in forms)
-    main = math.pi * math.sqrt(abs(D)) * inv_a / math.log(2)
-    bits = 32 + math.ceil(main / height) + 8 * h
+    j's height (3 for gamma_2): _assemble's bound E at delta = 2^(8 - bits),
+    j_eval's error, evaluated on double-precision estimates of the values,
+    is 2^-(1 + _GUARD_BITS).
+
+    log2 |gamma_2(tau)| is that of _gamma2_estimate times its scale
+    e^(2 pi Im(tau)/3); |j| is its cube, and the value its height-th root.
+    """
+    log2_s = 0.0
+    for f in forms:
+        tau = cm_point(f, D)
+        # the estimate is 0 at tau = rho, where j = 0
+        log2_gamma2 = math.log2(abs(_gamma2_estimate(tau)) or 1.0) + 2 * math.pi * tau.im / (3 * math.log(2))
+        log2_s += _log2_one_plus(max(0.0, 3 * log2_gamma2 / height))
+    bits = math.ceil(log2_s + math.log2(10 * len(forms))) + _J_ERROR_BITS + 1 + _GUARD_BITS
     return max(_MIN_PRECISION, bits)
+
+
+def _log2_one_plus(x: float) -> float:
+    """log2(1 + 2^x) for x >= 0."""
+    return x + math.log2(1 + 2.0**-x)
 
 
 def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
@@ -211,10 +297,11 @@ def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
 
     For 3 ∤ D it is computed from W(X) = prod (X - gamma_2(tau_f)) by the
     identity of _h_from_w, for 3 | D from the j(tau_f) themselves.  The
-    coefficients of W or H_D are recognized as integers (within 0.25) and
-    rounded; the precision is doubled at most twice when one is not, and
-    nothing is rounded silently.  Computed once per D per process; entries
-    read from cache_dir are validated and recomputed when they fail.
+    coefficients of W or H_D are rounded only under a proven error bound
+    below 1/2 (see _assemble); the precision is doubled at most twice when
+    the bound does not certify them, and nothing is rounded silently.
+    Computed once per D per process; entries read from cache_dir are
+    validated and recomputed when they fail.
     """
     d = int(D)
     if cache_dir is not None:
@@ -246,7 +333,7 @@ def hilbert_class_poly_from_j(D: int) -> ClassPolynomial:
 
 def _rounded_product(d: int, forms, value, height: int) -> list[int]:
     """_assemble from _initial_precision on, doubling the precision at most
-    twice; PrecisionError when no attempt gives integers."""
+    twice; PrecisionError when no attempt is certified."""
     bits = _initial_precision(d, forms, height)
     last_gap = None
     for _ in range(_MAX_DOUBLINGS + 1):
@@ -255,52 +342,102 @@ def _rounded_product(d: int, forms, value, height: int) -> list[int]:
             return result
         last_gap = bits
         bits *= 2
-    raise PrecisionError(f"class polynomial of D = {d} not integral at {last_gap} bits (twice doubled)")
+    raise PrecisionError(f"class polynomial of D = {d} not certified at {last_gap} bits (twice doubled)")
 
 
 def _assemble(d: int, forms, bits: int, value=_j_value) -> list[int] | None:
-    """The integer coefficients of prod over forms f of (X - value(f, d,
-    bits)), ascending, or None when one is not within 0.25 of an integer or
-    the product is not monic of degree h."""
-    with mpmath.workprec(bits + 48):
-        # forms pair up under b -> -b, whose values are complex conjugates;
-        # boundary forms (b = 0, b = a, a = c) have real values, so the
-        # product is assembled from real factors
-        one = mpmath.mpf(1)
-        factors = []
-        for f in forms:
-            if f.b < 0:
-                continue  # the mirror of a paired form
-            x = value(f, d, bits)
-            if f.b == 0 or f.b == f.a or f.a == f.c:
-                factors.append([-x.real, one])
-            else:
-                factors.append([x.real**2 + x.imag**2, -2 * x.real, one])
-        out = []
-        for c in _product_tree(factors):
-            r = mpmath.nint(c)
-            if abs(c - r) > 0.25:
-                return None
-            out.append(int(r))
-        if out[-1] != 1 or len(out) - 1 != len(forms):
+    """The integer coefficients of prod over forms f of (X - x_f), x_f =
+    value(f, d, bits), ascending, or None when the error bound does not
+    certify them.
+
+    value gives x_f and log2 of delta_f, with |x_f - exact| <= delta_f
+    max(1, |exact|); delta is the largest delta_f.  Forms pair up under
+    b -> -b, whose values are complex conjugates, and boundary forms (b = 0,
+    b = a, a = c) have real values, so the leaves are real: X - x and
+    X^2 - 2 Re(x) X + |x|^2.  They and every product-tree node hold
+    integers scaled by 2^P, P = bits + 48, and each node product is
+    truncated back to that scale.
+
+    The bound.  Let M_f >= max(1, |exact x_f|) and S = prod (1 + M_f) over
+    all forms.  Every node's exact polynomial is dominated coefficientwise
+    by prod (X + M_f) over its forms, whose coefficients sum to its value at
+    1.  Measure a node's error rho by the sum of its coefficient errors over
+    that value.  With theta = delta + 1.5 2^-P (reading x_f in fixed point
+    errs by at most sqrt(2) 2^-P), a linear leaf has rho <= theta and a
+    quadratic one rho <= 3 theta + 2^-P / 4; a product node has 1 + rho <=
+    (1 + rho_left)(1 + rho_right)(1 + 2^-P), as its degree + 1 is at most
+    2^degree, at most the value at 1.  So at the root 1 + rho <=
+    exp(lambda), lambda <= 5h t for t = max(delta, 2^-P), and every
+    coefficient errs by at most E = 2 lambda S = 10h S t while lambda <= 1.
+    M_f = max(1, |x^|)(1 + 5t), for x^ the value read in fixed point,
+    bounds max(1, |exact x_f|) when delta <= 1/2.  log2 S is summed in
+    doubles, each term raised by 2^-30 for their rounding.
+
+    A coefficient c is rounded when E < 1/2 and |c - nint(c)| <= E: the
+    exact integer lies within E of c, so it is nint(c), and a distance
+    above E shows the bound broken.
+    """
+    P = bits + 48
+    one = 1 << P
+    leaves, log2_m, log2_delta = [], [], -math.inf
+    for f in forms:
+        if f.b < 0:
+            continue  # the mirror of a paired form
+        x, err = value(f, d, bits)
+        log2_delta = max(log2_delta, err)
+        re = int(mpmath.ldexp(x.real, P))
+        if f.b == 0 or f.b == f.a or f.a == f.c:
+            leaves.append([-re, one])
+            log2_m.append(math.log2(max(abs(re), one)) - P)
+        else:
+            im = int(mpmath.ldexp(x.imag, P))
+            norm = re * re + im * im
+            leaves.append([norm >> P, -2 * re, one])
+            log2_m += [math.log2(max(norm, one << P)) / 2 - P] * 2
+    log2_t = max(log2_delta, -P)
+    # log2(1 + 5t) <= 2^(3 + log2 t); at t >= 1/8, E > 1/2 anyway
+    slack = 2.0 ** min(log2_t + 3, 0.0) + 2.0**-30
+    log2_s = math.fsum(_log2_one_plus(m + slack) for m in log2_m)
+    log2_e = log2_s + math.log2(10 * len(forms)) + log2_t
+    if not log2_e < -1:
+        return None
+    out = []
+    for c in _product_tree(leaves, P):
+        r = (c + (one >> 1)) >> P
+        gap = abs(c - (r << P))
+        if gap and math.log2(gap) - P > log2_e:
             return None
-        return out
+        out.append(r)
+    return out
 
 
-def _product_tree(polys):
-    """The product of the ascending coefficient lists, halves first."""
+def _product_tree(polys: list[list[int]], P: int) -> list[int]:
+    """The product of the ascending lists of integers scaled by 2^P, halves
+    first, every node truncated back to scale 2^P."""
     if len(polys) == 1:
         return polys[0]
     mid = len(polys) // 2
-    return _poly_mul(_product_tree(polys[:mid]), _product_tree(polys[mid:]))
+    return _fixed_mul(_product_tree(polys[:mid], P), _product_tree(polys[mid:], P), P)
 
 
-def _poly_mul(a, b):
-    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _fixed_mul(a: list[int], b: list[int], P: int) -> list[int]:
+    """floor(c / 2^P) for each coefficient c of a b, from one integer
+    product of a and b packed in signed slots (Kronecker substitution)."""
+    n = len(a) + len(b) - 1
+    # no coefficient of a b reaches 2^(8 width - 1) in absolute value
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1
+    k = 8 * width
+    va, vb = (sum(x << (k * i) for i, x in enumerate(poly)) for poly in (a, b))
+    return [c >> P for c in _signed_slots(va * vb, width, n)]
+
+
+def _signed_slots(v: int, width: int, n: int) -> list[int]:
+    """c_0 .. c_(n-1) from v = sum c_i 256^(width i), |c_i| < 2^(8 width - 1):
+    adding 2^(8 width - 1) to every slot makes each a digit in [0, 256^width)."""
+    half = 1 << (8 * width - 1)
+    raw = (v + int.from_bytes(half.to_bytes(width, "little") * n, "little")).to_bytes(width * n, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 def _h_from_w(w: list[int]) -> list[int]:
@@ -324,11 +461,7 @@ def _h_from_w(w: list[int]) -> list[int]:
     a, b, c = (sum(x << (k * i) for i, x in enumerate(w) if i % 3 == r) for r in range(3))
     s = a + b + c
     v = s * (s * s - 3 * (a * (b + c) + b * c))
-    # adding 2^(3k - 1) to every slot makes each a digit in [0, 2^(3k))
-    width = 3 * k // 8
-    half = 1 << (3 * k - 1)
-    raw = (v + int.from_bytes(half.to_bytes(width, "little") * n, "little")).to_bytes(width * n, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * n, width)]
+    return _signed_slots(v, 3 * k // 8, n)
 
 
 def classpoly_mod(H: ClassPolynomial, p: int) -> list[int]:
@@ -341,7 +474,7 @@ def classpoly_mod(H: ClassPolynomial, p: int) -> list[int]:
 # -- disk cache (atomic write-then-rename) ----------------------------------
 
 # bump on any change to the evaluation algorithm; keys cache entries
-_ALGORITHM_VERSION = 4
+_ALGORITHM_VERSION = 5
 
 
 def _cache_path(cache_dir: str, D: int) -> str:

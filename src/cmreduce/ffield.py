@@ -199,40 +199,48 @@ class _PackedModulus:
     integer products (Kronecker substitution).
 
     A polynomial sum a_i X^i with a_i in [0, p) is the integer with a_i in
-    slot i, each slot W bytes: X = 256^W.  In a product of two factors of
-    at most n coefficients every slot is below n(p - 1)^2 < 256^W, so no
-    slot carries into the next.
+    slot i, each slot W bytes: X = 256^W.  With mu = floor(X^(2n-2) / f),
+    c = c_hi X^n + c_lo of degree <= 2n - 2 has quotient floor(c / f) =
+    q = floor(c_hi mu / X^(n-2)) exactly: the rest of c / f,
+    c_hi (X^(2n-2)/f - mu) / X^(n-2) + c_lo / f, has no polynomial part.
+    So c mod f = c_lo - (q f) mod X^n, with no correction.
 
-    With mu = floor(X^(2n-2) / f), a = a_hi X^n + a_lo of degree <= 2n - 2
-    has quotient floor(a / f) = floor(a_hi mu / X^(n-2)) exactly: the rest
-    of a / f, a_hi (X^(2n-2)/f - mu) / X^(n-2) + a_lo / f, has no
-    polynomial part.  So a mod f = a_lo - (q f) mod X^n, with no correction.
+    Every step runs on unreduced slots, which are reduced mod p once, at the
+    end.  For a product c = a b of factors with slots in [0, p), the slots
+    of c are below n p^2, those of c_hi mu below n^2 p^3 and those of q f
+    below n^3 p^4.  A bias of n^3 p^4, a multiple of p, in every slot keeps
+    c_lo - (q f) mod X^n nonnegative slot by slot, so no slot reaches
+    2 n^3 p^4 <= 256^W and none carries into the next.
     """
 
     def __init__(self, f: list[int], p: int):
         n = len(f) - 1
         self.p, self.n = p, n
-        self.width = ((n * (p - 1) ** 2).bit_length() + 7) // 8
+        bound = n**3 * p**4
+        self.width = ((2 * bound).bit_length() + 7) // 8
         self.mu = self.pack(_fp_divmod([0] * (2 * n - 2) + [1], f, p)[0])
         self.f_low = self.pack(f[:n])
+        self.bias = self.pack([bound] * n)
+        self.low_mask = (1 << (8 * self.width * n)) - 1
+        self.q_mask = (1 << (8 * self.width * (n - 1))) - 1
 
     def pack(self, coeffs: list[int]) -> int:
         w = self.width
         return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
-    def unpack(self, v: int, lo: int, hi: int) -> list[int]:
-        """Slots lo .. hi - 1 of v, not reduced."""
+    def unpack(self, v: int) -> list[int]:
+        """Slots 0 .. n - 1 of v, not reduced."""
         w = self.width
         raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
         get = int.from_bytes
-        return [get(raw[i : i + w], "little") for i in range(w * lo, w * hi, w)]
+        return [get(raw[i : i + w], "little") for i in range(0, w * self.n, w)]
 
     def mulmod(self, a: int, b: int) -> int:
-        n, p = self.n, self.p
-        c = self.unpack(a * b, 0, 2 * n - 1)
-        q = self.unpack(self.pack([u % p for u in c[n:]]) * self.mu, n - 2, 2 * n - 3)
-        qf = self.unpack(self.pack([u % p for u in q]) * self.f_low, 0, n)
-        return self.pack([(u - v) % p for u, v in zip(c, qf)])
+        n, p, bits = self.n, self.p, 8 * self.width
+        c = a * b
+        q = ((c >> (bits * n)) * self.mu >> (bits * (n - 2))) & self.q_mask
+        r = (c & self.low_mask) + self.bias - (q * self.f_low & self.low_mask)
+        return self.pack([u % p for u in self.unpack(r)])
 
     def pow(self, base: list[int], e: int) -> list[int]:
         """base^e mod f for base of degree < n, left to right."""
@@ -243,7 +251,7 @@ class _PackedModulus:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, b)
-        out = self.unpack(r, 0, self.n)
+        out = self.unpack(r)
         while out and out[-1] == 0:
             out.pop()
         return out

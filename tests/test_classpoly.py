@@ -162,20 +162,20 @@ def test_hilbert_class_poly_is_computed_once_per_discriminant(monkeypatch, tmp_p
 def _plant_a_miss(monkeypatch, d, every_precision):
     """Move coefficient 1 of H_d 0.4 off its integer before rounding, at the
     first working precision only or at every one; the list returned fills
-    with the working precisions of the full products."""
+    with the fixed-point scales P of the full products."""
     from cmreduce import classpoly
 
     h = len(reduced_forms(d))
     tree = classpoly._product_tree
     precisions = []
 
-    def planted(polys):
-        out = tree(polys)
+    def planted(polys, P):
+        out = tree(polys, P)
         if len(out) == h + 1:  # the full product, not a subtree
-            precisions.append(mpmath.mp.prec)
+            precisions.append(P)
             if every_precision or len(precisions) == 1:
                 out = list(out)
-                out[1] += 0.4
+                out[1] += (2 << P) // 5
         return out
 
     monkeypatch.setattr(classpoly, "_product_tree", planted)
@@ -193,7 +193,7 @@ def test_a_coefficient_missing_its_integer_doubles_the_precision(monkeypatch):
         assert hilbert_class_poly(-191) == expected
     finally:
         classpoly._compute.cache_clear()
-    # _assemble works at bits + 48
+    # _assemble scales by 2^P, P = bits + 48
     assert len(precisions) == 2 and precisions[1] - 48 == 2 * (precisions[0] - 48)
 
 
@@ -272,9 +272,91 @@ def test_gamma2_route_is_independent_of_precision():
 def test_gamma2_precision_is_a_third_of_the_main_term():
     from cmreduce.classpoly import _initial_precision
 
-    # 32 + main/3 + 8h bits against 32 + main + 8h for j
-    assert [_initial_precision(D, reduced_forms(D), 3) for D in (-2351, -4391, -15791)] == [1103, 1460, 3684]
-    assert [_initial_precision(D, reduced_forms(D)) for D in (-2351, -4391)] == [2237, 3050]
+    # log2 S + log2(10h) + 29 bits, S = prod (1 + max(1, |x_f|)) over the
+    # estimated values: gamma_2 has a third of j's height
+    assert [_initial_precision(D, reduced_forms(D), 3) for D in (-2351, -4391, -15791)] == [608, 834, 2138]
+    assert [_initial_precision(D, reduced_forms(D)) for D in (-2351, -4391)] == [1736, 2409]
+
+
+# -- the proven rounding bound of _assemble -----------------------------------
+
+
+def _routes(D):
+    """(value, height) of the j route, and of the gamma_2 route for 3 ∤ D."""
+    from cmreduce.classpoly import _gamma2_value, _j_value
+
+    return [(_j_value, 1)] + ([(_gamma2_value, 3)] if D % 3 else [])
+
+
+def test_a_certified_product_is_exact():
+    # below the start precision the bound gives up (None) long before a
+    # coefficient could round to the wrong integer
+    from cmreduce.classpoly import _MIN_PRECISION, _assemble, _initial_precision
+
+    for D in range(-3, -501, -1):
+        if D % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(D)
+        for value, height in _routes(D):
+            bits = _initial_precision(D, forms, height)
+            exact = _assemble(D, forms, bits, value)
+            assert exact is not None, D
+            while bits > _MIN_PRECISION:
+                bits = max(_MIN_PRECISION, bits - max(8, bits // 8))
+                assert _assemble(D, forms, bits, value) in (None, exact), (D, height, bits)
+
+
+def _uncertified_at_start(Ds, wrap=lambda value: value):
+    """The D whose product on the route hilbert_class_poly takes (the last
+    of _routes), with value wrapped by wrap, is not certified at the start
+    precision."""
+    from cmreduce.classpoly import _assemble, _initial_precision
+
+    for D in Ds:
+        forms = reduced_forms(D)
+        value, height = _routes(D)[-1]
+        if _assemble(D, forms, _initial_precision(D, forms, height), wrap(value)) is None:
+            yield D
+
+
+_TO_1500 = [D for D in range(-3, -1501, -1) if D % 4 in (0, 1)]
+
+
+def test_the_start_precision_is_certified():
+    assert list(_uncertified_at_start(_TO_1500)) == []
+
+
+def test_planted_fault_values_claimed_exact():
+    # delta = 0: the bound keeps only the tree's rounding, the computed
+    # coefficients lie further from their integers than it allows, and
+    # nothing is rounded
+    def exact(value):
+        return lambda f, d, bits: (value(f, d, bits)[0], -math.inf)
+
+    assert next(_uncertified_at_start(_TO_1500, exact), None) is not None
+
+
+def test_planted_fault_newton_one_step_short(monkeypatch):
+    # a cube root refined one Newton step short holds about half the bits;
+    # its residual shows that, so the first attempt is not certified and
+    # the doubled precision gives the exact H_D, or no H_D at all
+    from cmreduce import classpoly
+    from cmreduce.errors import CertificateError
+
+    Ds = (-719, -2351, -4391)
+    expected = {D: hilbert_class_poly(D) for D in Ds}
+    newton = classpoly._newton_precisions
+    monkeypatch.setattr(classpoly, "_newton_precisions", lambda target: newton(target)[:-1])
+    assemble = classpoly._assemble
+    attempts = []
+    monkeypatch.setattr(classpoly, "_assemble", lambda *args: attempts.append(assemble(*args)) or attempts[-1])
+    for D in Ds:
+        attempts.clear()
+        try:
+            assert classpoly._compute.__wrapped__(D) == expected[D], D
+        except (PrecisionError, CertificateError):
+            pass
+        assert attempts[0] is None, D
 
 
 def _schoolbook(a, b):

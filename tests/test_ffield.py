@@ -243,6 +243,24 @@ def test_pow_mod_matches_schoolbook_oracle(p):
     assert FfPoly([3, 1], ctx).pow_mod(5, FfPoly([4], ctx)).coeffs == []
 
 
+@pytest.mark.parametrize("p", [5, 1013, 100003, 2**31 - 1])
+@pytest.mark.parametrize("n", [8, 9, 79, 195])
+def test_packed_product_matches_the_schoolbook_product(n, p):
+    # the slots stay unreduced from the product to the remainder, so the
+    # worst case, every slot of a, b and f at p - 1, fills them the most
+    rng = random.Random(n * p)
+    worst = [p - 1] * n
+    cases = [(worst, worst, worst + [1])]
+    cases += [[[rng.randrange(p) for _ in range(n)] for _ in range(3)] for _ in range(3)]
+    for a, b, f_low in cases:
+        f = f_low[:n] + [1]
+        packed = ffield._PackedModulus(f, p)
+        got = packed.unpack(packed.mulmod(packed.pack(a), packed.pack(b)))
+        while got and got[-1] == 0:
+            got.pop()
+        assert got == ffield._fp_divmod(ffield._fp_mul(a, b), f, p)[1]
+
+
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
 def test_norm_split_exponent_matches_the_direct_power(p):
     # ((X + c)(X^p mod g + c))^((p-1)/2) = (X + c)^((p^2-1)/2) mod g for any
