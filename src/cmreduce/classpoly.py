@@ -1,19 +1,18 @@
-"""High-precision evaluation of the modular j-function at CM points and
-assembly of Hilbert class polynomials over Z.
+"""High-precision evaluation of the modular j-function and of gamma_2 =
+j^(1/3) at CM points, and assembly of Hilbert class polynomials over Z.
 
-j is computed from the eta quotient t = (eta(2 tau) / eta(tau))^24 =
-q (E(q^2) / E(q))^24, E(x) = prod (1 - x^n), as j = (1 + 256 t)^3 / t.  t is
-an integer power of a quotient of q-products, so no branch of a root is
-involved, and E is a sparse series by Euler's pentagonal number theorem.
-Arbitrary precision arithmetic is delegated to mpmath; BigFloatComplex is an
-``mpmath.mpc`` at the stated working precision.
+Both come from the eta quotient t = (eta(2 tau) / eta(tau))^24 =
+q (E(q^2) / E(q))^24, E(x) = prod (1 - x^n): j = (1 + 256 t)^3 / t, and
+gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2) / E(q))^8,
+q^(1/3) = e^(2 pi i tau / 3).  Each is a quotient of integer powers of
+q-products and of q or q^(1/3), so no branch of a root is involved, and E is
+a sparse series by Euler's pentagonal number theorem.  Arbitrary precision
+arithmetic is delegated to mpmath.
 
-For 3 ∤ D, H_D comes from W = prod (X - gamma_2(tau)), gamma_2 = j^(1/3) a
-class invariant with a third of j's height (Enge and Morain, ANTS 2002), so
-W needs about a third of the bits.  Each gamma_2 is a cube root of j_eval's
-value: the branch is the one nearest a double-precision estimate, a
-certified choice.  H_D follows from W by an exact identity over Z.  For
-3 | D, H_D is the product of the (X - j) themselves.
+For 3 ∤ D, H_D comes from W = prod (X - gamma_2(tau)), gamma_2 a class
+invariant with a third of j's height (Enge and Morain, ANTS 2002), so W
+needs about a third of the bits, and H_D follows from W by an exact identity
+over Z.  For 3 | D, H_D is the product of the (X - j) themselves.
 
 The values carry proven error bounds, and their product is taken in
 fixed-point integers and rounded only where an error bound certifies it
@@ -27,15 +26,13 @@ import cmath
 import functools
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import mpmath
 
-from .errors import CertificateError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .numbase import is_prime
-from .quadforms import CMPoint, QuadForm, class_number, cm_point, reduced_forms
+from .quadforms import CMPoint, QuadForm, cm_point, reduced_forms
 
 __all__ = ["ClassPolynomial", "j_eval", "hilbert_class_poly", "hilbert_class_poly_from_j", "classpoly_mod"]
 
@@ -98,13 +95,16 @@ def _euler_products(q: mpmath.mpc | complex, n_max: int) -> tuple[mpmath.mpc | c
     return e1, e2
 
 
-def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
-    """j(tau) with absolute error <= 2^(8 - precision_bits) * max(1, |j|),
-    for |D| < 2^40 and precision_bits < 2^40 (far beyond any H_D that can be
-    computed).
+def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
+    """j(tau)^(1/height) for height 1 (j) or 3 (gamma_2, the holomorphic cube
+    root q^(-1/3) (1 + 248 q + ...) of j), with absolute error
+    <= 2^(8 - precision_bits) * max(1, |value|), for |D| < 2^40 and
+    precision_bits < 2^40 (far beyond any H_D that can be computed).
 
-    Works at w = precision_bits + 32 bits; the series of E(q) and E(q^2)
-    drop the terms q^n with n > n_max, |q|^n_max <= 2^-w.  With u = 2^(1-w),
+    Works at w = precision_bits + 32 bits from q_h = e^(2 pi i tau / height)
+    and q = q_h^height; the series of E(q) and E(q^2) drop the terms q^n with
+    n > n_max, |q|^n_max <= 2^-w.  With r = E(q^2)/E(q), t = q r^24 and
+    U = 1 + 256 t, j = U^3/t and gamma_2 = U/(q_h r^8).  With u = 2^(1-w),
     every real operation of mpmath errs by at most u relatively, and every
     complex product or quotient, or exp of a complex argument, by at most 4u.
 
@@ -113,24 +113,37 @@ def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
     * Tail: every dropped term has exponent n > n_max, so each series loses
       less than sum_(n > n_max) |q|^n < 0.005 * 2^-w, and |E(q)|, |E(q^2)|
       lie in [0.995, 1.005].
-    * q: the argument 2 pi i tau has |2 pi tau| <= pi sqrt(|D| + 1) and is
-      formed with absolute error <= 7u pi sqrt(|D| + 1), so q errs relatively
-      by e_q <= (22 sqrt(|D| + 1) + 5) u.
+    * q: the argument 2 pi i tau / height has modulus at most
+      pi sqrt(|D| + 1) and is formed with absolute error
+      <= 7u pi sqrt(|D| + 1), so q_h errs relatively by
+      e_h <= (22 sqrt(|D| + 1) + 5) u, and q = q_h, or q_h^3 by two
+      products, by e_q <= 3 e_h + 8u <= (66 sqrt(|D| + 1) + 23) u.
     * Products: the K = O(sqrt(n_max)) rounds of _euler_products make about
       6K products.  The term of exponent n carries a relative error of at
       most n e_q + 24 K u, but weighs |q|^n, so the products and the 4K
       additions leave E(q) and E(q^2) with relative error
       e_E <= e_q / 32 + 8 K u.
-    * r^24: r = E(q^2)/E(q) errs by e_r <= 2 e_E + 5u, and the 24th power
-      multiplies that 24-fold: t = q r^24 errs by
-      e_t <= e_q + 24 e_r + 24u <= (60 sqrt(|D| + 1) + 400 K + 160) u.
-    * U^3/t: |t| < 0.0056, so with U = 1 + 256 t, |U| < 2.5 and U errs
-      absolutely by at most 1.44 e_t + 3u.  If |U| >= 1/2, j = U^3/t errs
-      relatively by at most 10 e_t + 30u.  If |U| < 1/2, then |t| > 1/512
-      and |j| < 64, and j errs absolutely by at most 620 e_t + 2200u.
-    So j errs by at most 2^18 (sqrt(|D| + 1) + K + 1) u max(1, |j|), which is
-    below 2^(8 - precision_bits) max(1, |j|) while sqrt(|D| + 1) + K < 2^21.
+    * r^24: r errs by e_r <= 2 e_E + 5u, and the 24th power multiplies that
+      24-fold: t errs by
+      e_t <= e_q + 24 e_r + 24u <= (165 sqrt(|D| + 1) + 400 K + 210) u.
+    * U: |t| < 0.0056, so |U| < 2.5 and U errs absolutely by at most
+      1.44 e_t + 3u.  When |U| < 1/2, |t| > 1/512.
+    * U^3/t (height 1): if |U| >= 1/2, j errs relatively by at most
+      10 e_t + 30u.  If |U| < 1/2, |j| < 64, and j errs absolutely by at most
+      620 e_t + 2200u.
+    * U/(q_h r^8) (height 3): the four products of d = q_h r^8 leave it
+      with relative error e_h + 8 e_r + 32u <= e_t/3 + 32u.  If |U| >= 1/2,
+      gamma_2 errs relatively by at most 2.88 e_t + 6u + e_t/3 + 36u, a few
+      e_t.  If |U| < 1/2, |d| = |t|^(1/3) > 1/8 and |gamma_2| < 4, and
+      gamma_2 errs absolutely by at most 8 (1.44 e_t + 3u) +
+      4 (e_t/3 + 32u) + 16u <= 13 e_t + 170u.
+    So j errs by at most 2^18 (sqrt(|D| + 1) + K + 1) u max(1, |j|), and
+    gamma_2 by at most 2^13 (sqrt(|D| + 1) + K + 1) u max(1, |gamma_2|).
+    While sqrt(|D| + 1) + K < 2^21 these are below 2^(8 - precision_bits)
+    max(1, |j|) and 2^(3 - precision_bits) max(1, |gamma_2|).
     """
+    if height not in (1, 3):
+        raise DomainError(f"j_eval evaluates j or its cube root gamma_2, not j^(1/{height})")
     if precision_bits < _MIN_PRECISION:
         precision_bits = _MIN_PRECISION
     # reduced CM points satisfy im >= sqrt(3)/2
@@ -141,7 +154,8 @@ def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
         im = mpmath.sqrt(tau.abs_D) / tau.two_a
         re = mpmath.mpf(tau.minus_b) / tau.two_a
         n_max = int(mpmath.ceil(work * mpmath.log(2) / (2 * mpmath.pi * im)))
-        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(re, im))
+        q_h = mpmath.exp(2j * mpmath.pi * mpmath.mpc(re, im) / height)
+        q = q_h if height == 1 else q_h * q_h * q_h
         e1, e2 = _euler_products(q, n_max)
         r = e2 / e1
         r2 = r * r
@@ -149,7 +163,9 @@ def j_eval(tau: CMPoint, precision_bits: int) -> mpmath.mpc:
         r8 = r4 * r4
         t = q * (r8 * r8) * r8  # q r^24
         u = 1 + 256 * t
-        return u * u * u / t
+        if height == 1:
+            return u * u * u / t
+        return u / (q_h * r8)
 
 
 # log2 of the factor of j_eval's stated error: 2^(8 - bits) max(1, |j|)
@@ -162,33 +178,18 @@ def _j_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
 
 
 def _gamma2_estimate(tau: CMPoint) -> complex:
-    """gamma_2(tau) e^(-2 pi Im(tau)/3) in double precision.
+    """gamma_2(tau) e^(-2 pi Im(tau)/3) in double precision, the size of
+    gamma_2 that _initial_precision reads.
 
     gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2)/E(q))^8
     and q^(1/3) = e^(2 pi i tau / 3).  The positive factor keeps the value
-    near the unit circle for every D and does not change which cube root of
-    j lies nearest it.
+    near the unit circle for every D.
     """
     x, y = tau.minus_b / tau.two_a, math.sqrt(tau.abs_D) / tau.two_a
     q = cmath.exp(2j * math.pi * complex(x, y))
     e1, e2 = _euler_products(q, math.ceil(60 * math.log(2) / (2 * math.pi * y)))
     r8 = (e2 / e1) ** 8
     return cmath.exp(-2j * math.pi * x / 3) * (1 + 256 * q * r8**3) / r8
-
-
-def _nearest_cube_root(cube: complex, estimate: complex) -> complex:
-    """The cube root r of cube that lies nearest estimate.
-
-    With u the principal cube root of estimate^3 / cube, r = estimate / u,
-    and |estimate - r| = |r| |u - 1|.  The three roots lie sqrt(3)|r|
-    apart; unless estimate lies within half of that of r, another root
-    could be as near, so the choice is not certified and CertificateError
-    is raised.
-    """
-    u = (estimate**3 / cube) ** (1 / 3)
-    if not abs(u - 1) < math.sqrt(3) / 2:
-        raise CertificateError(f"cube root branch not certified: estimate {estimate}, cube {cube}")
-    return estimate / u
 
 
 def _gamma2_steps(f: QuadForm) -> int:
@@ -211,60 +212,22 @@ def _gamma2_steps(f: QuadForm) -> int:
     return (m + a * b) % 3
 
 
-def _newton_precisions(target: int) -> list[int]:
-    """The precisions of the Newton steps that refine a 48-bit cube root:
-    each doubles the bits, and the last reaches target."""
-    out = []
-    p = 48
-    while p < target:
-        p = min(2 * p, target)
-        out.append(p)
-    return out
-
-
 def _gamma2_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
     """gamma_2 at the normalized CM point of f's class (see _gamma2_steps),
-    as a cube root of j_eval's j(tau_f), and log2 of its relative error.
+    zeta_3^m gamma_2(tau_f), and log2 of its relative error.
 
-    The error is certified a posteriori.  With g the value and e >= |g^3 - j|
-    (the computed residual, its rounding and j_eval's error), the three
-    distances from g to the cube roots of j multiply to |g^3 - j|, so the
-    least, m, is at most e^(1/3).  When 8e <= |g|^3, m <= |g|/2, the other
-    two roots lie at least (sqrt(3) - 1/2)|g| from g, and m <= e/|g|^2.
-    That nearest root is the branch chosen in doubles (start) when
-    |g - start| <= |g|/4: the other roots lie sqrt(3)|gamma_2| >= 0.86|g|
-    from it.  Then |g - gamma_2| / max(1, |gamma_2|) <= 2e / (|g|^2
-    max(1, |g|)), as |gamma_2| >= |g|/2.  When 8e > |g|^3 the error is
-    infinite; a g that left the branch raises CertificateError.
+    j_eval's gamma_2(tau_f) errs by at most 2^(3 - bits) max(1, |gamma_2|)
+    (see its proof).  zeta_3^m = ((-1 + i sqrt(3))/2)^m, formed at
+    bits + 32, and the product add at most 2^(-27 - bits) |gamma_2|, so the
+    value keeps j_eval's stated error 2^(8 - bits) max(1, |gamma_2|).
     """
-    tau = cm_point(f, d)
-    j = j_eval(tau, bits)
-    with mpmath.workprec(64):
-        # the scale of _gamma2_estimate: gamma_2(tau_f) / scale is near 1
-        scale = mpmath.exp(2 * mpmath.pi * mpmath.sqrt(tau.abs_D) / (3 * tau.two_a))
-        root = _nearest_cube_root(complex(j / scale**3), _gamma2_estimate(tau))
-        start = root = scale * mpmath.mpc(root * cmath.exp(2j * math.pi * _gamma2_steps(f) / 3))
-    # root holds about 50 correct bits, and Newton's step x -> (2x + j/x^2)/3
-    # doubles them for the cube root of j that x is near
-    for p in _newton_precisions(bits + 16):
-        with mpmath.workprec(p + 16):
-            root = (2 * root + j / (root * root)) / 3
+    value = j_eval(cm_point(f, d), bits, 3)
     with mpmath.workprec(bits + 32):
-        residual = root * root * root - j
-    with mpmath.workprec(53):
-        size = abs(root)
-        # j_eval's error and the rounding of the residual
-        e = abs(residual) + max(1, abs(j), size**3) * mpmath.ldexp(1, _J_ERROR_BITS + 2 - bits)
-        if 8 * e > size**3:
-            return root, math.inf
-        if abs(root - start) > size / 4:
-            raise CertificateError(f"Newton's iteration left the cube root branch at {f}")
-        return root, float(mpmath.log(2 * e / (size**2 * max(1, size)), 2))
+        return value * (mpmath.mpc(-1, mpmath.sqrt(3)) / 2) ** _gamma2_steps(f), _J_ERROR_BITS - bits
 
 
 # bits the start precision keeps above the bound's need; the estimates of
-# |j| and |gamma_2| are good to a fraction of a bit, and gamma_2's certified
-# error is a few bits above j's
+# |j| and |gamma_2| are good to a fraction of a bit
 _GUARD_BITS = 20
 
 
@@ -292,7 +255,7 @@ def _log2_one_plus(x: float) -> float:
     return x + math.log2(1 + 2.0**-x)
 
 
-def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
+def hilbert_class_poly(D) -> ClassPolynomial:
     """H_D(X) = prod over reduced forms of (X - j(tau_f)), exactly.
 
     For 3 ∤ D it is computed from W(X) = prod (X - gamma_2(tau_f)) by the
@@ -300,18 +263,10 @@ def hilbert_class_poly(D, cache_dir: str | None = None) -> ClassPolynomial:
     coefficients of W or H_D are rounded only under a proven error bound
     below 1/2 (see _assemble); the precision is doubled at most twice when
     the bound does not certify them, and nothing is rounded silently.
-    Computed once per D per process; entries read from cache_dir are
-    validated and recomputed when they fail.
+    Computed once per D per process (an lru_cache); nothing is read from
+    or written to disk.
     """
-    d = int(D)
-    if cache_dir is not None:
-        cached = _cache_load(cache_dir, d)
-        if cached is not None:
-            return cached
-    poly = _compute(d)
-    if cache_dir is not None:
-        _cache_store(cache_dir, poly)
-    return poly
+    return _compute(int(D))
 
 
 @functools.lru_cache(maxsize=None)
@@ -470,40 +425,3 @@ def classpoly_mod(H: ClassPolynomial, p: int) -> list[int]:
         raise DomainError(f"{p} is not prime")
     return [c % p for c in H.coeffs]
 
-
-# -- disk cache (atomic write-then-rename) ----------------------------------
-
-# bump on any change to the evaluation algorithm; keys cache entries
-_ALGORITHM_VERSION = 5
-
-
-def _cache_path(cache_dir: str, D: int) -> str:
-    return os.path.join(cache_dir, f"hd_{-D}_v{_ALGORITHM_VERSION}.json")
-
-
-def _cache_load(cache_dir: str, D: int) -> ClassPolynomial | None:
-    """The cached H_D, or None when the entry is missing, unreadable or not a
-    monic polynomial of degree h(D) for this D (the caller recomputes it)."""
-    path = _cache_path(cache_dir, D)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            poly = ClassPolynomial.from_json(fh.read())
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    if poly.D != D or poly.coeffs[-1:] != (1,) or poly.degree != class_number(D):
-        return None
-    return poly
-
-
-def _cache_store(cache_dir: str, poly: ClassPolynomial) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, poly.D)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(poly.to_json())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

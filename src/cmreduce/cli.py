@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("classpoly", help="Hilbert class polynomial of D")
     s.add_argument("--D", type=int, required=True)
-    s.add_argument("--cache-dir", default=None)
     s.add_argument("--json", action="store_true")
 
     s = sub.add_parser("ss", help="supersingular locus over F_(p^2)")
@@ -104,7 +103,7 @@ def _cmd_classgroup(args) -> int:
 def _cmd_classpoly(args) -> int:
     from .classpoly import hilbert_class_poly
 
-    poly = hilbert_class_poly(args.D, cache_dir=args.cache_dir)
+    poly = hilbert_class_poly(args.D)
     if args.json:
         print(poly.to_json())
     else:

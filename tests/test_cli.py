@@ -62,6 +62,15 @@ def test_classpoly(capsys):
     assert data["coeffs"] == ["12771880859375", "-5151296875", "3491750", "1"]
 
 
+def test_classpoly_has_no_cache_dir(capsys, tmp_path):
+    # H_D is never read from disk: the flag is a usage error, and nothing
+    # is written
+    cache = tmp_path / "hd"
+    code, out, _ = run_capture(capsys, ["classpoly", "--D", "-23", "--cache-dir", str(cache)])
+    assert code == 1 and out == ""
+    assert not cache.exists()
+
+
 def test_ss_json(capsys):
     code, out, _ = run_capture(capsys, ["ss", "--p", "23", "--json"])
     assert code == 0
