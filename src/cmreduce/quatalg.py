@@ -655,19 +655,105 @@ class Embedding:
         return one.scale(Fraction(m) + Fraction(n) * Fraction(D, 2)) + self.v.scale(Fraction(n, 2))
 
 
+def _lagrange(a: int, h: int, c: int) -> tuple[list[list[int]], int, int, int]:
+    """Lagrange reduction of the positive definite binary form with Gram
+    [[a, h], [h, c]]: (U, a', h', c') with U unimodular, U G U^T the Gram
+    [[a', h'], [h', c']], |2h'| <= a' <= c'."""
+    U = [[1, 0], [0, 1]]
+    while True:
+        q = (2 * h + a) // (2 * a)
+        U[1] = [x - q * y for x, y in zip(U[1], U[0])]
+        h, c = h - q * a, c - 2 * q * h + q * q * a
+        if c >= a:
+            return U, a, h, c
+        a, c = c, a
+        U.reverse()
+
+
+def _least_primitive_solution(T: list[list[int]], N: int, top: int) -> tuple[int, int, int]:
+    """The least primitive c (lexicographically) with c^T T c = N and first
+    nonzero coordinate positive, for a positive definite integer 3x3 T and
+    a bound `top` that the first coordinate of one such c meets.
+
+    Each slice c_0 = 0, 1, ..., top is a binary problem in (c_1, c_2).  Put
+    (c_1, c_2) = (y_1, y_2) U for the Lagrange basis U of the block T[1:, 1:],
+    whose Gram is [[a, h], [h, c]] with Delta = ac - h^2 > 0, and
+    (b_1, b_2) = U (T_01, T_02).  Completing the square twice turns
+    c^T T c = N into
+
+        Delta (a y_1 + h y_2 + c_0 b_1)^2 = span - (Delta y_2 + g)^2,
+        span = a (Delta N - det(T) c_0^2),  g = c_0 (a b_2 - h b_1),
+
+    whose right side is Delta times an integer for every integer y_2.  So
+    y_2 runs over the integers with (Delta y_2 + g)^2 <= span, and y_1 is
+    each root of the square that a divides.  Every term of c^T T c except
+    T_00 c_0^2 is a multiple of m = gcd(2 T_01, 2 T_02, T_11, 2 T_12, T_22),
+    so a slice with T_00 c_0^2 != N (mod m) is empty and is skipped.  On a
+    Gross lattice of (a, -p) the rows 1 and 2 have no i-part, so m is a
+    multiple of 2p, and the test sieves c_0 by a quadratic congruence mod p.
+
+    Proof that the result is the lexicographic minimum M of the set S of
+    such c:
+    - S lies in c_0 >= 0, since its first nonzero coordinate is positive.
+      The slices are visited in ascending c_0, so the first slice that meets
+      S holds the least c_0 of S.
+    - Each slice collects all of its solutions; a skipped slice has none.
+      y -> y U is a bijection of Z^2.  Every solution has y_2 in the
+      interval, because a square is not negative, and the square root fixes
+      a y_1 + h y_2 + c_0 b_1 up to sign.  The filter keeps exactly S's part
+      of the slice: gcd(c) = 1, and at c_0 = 0 the sign rule c_1 > 0, or
+      c_1 = 0 < c_2.  Its least (c_1, c_2) is then the least element of S
+      with that c_0.
+    - The c with first coordinate `top` lies in S, so some slice up to `top`
+      meets S and the loop returns M.  That c also makes span >= 0 at `top`,
+      hence at every smaller c_0.
+    """
+    (u, w), a, h, c = _lagrange(T[1][1], T[1][2], T[2][2])
+    b1, b2 = u[0] * T[0][1] + u[1] * T[0][2], w[0] * T[0][1] + w[1] * T[0][2]
+    delta = a * c - h * h
+    g1, det = a * b2 - h * b1, _det3(T)
+    m = math.gcd(2 * T[0][1], 2 * T[0][2], T[1][1], 2 * T[1][2], T[2][2])
+    for c0 in range(top + 1):
+        if (T[0][0] * c0 * c0 - N) % m:
+            continue
+        span = a * (delta * N - det * c0 * c0)
+        s, g, e1 = math.isqrt(span), g1 * c0, b1 * c0
+        found = []
+        for y2 in range(-((s + g) // delta), (s - g) // delta + 1):
+            room = (span - (delta * y2 + g) ** 2) // delta
+            r = math.isqrt(room)
+            if r * r != room:
+                continue
+            for t in (r, -r) if r else (0,):
+                y1, rem = divmod(t - h * y2 - e1, a)
+                c1, c2 = y1 * u[0] + y2 * w[0], y1 * u[1] + y2 * w[1]
+                if rem == 0 and math.gcd(c0, c1, c2) == 1 and (c0 or c1 > 0 or (c1 == 0 and c2 > 0)):
+                    found.append((c1, c2))
+        if found:
+            return (c0, *min(found))
+    raise CertificateError(f"no primitive solution with first coordinate at most {top}")
+
+
 def find_optimal_embedding(order: Order, D) -> Embedding:
-    """First primitive Gross-lattice vector of norm |D| under canonical
-    coordinate ordering; NotRepresented if none exists."""
+    """The optimal embedding for the least primitive Gross-lattice vector
+    of norm |D|, in HNF coordinates signed so that the first nonzero one is
+    positive; NotRepresented if none exists.
+
+    Stage 1 decides existence: LLL and exact Fincke-Pohst on the trace Gram
+    stop at the first primitive hit.  Its first coordinate, signed, bounds
+    the slices of stage 2, `_least_primitive_solution`, which finds the
+    least hit in ascending first coordinate.
+    """
     disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
     gl = gross_lattice(order)
-    hits = lattice_vectors_with_norm(gl, -disc.D)
-    # the least primitive solution, signed so its first nonzero coordinate is positive
-    c = min(
-        (c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in hits if math.gcd(*c) == 1),
-        default=None,
-    )
-    if c is None:
+    T = gl.trace_gram()
+    N = 2 * gl.den**2 * -disc.D
+    H, R = _lll_gram(T)
+    hits = (_unreduce(H, y) for y, _ in _fincke_pohst(R, N, exact=True))
+    first = next((c for c in hits if math.gcd(*c) == 1), None)
+    if first is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
+    c = _least_primitive_solution(T, N, abs(first[0]))
     v = QuatElement(gl.alg, [Fraction(x, gl.den) for x in _unreduce(gl.mat, c)])
     emb = Embedding(disc=disc, v=v, order=order)
     # contract: iota lands in the order

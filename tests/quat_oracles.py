@@ -19,6 +19,7 @@ from cmreduce.quatalg import (
     _qnorm,
     _unreduce,
     find_optimal_embedding,
+    gross_lattice,
     hnf_rows,
     lattice_vectors_with_norm,
     left_ideal_from_class,
@@ -164,6 +165,19 @@ def least_primitive_gross_vectors(gl: GrossLattice, nmax: int) -> dict[int, tupl
         if n not in least or x < least[n]:
             least[n] = x
     return least
+
+
+def least_embedding_vector_by_enumeration(order: Order, D: int) -> tuple[int, ...] | None:
+    """The Gross-lattice vector behind `find_optimal_embedding(order, D)`,
+    found by collecting every vector of norm |D| (LLL and Fincke-Pohst in
+    `lattice_vectors_with_norm`) and keeping the least primitive one, in HNF
+    coordinates signed so that the first nonzero one is positive; None when
+    no vector of norm |D| is primitive."""
+    hits = lattice_vectors_with_norm(gross_lattice(order), -D)
+    return min(
+        (c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in hits if math.gcd(*c) == 1),
+        default=None,
+    )
 
 
 def direct_prime_reduction(d: int, p: int) -> dict[tuple[int, int, int], int]:

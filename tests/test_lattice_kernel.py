@@ -2,8 +2,9 @@
 lattice products, right multiplication and ideal formation against
 `Lattice4.from_elements` over `QuatElement` products, integer coordinates
 against `QuatElement` arithmetic, neighbour ideals against their defining
-properties, and the LLL + Fincke-Pohst short-vector search against
-brute-force box enumeration."""
+properties, the LLL + Fincke-Pohst short-vector search against
+brute-force box enumeration, and the optimal-embedding search against box
+enumeration and against collecting every vector of norm |D|."""
 
 import math
 import random
@@ -14,12 +15,13 @@ import pytest
 
 from cmreduce.errors import DomainError, NotRepresented
 from cmreduce.numbase import kronecker
-from cmreduce.quadforms import QuadForm, is_fundamental, reduced_forms
+from cmreduce.quadforms import QuadForm, admissible_discriminants, is_fundamental, reduced_forms
 from cmreduce.quatalg import (
     GrossLattice,
     Lattice4,
     _det3,
     _fincke_pohst,
+    _lagrange,
     _lll_gram,
     _neighbor_ideals,
     _unreduce,
@@ -32,7 +34,14 @@ from cmreduce.quatalg import (
     quaternion_data,
     right_order,
 )
-from quat_oracles import _det4, box_size, box_vectors, conjugate, least_primitive_gross_vectors
+from quat_oracles import (
+    _det4,
+    box_size,
+    box_vectors,
+    conjugate,
+    least_embedding_vector_by_enumeration,
+    least_primitive_gross_vectors,
+)
 
 PRIMES = (5, 11, 23, 37)
 BOX_CAP = 10**5
@@ -253,11 +262,12 @@ def test_unit_vectors_match_box_enumeration(p):
         assert lattice_vectors_with_norm(Or.lattice, 1) == expected
 
 
-@pytest.mark.parametrize("p", (11, 23, 37))
+@pytest.mark.parametrize("p", (5, 11, 23, 37))
 def test_optimal_embedding_is_the_least_primitive_box_vector(p):
-    # every inert fundamental D with |D| <= 300, on every right order of the
-    # class set, against one box enumeration of the Gross lattice per order
-    discs = [D for D in range(-3, -301, -1) if is_fundamental(D) and kronecker(D, p) == -1]
+    # every D = 0, 1 mod 4 with |D| <= 300, fundamental or not, inert at p
+    # or not, on every right order of the class set, against one box
+    # enumeration of the Gross lattice per order
+    discs = [D for D in range(-3, -301, -1) if D % 4 in (0, 1)]
     represented = missing = 0
     for Or in quaternion_data(p)[2].right_orders:
         gl = gross_lattice(Or)
@@ -272,6 +282,76 @@ def test_optimal_embedding_is_the_least_primitive_box_vector(p):
             assert tuple(gl.coordinates(emb.v)) == least[-D], (p, D)
             represented += 1
     assert represented and missing
+
+
+def _check_against_enumeration(orders, discs):
+    """find_optimal_embedding against the collect-all reference on every
+    pair; returns (hits, misses)."""
+    hits = misses = 0
+    for Or in orders:
+        gl = gross_lattice(Or)
+        for D in discs:
+            expected = least_embedding_vector_by_enumeration(Or, D)
+            if expected is None:
+                with pytest.raises(NotRepresented):
+                    find_optimal_embedding(Or, D)
+                misses += 1
+            else:
+                assert tuple(gl.coordinates(find_optimal_embedding(Or, D).v)) == expected, D
+                hits += 1
+    return hits, misses
+
+
+def test_optimal_embedding_matches_enumeration_at_the_papers_primes():
+    # every right order at p = 11 and 23, for 200 seeded admissible D in
+    # (10^4, 2 10^4] each; at p = 11 nearly every D embeds in both orders,
+    # so the misses come from p = 23
+    rng = random.Random(21)
+    hits = misses = 0
+    for p in (11, 23):
+        discs = rng.sample([d.D for d in admissible_discriminants(inert=(p,), abs_range=(10001, 20000))], 200)
+        assert {is_fundamental(D) for D in discs} == {True, False}
+        h, m = _check_against_enumeration(quaternion_data(p)[2].right_orders, discs)
+        hits, misses = hits + h, misses + m
+    assert hits and misses
+
+
+@pytest.mark.parametrize("p", (101, 1009))
+def test_optimal_embedding_matches_enumeration_at_larger_primes(p):
+    # the first six right orders, for every admissible |D| <= 2000
+    discs = [d.D for d in admissible_discriminants(inert=(p,), abs_range=(3, 2000))]
+    hits, misses = _check_against_enumeration(quaternion_data(p)[2].right_orders[:6], discs)
+    assert hits and misses
+
+
+@pytest.mark.parametrize(
+    "D, coords",
+    [
+        (-3, (1, 0, -1)),  # c_0 > 0, c_1 = 0
+        (-7, (2, -1, -1)),  # c_0 > 0, c_1 < 0
+        (-15, (0, 1, -1)),  # c_0 = 0, c_1 > 0, c_2 < 0
+        (-40, (0, 0, 1)),  # c_0 = c_1 = 0, c_2 > 0
+    ],
+)
+def test_optimal_embedding_sign_branches(D, coords):
+    # the first nonzero HNF coordinate is positive, the others take any sign
+    Or = quaternion_data(5)[2].right_orders[0]
+    assert tuple(gross_lattice(Or).coordinates(find_optimal_embedding(Or, D).v)) == coords
+
+
+def test_lagrange_reduces_binary_forms():
+    rng = random.Random(21)
+    for _ in range(300):
+        a, c = rng.randrange(1, 10**6), rng.randrange(1, 10**6)
+        h = rng.randrange(-math.isqrt(a * c), math.isqrt(a * c) + 1)
+        if a * c == h * h:
+            continue
+        U, a2, h2, c2 = _lagrange(a, h, c)
+        assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
+        G = [[a, h], [h, c]]
+        assert [[sum(U[i][k] * G[k][l] * U[j][l] for k in range(2) for l in range(2)) for j in range(2)]
+                for i in range(2)] == [[a2, h2], [h2, c2]]
+        assert 2 * abs(h2) <= a2 <= c2
 
 
 def _random_unimodular(rng, n, steps=12):
