@@ -18,7 +18,12 @@ of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 (Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
-returns the vectors found as sorted integer HNF coordinates.
+returns the vectors found as sorted integer HNF coordinates; only
+`lattice_vectors_with_norm` and `lattice_shortest_vectors` call it.  An
+optimal embedding comes from one other search: the least primitive
+Gross-lattice vector of norm |D|, walked slice by slice in its first
+coordinate up to the bound of the norm-|D| ellipsoid, so that a miss means
+no vector exists.
 Ideal classes are compared through their reduced lattices I m^-1 for the m
 of least reduced norm in I: that set of lattices is a class invariant.
 """
@@ -353,9 +358,6 @@ class Lattice4:
         nonzero entry of each row, over den^rank."""
         return Fraction(math.prod(next(filter(None, r)) for r in self.mat), self.den ** len(self.mat))
 
-    def contains(self, x: QuatElement) -> bool:
-        return self.coordinates(x) is not None
-
     def coordinates(self, x: QuatElement) -> list[int] | None:
         """Integer coordinates of x in the HNF basis, or None if x is not in
         the lattice."""
@@ -648,12 +650,6 @@ class Embedding:
     v: QuatElement
     order: Order
 
-    def iota(self, m, n) -> QuatElement:
-        """Image of m + n * (D + sqrt(D)) / 2."""
-        D = self.disc.D
-        one = self.order.alg.element(1, 0, 0, 0)
-        return one.scale(Fraction(m) + Fraction(n) * Fraction(D, 2)) + self.v.scale(Fraction(n, 2))
-
 
 def _lagrange(a: int, h: int, c: int) -> tuple[list[list[int]], int, int, int]:
     """Lagrange reduction of the positive definite binary form with Gram
@@ -670,10 +666,10 @@ def _lagrange(a: int, h: int, c: int) -> tuple[list[list[int]], int, int, int]:
         U.reverse()
 
 
-def _least_primitive_solution(T: list[list[int]], N: int, top: int) -> tuple[int, int, int]:
+def _least_primitive_solution(T: list[list[int]], N: int) -> tuple[int, int, int] | None:
     """The least primitive c (lexicographically) with c^T T c = N and first
-    nonzero coordinate positive, for a positive definite integer 3x3 T and
-    a bound `top` that the first coordinate of one such c meets.
+    nonzero coordinate positive, for a positive definite integer 3x3 T, or
+    None when there is no such c.
 
     Each slice c_0 = 0, 1, ..., top is a binary problem in (c_1, c_2).  Put
     (c_1, c_2) = (y_1, y_2) U for the Lagrange basis U of the block T[1:, 1:],
@@ -686,14 +682,16 @@ def _least_primitive_solution(T: list[list[int]], N: int, top: int) -> tuple[int
 
     whose right side is Delta times an integer for every integer y_2.  So
     y_2 runs over the integers with (Delta y_2 + g)^2 <= span, and y_1 is
-    each root of the square that a divides.  Every term of c^T T c except
-    T_00 c_0^2 is a multiple of m = gcd(2 T_01, 2 T_02, T_11, 2 T_12, T_22),
-    so a slice with T_00 c_0^2 != N (mod m) is empty and is skipped.  On a
-    Gross lattice of (a, -p) the rows 1 and 2 have no i-part, so m is a
-    multiple of 2p, and the test sieves c_0 by a quadratic congruence mod p.
+    each root of the square that a divides.  span >= 0 exactly when
+    c_0 <= top = isqrt(Delta N // det(T)), the bound of the ellipsoid in c_0.
+    Every term of c^T T c except T_00 c_0^2 is a multiple of
+    m = gcd(2 T_01, 2 T_02, T_11, 2 T_12, T_22), so a slice with
+    T_00 c_0^2 != N (mod m) is empty and is skipped.  On a Gross lattice of
+    (a, -p) the rows 1 and 2 have no i-part, so m is a multiple of 2p, and
+    the test sieves c_0 by a quadratic congruence mod p.
 
     Proof that the result is the lexicographic minimum M of the set S of
-    such c:
+    such c, or None when S is empty:
     - S lies in c_0 >= 0, since its first nonzero coordinate is positive.
       The slices are visited in ascending c_0, so the first slice that meets
       S holds the least c_0 of S.
@@ -704,17 +702,17 @@ def _least_primitive_solution(T: list[list[int]], N: int, top: int) -> tuple[int
       of the slice: gcd(c) = 1, and at c_0 = 0 the sign rule c_1 > 0, or
       c_1 = 0 < c_2.  Its least (c_1, c_2) is then the least element of S
       with that c_0.
-    - The c with first coordinate `top` lies in S, so some slice up to `top`
-      meets S and the loop returns M.  That c also makes span >= 0 at `top`,
-      hence at every smaller c_0.
+    - Every solution has span >= 0, so c_0 <= top: when no slice up to `top`
+      meets S, S is empty.
     """
     (u, w), a, h, c = _lagrange(T[1][1], T[1][2], T[2][2])
     b1, b2 = u[0] * T[0][1] + u[1] * T[0][2], w[0] * T[0][1] + w[1] * T[0][2]
     delta = a * c - h * h
     g1, det = a * b2 - h * b1, _det3(T)
     m = math.gcd(2 * T[0][1], 2 * T[0][2], T[1][1], 2 * T[1][2], T[2][2])
-    for c0 in range(top + 1):
-        if (T[0][0] * c0 * c0 - N) % m:
+    t00, n = T[0][0] % m, N % m
+    for c0 in range(math.isqrt(delta * N // det) + 1):
+        if (t00 * c0 * c0 - n) % m:
             continue
         span = a * (delta * N - det * c0 * c0)
         s, g, e1 = math.isqrt(span), g1 * c0, b1 * c0
@@ -731,36 +729,31 @@ def _least_primitive_solution(T: list[list[int]], N: int, top: int) -> tuple[int
                     found.append((c1, c2))
         if found:
             return (c0, *min(found))
-    raise CertificateError(f"no primitive solution with first coordinate at most {top}")
+    return None
 
 
 def find_optimal_embedding(order: Order, D) -> Embedding:
-    """The optimal embedding for the least primitive Gross-lattice vector
+    """The optimal embedding for the least primitive Gross-lattice vector v
     of norm |D|, in HNF coordinates signed so that the first nonzero one is
     positive; NotRepresented if none exists.
 
-    Stage 1 decides existence: LLL and exact Fincke-Pohst on the trace Gram
-    stop at the first primitive hit.  Its first coordinate, signed, bounds
-    the slices of stage 2, `_least_primitive_solution`, which finds the
-    least hit in ascending first coordinate.
+    One search decides existence and finds v: `_least_primitive_solution`
+    walks the slices of the first coordinate up to the bound of the norm-|D|
+    ellipsoid, so a miss means that no slice holds a primitive vector.  The
+    contract, (D + v)/2 in the order, is checked on integer rows.
     """
     disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
     gl = gross_lattice(order)
-    T = gl.trace_gram()
-    N = 2 * gl.den**2 * -disc.D
-    H, R = _lll_gram(T)
-    hits = (_unreduce(H, y) for y, _ in _fincke_pohst(R, N, exact=True))
-    first = next((c for c in hits if math.gcd(*c) == 1), None)
-    if first is None:
+    c = _least_primitive_solution(gl.trace_gram(), 2 * gl.den**2 * -disc.D)
+    if c is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
-    c = _least_primitive_solution(T, N, abs(first[0]))
-    v = QuatElement(gl.alg, [Fraction(x, gl.den) for x in _unreduce(gl.mat, c)])
-    emb = Embedding(disc=disc, v=v, order=order)
-    # contract: iota lands in the order
-    w = emb.iota(0, 1)
-    if not order.lattice.contains(w):
+    row = _unreduce(gl.mat, c)
+    # contract: (D + v)/2 = (D den, row[1:]) / (2 den) lies in the order
+    lat = order.lattice
+    if _hnf_coordinates(lat.mat, [lat.den * x for x in (disc.D * gl.den, *row[1:])], 2 * gl.den) is None:
         raise CertificateError("(D + v)/2 fails to land in the order")
-    return emb
+    v = QuatElement(gl.alg, [Fraction(x, gl.den) for x in row])
+    return Embedding(disc=disc, v=v, order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cmreduce.errors import CertificateError, DomainError, NotRepresented
 from cmreduce.numbase import factorize
 from cmreduce.quadforms import reduced_forms
 from cmreduce.quatalg import (
+    Embedding,
     GrossLattice,
     Lattice4,
     LeftIdeal,
@@ -101,6 +102,13 @@ def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
         if _qnorm(alg.a, alg.b, x) % (4 * L.den**2) == 0:
             reps.append(x)
     return Lattice4.from_rows(alg, [[4 * v for v in r] for r in L.mat] + reps, 2 * L.den)
+
+
+def iota(emb: Embedding, m, n) -> QuatElement:
+    """The image of m + n (D + sqrt(D))/2 under the embedding, with
+    iota(sqrt(D)) = emb.v."""
+    one = emb.order.alg.element(1, 0, 0, 0)
+    return one.scale(Fraction(m) + Fraction(n) * Fraction(emb.disc.D, 2)) + emb.v.scale(Fraction(n, 2))
 
 
 def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fraction]]:

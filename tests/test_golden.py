@@ -18,6 +18,8 @@ CASES = {
     "reduce_D-23_p11.txt": ["reduce", "--D", "-23", "--p", "11"],
     "reduce_D-10055_p23.txt": ["reduce", "--D", "-10055", "--p", "23"],
     "reduce_D-1127_p37.txt": ["reduce", "--D", "-1127", "--p", "37"],
+    "reduce_D-463_p101.txt": ["reduce", "--D", "-463", "--p", "101"],  # base class 6 of 9
+    "reduce_D-267_p1009.txt": ["reduce", "--D", "-267", "--p", "1009"],  # base class 82 of 84
     "joint_D-71_p11-23.json": ["joint", "--D", "-71", "--primes", "11,23", "--json"],
     "scan_p11-23_D3-600_fund.json": [
         "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--json",

@@ -3,8 +3,9 @@ lattice products, right multiplication and ideal formation against
 `Lattice4.from_elements` over `QuatElement` products, integer coordinates
 against `QuatElement` arithmetic, neighbour ideals against their defining
 properties, the LLL + Fincke-Pohst short-vector search against
-brute-force box enumeration, and the optimal-embedding search against box
-enumeration and against collecting every vector of norm |D|."""
+brute-force box enumeration, the self-bounded slice walk against box
+enumeration, and the optimal-embedding search against box enumeration and
+against collecting every vector of norm |D|."""
 
 import math
 import random
@@ -13,7 +14,8 @@ from itertools import product
 
 import pytest
 
-from cmreduce.errors import DomainError, NotRepresented
+from cmreduce import quatalg
+from cmreduce.errors import CertificateError, DomainError, NotRepresented
 from cmreduce.numbase import kronecker
 from cmreduce.quadforms import QuadForm, admissible_discriminants, is_fundamental, reduced_forms
 from cmreduce.quatalg import (
@@ -22,6 +24,7 @@ from cmreduce.quatalg import (
     _det3,
     _fincke_pohst,
     _lagrange,
+    _least_primitive_solution,
     _lll_gram,
     _neighbor_ideals,
     _unreduce,
@@ -39,6 +42,7 @@ from quat_oracles import (
     box_size,
     box_vectors,
     conjugate,
+    iota,
     least_embedding_vector_by_enumeration,
     least_primitive_gross_vectors,
 )
@@ -94,9 +98,9 @@ def test_every_public_method_on_a_gross_lattice(p):
         with pytest.raises(DomainError):
             GrossLattice.from_rows(O.alg, [list(r) for r in Or.lattice.mat], Or.lattice.den)
         for k, v in enumerate(basis):
-            assert gl.contains(v) and gl.contains_primitive(v)
+            assert gl.contains_primitive(v)
             assert gl.coordinates(v) == [int(i == k) for i in range(3)]
-        assert not gl.contains(O.alg.element(1, 0, 0, 0))
+        assert gl.coordinates(O.alg.element(1, 0, 0, 0)) is None
         T = gl.trace_gram()
         assert [[2 * gl.den**2 * (x * y.conj()).c[0] for y in basis] for x in basis] == T
         assert gl.product(Or.lattice) == _product_reference(gl, Or.lattice)
@@ -124,7 +128,6 @@ def test_integer_coordinates_on_class_sets(p):
             i = rng.randrange(len(basis))
             off = x + basis[i].scale(Fraction(1, rng.randrange(2, 6)))
             assert L.coordinates(off) is None
-            assert L.contains(x) and not L.contains(off)
             if isinstance(L, GrossLattice):
                 assert L.contains_primitive(x) == (math.gcd(*c) == 1)
                 assert not L.contains_primitive(off)
@@ -166,7 +169,7 @@ def test_integer_ideal_formation_matches_element_products(p):
             except NotRepresented:
                 continue
             for f in reduced_forms(D):
-                w = emb.iota((-f.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
+                w = iota(emb, (-f.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
                 bas = I.lattice.basis()
                 expected = Lattice4.from_elements(O.alg, [e.scale(f.a) for e in bas] + [e * w for e in bas])
                 ideal = left_ideal_from_class(I, emb.v.numerator(), f)
@@ -192,8 +195,8 @@ def test_neighbor_ideals_are_the_ell_neighbours(p):
         assert len({J.lattice for J in neighbours}) == ell + 1
         for J in neighbours:
             # ell I < J < I, J a left O-ideal of norm ell Nr(I)
-            assert all(J.lattice.contains(b.scale(ell)) for b in I.lattice.basis())
-            assert all(I.lattice.contains(b) for b in J.lattice.basis())
+            assert all(J.lattice.coordinates(b.scale(ell)) is not None for b in I.lattice.basis())
+            assert all(I.lattice.coordinates(b) is not None for b in J.lattice.basis())
             assert O.lattice.product(J.lattice) == J.lattice
             assert J.reduced_norm == ell * I.reduced_norm
         # ordered by the least residue c in [0, ell)^4, in product order,
@@ -204,7 +207,7 @@ def test_neighbor_ideals_are_the_ell_neighbours(p):
             for c in product(range(ell), repeat=4)
             if any(c)
         ]
-        least = [next(i for i, x in enumerate(residues) if J.lattice.contains(x)) for J in neighbours]
+        least = [next(i for i, x in enumerate(residues) if J.lattice.coordinates(x) is not None) for J in neighbours]
         assert least == sorted(least)
 
 
@@ -337,6 +340,65 @@ def test_optimal_embedding_sign_branches(D, coords):
     # the first nonzero HNF coordinate is positive, the others take any sign
     Or = quaternion_data(5)[2].right_orders[0]
     assert tuple(gross_lattice(Or).coordinates(find_optimal_embedding(Or, D).v)) == coords
+
+
+def _least_primitive_by_box(G, N):
+    # the least primitive x with x^T G x = N whose first nonzero coordinate
+    # is positive, or None
+    return min(
+        (x for x, v in box_vectors(G, N) if v == N and math.gcd(*x) == 1 and next(c for c in x if c) > 0),
+        default=None,
+    )
+
+
+def test_least_primitive_solution_matches_box_enumeration():
+    # every N in [1, 40] on seeded random definite ternary forms: the walk
+    # bounds its own slices, and None means no primitive vector of norm N
+    hits = misses = 0
+    for G, _ in _random_definite_grams(22, 3, 25):
+        for N in range(1, 41):
+            expected = _least_primitive_by_box(G, N)
+            assert _least_primitive_solution(G, N) == expected, (G, N)
+            hits, misses = hits + (expected is not None), misses + (expected is None)
+    assert hits and misses
+
+
+@pytest.mark.parametrize(
+    "T, N, least",
+    [
+        ([[1, 0, 0], [0, 5, 0], [0, 0, 7]], 1, (1, 0, 0)),  # only at c_0 = top = 1
+        ([[3, 1, 0], [1, 4, 1], [0, 1, 5]], 3, (1, 0, 0)),  # top = 1 again, off-diagonal
+        ([[1, 0, 0], [0, 5, 0], [0, 0, 7]], 2, None),  # no vector of norm 2
+        ([[1, 0, 0], [0, 5, 0], [0, 0, 7]], 4, None),  # 4 = 2^2 is not primitive
+    ],
+)
+def test_least_primitive_solution_at_the_ellipsoid_bound(T, N, least):
+    assert _least_primitive_solution(T, N) == least == _least_primitive_by_box(T, N)
+
+
+def test_embedding_contract_agrees_with_element_arithmetic(monkeypatch):
+    # on the Gross lattice every least vector v has (D + v)/2 in O; on half
+    # of it some do not, and the integer check must raise exactly for those,
+    # as QuatElement arithmetic decides
+    Or = quaternion_data(11)[2].right_orders[0]
+    gl = gross_lattice(Or)
+    half = GrossLattice.from_rows(gl.alg, [list(r) for r in gl.mat], 2 * gl.den)
+    raised = passed = 0
+    for L in (gl, half):
+        monkeypatch.setattr(quatalg, "gross_lattice", lambda order: L)
+        for D in range(-3, -60, -1):
+            c = _least_primitive_solution(L.trace_gram(), 2 * L.den**2 * -D)
+            if D % 4 not in (0, 1) or c is None:
+                continue
+            v = sum((b.scale(k) for k, b in zip(c, L.basis())), Or.alg.element(0, 0, 0, 0))
+            if Or.lattice.coordinates((Or.alg.element(D, 0, 0, 0) + v).scale(Fraction(1, 2))) is None:
+                with pytest.raises(CertificateError):
+                    find_optimal_embedding(Or, D)
+                raised += 1
+            else:
+                assert find_optimal_embedding(Or, D).v == v
+                passed += 1
+    assert raised and passed
 
 
 def test_lagrange_reduces_binary_forms():

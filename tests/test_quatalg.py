@@ -41,6 +41,7 @@ from cmreduce.ssenum import enumerate_ss
 from quat_oracles import (
     _det4,
     embedding_preimage_lattice,
+    iota,
     least_bp_pair,
     reconstruct_order_from_gross,
     same_class_by_product,
@@ -176,7 +177,7 @@ def test_maximal_order_certificates(monkeypatch):
     assert Order(lattice=lat0).reduced_discriminant == 44
     O = maximal_order(B)
     assert O.reduced_discriminant == 11
-    assert O.lattice.contains(B.element(1, 0, 0, 0))
+    assert O.lattice.coordinates(B.element(1, 0, 0, 0)) is not None
     assert O.is_multiplicatively_closed()
     half = Lattice4.from_rows(B, [list(r) for r in O.lattice.mat], 2 * O.lattice.den)
     assert not Order(lattice=half).is_multiplicatively_closed()
@@ -258,7 +259,7 @@ def test_gross_lattice():
         assert v.trace() == 0
     # 2i is in the Gross lattice whenever i is in the order
     i_el = B.element(0, 1, 0, 0)
-    if O.lattice.contains(i_el):
+    if O.lattice.coordinates(i_el) is not None:
         assert gl.coordinates(i_el.scale(2)) is not None
     # Nr in 4Z reconstruction returns the order itself
     rec = reconstruct_order_from_gross(gl)
@@ -289,8 +290,8 @@ def test_find_optimal_embedding():
     Or, emb3 = hosts[0]
     assert unit_weight(Or) == 3
     assert emb3.v.norm() == 3
-    assert Or.lattice.contains(emb3.iota(0, 1))
-    assert Or.lattice.contains(emb3.iota(3, 2))
+    assert Or.lattice.coordinates(iota(emb3, 0, 1)) is not None
+    assert Or.lattice.coordinates(iota(emb3, 3, 2)) is not None
     # a large inert discriminant embeds into both classes
     for Or in cls.right_orders:
         embL = find_optimal_embedding(Or, -23)

@@ -2,8 +2,9 @@
 under src/cmreduce is referred to from src/cmreduce, outside its own body,
 or is exported in its module's __all__, or is on the allow-list below;
 every export is referred to from src/cmreduce or imported by the
-acceptance suite, which states the paper's criteria; and every name a
-module imports is used in that module or exported."""
+acceptance suite, which states the paper's criteria; every name a
+module imports is used in that module or exported; and LLL and
+Fincke-Pohst have one pair of callers, the lattice-vector enumerator."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,34 @@ def test_an_unused_import_is_flagged():
     sources["ssenum"] += "\n\ndef _planted():\n    from math import comb\n    return 0\n"
     sources["quadforms"] += "\nimport os.path\n"
     assert unused_imports(sources) == ["quadforms.os", "ssenum.comb"]
+
+
+# the one lattice-vector enumerator: LLL and Fincke-Pohst serve these two
+ENUMERATOR = {"lattice_vectors_with_norm", "lattice_shortest_vectors"}
+
+
+def enumerator_callers(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each top-level definition outside ENUMERATOR, or
+    `module.<module>` for a module-level statement, that refers to
+    `_lll_gram` or `_fincke_pohst`."""
+    found = []
+    for name, text in sorted(sources.items()):
+        for node in ast.parse(text).body:
+            label = getattr(node, "name", "<module>")
+            if label in ENUMERATOR:
+                continue
+            used: set[str] = set()
+            _references(node, frozenset(), used)
+            if {"_lll_gram", "_fincke_pohst"} & used and f"{name}.{label}" not in found:
+                found.append(f"{name}.{label}")
+    return found
+
+
+def test_lll_and_fincke_pohst_serve_only_the_enumerator():
+    assert enumerator_callers(_sources()) == []
+
+
+def test_a_third_caller_of_the_enumerator_stages_is_flagged():
+    sources = _sources()
+    sources["reduction"] += "\n\ndef _planted(G):\n    return _lll_gram(G)\n"
+    assert enumerator_callers(sources) == ["reduction._planted"]
