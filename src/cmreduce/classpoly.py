@@ -255,6 +255,7 @@ def _log2_one_plus(x: float) -> float:
     return x + math.log2(1 + 2.0**-x)
 
 
+@functools.lru_cache(maxsize=None)
 def hilbert_class_poly(D) -> ClassPolynomial:
     """H_D(X) = prod over reduced forms of (X - j(tau_f)), exactly.
 
@@ -266,11 +267,7 @@ def hilbert_class_poly(D) -> ClassPolynomial:
     Computed once per D per process (an lru_cache); nothing is read from
     or written to disk.
     """
-    return _compute(int(D))
-
-
-@functools.lru_cache(maxsize=None)
-def _compute(d: int) -> ClassPolynomial:
+    d = int(D)
     if d % 3 == 0:
         return hilbert_class_poly_from_j(d)
     # gamma_2 is a class invariant exactly when 3 ∤ D

@@ -22,7 +22,7 @@ from .errors import (
     NotRepresented,
     PrecisionError,
 )
-from .numbase import frac_str
+from .numbase import float_str, frac_str
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -76,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fundamental", action="store_true")
     s.add_argument("--json", action="store_true")
     s.add_argument("--csv", action="store_true")
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--threads", type=int, default=1)
 
     s = sub.add_parser("verify", help="run the invariant suite")
@@ -201,7 +200,7 @@ def _cmd_joint(args) -> int:
                 ",".join(map(str, t)): frac_str(v) for t, v in sorted(jd.product_measure.items())
             },
             "tv": frac_str(jd.tv),
-            "chi2": f"{jd.chi2:.12g}",
+            "chi2": float_str(jd.chi2),
             "surjective": jd.surjective,
         }
         print(json.dumps(payload, sort_keys=True))
@@ -210,7 +209,7 @@ def _cmd_joint(args) -> int:
         for t, c in sorted(jd.tuple_counts.items()):
             print(f"tuple {t}: {c}")
         print(f"tv = {frac_str(jd.tv)}")
-        print(f"chi2 = {jd.chi2:.12g}")
+        print(f"chi2 = {float_str(jd.chi2)}")
         print(f"surjective = {jd.surjective}")
     return EXIT_OK
 
@@ -230,7 +229,6 @@ def _cmd_scan(args) -> int:
         dmax=args.dmax,
         fundamental_only=args.fundamental,
         split_filter=split,
-        seed=args.seed,
         threads=args.threads,
     )
     report = scan(cfg)

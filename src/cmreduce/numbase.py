@@ -17,6 +17,7 @@ __all__ = [
     "is_prime",
     "exact_sqrt_fraction",
     "frac_str",
+    "float_str",
     "squarefree_part",
     "factorize",
     "primes_up_to",
@@ -161,6 +162,12 @@ def squarefree_part(n: int) -> int:
 def frac_str(x: Fraction) -> str:
     """An exact rational as printed everywhere: "a/b", also when b = 1."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def float_str(x: float) -> str:
+    """An approximate quantity (chi2, a CM point's height, a median) as
+    printed everywhere: 12 significant digits."""
+    return f"{x:.12g}"
 
 
 def exact_sqrt_fraction(q: Fraction) -> Fraction:

@@ -51,12 +51,10 @@ def is_fundamental(D: int) -> bool:
 
 @dataclass(frozen=True)
 class Discriminant:
-    """Negative quadratic discriminant D = fundamental_part * conductor^2."""
+    """Negative quadratic discriminant D = field_discriminant(D) * conductor^2."""
 
     D: int
-    fundamental: bool
     conductor: int
-    fundamental_part: int
 
     @classmethod
     def of(cls, D: int) -> "Discriminant":
@@ -65,7 +63,7 @@ class Discriminant:
         c = math.isqrt(D // d0)
         if c * c * d0 != D:
             raise CertificateError(f"{D} is not {d0} times a square")
-        return cls(D=D, fundamental=(c == 1), conductor=c, fundamental_part=d0)
+        return cls(D=D, conductor=c)
 
     def __int__(self) -> int:
         return self.D
@@ -232,7 +230,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 class CMPoint:
     """tau = (-b + i*sqrt(|D|)) / (2a) in the standard fundamental domain."""
 
-    form: QuadForm
     minus_b: int
     abs_D: int
     two_a: int
@@ -248,7 +245,7 @@ def cm_point(f: QuadForm, D) -> CMPoint:
         raise DomainError("form/discriminant mismatch")
     if not f.is_reduced():
         raise DomainError("cm_point expects a reduced form")
-    return CMPoint(form=f, minus_b=-f.b, abs_D=-d, two_a=2 * f.a)
+    return CMPoint(minus_b=-f.b, abs_D=-d, two_a=2 * f.a)
 
 
 def splitting(D, p: int) -> str:

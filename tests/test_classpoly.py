@@ -54,7 +54,7 @@ def test_j_eval_rejects_unreduced():
         # artificial point with tiny imaginary part
         from cmreduce.quadforms import CMPoint
 
-        j_eval(CMPoint(form=QuadForm(1, 0, 1), minus_b=0, abs_D=4, two_a=20), 128)
+        j_eval(CMPoint(minus_b=0, abs_D=4, two_a=20), 128)
 
 
 def test_hilbert_small():
@@ -131,7 +131,7 @@ def test_hilbert_class_poly_is_computed_once_per_discriminant(monkeypatch):
         return j_eval(tau, bits, height)
 
     monkeypatch.setattr(classpoly, "j_eval", counting_j_eval)
-    classpoly._compute.cache_clear()
+    classpoly.hilbert_class_poly.cache_clear()
     first = hilbert_class_poly(-191)
     assert len(calls) == sum(1 for f in reduced_forms(-191) if f.b >= 0)
     calls.clear()
@@ -159,20 +159,20 @@ def _plant_a_miss(monkeypatch, d, every_precision):
         return out
 
     monkeypatch.setattr(classpoly, "_product_tree", planted)
-    classpoly._compute.cache_clear()
+    classpoly.hilbert_class_poly.cache_clear()
     return precisions
 
 
 def test_a_coefficient_missing_its_integer_doubles_the_precision(monkeypatch):
     from cmreduce import classpoly
 
-    classpoly._compute.cache_clear()
+    classpoly.hilbert_class_poly.cache_clear()
     expected = hilbert_class_poly(-191)
     precisions = _plant_a_miss(monkeypatch, -191, every_precision=False)
     try:
         assert hilbert_class_poly(-191) == expected
     finally:
-        classpoly._compute.cache_clear()
+        classpoly.hilbert_class_poly.cache_clear()
     # _assemble scales by 2^P, P = bits + 48
     assert len(precisions) == 2 and precisions[1] - 48 == 2 * (precisions[0] - 48)
 
@@ -185,7 +185,7 @@ def test_a_coefficient_missing_at_every_precision_raises(monkeypatch):
         with pytest.raises(PrecisionError):
             hilbert_class_poly(-191)
     finally:
-        classpoly._compute.cache_clear()
+        classpoly.hilbert_class_poly.cache_clear()
     assert len(precisions) == classpoly._MAX_DOUBLINGS + 1
 
 
@@ -193,14 +193,14 @@ def test_a_coefficient_missing_its_integer_doubles_the_precision_on_the_j_route(
     # 3 | 231, so H_-231 is assembled from j itself, not from gamma_2
     from cmreduce import classpoly
 
-    classpoly._compute.cache_clear()
+    classpoly.hilbert_class_poly.cache_clear()
     expected = hilbert_class_poly(-231)
     assert expected == classpoly.hilbert_class_poly_from_j(-231)
     precisions = _plant_a_miss(monkeypatch, -231, every_precision=False)
     try:
         assert hilbert_class_poly(-231) == expected
     finally:
-        classpoly._compute.cache_clear()
+        classpoly.hilbert_class_poly.cache_clear()
     assert len(precisions) == 2 and precisions[1] - 48 == 2 * (precisions[0] - 48)
 
 
@@ -219,12 +219,12 @@ def _j_route(D):
 
 
 def _gamma2_route_agrees(D):
-    """Whether the gamma_2 route of _compute, run afresh, gives the H_D of
+    """Whether the gamma_2 route of hilbert_class_poly, run afresh, gives the H_D of
     the j route; a route that cannot round W disagrees."""
     from cmreduce import classpoly
 
     try:
-        return classpoly._compute.__wrapped__(D).coeffs == _j_route(D)
+        return classpoly.hilbert_class_poly.__wrapped__(D).coeffs == _j_route(D)
     except PrecisionError:
         return False
 
@@ -334,7 +334,7 @@ def test_planted_fault_series_summed_to_half_its_terms(monkeypatch):
     for D in (-719, -2351, -4391, -1335):
         attempts.clear()
         with pytest.raises(PrecisionError):
-            classpoly._compute.__wrapped__(D)
+            classpoly.hilbert_class_poly.__wrapped__(D)
         assert attempts[0] is None, D
 
 

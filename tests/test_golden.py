@@ -21,8 +21,12 @@ CASES = {
     "reduce_D-463_p101.txt": ["reduce", "--D", "-463", "--p", "101"],  # base class 6 of 9
     "reduce_D-267_p1009.txt": ["reduce", "--D", "-267", "--p", "1009"],  # base class 82 of 84
     "joint_D-71_p11-23.json": ["joint", "--D", "-71", "--primes", "11,23", "--json"],
+    "joint_D-71_p11-23.txt": ["joint", "--D", "-71", "--primes", "11,23"],
     "scan_p11-23_D3-600_fund.json": [
         "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--json",
+    ],
+    "scan_p11-23_D3-600_fund.csv": [
+        "scan", "--primes", "11,23", "--dmin", "3", "--dmax", "600", "--fundamental", "--csv",
     ],
     "ss_p199.json": ["ss", "--p", "199", "--json"],
     "classpoly_D-719.json": ["classpoly", "--D", "-719", "--json"],  # 3 ∤ D: from gamma_2

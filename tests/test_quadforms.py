@@ -15,6 +15,7 @@ from cmreduce.quadforms import (
     class_number_table,
     cm_point,
     compose,
+    field_discriminant,
     genus_character,
     genus_decompositions,
     is_fundamental,
@@ -27,10 +28,10 @@ from cmreduce.quadforms import (
 
 def test_discriminant_structure():
     d = Discriminant.of(-12)
-    assert (d.fundamental_part, d.conductor, d.fundamental) == (-3, 2, False)
-    assert Discriminant.of(-23).fundamental
+    assert (field_discriminant(d.D), d.conductor) == (-3, 2)
+    assert Discriminant.of(-23).conductor == 1
     assert Discriminant.of(-4).conductor == 1
-    assert Discriminant.of(-72).fundamental_part == -8
+    assert (field_discriminant(-72), Discriminant.of(-72).conductor) == (-8, 3)
     with pytest.raises(DomainError):
         Discriminant.of(-5)  # 3 mod 4
     with pytest.raises(DomainError):
@@ -106,7 +107,7 @@ def test_is_fundamental_is_the_field_discriminant_of_either_sign():
     assert {D for D in range(-500, 501) if is_fundamental(D)} == {D for D in fields if abs(D) <= 500}
     for D in range(-3000, 0):
         if D % 4 in (0, 1):
-            assert is_fundamental(D) == Discriminant.of(D).fundamental, D
+            assert is_fundamental(D) == (Discriminant.of(D).conductor == 1), D
 
 
 def test_group_axioms_sampled_fundamental_discs():
@@ -133,13 +134,14 @@ def test_cm_points():
     assert Fraction(p.minus_b, p.two_a) == Fraction(-1, 2)
     assert abs(p.im - math.sqrt(23) / 2) < 1e-12
     p = cm_point(QuadForm(2, 1, 3), -23)
-    assert Fraction(p.form.c, p.form.a) == Fraction(3, 2)  # |tau|^2 = c/a
+    # |tau|^2 = (b^2 + |D|) / 4a^2 = c/a
+    assert Fraction(p.minus_b**2 + p.abs_D, p.two_a**2) == Fraction(3, 2)
     # fundamental domain, exactly, for a batch of discriminants
     for D in (-23, -47, -84, -499, -1051):
         for f in reduced_forms(D):
             q = cm_point(f, D)
             assert abs(Fraction(q.minus_b, q.two_a)) <= Fraction(1, 2)
-            assert Fraction(q.form.c, q.form.a) >= 1
+            assert Fraction(q.minus_b**2 + q.abs_D, q.two_a**2) >= 1
 
 
 def test_splitting():

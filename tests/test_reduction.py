@@ -1,11 +1,12 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from cmreduce import reduction
 from cmreduce.errors import CertificateError, ConfigError, DomainError
-from cmreduce.quadforms import compose, reduced_forms
+from cmreduce.quadforms import cm_point, compose, reduced_forms
 from cmreduce.reduction import (
     NU_INFTY_Y2,
     CharacterSpec,
@@ -28,6 +29,21 @@ def test_reduce_archimedean_examples():
     assert stats.h == 3
     assert abs(stats.min_im - math.sqrt(23) / 4) < 1e-12
     assert abs(NU_INFTY_Y2 - 0.477464829276) < 1e-10
+
+
+def test_archimedean_box_is_the_exact_rule_16a2_at_most_D():
+    # Im tau = sqrt(|D|) / 2a >= 2 iff |D| >= 16 a^2, also on the boundary
+    # |D| = 16 a^2, where the float quotient is exactly 2
+    on_boundary = 0
+    for n in range(3, 4001):
+        if -n % 4 not in (0, 1):
+            continue
+        forms = reduced_forms(-n)
+        inside = [cm_point(f, -n).im >= 2.0 for f in forms]
+        assert inside == [n >= 16 * f.a * f.a for f in forms], -n
+        on_boundary += sum(n == 16 * f.a * f.a for f in forms)
+        assert reduce_archimedean(-n)[1].mass_y_at_least == Fraction(sum(inside), len(forms)), -n
+    assert on_boundary > 0
 
 
 def test_reduce_at_prime_minus23_at_5():
@@ -161,7 +177,7 @@ def test_non_fundamental_discriminants():
 
     for D, p in ((-75, 11), (-48, 5), (-32, 13), (-147, 11)):
         d = Discriminant.of(D)
-        assert not d.fundamental and d.conductor % p
+        assert d.conductor > 1 and d.conductor % p
         mapping = reduce_at_prime(D, p)
         assert len(mapping) == len(reduced_forms(D))
         assert fiber_multiset_crosscheck(D, p), (D, p)
