@@ -630,13 +630,20 @@ class GrossLattice(Lattice4):
 
     rank = 3
 
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """`trace_gram`, kept with the lattice for every search on it."""
+        return tuple(map(tuple, self.trace_gram()))
+
     def contains_primitive(self, v: QuatElement) -> bool:
         coords = self.coordinates(v)
         return coords is not None and math.gcd(*coords) == 1
 
 
+@lru_cache(maxsize=None)
 def gross_lattice(order: Order) -> GrossLattice:
-    """Basis of {2x - Tr(x) : x in O} with its positive definite norm Gram."""
+    """Basis of {2x - Tr(x) : x in O} with its positive definite norm Gram;
+    it depends on the order alone, so it is built once per order."""
     return GrossLattice.from_rows(order.alg, [[0, 2 * r[1], 2 * r[2], 2 * r[3]] for r in order.lattice.mat],
                                   order.lattice.den)
 
@@ -744,7 +751,7 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     """
     disc = D if isinstance(D, Discriminant) else Discriminant.of(int(D))
     gl = gross_lattice(order)
-    c = _least_primitive_solution(gl.trace_gram(), 2 * gl.den**2 * -disc.D)
+    c = _least_primitive_solution(gl.gram, 2 * gl.den**2 * -disc.D)
     if c is None:
         raise NotRepresented(f"|D| = {-disc.D} is not a primitive norm on the Gross lattice")
     row = _unreduce(gl.mat, c)

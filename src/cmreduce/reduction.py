@@ -38,6 +38,7 @@ from .quadforms import (
     splitting,
 )
 from .quatalg import (
+    _hnf_coordinates,
     _qmul,
     _qnorm,
     _unreduce,
@@ -111,10 +112,11 @@ def _check_reducible(d: int, p: int) -> Discriminant:
     return disc
 
 
-# (p, t, K.den, K.mat) -> (s, z) for every ell-neighbour K of a class
-# representative J_t met by a walk, with K = J_s z and z an integer row up to
-# a rational factor; filled lazily, so it holds at most h_p sum (ell + 1)
-# entries over the primes ell the walks use
+# (p, t, ell, line) -> (s, z) for every ell-neighbour K of a class
+# representative J_t met by a walk, keyed by the line of `_kernel_line` that
+# fixes K, with K = J_s z and z an integer row up to a rational factor;
+# filled lazily, so it holds at most h_p sum (ell + 1) entries over the primes
+# ell the walks use
 _NEIGHBOURS: dict = {}
 
 
@@ -130,37 +132,88 @@ def _generators(d: int):
                 yield g
 
 
+def _conj(v: tuple[int, ...]) -> tuple[int, ...]:
+    return (v[0], -v[1], -v[2], -v[3])
+
+
 def _conjugate(alg, z, w: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
     """z w z^-1 as an integer row (den, n) in lowest terms, for w = wnum / wden
     and an integer row z (a rational multiple of z acts the same):
     z w z^-1 = z wnum conj(z) / (wden N(z))."""
     wden, wnum = w
-    n = _qmul(alg.a, alg.b, _qmul(alg.a, alg.b, z, wnum), (z[0], -z[1], -z[2], -z[3]))
+    n = _qmul(alg.a, alg.b, _qmul(alg.a, alg.b, z, wnum), _conj(z))
     den = wden * _qnorm(alg.a, alg.b, z)
     g = math.gcd(den, *n)
     return den // g, tuple(x // g for x in n)
 
 
+def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
+    """The line of conj(x) y x mod ell O, for x = xnum / xden in the order O
+    with ell | Nr(x), x not in ell O and ell != p: the coordinates mod ell
+    of conj(x) y x for the first HNF row y of O where they are nonzero,
+    scaled so that the first nonzero one is 1.  It names the ell-neighbour
+    J (O x + ell O) of any left ideal J with right order O.
+
+    Proof.  O / ell O = M_2(F_ell), and x maps to X of rank 1 (its
+    determinant Nr(x) is 0 mod ell, and X != 0), X = u v^T.  O x + ell O
+    is the preimage of the left ideal M_2(F_ell) X, the matrices whose rows
+    are multiples of v^T, so the neighbour depends on [v] alone, and each
+    [v] gives a different one.  With S = [[0, 1], [-1, 0]],
+    conj(X) = S X^T S^T, so conj(X) Y X = ((S u)^T Y u) (S v) v^T: every
+    nonzero value is a multiple of (S v) v^T, which [v] fixes and which
+    fixes [v], and Y -> (S u)^T Y u is a nonzero linear form, so some basis
+    row gives a nonzero value."""
+    lat = order.lattice
+    a, b = lat.alg.a, lat.alg.b
+    xden, xnum = x
+    xconj = _conj(xnum)
+    for y in lat.mat:
+        # conj(x) (y / den) x = xconj y xnum / (xden^2 den)
+        c = _hnf_coordinates(lat.mat, _qmul(a, b, xconj, _qmul(a, b, y, xnum)), xden * xden)
+        if c is None:
+            raise CertificateError("conj(x) y x is not in the order")
+        lead = next((v for v in c if v % ell), None)
+        if lead is not None:
+            inv = pow(lead, -1, ell)
+            return tuple(v * inv % ell for v in c)
+    raise CertificateError(f"conj(x) y x is 0 mod {ell} for every basis row y")
+
+
 def _step(p: int, cls, t: int, w, g: QuadForm):
     """The state (s, z w z^-1) that the form g = (ell, b, c) carries the
-    state (t, w) to: K = ell J_t + J_t (w - b)/2 is an ell-neighbour of J_t, and
-    K = J_s z.  A neighbour met for the first time is classified once by
+    state (t, w) to: x = (w - b)/2 lies in O_t = O_R(J_t), as (D + w)/2 does
+    and b = D mod 2, K = ell J_t + J_t x is an ell-neighbour of J_t, and
+    K = J_s z.  The neighbour cache is keyed by x's `_kernel_line`, which
+    fixes K.  A neighbour met for the first time is classified once by
     `index_of`, after its norm is certified, and z = n^-1 m comes from the
     reduced lattices K m^-1 = J_s n^-1, m the first of K's shortest vectors
-    (`index_of` returns s because K's reduced lattice is a key of R(J_s))."""
+    (`index_of` returns s because K's reduced lattice is a key of R(J_s)).
+
+    The miss also fills the reverse edge: the ell-neighbour of J_s spanned by
+    x' = z conj(x) z^-1 is J_t ell z^-1, a rational multiple of J_t conj(z).
+    conj(x) lies in O_R(K), as K conj(x) lies in ell J_t, so x' lies in
+    O_s; J_s x' = K conj(x) z^-1 and ell J_s = ell K z^-1 lie in
+    ell J_t z^-1, which has index ell^2 in J_s = K z^-1, as the neighbour
+    has (x' is not in ell O_s, or `_kernel_line` raises)."""
     alg = cls.order.alg
-    J = cls.representatives[t]
-    K = left_ideal_from_class(J, w, g)
-    key = (p, t, K.lattice.den, K.lattice.mat)
+    ell = g.a
+    wden, wnum = w
+    x = (2 * wden, (wnum[0] - g.b * wden, *wnum[1:]))
+    key = (p, t, ell, _kernel_line(cls.right_orders[t], x, ell))
     hit = _NEIGHBOURS.get(key)
     if hit is None:
-        if K.reduced_norm != J.reduced_norm * g.a:
-            raise CertificateError(f"neighbour of norm {K.reduced_norm}, expected {J.reduced_norm * g.a}")
+        J = cls.representatives[t]
+        K = left_ideal_from_class(J, w, g)
+        if K.reduced_norm != J.reduced_norm * ell:
+            raise CertificateError(f"neighbour of norm {K.reduced_norm}, expected {J.reduced_norm * ell}")
         s = cls.index_of(K)
         n = cls.representatives[s].reduced_lattices[K.reduced_lattice]
         m = _unreduce(K.lattice.mat, K.shortest_vectors[0])
         # conj(n) m = Nr(n) n^-1 m
-        hit = _NEIGHBOURS[key] = (s, tuple(_qmul(alg.a, alg.b, (n[0], -n[1], -n[2], -n[3]), m)))
+        z = tuple(_qmul(alg.a, alg.b, _conj(n), m))
+        hit = _NEIGHBOURS[key] = (s, z)
+        back = _conjugate(alg, z, (x[0], _conj(x[1])))
+        _NEIGHBOURS.setdefault((p, s, ell, _kernel_line(cls.right_orders[s], back, ell)), (t, _conj(z)))
     s, z = hit
     return s, _conjugate(alg, z, w)
 
@@ -176,8 +229,14 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
     (t, w) with w = y iota(sqrt(D)) y^-1, an optimal embedding into the right
     order of J_t, and I_(f g) = I_f iota(g) = K y for the ell-neighbour K of
     `_step`.  The forms over the least primes (`_generators`) are added one at
-    a time, each walked as chains f g, f g^2, ... from the forms labelled so
-    far, up to the first form labelled already, whose label must agree.
+    a time.  With H the subgroup labelled so far, a new g is walked once, as
+    the chain f_0 g, f_0 g^2, ... from the first form f_0, up to the first
+    form labelled already, whose label must agree; each new form r of that
+    chain then starts the coset r H, filled as H was: for each earlier
+    generator that added forms, in turn, the chains f g', f g'^2, ... from the forms of the
+    coset labelled so far, each up to the first form labelled already.
+    Most steps are then at the least primes, whose few neighbours the
+    cache holds.
     """
     disc = _check_reducible(d, p)
     _, _, cls = quaternion_data(p)
@@ -194,19 +253,32 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
         raise CertificateError(f"no ideal class hosts an embedding of D={d} at p={p}")
     forms = reduced_forms(d)
     state = {forms[0]: (base_idx, emb.v.numerator())}
+
+    def chain(f: QuadForm, g: QuadForm) -> list[QuadForm]:
+        t, w = state[f]
+        new = []
+        while True:
+            f = compose(f, g, d)
+            t, w = _step(p, cls, t, w, g)
+            if f in state:
+                if state[f][0] != t:
+                    raise CertificateError(f"the walk gives {f.as_tuple()} classes {state[f][0]} and {t} at p={p}")
+                return new
+            state[f] = (t, w)
+            new.append(f)
+
+    earlier: list[QuadForm] = []
     for g in _generators(d):
         if len(state) == len(forms):
             break
-        for f in list(state):
-            t, w = state[f]
-            while True:
-                f = compose(f, g, d)
-                t, w = _step(p, cls, t, w, g)
-                if f in state:
-                    if state[f][0] != t:
-                        raise CertificateError(f"the walk gives {f.as_tuple()} classes {state[f][0]} and {t} at p={p}")
-                    break
-                state[f] = (t, w)
+        new = chain(forms[0], g)
+        for r in new:
+            coset = [r]
+            for g0 in earlier:
+                for f in list(coset):
+                    coset += chain(f, g0)
+        if new:
+            earlier.append(g)
     if state.keys() != set(forms):
         raise CertificateError(f"the walk labels {len(state)} forms of D={d}, not h = {len(forms)}")
     return tuple((f.as_tuple(), state[f][0]) for f in forms)

@@ -17,7 +17,7 @@ from cmreduce import reduction
 from cmreduce.errors import CertificateError
 from cmreduce.numbase import kronecker
 from cmreduce.quadforms import Discriminant, QuadForm, admissible_discriminants, reduced_forms
-from cmreduce.quatalg import Lattice4, _qmul
+from cmreduce.quatalg import Lattice4, _qmul, _qnorm, _unreduce, left_ideal_from_class
 from quat_oracles import direct_prime_reduction
 
 
@@ -51,26 +51,96 @@ def test_walk_matches_the_direct_route_on_large_discriminants():
             assert dict(reduction._prime_reduction(d, p)) == direct_prime_reduction(d, p), (d, p)
 
 
+class _RecordingCache(dict):
+    """The neighbour cache, recording the keys that reverse edges filled."""
+
+    def __init__(self):
+        super().__init__()
+        self.reverse = set()
+
+    def setdefault(self, key, value):
+        if key not in self:
+            self.reverse.add(key)
+        return super().setdefault(key, value)
+
+
+def _x(w, g):
+    """x = (w - b)/2 for the state w and the form g = (ell, b, c)."""
+    wden, wnum = w
+    return 2 * wden, (wnum[0] - g.b * wden, *wnum[1:])
+
+
 @pytest.mark.parametrize("p", [11, 23, 37])
 def test_neighbour_cache_entries_are_twists_of_their_class_representative(monkeypatch, p):
-    # each cached (t, K) -> (s, z) has K = J_s z up to a rational factor: the
-    # lattices J_s z and K have the same primitive HNF rows
-    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
-    for d in (-71, -119, -1127, -10055):
-        if _reducible(d, p):
-            _fresh_walk(d, p)
+    # at every step the entry used, forward or reverse, has
+    # ell J_t + J_t (w - b)/2 = J_s z up to a rational factor: the lattices
+    # J_s z and K have the same primitive HNF rows
+    cache = _RecordingCache()
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", cache)
+    honest = reduction._step
     _, O, cls = reduction.quaternion_data(p)
     alg = O.alg
-    assert reduction._NEIGHBOURS
-    for (_, t, _, mat), (s, z) in reduction._NEIGHBOURS.items():
-        assert 0 <= t < cls.h
+    used = set()
+
+    def checked(p_, cls_, t, w, g):
+        out = honest(p_, cls_, t, w, g)
+        key = (p, t, g.a, reduction._kernel_line(cls.right_orders[t], _x(w, g), g.a))
+        s, z = cache[key]
+        K = left_ideal_from_class(cls.representatives[t], w, g)
         twisted = Lattice4.from_rows(alg, [_qmul(alg.a, alg.b, r, z) for r in cls.representatives[s].lattice.mat], 1)
-        assert _primitive(twisted.mat) == _primitive(mat)
+        assert _primitive(twisted.mat) == _primitive(K.lattice.mat)
+        assert out[0] == s
+        used.add(key)
+        return out
+
+    monkeypatch.setattr(reduction, "_step", checked)
+    for d in (-71, -119, -311, -1127, -2351, -10055):
+        if _reducible(d, p):
+            assert _fresh_walk(d, p) == direct_prime_reduction(d, p), d
+    assert used & cache.reverse
 
 
 def _primitive(mat):
     g = math.gcd(*itertools.chain.from_iterable(mat))
     return tuple(tuple(x // g for x in r) for r in mat)
+
+
+@pytest.mark.parametrize("p", [11, 23, 37])
+def test_kernel_line_is_a_complete_invariant_of_the_neighbour(p):
+    # over every residue x of O_t mod ell with ell | Nr(x), x != 0: exactly
+    # ell + 1 lines, and two residues share a line iff ell J_t + J_t x is the
+    # same lattice
+    _, O, cls = reduction.quaternion_data(p)
+    a, b = O.alg.a, O.alg.b
+    for J, Or in zip(cls.representatives, cls.right_orders):
+        lat, jlat = Or.lattice, J.lattice
+        for ell in (2, 3, 5, 7):
+            neighbours = {}
+            for c in itertools.product(range(ell), repeat=4):
+                x = _unreduce(lat.mat, c)  # the element x / lat.den of O_t
+                if not any(c) or _qnorm(a, b, x) % (ell * lat.den**2):
+                    continue
+                rows = [[ell * lat.den * v for v in r] for r in jlat.mat] + [_qmul(a, b, r, x) for r in jlat.mat]
+                K = Lattice4.from_rows(O.alg, rows, lat.den * jlat.den)
+                neighbours.setdefault(reduction._kernel_line(Or, (lat.den, x), ell), set()).add(K)
+            assert len(neighbours) == ell + 1
+            assert all(len(ks) == 1 for ks in neighbours.values())
+            assert len(set.union(*neighbours.values())) == ell + 1
+
+
+def test_labels_do_not_depend_on_the_fill_order(monkeypatch):
+    # reverse edges make each cached z depend on the order the walks ran in,
+    # but only up to a unit of O_s, so neither the classes nor the labels move
+    ds = [-71, -119, -311, -1127, -2351, -4391, -10055, -15791]
+    for p in (11, 23):
+        runs, caches = [], []
+        for order in (ds, ds[::-1]):
+            monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+            runs.append({d: _fresh_walk(d, p) for d in order if _reducible(d, p)})
+            caches.append(reduction._NEIGHBOURS)
+        assert runs[0] == runs[1]
+        common = caches[0].keys() & caches[1].keys()
+        assert common and all(caches[0][k][0] == caches[1][k][0] for k in common)
 
 
 def _caught(d, p):
@@ -100,6 +170,43 @@ def test_planted_fault_inverse_twist_is_caught(monkeypatch, d, p):
     honest = reduction._conjugate
     monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
     monkeypatch.setattr(reduction, "_conjugate", lambda alg, z, w: honest(alg, (z[0], -z[1], -z[2], -z[3]), w))
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", FAULT_CASES)
+def test_planted_fault_line_of_conj_x_is_caught(monkeypatch, d, p):
+    # x y conj(x) in place of conj(x) y x: the line of the image of x, not of
+    # its kernel, which two different neighbours can share
+    honest = reduction._kernel_line
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_kernel_line", lambda order, x, ell: honest(order, (x[0], reduction._conj(x[1])), ell))
+    assert _caught(d, p)
+
+
+class _ReverseStoresZ(dict):
+    def setdefault(self, key, value):
+        s, z = value
+        return super().setdefault(key, (s, reduction._conj(z)))
+
+
+@pytest.mark.parametrize("d, p", [(-119, 23), (-311, 37), (-1127, 37), (-2351, 37)])
+def test_planted_fault_reverse_edge_stores_z_is_caught(monkeypatch, d, p):
+    # the reverse edge J_t z in place of J_t conj(z): both lie in class t, so
+    # only the twisted embedding is wrong, and a walk sees it only where a
+    # later step depends on it, which no step of (-71, 11) or (-10055, 23) does
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", _ReverseStoresZ())
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", FAULT_CASES)
+def test_planted_fault_reverse_key_from_x_is_caught(monkeypatch, d, p):
+    # the reverse key from z x z^-1 in place of z conj(x) z^-1; a state w is
+    # traceless, so only the reverse edge conjugates a row with a real part
+    # (for b = 0, conj(x) = -x has the same line, and the fault changes nothing)
+    honest = reduction._conjugate
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_conjugate",
+                        lambda alg, z, w: honest(alg, z, (w[0], reduction._conj(w[1])) if w[1][0] else w))
     assert _caught(d, p)
 
 
