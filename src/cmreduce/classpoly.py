@@ -6,8 +6,9 @@ q (E(q^2) / E(q))^24, E(x) = prod (1 - x^n): j = (1 + 256 t)^3 / t, and
 gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2) / E(q))^8,
 q^(1/3) = e^(2 pi i tau / 3).  Each is a quotient of integer powers of
 q-products and of q or q^(1/3), so no branch of a root is involved, and E is
-a sparse series by Euler's pentagonal number theorem.  Arbitrary precision
-arithmetic is delegated to mpmath.
+a sparse series by Euler's pentagonal number theorem.  The series, and
+E(q^2)/E(q) with its 8th and 24th powers, are summed in fixed-point
+integers; mpmath gives q and the few operations after the series.
 
 For 3 ∤ D, H_D comes from W = prod (X - gamma_2(tau)), gamma_2 a class
 invariant with a third of j's height (Enge and Morain, ANTS 2002), so W
@@ -22,13 +23,13 @@ working precision.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import json
 import math
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.libmp import to_fixed
 
 from .errors import DomainError, PrecisionError
 from .numbase import is_prime
@@ -39,6 +40,9 @@ __all__ = ["ClassPolynomial", "j_eval", "hilbert_class_poly", "hilbert_class_pol
 _MIN_PRECISION = 64
 _MAX_DOUBLINGS = 2
 _SQRT3_HALF_SLACK = 1e-9
+# bits of j_eval's fixed point beyond its working precision (its proof
+# takes 2^-scale <= u/512)
+_SERIES_GUARD_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -64,35 +68,68 @@ class ClassPolynomial:
         return cls(D=int(data["D"]), coeffs=tuple(int(c) for c in data["coeffs"]))
 
 
-def _euler_products(q: mpmath.mpc | complex, n_max: int) -> tuple[mpmath.mpc | complex, mpmath.mpc | complex]:
+def _cmul(x: tuple[int, int], y: tuple[int, int], scale: int) -> tuple[int, int]:
+    """The product of two complex numbers in fixed point, pairs (re, im) of
+    integers that stand for (re + i im) / 2^scale; each part is floored back
+    to the scale, so the product errs by less than 2^-scale in each part."""
+    return (x[0] * y[0] - x[1] * y[1]) >> scale, (x[0] * y[1] + x[1] * y[0]) >> scale
+
+
+def _euler_products(q: tuple[int, int], n_max: int, scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """E(q) and E(q^2) for E(x) = prod_(n >= 1) (1 - x^n), each summed over
-    its terms q^n with n <= n_max.
+    its terms q^n with n <= n_max, with q and both values in fixed point at
+    scale 2^scale (see _cmul).
 
     E(x) = 1 + sum_(k >= 1) (-1)^k (x^(k(3k-1)/2) + x^(k(3k+1)/2)) (Euler's
     pentagonal number theorem).  Each power of q is the previous one of its
     sequence times q^(3k+1) or q^(3k+2), themselves updated by one product
-    with q^3, and the terms of E(q^2) are their squares: at these
-    precisions mpmath's integer powers cost far more than products.
+    with q^3, and the terms of E(q^2) are their squares: one _cmul per
+    term, and the sums are exact.
     """
-    q2 = q * q
-    q3 = q2 * q
+    mul = functools.partial(_cmul, scale=scale)
+    q2 = mul(q, q)
+    q3 = mul(q2, q)
     a, b = q, q2  # q^(k(3k-1)/2) and q^(k(3k+1)/2) for k = 1
-    step_a, step_b = q3 * q, q3 * q2  # q^(3k+1) and q^(3k+2)
-    e1 = e2 = 1  # takes the type of q: an mpc, or a Python complex
+    step_a, step_b = mul(q3, q), mul(q3, q2)  # q^(3k+1) and q^(3k+2)
+    e1 = [1 << scale, 0]
+    e2 = [1 << scale, 0]
     k = 1
     while k * (3 * k - 1) // 2 <= n_max:
-        s1 = a + b
-        s2 = a * a + b * b if k * (3 * k - 1) <= n_max else 0
-        if k % 2:
-            e1, e2 = e1 - s1, e2 - s2
-        else:
-            e1, e2 = e1 + s1, e2 + s2
-        a *= step_a
-        b *= step_b
-        step_a *= q3
-        step_b *= q3
+        sign = -1 if k % 2 else 1
+        e1[0] += sign * (a[0] + b[0])
+        e1[1] += sign * (a[1] + b[1])
+        if k * (3 * k - 1) <= n_max:
+            a2, b2 = mul(a, a), mul(b, b)
+            e2[0] += sign * (a2[0] + b2[0])
+            e2[1] += sign * (a2[1] + b2[1])
+        a = mul(a, step_a)
+        b = mul(b, step_b)
+        step_a = mul(step_a, q3)
+        step_b = mul(step_b, q3)
         k += 1
-    return e1, e2
+    return (e1[0], e1[1]), (e2[0], e2[1])
+
+
+def _quotient_powers(e1: tuple[int, int], e2: tuple[int, int], scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """r^8 and r^24 for r = e2 / e1, all in fixed point at scale 2^scale:
+    r = e2 conj(e1) / |e1|^2 with each part floored to the scale (so it errs
+    by less than 2^-scale in each part), then three squarings to r^8 and
+    one squaring and one product to r^24, by _cmul."""
+    den = e1[0] * e1[0] + e1[1] * e1[1]
+    r = ((e2[0] * e1[0] + e2[1] * e1[1]) << scale) // den, ((e2[1] * e1[0] - e2[0] * e1[1]) << scale) // den
+    for _ in range(3):
+        r = _cmul(r, r, scale)
+    return r, _cmul(_cmul(r, r, scale), r, scale)
+
+
+def _to_fixed(z: mpmath.mpc, scale: int) -> tuple[int, int]:
+    """floor(Re z 2^scale) and floor(Im z 2^scale)."""
+    return to_fixed(z.real._mpf_, scale), to_fixed(z.imag._mpf_, scale)
+
+
+def _from_fixed(z: tuple[int, int], scale: int) -> mpmath.mpc:
+    """(re + i im) / 2^scale, each part rounded to the working precision."""
+    return mpmath.mpc(mpmath.mpf((z[0], -scale)), mpmath.mpf((z[1], -scale)))
 
 
 def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
@@ -101,12 +138,19 @@ def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
     <= 2^(8 - precision_bits) * max(1, |value|), for |D| < 2^40 and
     precision_bits < 2^40 (far beyond any H_D that can be computed).
 
-    Works at w = precision_bits + 32 bits from q_h = e^(2 pi i tau / height)
-    and q = q_h^height; the series of E(q) and E(q^2) drop the terms q^n with
-    n > n_max, |q|^n_max <= 2^-w.  With r = E(q^2)/E(q), t = q r^24 and
+    mpmath works at w = precision_bits + 32 bits: q_h =
+    e^(2 pi i tau / height), q = q_h^height, and the last steps below.  The
+    series of E(q) and E(q^2) (_euler_products) drop the terms q^n with
+    n > n_max, |q|^n_max <= 2^-w, and run in fixed point at scale 2^F,
+    F = w + _SERIES_GUARD_BITS, from q floored to that scale, and so do
+    r = E(q^2)/E(q), r^8 and r^24 (_quotient_powers).  With t = q r^24 and
     U = 1 + 256 t, j = U^3/t and gamma_2 = U/(q_h r^8).  With u = 2^(1-w),
-    every real operation of mpmath errs by at most u relatively, and every
-    complex product or quotient, or exp of a complex argument, by at most 4u.
+    every real operation of mpmath, and the rounding of a fixed-point part
+    to w bits, errs by at most u relatively, and every complex product or
+    quotient, or exp of a complex argument, by at most 4u.  Every fixed-point
+    step errs by less than eps = 2^-F = u/512 in each part.  Every error
+    below stays under 2^31 u, and u <= 2^-95, so the products of two errors
+    that the bounds drop are below 2^-33 u.
 
     Proof of the error.  tau is reduced: Im tau >= sqrt(3)/2, so
     |q| < 0.0044, and |tau| <= sqrt(|D| + 1)/2.
@@ -118,25 +162,37 @@ def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
       <= 7u pi sqrt(|D| + 1), so q_h errs relatively by
       e_h <= (22 sqrt(|D| + 1) + 5) u, and q = q_h, or q_h^3 by two
       products, by e_q <= 3 e_h + 8u <= (66 sqrt(|D| + 1) + 23) u.
-    * Products: the K = O(sqrt(n_max)) rounds of _euler_products make about
-      6K products.  The term of exponent n carries a relative error of at
-      most n e_q + 24 K u, but weighs |q|^n, so the products and the 4K
-      additions leave E(q) and E(q^2) with relative error
+    * Series, in absolute errors: q floored to the scale, q', lies within
+      0.0044 e_q + 1.42 eps of q.  Every value _euler_products keeps stands
+      for a power q'^m, m >= 1, of modulus below 0.0045, and lies within
+      1.5 eps of it: q' itself does, and a product of two such values errs
+      by at most 2 (0.0045) (1.5 eps) + 1.42 eps < 1.5 eps.  In K rounds
+      each series sums at most 2K terms, so it lies within 3K eps of the
+      same truncated series at q'; those differ from the ones at q by at
+      most sum_(n >= 1) n 0.0045^(n-1) |q' - q| < 1.01 |q' - q|, and the
+      tail adds 0.005 * 2^-w = u/400.  As |E| >= 0.995, E(q) and E(q^2)
+      err relatively by e_E <= e_q / 150 + (K + 2) u / 100, and so by
       e_E <= e_q / 32 + 8 K u.
-    * r^24: r errs by e_r <= 2 e_E + 5u, and the 24th power multiplies that
-      24-fold: t errs by
+    * r: the quotient of the two series errs by 2 e_E, and its floor by
+      1.5 eps more, relatively: e_r <= 2 e_E + 5u.  Each squaring or
+      product of r's powers, of modulus in [0.77, 1.3], adds the relative
+      errors of its factors and less than 2 eps, so r^8 errs by
+      8 e_r + 14 eps and r^24 by 24 e_r + 46 eps, both below u/10 over
+      the multiples of e_r.
+    * t = q r^24: with the rounding of r^24 to w bits and the product,
       e_t <= e_q + 24 e_r + 24u <= (165 sqrt(|D| + 1) + 400 K + 210) u.
     * U: |t| < 0.0056, so |U| < 2.5 and U errs absolutely by at most
       1.44 e_t + 3u.  When |U| < 1/2, |t| > 1/512.
     * U^3/t (height 1): if |U| >= 1/2, j errs relatively by at most
       10 e_t + 30u.  If |U| < 1/2, |j| < 64, and j errs absolutely by at most
       620 e_t + 2200u.
-    * U/(q_h r^8) (height 3): the four products of d = q_h r^8 leave it
-      with relative error e_h + 8 e_r + 32u <= e_t/3 + 32u.  If |U| >= 1/2,
-      gamma_2 errs relatively by at most 2.88 e_t + 6u + e_t/3 + 36u, a few
-      e_t.  If |U| < 1/2, |d| = |t|^(1/3) > 1/8 and |gamma_2| < 4, and
-      gamma_2 errs absolutely by at most 8 (1.44 e_t + 3u) +
-      4 (e_t/3 + 32u) + 16u <= 13 e_t + 170u.
+    * U/(q_h r^8) (height 3): r^8 rounded to w bits and the product
+      d = q_h r^8 leave d with relative error e_h + 8 e_r + 32u <=
+      e_t/3 + 32u.  If |U| >= 1/2, gamma_2 errs relatively by at most
+      2.88 e_t + 6u + e_t/3 + 36u, a few e_t.  If |U| < 1/2,
+      |d| = |t|^(1/3) > 1/8 and |gamma_2| < 4, and gamma_2 errs absolutely
+      by at most 8 (1.44 e_t + 3u) + 4 (e_t/3 + 32u) + 16u <=
+      13 e_t + 170u.
     So j errs by at most 2^18 (sqrt(|D| + 1) + K + 1) u max(1, |j|), and
     gamma_2 by at most 2^13 (sqrt(|D| + 1) + K + 1) u max(1, |gamma_2|).
     While sqrt(|D| + 1) + K < 2^21 these are below 2^(8 - precision_bits)
@@ -156,16 +212,14 @@ def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
         n_max = int(mpmath.ceil(work * mpmath.log(2) / (2 * mpmath.pi * im)))
         q_h = mpmath.exp(2j * mpmath.pi * mpmath.mpc(re, im) / height)
         q = q_h if height == 1 else q_h * q_h * q_h
-        e1, e2 = _euler_products(q, n_max)
-        r = e2 / e1
-        r2 = r * r
-        r4 = r2 * r2
-        r8 = r4 * r4
-        t = q * (r8 * r8) * r8  # q r^24
+        scale = work + _SERIES_GUARD_BITS
+        e1, e2 = _euler_products(_to_fixed(q, scale), n_max, scale)
+        r8, r24 = _quotient_powers(e1, e2, scale)
+        t = q * _from_fixed(r24, scale)
         u = 1 + 256 * t
         if height == 1:
             return u * u * u / t
-        return u / (q_h * r8)
+        return u / (q_h * _from_fixed(r8, scale))
 
 
 # log2 of the factor of j_eval's stated error: 2^(8 - bits) max(1, |j|)
@@ -177,19 +231,27 @@ def _j_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
     return j_eval(cm_point(f, d), bits), _J_ERROR_BITS - bits
 
 
-def _gamma2_estimate(tau: CMPoint) -> complex:
-    """gamma_2(tau) e^(-2 pi Im(tau)/3) in double precision, the size of
+# the fixed-point scale of _gamma2_estimate's series
+_ESTIMATE_BITS = 64
+
+
+def _gamma2_estimate(tau: CMPoint) -> float:
+    """|gamma_2(tau)| e^(-2 pi Im(tau)/3) in double precision, the size of
     gamma_2 that _initial_precision reads.
 
-    gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2)/E(q))^8
-    and q^(1/3) = e^(2 pi i tau / 3).  The positive factor keeps the value
-    near the unit circle for every D.
+    gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2)/E(q))^8,
+    and |q^(1/3)| = e^(-2 pi Im(tau)/3), the factor divided out, which keeps
+    the value near 1 for every D.  E(q) and E(q^2) are _euler_products at
+    scale 2^_ESTIMATE_BITS, q = e^(2 pi i tau) from math.exp, math.cos and
+    math.sin.
     """
     x, y = tau.minus_b / tau.two_a, math.sqrt(tau.abs_D) / tau.two_a
-    q = cmath.exp(2j * math.pi * complex(x, y))
-    e1, e2 = _euler_products(q, math.ceil(60 * math.log(2) / (2 * math.pi * y)))
-    r8 = (e2 / e1) ** 8
-    return cmath.exp(-2j * math.pi * x / 3) * (1 + 256 * q * r8**3) / r8
+    size = math.exp(-2 * math.pi * y)
+    q = complex(size * math.cos(2 * math.pi * x), size * math.sin(2 * math.pi * x))
+    fixed = (round(math.ldexp(q.real, _ESTIMATE_BITS)), round(math.ldexp(q.imag, _ESTIMATE_BITS)))
+    e1, e2 = _euler_products(fixed, math.ceil(60 * math.log(2) / (2 * math.pi * y)), _ESTIMATE_BITS)
+    r8 = (complex(*e2) / complex(*e1)) ** 8
+    return abs((1 + 256 * q * r8**3) / r8)
 
 
 def _gamma2_steps(f: QuadForm) -> int:
@@ -244,7 +306,7 @@ def _initial_precision(D: int, forms, height: int = 1) -> int:
     for f in forms:
         tau = cm_point(f, D)
         # the estimate is 0 at tau = rho, where j = 0
-        log2_gamma2 = math.log2(abs(_gamma2_estimate(tau)) or 1.0) + 2 * math.pi * tau.im / (3 * math.log(2))
+        log2_gamma2 = math.log2(_gamma2_estimate(tau) or 1.0) + 2 * math.pi * tau.im / (3 * math.log(2))
         log2_s += _log2_one_plus(max(0.0, 3 * log2_gamma2 / height))
     bits = math.ceil(log2_s + math.log2(10 * len(forms))) + _J_ERROR_BITS + 1 + _GUARD_BITS
     return max(_MIN_PRECISION, bits)

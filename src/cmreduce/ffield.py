@@ -96,7 +96,7 @@ class FfPoly:
     as an element (x, 0) of F_{p^2}; one with a nonzero t-part raises
     DomainError."""
 
-    __slots__ = ("coeffs", "ctx")
+    __slots__ = ("coeffs", "ctx", "_packed")
 
     def __init__(self, coeffs, ctx: Fp2Ctx):
         p = ctx.p
@@ -109,16 +109,21 @@ class FfPoly:
             cs.append(c % p)
         self.coeffs = _trim(cs)
         self.ctx = ctx
+        self._packed = None
 
     def pow_mod(self, e: int, mod: "FfPoly") -> "FfPoly":
         """self^e mod `mod` (a nonzero polynomial).  From modulus degree
         _PACKED_MIN_DEGREE on, each product is one integer product
-        (_PackedModulus)."""
+        (_PackedModulus), and the first such call builds the packed modulus
+        once and keeps it on `mod` for later powers modulo the same
+        object."""
         p = self.ctx.p
         f = _fp_monic(mod.coeffs, p)
         base = _fp_divmod(self.coeffs, f, p)[1]
         if len(f) - 1 >= _PACKED_MIN_DEGREE:
-            out = _PackedModulus(f, p).pow(base, e)
+            if mod._packed is None:
+                mod._packed = _PackedModulus(f, p)
+            out = mod._packed.pow(base, e)
         else:
             out = [1]
             for bit in bin(e)[2:]:
@@ -315,13 +320,20 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
 # so this many draws in a row fail with probability about 2^-64
 _MAX_DRAWS = 64
 
+# A node of at most this many quadratic factors is split by their traces
+# (_trace_split), with no norm draw.  Set by timing root finding over the
+# classpoly-roots pool: 3 took 4% less time than 2 and 2% less than 4
+_TRACE_SPLIT_MAX = 3
+
 
 def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) -> list[Fp2]:
     """Roots in F_{p^2} of g, a monic product of distinct irreducibles over
     F_p that are all linear (xp is None) or all quadratic (xp = X^p modulo
     a multiple of g).
 
-    For c in F_p, s = (X + c)^((p-1)/2), or for quadratics the norm
+    A product of at most _TRACE_SPLIT_MAX quadratics with distinct traces is
+    taken apart by _trace_split.  Otherwise, for c in F_p,
+    s = (X + c)^((p-1)/2), or for quadratics the norm
     ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
     is the Legendre symbol of r + c, or of the norm (r + c)(r^p + c^p) of
     r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
@@ -336,6 +348,10 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
         return list(quadratic_roots(ctx.el(g[1]), ctx.el(g[0]), ctx))
     if xp is not None:
         xp = _fp_divmod(xp, g, p)[1]
+        if len(g) - 1 <= 2 * _TRACE_SPLIT_MAX:
+            factors = _trace_split(g, xp, ctx, rng)
+            if factors is not None:
+                return [r for h in factors for r in _split(h, xp, ctx, rng)]
     mod = FfPoly(g, ctx)
     for _ in range(_MAX_DRAWS):
         c = rng.randrange(p)
@@ -345,6 +361,69 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
         if 1 < len(g1) < len(g):
             return [r for h in (g1, _fp_divmod(g, g1, p)[0]) for r in _split(h, xp, ctx, rng)]
     raise CertificateError(f"no split of a degree-{len(g) - 1} factor in {_MAX_DRAWS} draws")
+
+
+def _trace_split(g: list[int], xp: list[int], ctx: Fp2Ctx, rng: random.Random) -> list[list[int]] | None:
+    """The factors of g, a monic product of k >= 2 distinct quadratics
+    irreducible over F_p, from their traces, for xp = X^p mod g; None when
+    two factors share a trace.
+
+    Modulo a factor with roots r and r^p, T = X + X^p is r + r^p = s, its
+    trace, in F_p.  So, by the Chinese remainder theorem, T^j is s_i^j
+    modulo the i-th factor, and when the s_i are distinct, T^0, ..., T^(k-1)
+    are independent (a Vandermonde matrix in the s_i) and
+    R(Y) = prod (Y - s_i) is the monic polynomial of degree k with R(T) = 0
+    mod g (_trace_resolvent).  Its roots, found by the F_p-linear path of
+    _split, are the traces, and gcd(g, T - s_i) is the factor of trace s_i.
+    k distinct traces whose gcds all have degree 2 give k coprime factors
+    of total degree deg g, so their product is g; anything else raises
+    CertificateError.
+    """
+    p = ctx.p
+    k = (len(g) - 1) // 2
+    t = _fp_sub(xp, [0, -1], p)  # X^p + X
+    powers = [[1], t]
+    for _ in range(k - 1):
+        powers.append(_fp_divmod(_fp_mul(powers[-1], t), g, p)[1])
+    resolvent = _trace_resolvent(powers, p)
+    if resolvent is None:
+        return None
+    traces = _split(resolvent, None, ctx, rng)
+    if len({s for s, y in traces if y == 0}) != k:
+        raise CertificateError("the trace resolvent does not have k distinct roots in F_p")
+    factors = [_fp_gcd(g, _fp_sub(t, [s], p), p) for s, _ in traces]
+    if any(len(h) != 3 for h in factors):
+        raise CertificateError("a trace does not cut out a quadratic factor")
+    return factors
+
+
+def _trace_resolvent(powers: list[list[int]], p: int) -> list[int] | None:
+    """The monic R of degree k, ascending, with R(T) = 0, from powers =
+    [T^0, ..., T^k] modulo g of degree 2k; None when T^0, ..., T^(k-1) have
+    rank below k.
+
+    T^k = sum_(j < k) a_j T^j is a system of 2k equations, one per
+    coefficient of X, in the k unknowns a_j, solved by Gauss-Jordan
+    elimination mod p.  At rank k the solution is unique, and a remaining
+    row that is not 0 = 0 shows T^k outside the span: CertificateError.
+    """
+    k = len(powers) - 1
+    n = max(map(len, powers))  # the rows past the last coefficient are 0 = 0
+    rows = [[pw[i] if i < len(pw) else 0 for pw in powers] for i in range(n)]
+    for col in range(k):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = pow(rows[col][col], -1, p)
+        top = rows[col] = [v * inv % p for v in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                c = row[col]
+                rows[i] = [(v - c * w) % p for v, w in zip(row, top)]
+    if any(row[k] for row in rows[k:]):
+        raise CertificateError("T^k is not a combination of lower powers of T")
+    return [-row[k] % p for row in rows[:k]] + [1]
 
 
 def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, int]:

@@ -575,6 +575,34 @@ class Order:
             raise CertificateError("non-integral reduced discriminant")
         return rd.numerator
 
+    def anisotropic_element(self, ell: int) -> tuple[int, ...]:
+        """The first y = c . H over c in [0, ell)^4 in product order, H the
+        HNF rows, whose reduced characteristic polynomial
+        X^2 - Trd(y) X + Nrd(y) is irreducible mod the prime ell (for
+        ell = 2: Trd(y) and Nrd(y) odd), as an integer row: the element is
+        y / den.  Kept per ell on the order.  When O / ell O = M_2(F_ell)
+        (ell != p) such a residue exists; none raises CertificateError."""
+        if ell not in self._anisotropic:
+            lat = self.lattice
+            a, b, den = lat.alg.a, lat.alg.b, lat.den
+            for c in product(range(ell), repeat=4):
+                y = _unreduce(lat.mat, c)
+                trd, nrd = 2 * y[0] // den, _qnorm(a, b, y) // (den * den)
+                if ell == 2:
+                    irreducible = trd % 2 == 1 and nrd % 2 == 1  # X^2 + X + 1
+                else:
+                    irreducible = kronecker(trd * trd - 4 * nrd, ell) == -1
+                if irreducible:
+                    self._anisotropic[ell] = y
+                    break
+            else:
+                raise CertificateError(f"no element of the order has an irreducible characteristic polynomial mod {ell}")
+        return self._anisotropic[ell]
+
+    @cached_property
+    def _anisotropic(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
     def is_multiplicatively_closed(self) -> bool:
         lat = self.lattice
         a, b = lat.alg.a, lat.alg.b

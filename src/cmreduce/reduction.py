@@ -149,10 +149,10 @@ def _conjugate(alg, z, w: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, 
 
 def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
     """The line of conj(x) y x mod ell O, for x = xnum / xden in the order O
-    with ell | Nr(x), x not in ell O and ell != p: the coordinates mod ell
-    of conj(x) y x for the first HNF row y of O where they are nonzero,
-    scaled so that the first nonzero one is 1.  It names the ell-neighbour
-    J (O x + ell O) of any left ideal J with right order O.
+    with ell | Nr(x), x not in ell O and ell != p, and y the order's
+    `anisotropic_element` at ell: the coordinates mod ell of conj(x) y x in
+    the HNF basis of O, scaled so that the first nonzero one is 1.  It names
+    the ell-neighbour J (O x + ell O) of any left ideal J with right order O.
 
     Proof.  O / ell O = M_2(F_ell), and x maps to X of rank 1 (its
     determinant Nr(x) is 0 mod ell, and X != 0), X = u v^T.  O x + ell O
@@ -161,22 +161,24 @@ def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
     [v] gives a different one.  With S = [[0, 1], [-1, 0]],
     conj(X) = S X^T S^T, so conj(X) Y X = ((S u)^T Y u) (S v) v^T: every
     nonzero value is a multiple of (S v) v^T, which [v] fixes and which
-    fixes [v], and Y -> (S u)^T Y u is a nonzero linear form, so some basis
-    row gives a nonzero value."""
+    fixes [v].  The scalar is (S u)^T Y u = -det[u | Y u], 0 only when u is
+    an eigenvector of Y.  Y's characteristic polynomial is y's reduced one
+    mod ell, irreducible, so Y has no eigenvalue in F_ell and no
+    eigenvector: one product pair and one coordinate solve give the line.
+    A value outside O, or 0 mod ell, raises CertificateError."""
     lat = order.lattice
     a, b = lat.alg.a, lat.alg.b
     xden, xnum = x
-    xconj = _conj(xnum)
-    for y in lat.mat:
-        # conj(x) (y / den) x = xconj y xnum / (xden^2 den)
-        c = _hnf_coordinates(lat.mat, _qmul(a, b, xconj, _qmul(a, b, y, xnum)), xden * xden)
-        if c is None:
-            raise CertificateError("conj(x) y x is not in the order")
-        lead = next((v for v in c if v % ell), None)
-        if lead is not None:
-            inv = pow(lead, -1, ell)
-            return tuple(v * inv % ell for v in c)
-    raise CertificateError(f"conj(x) y x is 0 mod {ell} for every basis row y")
+    y = order.anisotropic_element(ell)
+    # conj(x) (y / den) x = conj(xnum) y xnum / (xden^2 den)
+    c = _hnf_coordinates(lat.mat, _qmul(a, b, _conj(xnum), _qmul(a, b, y, xnum)), xden * xden)
+    if c is None:
+        raise CertificateError("conj(x) y x is not in the order")
+    lead = next((v for v in c if v % ell), None)
+    if lead is None:
+        raise CertificateError(f"conj(x) y x is 0 mod {ell}")
+    inv = pow(lead, -1, ell)
+    return tuple(v * inv % ell for v in c)
 
 
 def _step(p: int, cls, t: int, w, g: QuadForm):

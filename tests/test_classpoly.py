@@ -49,6 +49,40 @@ def test_j_eval_precision_model():
     assert abs(a - b) < abs(b) * mpmath.mpf(2) ** -100
 
 
+# tau = i, and rho = (-1 + i sqrt(3))/2 at the least Im tau of a reduced point
+_SERIES_POINTS = [(QuadForm(1, 0, 1), -4), (QuadForm(1, 1, 1), -3)]
+
+
+@pytest.mark.parametrize("f, D", _SERIES_POINTS)
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024, 2048])
+def test_fixed_point_series_is_within_its_proven_bound(f, D, bits):
+    # j_eval's E(q) and E(q^2), in fixed point from q floored to the scale,
+    # against mpmath's q-Pochhammer products at 64 more bits: within
+    # (3K + 2) 2^-scale + 0.005 * 2^-w, for K rounds (j_eval's proof, with
+    # q itself exact to 2^-(w + 64))
+    from cmreduce.classpoly import _SERIES_GUARD_BITS, _euler_products, _to_fixed
+
+    tau = cm_point(f, D)
+    w = bits + 32
+    scale = w + _SERIES_GUARD_BITS
+    with mpmath.workprec(w + 64):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(mpmath.mpf(tau.minus_b) / tau.two_a, tau.im))
+        n_max = int(mpmath.ceil(w * mpmath.log(2) / (2 * mpmath.pi * tau.im)))
+        rounds = next(k for k in range(1, n_max + 2) if k * (3 * k - 1) // 2 > n_max) - 1
+        bound = (3 * rounds + 2) * mpmath.ldexp(1, -scale) + mpmath.ldexp(0.005, -w)
+        for got, exact in zip(_euler_products(_to_fixed(q, scale), n_max, scale), (mpmath.qp(q), mpmath.qp(q * q))):
+            assert abs(mpmath.mpc(*got) * mpmath.ldexp(1, -scale) - exact) <= bound
+
+
+@pytest.mark.parametrize("bits", [64, 128, 256, 512, 1024, 2048])
+def test_j_eval_meets_its_stated_error_at_i_and_rho(bits):
+    # j(i) = 1728 = 12^3 and j(rho) = 0, within 2^(8 - bits) max(1, |value|)
+    for (f, D), j in zip(_SERIES_POINTS, (1728, 0)):
+        for height, value in ((1, j), (3, round(j ** (1 / 3)))):
+            got = j_eval(cm_point(f, D), bits, height)
+            assert abs(got - value) <= mpmath.ldexp(max(1, value), 8 - bits), (D, height)
+
+
 def test_j_eval_rejects_unreduced():
     with pytest.raises(DomainError):
         # artificial point with tiny imaginary part
@@ -317,15 +351,16 @@ def test_planted_fault_values_claimed_exact():
 
 
 def test_planted_fault_series_summed_to_half_its_terms(monkeypatch):
-    # E(q) and E(q^2) summed only to n_max // 2 hold about half the bits
-    # j_eval claims; on both routes the bound then certifies no attempt, so
-    # no H_D is returned at all, never a wrong one
+    # j_eval's fixed-point E(q) and E(q^2) summed only to n_max // 2 hold
+    # about half the bits j_eval claims; on both routes the bound then
+    # certifies no attempt, so no H_D is returned at all, never a wrong one.
+    # The start precision's double-precision estimate keeps its full series
     from cmreduce import classpoly
 
     euler = classpoly._euler_products
 
-    def truncated(q, n_max):
-        return euler(q, n_max // 2 if isinstance(q, mpmath.mpc) else n_max)
+    def truncated(q, n_max, scale):
+        return euler(q, n_max // 2 if scale > classpoly._ESTIMATE_BITS else n_max, scale)
 
     monkeypatch.setattr(classpoly, "_euler_products", truncated)
     assemble = classpoly._assemble

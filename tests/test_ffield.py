@@ -410,6 +410,56 @@ def _oracle_cases(ctx):
                     break
             factors.append(cubic)
         yield _product(factors, p, rng.randrange(1, p))
+    # products of 1 to 8 distinct quadratics irreducible over F_p, some of
+    # them repeated: up to _TRACE_SPLIT_MAX of them split by their traces,
+    # more by norm draws first
+    irreducible = _irreducible_quadratics(p)
+    for k in range(1, 9):
+        chosen = rng.sample(irreducible, k)
+        yield _product([f for f in chosen for _ in range(rng.choice((1, 1, 1, 2, 3)))], p, rng.randrange(1, p))
+    # pairs with one trace, X^2 - sX + n1 and X^2 - sX + n2, alone and with a
+    # third quadratic or a linear factor: the traces do not separate them
+    for s in range(p):
+        f1, f2, *_ = [f for f in irreducible if f[1] == -s % p]
+        f3 = next(f for f in irreducible if f[1] != -s % p)
+        yield _product([f1, f2], p)
+        yield _product([f1, f2, f3, f2], p, rng.randrange(1, p))
+        yield _product([f1, f2, [s, 1]], p)
+
+
+def _irreducible_quadratics(p):
+    """The monic X^2 + bX + c irreducible over F_p, as [c, b, 1]."""
+    return [[c, b, 1] for b in range(p) for c in range(p) if kronecker(b * b - 4 * c, p) == -1]
+
+
+def _check_refusals(module):
+    """`module`'s trace split refuses, with CertificateError, a node that is
+    not a product of quadratics with distinct traces."""
+    p = 1009
+    ctx = module.fp2_construct(p)
+    f1, f2 = ([next(c for c in range(p) if kronecker(s * s - 4 * c, p) == -1), -s % p, 1] for s in (2, 4))
+    # T = X^p in place of X + X^p: X^p generates F_p[X]/g as X does, so its
+    # square lies outside the span of 1 and X^p, and the solve refuses it
+    g = _mul(f1, f2, p)
+    xp = module.FfPoly([0, 1], ctx).pow_mod(p, module.FfPoly(g, ctx)).coeffs
+    powers = [[1], xp, module._fp_divmod(_mul(xp, xp, p), g, p)[1]]
+    try:
+        module._trace_resolvent(powers, p)
+    except CertificateError:
+        pass
+    else:
+        raise AssertionError("the resolvent took T = X^p")
+    # f1 (X - 1)(X - 5): T is 2 modulo f1 and modulo X - 1, and 10 modulo
+    # X - 5, so the resolvent (Y - 2)(Y - 10) is consistent, but
+    # gcd(g, T - 2) = f1 (X - 1) has degree 3
+    g = _product([f1, [p - 1, 1], [p - 5, 1]], p)
+    xp = module.FfPoly([0, 1], ctx).pow_mod(p, module.FfPoly(g, ctx)).coeffs
+    try:
+        module._trace_split(g, xp, ctx, random.Random(0))
+    except CertificateError:
+        pass
+    else:
+        raise AssertionError("the trace split took a node with linear factors")
 
 
 def _check_roots(module):
@@ -417,7 +467,8 @@ def _check_roots(module):
     ORACLE_PRIMES, then at p = 1009 and 100003 on planted roots: five in
     F_p, where c = -r, which splits a block of roots in F_p under the norm
     by chance, is too rare to hide a missing F_p-linear separation, and
-    four conjugate pairs, two of them double."""
+    four conjugate pairs, two of them double.  Then _check_refusals."""
+    _check_refusals(module)
     for p in ORACLE_PRIMES:
         ctx = module.fp2_construct(p)
         for coeffs in _oracle_cases(ctx):
@@ -459,9 +510,55 @@ def _mutant(old, new, monkeypatch):
         # r^p deflated a second time: it finds nothing left, so r and r^p
         # get multiplicity 1
         ("if out[r]:", "if False:"),
+        # T = X^p without X: not constant modulo a factor, so the resolvent's
+        # solve finds T^k outside the span of the lower powers
+        ("t = _fp_sub(xp, [0, -1], p)  # X^p + X", "t = xp"),
+        # the resolvent's consistency check removed: T = X^p gets a resolvent
+        ("if any(row[k] for row in rows[k:]):", "if False:"),
     ],
 )
 def test_planted_split_faults_fail_the_oracle_checks(old, new, monkeypatch):
     module = _mutant(old, new, monkeypatch)
     with pytest.raises((AssertionError, CertificateError, DomainError)):
         _check_roots(module)
+
+
+def test_trace_split_refuses_what_is_not_a_product_of_quadratics():
+    _check_refusals(ffield)
+
+
+def test_every_trace_split_size_meets_the_oracle(monkeypatch):
+    # k quadratics with distinct traces, for every k the trace split takes
+    # and one past it, at every oracle prime; the trace split sees every
+    # node size it takes
+    sizes = []
+    honest = ffield._trace_split
+    monkeypatch.setattr(ffield, "_trace_split", lambda g, *args: sizes.append(len(g) - 1) or honest(g, *args))
+    for p in ORACLE_PRIMES:
+        ctx = fp2_construct(p)
+        one_per_trace = list({f[1]: f for f in _irreducible_quadratics(p)}.values())
+        for k in range(1, ffield._TRACE_SPLIT_MAX + 2):
+            f = _product(one_per_trace[:k], p)
+            assert roots_with_multiplicity(FfPoly(f, ctx)) == _oracle_roots([(c, 0) for c in f], p, ctx.nu), (p, k)
+    assert set(sizes) == {2 * k for k in range(2, ffield._TRACE_SPLIT_MAX + 1)}
+
+
+@pytest.mark.parametrize("D", [-2351, -4391])
+def test_packed_modulus_is_built_once_per_modulus(monkeypatch, D):
+    # the two powers modulo F share one build, and so do a node's draws
+    builds = []
+
+    class Counting(ffield._PackedModulus):
+        def __init__(self, f, p):
+            builds.append(tuple(f))
+            super().__init__(f, p)
+
+    monkeypatch.setattr(ffield, "_PackedModulus", Counting)
+    H = hilbert_class_poly(D)
+    for p in (1009, 10007, 100003):
+        builds.clear()
+        ctx = fp2_construct(p)
+        F = FfPoly(classpoly_mod(H, p), ctx)
+        roots_with_multiplicity(F)
+        assert builds.count(tuple(F.coeffs)) == 1, p
+        assert len(builds) == len(set(builds)), p

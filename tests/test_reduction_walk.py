@@ -17,7 +17,7 @@ from cmreduce import reduction
 from cmreduce.errors import CertificateError
 from cmreduce.numbase import kronecker
 from cmreduce.quadforms import Discriminant, QuadForm, admissible_discriminants, reduced_forms
-from cmreduce.quatalg import Lattice4, _qmul, _qnorm, _unreduce, left_ideal_from_class
+from cmreduce.quatalg import Lattice4, Order, _qmul, _qnorm, _unreduce, left_ideal_from_class
 from quat_oracles import direct_prime_reduction
 
 
@@ -128,6 +128,50 @@ def test_kernel_line_is_a_complete_invariant_of_the_neighbour(p):
             assert len(set.union(*neighbours.values())) == ell + 1
 
 
+@pytest.mark.parametrize("p", [11, 23, 37])
+def test_kernel_line_makes_one_coordinate_solve(monkeypatch, p):
+    # the order's anisotropic element y leaves conj(x) y x nonzero mod ell
+    # for every x, so each line is one product pair and one solve
+    counts = {"lines": 0, "solves": 0}
+    honest_line, honest_solve = reduction._kernel_line, reduction._hnf_coordinates
+
+    def line(*args):
+        counts["lines"] += 1
+        return honest_line(*args)
+
+    def solve(*args):
+        counts["solves"] += 1
+        return honest_solve(*args)
+
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_kernel_line", line)
+    monkeypatch.setattr(reduction, "_hnf_coordinates", solve)
+    for d in (-71, -119, -311, -1127, -2351, -10055):
+        if _reducible(d, p):
+            assert _fresh_walk(d, p) == direct_prime_reduction(d, p), d
+    assert counts["lines"] > 100 and counts["solves"] == counts["lines"]
+
+
+def test_anisotropic_element_has_an_irreducible_characteristic_polynomial():
+    # X^2 - Trd(y) X + Nrd(y) has no root mod ell, and y is the first such
+    # residue in product order
+    for p in (11, 23, 37):
+        _, O, cls = reduction.quaternion_data(p)
+        for Or in cls.right_orders:
+            lat = Or.lattice
+            for ell in (2, 3, 5, 7, 13):
+                y = Or.anisotropic_element(ell)
+                trd, nrd = 2 * y[0] // lat.den, _qnorm(O.alg.a, O.alg.b, y) // lat.den**2
+                assert all((x * x - trd * x + nrd) % ell for x in range(ell)), (p, ell)
+                first = next(c for c in itertools.product(range(ell), repeat=4) if _unreduce(lat.mat, c) == y)
+                for c in itertools.product(range(ell), repeat=4):
+                    if c == first:
+                        break
+                    z = _unreduce(lat.mat, c)
+                    trd, nrd = 2 * z[0] // lat.den, _qnorm(O.alg.a, O.alg.b, z) // lat.den**2
+                    assert any((x * x - trd * x + nrd) % ell == 0 for x in range(ell)), (p, ell, c)
+
+
 def test_labels_do_not_depend_on_the_fill_order(monkeypatch):
     # reverse edges make each cached z depend on the order the walks ran in,
     # but only up to a unit of O_s, so neither the classes nor the labels move
@@ -208,6 +252,16 @@ def test_planted_fault_reverse_key_from_x_is_caught(monkeypatch, d, p):
     monkeypatch.setattr(reduction, "_conjugate",
                         lambda alg, z, w: honest(alg, z, (w[0], reduction._conj(w[1])) if w[1][0] else w))
     assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", FAULT_CASES)
+def test_planted_fault_anisotropic_element_1_raises(monkeypatch, d, p):
+    # y = 1: every u is an eigenvector of the identity, so conj(x) x =
+    # Nr(x) is 0 mod ell for every line, and _kernel_line refuses it
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(Order, "anisotropic_element", lambda order, ell: (order.lattice.den, 0, 0, 0))
+    with pytest.raises(CertificateError, match="is 0 mod"):
+        _fresh_walk(d, p)
 
 
 @pytest.mark.parametrize("d, p", [(-23, 11), (-71, 11), (-10055, 23)])
