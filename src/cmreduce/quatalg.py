@@ -267,43 +267,38 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form: pivots positive on the diagonal of
     successive pivot columns, entries above each pivot reduced into
     [0, pivot)."""
-    work = [list(r) for r in rows if any(r)]
+    work = [r for r in rows if any(r)]
     out: list[list[int]] = []
+    pcols: list[int] = []
     for col in range(4):
         pivot = None
         rest = []
         for r in work:
-            if r[col] == 0:
+            x = r[col]
+            if not x:
                 rest.append(r)
-                continue
-            if pivot is None:
+            elif pivot is None:
                 pivot = r
-                continue
-            if r[col] % pivot[col] == 0:
-                q = r[col] // pivot[col]
-                new_r = [u - q * v for u, v in zip(r, pivot)]
+            else:
+                pc = pivot[col]
+                q, m = divmod(x, pc)
+                if not m:
+                    new_r = [u - q * v for u, v in zip(r, pivot)]
+                else:
+                    g, s, t = _xgcd(pc, x)
+                    pc, x = pc // g, x // g
+                    pivot, new_r = [s * u + t * v for u, v in zip(pivot, r)], [pc * v - x * u for u, v in zip(pivot, r)]
                 if any(new_r):
                     rest.append(new_r)
-                continue
-            g, x, y = _xgcd(pivot[col], r[col])
-            pc, rc = pivot[col] // g, r[col] // g
-            new_p = [x * u + y * v for u, v in zip(pivot, r)]
-            new_r = [-rc * u + pc * v for u, v in zip(pivot, r)]
-            pivot = new_p
-            if any(new_r):
-                rest.append(new_r)
         work = rest
         if pivot is not None:
-            if pivot[col] < 0:
-                pivot = [-u for u in pivot]
-            out.append(pivot)
+            out.append([-u for u in pivot] if pivot[col] < 0 else list(pivot))
+            pcols.append(col)
     # reduce entries above each pivot, increasing pivot column so later
     # reductions cannot spoil earlier ones
     for upper in range(len(out)):
         for idx in range(upper + 1, len(out)):
-            pcol = next(c for c in range(4) if out[idx][c] != 0)
-            piv = out[idx][pcol]
-            q = out[upper][pcol] // piv
+            q = out[upper][pcols[idx]] // out[idx][pcols[idx]]
             if q:
                 out[upper] = [u - q * v for u, v in zip(out[upper], out[idx])]
     return out
@@ -311,16 +306,26 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 def _hnf_coordinates(mat, target, den: int) -> list[int] | None:
     """Integer c with c . mat = target / den for HNF rows `mat` and an
-    integer vector `target`, or None when there is none.  A pivot that does
-    not divide its entry leaves a nonzero remainder in t."""
-    t = list(target)
-    coords = []
-    for row in mat:
-        pcol = next(col for col, x in enumerate(row) if x)
-        c = t[pcol] // (den * row[pcol])
+    integer vector `target`, or None when there is none.
+
+    Every HNF the package builds has rank 4, or rank 3 with a zero first
+    column (the Gross lattice), so row k's pivot is in column 4 - rank + k
+    and the rows are triangular: column 4 - rank + k of c . mat involves
+    c_0, ..., c_k alone.  Back-substitution solves for c_k there, and a
+    nonzero remainder, or a nonzero target entry left of the first pivot,
+    means there is no integer c."""
+    off = 4 - len(mat)
+    if any(target[:off]):
+        return None
+    cols = tuple(zip(*mat))
+    coords: list[int] = []
+    for k in range(len(mat)):
+        col = cols[off + k]
+        c, r = divmod(target[off + k] - den * sum(map(operator.mul, coords, col)), den * col[k])
+        if r:
+            return None
         coords.append(c)
-        t = [u - c * den * x for u, x in zip(t, row)]
-    return None if any(t) else coords
+    return coords
 
 
 @dataclass(frozen=True)
@@ -353,10 +358,14 @@ class Lattice4:
             QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row)) for row in self.mat
         ]
 
+    def covolume(self) -> tuple[int, int]:
+        """(n, d) with covolume n / d in the span: the product of the HNF
+        pivots, the first nonzero entry of each row, and den^rank."""
+        return math.prod(next(filter(None, r)) for r in self.mat), self.den ** len(self.mat)
+
     def det_fraction(self) -> Fraction:
-        """Covolume in the span: the product of the HNF pivots, the first
-        nonzero entry of each row, over den^rank."""
-        return Fraction(math.prod(next(filter(None, r)) for r in self.mat), self.den ** len(self.mat))
+        """`covolume` as a Fraction."""
+        return Fraction(*self.covolume())
 
     def coordinates(self, x: QuatElement) -> list[int] | None:
         """Integer coordinates of x in the HNF basis, or None if x is not in
@@ -428,7 +437,7 @@ def _lll_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             kmax = k
             for j in range(k + 1):
                 # row k of H is still the unit vector e_k
-                u = sum(g * h for g, h in zip(G[k], H[j]))
+                u = sum(map(operator.mul, G[k], H[j]))
                 for i in range(j):
                     u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
                 if j < k:
@@ -454,8 +463,14 @@ def _lll_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
             for l in range(k - 2, -1, -1):
                 redi(k, l)
             k += 1
-    HG = [[sum(h * g for h, g in zip(u, col)) for col in zip(*G)] for u in H]
-    return H, [[sum(x * y for x, y in zip(u, v)) for v in H] for u in HG]
+    # G is symmetric, so its rows are its columns; R is symmetric too, so
+    # its upper triangle is computed and mirrored
+    HG = [[sum(map(operator.mul, u, g)) for g in G] for u in H]
+    R = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            R[i][j] = R[j][i] = sum(map(operator.mul, HG[i], H[j]))
+    return H, R
 
 
 def _fincke_pohst(G: list[list[int]], bound: int, exact: bool = False):
@@ -524,7 +539,7 @@ def _fp_first(tail, x, a, row, bound, exact):
 def _unreduce(H: list[list[int]], y) -> tuple[int, ...]:
     """The combination y . H of the rows of H: coordinates y in the basis H
     (an LLL basis, or HNF rows) as coordinates in the frame of H's rows."""
-    return tuple(sum(c * row[j] for c, row in zip(y, H)) for j in range(len(H[0])))
+    return tuple(sum(map(operator.mul, y, col)) for col in zip(*H))
 
 
 def _scaled_norm(lat: Lattice4, target) -> int | None:
@@ -603,6 +618,15 @@ class Order:
     def _anisotropic(self) -> dict[int, tuple[int, ...]]:
         return {}
 
+    @cached_property
+    def units(self) -> tuple[tuple[int, ...], ...]:
+        """The elements of reduced norm 1, as integer rows over the lattice's
+        den, sorted.  The set is closed under negation, which reverses the
+        sorted order, so the second half holds one of each pair +-u: the u
+        whose first nonzero entry is positive.  One search per order."""
+        lat = self.lattice
+        return tuple(sorted(_unreduce(lat.mat, c) for c in lattice_vectors_with_norm(lat, 1)))
+
     def is_multiplicatively_closed(self) -> bool:
         lat = self.lattice
         a, b = lat.alg.a, lat.alg.b
@@ -615,7 +639,7 @@ def unit_weight(order: Order) -> int:
     """|O^x / {+-1}| = half the number of norm-1 lattice vectors."""
     if not order.alg.is_definite:
         raise DomainError("unit counting needs a definite algebra")
-    units = lattice_vectors_with_norm(order.lattice, 1)
+    units = order.units
     if len(units) % 2:
         raise CertificateError("odd number of norm-1 vectors")
     return len(units) // 2
@@ -929,7 +953,8 @@ def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
     den = order.lattice.den * lat.den
     ell_rows = [[ell * order.lattice.den * x for x in r] for r in lat.mat]
     nrm = I.reduced_norm
-    target = ell * nrm
+    # Nr(J) = ell Nr(I) iff J's covolume is ell^2 times I's
+    inum, iden = lat.covolume()
     out: list[LeftIdeal] = []
     for c in product(range(ell), repeat=4):
         if not any(c):
@@ -942,8 +967,9 @@ def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
             continue
         rows = ell_rows + [_qmul(a, b, g, x) for g in order.lattice.mat]
         J = LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, den), left_order=order)
-        if J.reduced_norm != target:
-            raise CertificateError(f"neighbour of norm {J.reduced_norm}, expected {target}")
+        jnum, jden = J.lattice.covolume()
+        if jnum * iden != ell * ell * inum * jden:
+            raise CertificateError(f"neighbour of covolume {jnum}/{jden}, expected {ell * ell} * {inum}/{iden}")
         out.append(J)
     if len(out) != ell + 1:
         raise CertificateError(f"{len(out)} neighbour ideals, expected {ell + 1}")

@@ -113,10 +113,11 @@ def _check_reducible(d: int, p: int) -> Discriminant:
 
 
 # (p, t, ell, line) -> (s, z) for every ell-neighbour K of a class
-# representative J_t met by a walk, keyed by the line of `_kernel_line` that
-# fixes K, with K = J_s z and z an integer row up to a rational factor;
-# filled lazily, so it holds at most h_p sum (ell + 1) entries over the primes
-# ell the walks use
+# representative J_t met by a walk, as an edge, its reverse or their orbits
+# under the units of O_t, keyed by the line of `_kernel_line` that fixes K,
+# with K = J_s z and z an integer row up to a rational factor; filled
+# lazily, so it holds at most h_p sum (ell + 1) entries over the primes ell
+# the walks use
 _NEIGHBOURS: dict = {}
 
 
@@ -181,6 +182,38 @@ def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
     return tuple(v * inv % ell for v in c)
 
 
+def _unit_twist(alg, x, z, u):
+    """(u^-1 x u, z u) for x = xnum / xden, a unit u = unum / uden of reduced
+    norm 1 and an integer row z (a rational multiple of z serves as z):
+    u^-1 = conj(u), so u^-1 x u = conj(unum) xnum unum / (xden uden^2), and
+    z unum is a rational multiple of z u."""
+    a, b = alg.a, alg.b
+    xden, xnum = x
+    uden, unum = u
+    xu = _qmul(a, b, _qmul(a, b, _conj(unum), xnum), unum)
+    return (xden * uden * uden, xu), tuple(_qmul(a, b, z, unum))
+
+
+def _fill_unit_orbit(p: int, cls, t: int, ell: int, x, s: int, z) -> None:
+    """Store (s, z u) at the key of u^-1 x u for each u in O_t^x / {+-1},
+    u != 1, given that the ell-neighbour ell J_t + J_t x of J_t is J_s z up
+    to a rational factor.
+
+    Proof.  u lies in O_t^x = O_R(J_t)^x, so J_t u = J_t and
+    (ell J_t + J_t x) u = ell J_t + J_t (u^-1 x u) = J_s z u; u^-1 x u lies
+    in O_t with the norm of x, and not in ell O_t, as x does not.  An entry
+    already present is kept: two entries for one key differ by a unit of
+    O_s, which moves neither the class nor a label."""
+    alg = cls.order.alg
+    order = cls.right_orders[t]
+    units = order.units
+    den = order.lattice.den
+    for u in units[len(units) // 2:]:
+        if any(u[1:]):
+            xu, zu = _unit_twist(alg, x, z, (den, u))
+            _NEIGHBOURS.setdefault((p, t, ell, _kernel_line(order, xu, ell)), (s, zu))
+
+
 def _step(p: int, cls, t: int, w, g: QuadForm):
     """The state (s, z w z^-1) that the form g = (ell, b, c) carries the
     state (t, w) to: x = (w - b)/2 lies in O_t = O_R(J_t), as (D + w)/2 does
@@ -196,7 +229,9 @@ def _step(p: int, cls, t: int, w, g: QuadForm):
     conj(x) lies in O_R(K), as K conj(x) lies in ell J_t, so x' lies in
     O_s; J_s x' = K conj(x) z^-1 and ell J_s = ell K z^-1 lie in
     ell J_t z^-1, which has index ell^2 in J_s = K z^-1, as the neighbour
-    has (x' is not in ell O_s, or `_kernel_line` raises)."""
+    has (x' is not in ell O_s, or `_kernel_line` raises).  Both edges then
+    fill their orbits under the units of their orders
+    (`_fill_unit_orbit`)."""
     alg = cls.order.alg
     ell = g.a
     wden, wnum = w
@@ -206,16 +241,20 @@ def _step(p: int, cls, t: int, w, g: QuadForm):
     if hit is None:
         J = cls.representatives[t]
         K = left_ideal_from_class(J, w, g)
-        if K.reduced_norm != J.reduced_norm * ell:
-            raise CertificateError(f"neighbour of norm {K.reduced_norm}, expected {J.reduced_norm * ell}")
+        # Nr(K) = ell Nr(J) iff K's covolume is ell^2 times J's
+        (knum, kden), (jnum, jden) = K.lattice.covolume(), J.lattice.covolume()
+        if knum * jden != ell * ell * jnum * kden:
+            raise CertificateError(f"neighbour of covolume {knum}/{kden}, expected {ell * ell} * {jnum}/{jden}")
         s = cls.index_of(K)
         n = cls.representatives[s].reduced_lattices[K.reduced_lattice]
         m = _unreduce(K.lattice.mat, K.shortest_vectors[0])
         # conj(n) m = Nr(n) n^-1 m
         z = tuple(_qmul(alg.a, alg.b, _conj(n), m))
         hit = _NEIGHBOURS[key] = (s, z)
+        _fill_unit_orbit(p, cls, t, ell, x, s, z)
         back = _conjugate(alg, z, (x[0], _conj(x[1])))
         _NEIGHBOURS.setdefault((p, s, ell, _kernel_line(cls.right_orders[s], back, ell)), (t, _conj(z)))
+        _fill_unit_orbit(p, cls, s, ell, back, t, _conj(z))
     s, z = hit
     return s, _conjugate(alg, z, w)
 

@@ -135,6 +135,61 @@ def test_integer_coordinates_on_class_sets(p):
             assert L.coordinates(O.alg.element(1, 0, 0, 0)) is None  # not traceless
 
 
+def _fraction_solve(mat, target, den):
+    """c with c . mat = target / den by Gauss-Jordan over Fraction on the
+    transposed system, or None when there is no solution or it is not
+    integral; independent of the HNF shape of mat."""
+    n = len(mat)
+    rows = [[Fraction(mat[k][j]) for k in range(n)] + [Fraction(target[j], den)] for j in range(4)]
+    r = 0
+    for col in range(n):
+        piv = next(i for i in range(r, 4) if rows[i][col])  # mat has rank n
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(4):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(rows[i][n] for i in range(n, 4)):
+        return None
+    c = [rows[k][n] for k in range(n)]
+    return [int(x) for x in c] if all(x.denominator == 1 for x in c) else None
+
+
+def _random_hnf(rng, rank):
+    # rank 4, or rank 3 with a zero first column as on a Gross lattice
+    while True:
+        rows = [[0 if rank == 3 and j == 0 else rng.randrange(-12, 13) for j in range(4)] for _ in range(rank + 2)]
+        h = quatalg.hnf_rows(rows)
+        if len(h) == rank:
+            return h
+
+
+@pytest.mark.parametrize("rank", (4, 3))
+def test_hnf_coordinates_matches_a_fraction_solve(rank):
+    # c . M = t / den for seeded HNFs M; a target with one non-integral
+    # coordinate in position k stops the back-substitution at row k, so
+    # every remainder test runs and returns None
+    rng = random.Random(40 + rank)
+    for _ in range(150):
+        M = _random_hnf(rng, rank)
+        den = rng.randrange(1, 7)
+        c = [rng.randrange(-30, 31) for _ in range(rank)]
+        t = [den * sum(ci * row[j] for ci, row in zip(c, M)) for j in range(4)]
+        assert quatalg._hnf_coordinates(M, t, den) == c == _fraction_solve(M, t, den)
+        for k in range(rank):
+            q = rng.randrange(2, 6)
+            off = [ci * q + (i == k) * rng.randrange(1, q) for i, ci in enumerate(c)]
+            t = [den * sum(ci * row[j] for ci, row in zip(off, M)) for j in range(4)]
+            # t / (q den) has the coordinates off / q, non-integral at k alone
+            assert quatalg._hnf_coordinates(M, t, q * den) is None is _fraction_solve(M, t, q * den)
+        if rank == 3:
+            # a target outside the span: a nonzero entry left of the pivots
+            t = [den * sum(ci * row[j] for ci, row in zip(c, M)) for j in range(4)]
+            t[0] = den * rng.choice((-1, 1)) * rng.randrange(1, 9)
+            assert quatalg._hnf_coordinates(M, t, den) is None is _fraction_solve(M, t, den)
+
+
 def test_determinant_is_the_hnf_diagonal_product():
     # HNF rows of a full-rank lattice are upper triangular, so det_fraction
     # reads the diagonal; four generators span a lattice of covolume |det|

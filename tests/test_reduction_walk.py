@@ -9,15 +9,16 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import cmreduce
-from cmreduce import reduction
+from cmreduce import quatalg, reduction
 from cmreduce.errors import CertificateError
 from cmreduce.numbase import kronecker
 from cmreduce.quadforms import Discriminant, QuadForm, admissible_discriminants, reduced_forms
-from cmreduce.quatalg import Lattice4, Order, _qmul, _qnorm, _unreduce, left_ideal_from_class
+from cmreduce.quatalg import Lattice4, Order, _qmul, _qnorm, _unreduce, left_ideal_from_class, unit_weight
 from quat_oracles import direct_prime_reduction
 
 
@@ -52,15 +53,25 @@ def test_walk_matches_the_direct_route_on_large_discriminants():
 
 
 class _RecordingCache(dict):
-    """The neighbour cache, recording the keys that reverse edges filled."""
+    """The neighbour cache, recording apart the keys that a miss's unit orbit
+    filled and the keys that its reverse edge filled, with the reverse edge's
+    own unit orbit.  `_step` stores a miss's edge, then that edge's orbit,
+    the reverse edge and the reverse edge's orbit, in that order; `forward`
+    is set while the first orbit fill after a miss runs."""
 
     def __init__(self):
         super().__init__()
-        self.reverse = set()
+        self.reverse, self.unit = set(), set()
+        self.forward = False
+        self.orbits = 0
+
+    def __setitem__(self, key, value):
+        self.orbits = 0
+        super().__setitem__(key, value)
 
     def setdefault(self, key, value):
         if key not in self:
-            self.reverse.add(key)
+            (self.unit if self.forward else self.reverse).add(key)
         return super().setdefault(key, value)
 
 
@@ -72,12 +83,20 @@ def _x(w, g):
 
 @pytest.mark.parametrize("p", [11, 23, 37])
 def test_neighbour_cache_entries_are_twists_of_their_class_representative(monkeypatch, p):
-    # at every step the entry used, forward or reverse, has
+    # at every step the entry used, forward, reverse or unit-filled, has
     # ell J_t + J_t (w - b)/2 = J_s z up to a rational factor: the lattices
     # J_s z and K have the same primitive HNF rows
     cache = _RecordingCache()
     monkeypatch.setattr(reduction, "_NEIGHBOURS", cache)
-    honest = reduction._step
+    honest, honest_fill = reduction._step, reduction._fill_unit_orbit
+
+    def fill(*args):
+        cache.forward = cache.orbits == 0
+        cache.orbits += 1
+        honest_fill(*args)
+        cache.forward = False
+
+    monkeypatch.setattr(reduction, "_fill_unit_orbit", fill)
     _, O, cls = reduction.quaternion_data(p)
     alg = O.alg
     used = set()
@@ -98,6 +117,36 @@ def test_neighbour_cache_entries_are_twists_of_their_class_representative(monkey
         if _reducible(d, p):
             assert _fresh_walk(d, p) == direct_prime_reduction(d, p), d
     assert used & cache.reverse
+    # every unit group at p = 37 is {+-1} (all weights 1), so no orbit
+    # holds more than its own edge there
+    assert bool(used & cache.unit) == (p != 37)
+    assert bool(cache.unit) == (p != 37)
+
+
+def test_order_units_are_the_norm_1_elements_found_once(monkeypatch):
+    # `units` is one norm-1 search per order, which the class-set BFS ran
+    # through `unit_weight`; a walk after `quaternion_data(p)` runs none
+    for p in (11, 23, 37):
+        _, O, cls = reduction.quaternion_data(p)
+        for Or, w in zip(cls.right_orders, cls.weights):
+            den = Or.lattice.den
+            units = Or.units
+            assert unit_weight(Or) == w == len(units) // 2
+            assert list(units) == sorted(units) and len(set(units)) == len(units)
+            assert all(_qnorm(O.alg.a, O.alg.b, u) == den * den for u in units)
+            assert all(Or.lattice.coordinates(O.alg.element(*u).scale(Fraction(1, den))) is not None for u in units)
+            # the second half is one of each pair +-u, the positive ones
+            half = units[len(units) // 2:]
+            assert {tuple(-x for x in u) for u in half} == set(units[: len(units) // 2])
+            assert all(next(x for x in u if x) > 0 for u in half)
+    searches = []
+    monkeypatch.setattr(quatalg, "lattice_vectors_with_norm", lambda *args: searches.append(args))
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    for p in (11, 23):
+        for d in (-71, -119, -311, -1127, -2351, -10055):
+            if _reducible(d, p):
+                _fresh_walk(d, p)
+    assert reduction._NEIGHBOURS and searches == []
 
 
 def _primitive(mat):
@@ -252,6 +301,47 @@ def test_planted_fault_reverse_key_from_x_is_caught(monkeypatch, d, p):
     monkeypatch.setattr(reduction, "_conjugate",
                         lambda alg, z, w: honest(alg, z, (w[0], reduction._conj(w[1])) if w[1][0] else w))
     assert _caught(d, p)
+
+
+# every unit group at p = 37 is {+-1}, so a unit orbit there holds its own
+# edge alone and no fault in the fill can bite; the unit faults run on the
+# other cases and on three more at p = 11 and 23
+UNIT_FAULT_CASES = [c for c in FAULT_CASES if c[1] != 37] + [(-311, 11), (-71, 23), (-1127, 11)]
+
+
+def _conj_unit(u):
+    return u[0], reduction._conj(u[1])
+
+
+@pytest.mark.parametrize("d, p", UNIT_FAULT_CASES)
+def test_planted_fault_unit_fill_stores_z_conj_u_is_caught(monkeypatch, d, p):
+    # J_s z conj(u) in place of J_s z u at the key of u^-1 x u
+    honest = reduction._unit_twist
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_unit_twist",
+                        lambda alg, x, z, u: (honest(alg, x, z, u)[0], honest(alg, x, z, _conj_unit(u))[1]))
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", UNIT_FAULT_CASES)
+def test_planted_fault_unit_fill_keys_u_x_u_inverse_is_caught(monkeypatch, d, p):
+    # the key of u x u^-1 in place of u^-1 x u; the two differ only where
+    # u^-1 != +-u, for the units of order 3 or 6
+    honest = reduction._unit_twist
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "_unit_twist",
+                        lambda alg, x, z, u: (honest(alg, x, z, _conj_unit(u))[0], honest(alg, x, z, u)[1]))
+    assert _caught(d, p)
+
+
+@pytest.mark.parametrize("d, p", [(-71, 11), (-119, 23)])
+def test_planted_fault_neighbour_of_wrong_norm_raises(monkeypatch, d, p):
+    # K = J_t itself: its covolume is J_t's, not ell^2 times it, and the
+    # integer norm certificate refuses it
+    monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
+    monkeypatch.setattr(reduction, "left_ideal_from_class", lambda J, w, g: J)
+    with pytest.raises(CertificateError, match="covolume"):
+        _fresh_walk(d, p)
 
 
 @pytest.mark.parametrize("d, p", FAULT_CASES)
