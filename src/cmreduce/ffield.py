@@ -9,13 +9,14 @@ excluded everywhere.
 Root finding (roots_with_multiplicity) takes a polynomial over F_p: every
 polynomial whose roots the package needs, H_D mod p and the cubic
 Phi_2(j, Y) at an F_p-rational j, has its coefficients there.  The
-powering (FfPoly.pow_mod, on packed integers from degree 8 on), the gcds,
+powering (FfPoly.pow_mod, on packed integers from degree 2 on), the gcds,
 the splitting and the deflation all run on lists of integer coefficients;
 only the roots are elements of F_{p^2}.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -112,25 +113,21 @@ class FfPoly:
         self._packed = None
 
     def pow_mod(self, e: int, mod: "FfPoly") -> "FfPoly":
-        """self^e mod `mod` (a nonzero polynomial).  From modulus degree
-        _PACKED_MIN_DEGREE on, each product is one integer product
+        """self^e mod `mod` (a nonzero polynomial).  Modulo a constant every
+        polynomial is 0, and modulo X - r, self is the constant self(r).
+        From degree 2 on, each product is one integer product
         (_PackedModulus), and the first such call builds the packed modulus
         once and keeps it on `mod` for later powers modulo the same
         object."""
         p = self.ctx.p
         f = _fp_monic(mod.coeffs, p)
         base = _fp_divmod(self.coeffs, f, p)[1]
-        if len(f) - 1 >= _PACKED_MIN_DEGREE:
-            if mod._packed is None:
-                mod._packed = _PackedModulus(f, p)
-            out = mod._packed.pow(base, e)
-        else:
-            out = [1]
-            for bit in bin(e)[2:]:
-                out = _fp_divmod(_fp_mul(out, out), f, p)[1]
-                if bit == "1":
-                    out = _fp_divmod(_fp_mul(out, base), f, p)[1]
-        return FfPoly(out, self.ctx)
+        if len(f) <= 2:
+            # base is [] or [self(r)], so sum(base) is the constant
+            return FfPoly([pow(sum(base), e, p)] if len(f) == 2 else [], self.ctx)
+        if mod._packed is None:
+            mod._packed = _PackedModulus(f, p)
+        return FfPoly(mod._packed.pow(base, e), self.ctx)
 
 
 # -- F_p[X] on coefficient lists: integers in [0, p), lowest degree first,
@@ -192,44 +189,61 @@ def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _fp_monic(a, p)
 
 
-# From this modulus degree on, pow_mod multiplies packed integers; below it
-# the pack and unpack cost more than the schoolbook products they replace
-# (H_D of degree 1 to 3 and the cubic that start the 2-isogeny walk take
-# the schoolbook path).
-_PACKED_MIN_DEGREE = 8
-
-
 class _PackedModulus:
     """Products modulo a monic f in F_p[X] of degree n >= 2 as single
-    integer products (Kronecker substitution).
+    integer products (Kronecker substitution), reduced mod p in the integer.
 
-    A polynomial sum a_i X^i with a_i in [0, p) is the integer with a_i in
-    slot i, each slot W bytes: X = 256^W.  With mu = floor(X^(2n-2) / f),
-    c = c_hi X^n + c_lo of degree <= 2n - 2 has quotient floor(c / f) =
-    q = floor(c_hi mu / X^(n-2)) exactly: the rest of c / f,
-    c_hi (X^(2n-2)/f - mu) / X^(n-2) + c_lo / f, has no polynomial part.
-    So c mod f = c_lo - (q f) mod X^n, with no correction.
+    A polynomial sum a_i X^i is the integer with a_i in slot i, each slot W
+    bytes: X = 256^W.  With mu = floor(X^(2n-2) / f), c = c_hi X^n + c_lo of
+    degree <= 2n - 2 has quotient floor(c / f) = q = floor(c_hi mu / X^(n-2))
+    exactly: the rest of c / f, c_hi (X^(2n-2)/f - mu) / X^(n-2) + c_lo / f,
+    has no polynomial part.  So c mod f = c_lo - (q f) mod X^n, with no
+    correction.
 
-    Every step runs on unreduced slots, which are reduced mod p once, at the
-    end.  For a product c = a b of factors with slots in [0, p), the slots
-    of c are below n p^2, those of c_hi mu below n^2 p^3 and those of q f
-    below n^3 p^4.  A bias of n^3 p^4, a multiple of p, in every slot keeps
-    c_lo - (q f) mod X^n nonnegative slot by slot, so no slot reaches
-    2 n^3 p^4 <= 256^W and none carries into the next.
+    Slots.  The factors of a product have slots in [0, 2p): mulmod returns
+    such slots, and pow packs coefficients in [0, p).  So the slots of
+    c = a b are below n (2p)^2 = 4 n p^2.  c is reduced to slots in
+    [0, 2p) (below), so those of c_hi mu, and of q, are below
+    (n - 1) 2p p.  q is reduced too, so those of q f_low are below
+    (n - 1) 2p p as well, and the bias B = 2 n p^2, a multiple of p, in
+    every slot keeps r = c_lo + B - (q f_low) mod X^n nonnegative slot by
+    slot, below B + 2p.  r is reduced last.  So no slot reaches
+    S = 4 n p^2 < 2^k <= 256^W, k the bit length of S, and none carries
+    into the next.  pow reduces the slots mod p once, at the end.
+
+    Reduction (_reduce) is Barrett's, on all even slots at once and then
+    on all odd ones.  For a slot x < 2^k and m = floor(2^k / p),
+    x m < 2^(2k) fits the double slot that one slot in two leaves empty,
+    and k <= 8W, so the integer times m, shifted right by k and masked to
+    the even slots, holds qh = floor(x m / 2^k) in each.  qh is
+    q = floor(x / p) or q - 1: x m / 2^k <= x / p, and
+    x m / 2^k > x (2^k / p - 1) / 2^k > x / p - 1.  So x - p qh lies in
+    [0, 2p), and the subtraction borrows from no slot.
     """
 
     def __init__(self, f: list[int], p: int):
         n = len(f) - 1
         self.p, self.n = p, n
-        bound = n**3 * p**4
-        self.width = ((2 * bound).bit_length() + 7) // 8
-        self.mu = self.pack(_fp_divmod([0] * (2 * n - 2) + [1], f, p)[0])
+        bound = 4 * n * p * p
+        self.k = bound.bit_length()
+        self.width = (self.k + 7) // 8
+        self.m = (1 << self.k) // p
+        self.bits = bits = 8 * self.width
+        self.even = int.from_bytes((b"\xff" * self.width + bytes(self.width)) * n, "little")
+        # mu is 1 / rev(f) to n - 1 terms, reversed: X^(2n-2) / f =
+        # X^(n-2) / rev(f)(1/X) for rev(f) = X^n f(1/X), whose constant term
+        # is 1, and the terms of 1 / rev(f) past the (n-2)-th have negative
+        # powers of X there
+        rev, inv = f[::-1], [1]
+        for j in range(1, n - 1):
+            inv.append(-sum(map(operator.mul, rev[1 : j + 1], reversed(inv))) % p)
+        self.mu = self.pack(inv[::-1])
         self.f_low = self.pack(f[:n])
-        self.bias = self.pack([bound] * n)
-        self.low_mask = (1 << (8 * self.width * n)) - 1
-        self.q_mask = (1 << (8 * self.width * (n - 1))) - 1
+        self.bias = self.pack([2 * n * p * p] * n)
+        self.low_mask = (1 << (bits * n)) - 1
 
     def pack(self, coeffs: list[int]) -> int:
+        """The integer with coeffs[i] in slot i; each must be below 256^W."""
         w = self.width
         return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
@@ -240,12 +254,23 @@ class _PackedModulus:
         get = int.from_bytes
         return [get(raw[i : i + w], "little") for i in range(0, w * self.n, w)]
 
+    def _reduce(self, v: int) -> int:
+        """v with every slot x, x < 2^k, replaced by one in [0, 2p) and
+        congruent to x mod p."""
+        even, k, m, p, bits = self.even, self.k, self.m, self.p, self.bits
+        e = v & even
+        o = v >> bits & even
+        e -= p * (e * m >> k & even)
+        o -= p * (o * m >> k & even)
+        return e | o << bits
+
     def mulmod(self, a: int, b: int) -> int:
-        n, p, bits = self.n, self.p, 8 * self.width
-        c = a * b
-        q = ((c >> (bits * n)) * self.mu >> (bits * (n - 2))) & self.q_mask
-        r = (c & self.low_mask) + self.bias - (q * self.f_low & self.low_mask)
-        return self.pack([u % p for u in self.unpack(r)])
+        """a b mod f, for slots of a and b in [0, 2p); the slots returned
+        lie in [0, 2p)."""
+        n, bits = self.n, self.bits
+        c = self._reduce(a * b)
+        q = self._reduce((c >> (bits * n)) * self.mu >> (bits * (n - 2)))
+        return self._reduce((c & self.low_mask) + self.bias - (q * self.f_low & self.low_mask))
 
     def pow(self, base: list[int], e: int) -> list[int]:
         """base^e mod f for base of degree < n, left to right."""
@@ -256,10 +281,7 @@ class _PackedModulus:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, b)
-        out = self.unpack(r)
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        return _trim([u % self.p for u in self.unpack(r)])
 
 
 def _stable_seed(p: int, f: list[int]) -> int:
@@ -280,29 +302,37 @@ def _tonelli_shanks_data(ctx: Fp2Ctx) -> tuple[int, int, Fp2]:
     return s, m, ctx.pow((x, 1), m)
 
 
+def _tonelli_shanks(a, s: int, m: int, z, one, mul, power):
+    """Tonelli-Shanks in a field whose unit group has order 2^s m, m odd,
+    for z of order exactly 2^s and the field's product and power: a square
+    root of a when a is a square, else some r that the caller's check
+    r^2 = a decides."""
+    # invariant r^2 = a b; b has order dividing 2^(k-1) when a is a nonzero
+    # square, and z has order exactly 2^k.  r = a^((m+1)/2) and b = a^m
+    # come from one power u = a^((m-1)/2): r = u a and b = u r
+    u = power(a, (m - 1) // 2)
+    r = mul(u, a)
+    b, k = mul(u, r), s
+    while b != one:
+        i, bb = 0, b
+        while bb != one and i < k:
+            bb = mul(bb, bb)
+            i += 1
+        if i == k:
+            break
+        w = z
+        for _ in range(k - i - 1):
+            w = mul(w, w)
+        r, z = mul(r, w), mul(w, w)
+        b, k = mul(b, z), i
+    return r
+
+
 def _fp2_sqrt(a: Fp2, ctx: Fp2Ctx) -> Fp2:
     """A square root of a in F_{p^2} (Tonelli-Shanks on the 2-part of
     q - 1); CertificateError when a has none."""
     s, m, z = _tonelli_shanks_data(ctx)
-    one = (1, 0)
-    # invariant r^2 = a b; b has order dividing 2^(k-1) when a is a nonzero
-    # square, and z has order exactly 2^k.  r = a^((m+1)/2) and b = a^m
-    # come from one power u = a^((m-1)/2): r = u a and b = u r
-    u = ctx.pow(a, (m - 1) // 2)
-    r = ctx.mul(u, a)
-    b, k = ctx.mul(u, r), s
-    while b != one:
-        i, bb = 0, b
-        while bb != one and i < k:
-            bb = ctx.mul(bb, bb)
-            i += 1
-        if i == k:
-            break  # a is zero or not a square: the check below decides
-        w = z
-        for _ in range(k - i - 1):
-            w = ctx.mul(w, w)
-        r, z = ctx.mul(r, w), ctx.mul(w, w)
-        b, k = ctx.mul(b, z), i
+    r = _tonelli_shanks(a, s, m, z, (1, 0), ctx.mul, ctx.pow)
     if ctx.mul(r, r) != a:
         raise CertificateError(f"{ctx.serialize(a)} has no square root in F_{ctx.p}^2")
     return r
@@ -314,6 +344,34 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
     r = _fp2_sqrt(ctx.sub(ctx.mul(b, b), ctx.mul(ctx.el(4), c)), ctx)
     half, nb = ctx.el((ctx.p + 1) // 2), ctx.neg(b)
     return ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)
+
+
+def _fp_sqrt(a: int, p: int, nu: int) -> int:
+    """A square root of a square a mod p: a^((p+1)/4) when p = 3 mod 4,
+    else Tonelli-Shanks with z = nu^m for p - 1 = 2^s m, m odd, which has
+    order exactly 2^s as nu^((p-1)/2) = -1 for the non-residue nu.  The
+    caller checks it."""
+    if p % 4 == 3:
+        return pow(a, (p + 1) // 4, p)
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s is the 2-part of p - 1
+    m = (p - 1) >> s
+    return _tonelli_shanks(a, s, m, pow(nu, m, p), 1, lambda x, y: x * y % p, lambda x, e: pow(x, e, p))
+
+
+def _fp_quadratic_roots(b: int, c: int, ctx: Fp2Ctx) -> list[Fp2]:
+    """The roots in F_{p^2} of X^2 + bX + c, b and c in F_p: (-b +- r)/2
+    for r^2 = d = b^2 - 4c when d is a square mod p, else (-b +- y t)/2 for
+    y^2 = d / nu, since (y t)^2 = y^2 nu = d.  A root that fails its check,
+    r^2 = d or y^2 nu = d, raises CertificateError."""
+    p, nu = ctx.p, ctx.nu
+    d = (b * b - 4 * c) % p
+    square = kronecker(d, p) >= 0
+    y = _fp_sqrt(d if square else d * pow(nu, -1, p) % p, p, nu)
+    if y * y * (1 if square else nu) % p != d:
+        raise CertificateError(f"the square root of {d} mod {p} fails its check")
+    half = (p + 1) // 2
+    x, y = -b * half % p, y * half % p
+    return [((x + y) % p, 0), ((x - y) % p, 0)] if square else [(x, y), (x, -y % p)]
 
 
 # a correct split fails with probability about 1/2 per draw (see _split),
@@ -337,7 +395,8 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
     is the Legendre symbol of r + c, or of the norm (r + c)(r^p + c^p) of
     r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
-    c.  A factor of degree 2 is solved by the quadratic formula.
+    c.  A factor of degree 2 is solved by the quadratic formula, with one
+    square root in F_p (_fp_quadratic_roots).
     """
     p = ctx.p
     if len(g) == 1:
@@ -345,7 +404,7 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     if len(g) == 2:
         return [(-g[0] % p, 0)]
     if len(g) == 3:
-        return list(quadratic_roots(ctx.el(g[1]), ctx.el(g[0]), ctx))
+        return _fp_quadratic_roots(g[1], g[0], ctx)
     if xp is not None:
         xp = _fp_divmod(xp, g, p)[1]
         if len(g) - 1 <= 2 * _TRACE_SPLIT_MAX:

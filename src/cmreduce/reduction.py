@@ -175,11 +175,11 @@ def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
     c = _hnf_coordinates(lat.mat, _qmul(a, b, _conj(xnum), _qmul(a, b, y, xnum)), xden * xden)
     if c is None:
         raise CertificateError("conj(x) y x is not in the order")
-    lead = next((v for v in c if v % ell), None)
-    if lead is None:
-        raise CertificateError(f"conj(x) y x is 0 mod {ell}")
-    inv = pow(lead, -1, ell)
-    return tuple(v * inv % ell for v in c)
+    for i, lead in enumerate(c):
+        if lead % ell:
+            inv = pow(lead, -1, ell)
+            return tuple([0] * i + [v * inv % ell for v in c[i:]])
+    raise CertificateError(f"conj(x) y x is 0 mod {ell}")
 
 
 def _unit_twist(alg, x, z, u):

@@ -243,22 +243,73 @@ def test_pow_mod_matches_schoolbook_oracle(p):
     assert FfPoly([3, 1], ctx).pow_mod(5, FfPoly([4], ctx)).coeffs == []
 
 
+@pytest.mark.parametrize("p", [5, 1009, 100003])
+def test_pow_mod_modulo_constants_and_linear_polynomials(p):
+    # below degree 2 no modulus is packed: everything is 0 modulo a
+    # constant, and modulo X - r the power is the constant base(r)^e, also
+    # for r = 0, for base(r) = 0 and for e = 0
+    ctx = fp2_construct(p)
+    rng = random.Random(3 * p)
+    r = rng.randrange(1, p)
+    moduli = [[1], [rng.randrange(p), 1], [0, 1], [-r % p, 1]]
+    bases = [[], [rng.randrange(p)], [rng.randrange(p) for _ in range(5)], _mul([-r % p, 1], [2, 7, 1], p)]
+    for f, base in product(moduli, bases):
+        for e in (0, 1, 2, (p - 1) // 2, p, p * p, rng.randrange(p**4)):
+            expected = FfPoly(_oracle_pow_mod(base, e, f, p), ctx).coeffs
+            lead = rng.randrange(1, p)
+            got = FfPoly(base, ctx).pow_mod(e, FfPoly([lead * c for c in f], ctx)).coeffs
+            assert got == expected, (f, base, e)
+
+
+def _slots(packed, v, count):
+    """Slots 0 .. count - 1 of the packed integer v."""
+    w = packed.width
+    raw = v.to_bytes(w * count, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, w * count, w)]
+
+
+class _LargestSlots(ffield._PackedModulus):
+    """A packed modulus whose reduction returns every slot at the largest
+    value it may take: x mod p + p in [p, 2p), congruent to x."""
+
+    def _reduce(self, v):
+        p = self.p
+        return self.pack([x % p + p if x else 0 for x in _slots(self, v, 2 * self.n)])
+
+
 @pytest.mark.parametrize("p", [5, 1013, 100003, 2**31 - 1])
-@pytest.mark.parametrize("n", [8, 9, 79, 195])
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 79, 195])
 def test_packed_product_matches_the_schoolbook_product(n, p):
-    # the slots stay unreduced from the product to the remainder, so the
-    # worst case, every slot of a, b and f at p - 1, fills them the most
+    # mulmod takes and returns slots in [0, 2p), so the worst case, every
+    # slot of a and b at 2p - 1 and every slot of f at p - 1, fills them
+    # the most, all the more when each reduction leaves its slots at their
+    # largest (_LargestSlots); the slots returned are reduced mod p only here
     rng = random.Random(n * p)
-    worst = [p - 1] * n
-    cases = [(worst, worst, worst + [1])]
-    cases += [[[rng.randrange(p) for _ in range(n)] for _ in range(3)] for _ in range(3)]
+    cases = [([2 * p - 1] * n, [2 * p - 1] * n, [p - 1] * n)]
+    cases += [[[rng.randrange(2 * p) for _ in range(n)] for _ in range(2)] + [[rng.randrange(p) for _ in range(n)]] for _ in range(3)]
     for a, b, f_low in cases:
-        f = f_low[:n] + [1]
-        packed = ffield._PackedModulus(f, p)
-        got = packed.unpack(packed.mulmod(packed.pack(a), packed.pack(b)))
-        while got and got[-1] == 0:
-            got.pop()
-        assert got == ffield._fp_divmod(ffield._fp_mul(a, b), f, p)[1]
+        f = f_low + [1]
+        expected = ffield._fp_divmod(ffield._fp_mul(a, b), f, p)[1]
+        for packed in (ffield._PackedModulus(f, p), _LargestSlots(f, p)):
+            got = packed.unpack(packed.mulmod(packed.pack(a), packed.pack(b)))
+            assert all(0 <= u < 2 * p for u in got)
+            assert ffield._trim([u % p for u in got]) == expected
+
+
+def test_slot_reduction_at_the_slot_bound():
+    # the 64 largest slots below the bound 4 n p^2 (at (2, 13), k one bit
+    # short maps 1339 outside [0, 2p)), and random ones, come back in
+    # [0, 2p) and congruent mod p
+    for n, p in ((2, 5), (2, 13), (3, 1013), (79, 100003), (8, 2**31 - 1)):
+        packed = ffield._PackedModulus([0] * n + [1], p)
+        top = 4 * n * p * p
+        rng = random.Random(p)
+        values = [top - i for i in range(1, 65)] + [0, p, 2 * p - 1] + [rng.randrange(top) for _ in range(64)]
+        for i in range(0, len(values), 2 * n - 1):
+            slots = values[i : i + 2 * n - 1]
+            got = _slots(packed, packed._reduce(packed.pack(slots)), len(slots))
+            assert all(0 <= u < 2 * p for u in got), (n, p, slots)
+            assert [u % p for u in got] == [x % p for x in slots], (n, p, slots)
 
 
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
@@ -315,6 +366,33 @@ def test_quadratic_roots_exhaustive(p):
         assert kronecker((d[0] * d[0] - ctx.nu * d[1] * d[1]) % p, p) == -1
         with pytest.raises(CertificateError):
             quadratic_roots((0, 0), ctx.neg(d), ctx)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 41])
+def test_fp_quadratic_roots_match_quadratic_roots(p):
+    # the quadratic nodes of the split take square roots in F_p: one power
+    # for p = 3 mod 4 (7, 11), Tonelli-Shanks for p = 5 mod 8 (5, 13) and
+    # p = 1 mod 8 (17, 41); every monic quadratic over F_p, its roots as
+    # the F_(p^2) formula finds them
+    ctx = fp2_construct(p)
+    for b, c in product(range(p), repeat=2):
+        got = ffield._fp_quadratic_roots(b, c, ctx)
+        assert sorted(got) == sorted(quadratic_roots((b, 0), (c, 0), ctx)), (b, c)
+
+
+def test_a_wrong_square_root_mod_p_raises(monkeypatch):
+    # a square root off by one fails its check, for d a square mod p and
+    # for d not a square, and so does the root finding that meets it
+    p = 41
+    ctx = fp2_construct(p)
+    honest = ffield._fp_sqrt
+    monkeypatch.setattr(ffield, "_fp_sqrt", lambda a, p, nu: (honest(a, p, nu) + 1) % p)
+    for b, c in ((0, -4 % p), (0, -ctx.nu % p)):
+        assert kronecker((b * b - 4 * c) % p, p) == (1 if c == -4 % p else -1)
+        with pytest.raises(CertificateError):
+            ffield._fp_quadratic_roots(b, c, ctx)
+    with pytest.raises(CertificateError):
+        roots_with_multiplicity(FfPoly(_product([[-1, 1], [-2, 1], [-ctx.nu % p, 0, 1]], p), ctx))
 
 
 @pytest.mark.parametrize("p", [1009, 100003])
