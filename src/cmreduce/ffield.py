@@ -16,7 +16,6 @@ only the roots are elements of F_{p^2}.
 
 from __future__ import annotations
 
-import operator
 import random
 import zlib
 from dataclasses import dataclass
@@ -230,14 +229,7 @@ class _PackedModulus:
         self.m = (1 << self.k) // p
         self.bits = bits = 8 * self.width
         self.even = int.from_bytes((b"\xff" * self.width + bytes(self.width)) * n, "little")
-        # mu is 1 / rev(f) to n - 1 terms, reversed: X^(2n-2) / f =
-        # X^(n-2) / rev(f)(1/X) for rev(f) = X^n f(1/X), whose constant term
-        # is 1, and the terms of 1 / rev(f) past the (n-2)-th have negative
-        # powers of X there
-        rev, inv = f[::-1], [1]
-        for j in range(1, n - 1):
-            inv.append(-sum(map(operator.mul, rev[1 : j + 1], reversed(inv))) % p)
-        self.mu = self.pack(inv[::-1])
+        self.mu = self.pack(_fp_divmod([0] * (2 * n - 2) + [1], f, p)[0])
         self.f_low = self.pack(f[:n])
         self.bias = self.pack([2 * n * p * p] * n)
         self.low_mask = (1 << (bits * n)) - 1
@@ -347,12 +339,10 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
 
 
 def _fp_sqrt(a: int, p: int, nu: int) -> int:
-    """A square root of a square a mod p: a^((p+1)/4) when p = 3 mod 4,
-    else Tonelli-Shanks with z = nu^m for p - 1 = 2^s m, m odd, which has
-    order exactly 2^s as nu^((p-1)/2) = -1 for the non-residue nu.  The
-    caller checks it."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
+    """A square root of a square a mod p by Tonelli-Shanks with z = nu^m
+    for p - 1 = 2^s m, m odd, which has order exactly 2^s as
+    nu^((p-1)/2) = -1 for the non-residue nu; for p = 3 mod 4 (s = 1) it
+    returns a^((p+1)/4) with no loop.  The caller checks it."""
     s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s is the 2-part of p - 1
     m = (p - 1) >> s
     return _tonelli_shanks(a, s, m, pow(nu, m, p), 1, lambda x, y: x * y % p, lambda x, e: pow(x, e, p))

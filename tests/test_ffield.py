@@ -217,10 +217,10 @@ def _oracle_pow_mod(base, e, f, p):
 
 @pytest.mark.parametrize("p", [5, 11, 1009, 100003])
 def test_pow_mod_matches_schoolbook_oracle(p):
-    # F_p[X] powering modulo polynomials of degree 1 to 120, on both sides
-    # of the packed-product crossover; the exponents of root finding (p for
-    # X^p and X^(p^2), (p - 1)/2 for the split), p^2, (p^2 - 1)/2 and
-    # random ones
+    # F_p[X] powering modulo polynomials of degree 1 to 120: degree 1 takes
+    # the builtin pow at the root, degree 2 on the packed products; the
+    # exponents of root finding (p for X^p and X^(p^2), (p - 1)/2 for the
+    # split), p^2, (p^2 - 1)/2 and random ones
     ctx = fp2_construct(p)
     rng = random.Random(p)
     cases = 0
@@ -370,8 +370,9 @@ def test_quadratic_roots_exhaustive(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 41])
 def test_fp_quadratic_roots_match_quadratic_roots(p):
-    # the quadratic nodes of the split take square roots in F_p: one power
-    # for p = 3 mod 4 (7, 11), Tonelli-Shanks for p = 5 mod 8 (5, 13) and
+    # the quadratic nodes of the split take square roots in F_p by
+    # Tonelli-Shanks, whose loop runs on the 2-part 2^s of p - 1: s = 1 for
+    # p = 3 mod 4 (7, 11), s = 2 for p = 5 mod 8 (5, 13) and s >= 3 for
     # p = 1 mod 8 (17, 41); every monic quadratic over F_p, its roots as
     # the F_(p^2) formula finds them
     ctx = fp2_construct(p)
