@@ -6,9 +6,11 @@ q (E(q^2) / E(q))^24, E(x) = prod (1 - x^n): j = (1 + 256 t)^3 / t, and
 gamma_2 = (1 + 256 t) / t^(1/3) with t^(1/3) = q^(1/3) (E(q^2) / E(q))^8,
 q^(1/3) = e^(2 pi i tau / 3).  Each is a quotient of integer powers of
 q-products and of q or q^(1/3), so no branch of a root is involved, and E is
-a sparse series by Euler's pentagonal number theorem.  The series, and
-E(q^2)/E(q) with its 8th and 24th powers, are summed in fixed-point
-integers; mpmath gives q and the few operations after the series.
+a sparse series by Euler's pentagonal number theorem.  Everything, from
+tau to the coefficients, is computed in Python integers: pi, e^x and
+(cos, sin) by private helpers with proven error bounds (argument reduction,
+a Taylor sum and repeated squaring; Brent and Zimmermann, Modern Computer
+Arithmetic, 4.3-4.4), the series and every value after them in fixed point.
 
 For 3 ∤ D, H_D comes from W = prod (X - gamma_2(tau)), gamma_2 a class
 invariant with a third of j's height (Enge and Morain, ANTS 2002), so W
@@ -28,9 +30,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import mpmath
-from mpmath.libmp import to_fixed
-
 from .errors import DomainError, PrecisionError
 from .numbase import is_prime
 from .quadforms import CMPoint, QuadForm, cm_point, reduced_forms
@@ -40,9 +39,10 @@ __all__ = ["ClassPolynomial", "j_eval", "hilbert_class_poly", "hilbert_class_pol
 _MIN_PRECISION = 64
 _MAX_DOUBLINGS = 2
 _SQRT3_HALF_SLACK = 1e-9
-# bits of j_eval's fixed point beyond its working precision (its proof
-# takes 2^-scale <= u/512)
-_SERIES_GUARD_BITS = 8
+# bits of j_eval's fixed point beyond precision_bits
+_SCALE_GUARD_BITS = 40
+# _exp and _cos_sin reduce their argument below 2^-_REDUCTION_BITS
+_REDUCTION_BITS = 12
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,13 @@ class ClassPolynomial:
 def _cmul(x: tuple[int, int], y: tuple[int, int], scale: int) -> tuple[int, int]:
     """The product of two complex numbers in fixed point, pairs (re, im) of
     integers that stand for (re + i im) / 2^scale; each part is floored back
-    to the scale, so the product errs by less than 2^-scale in each part."""
-    return (x[0] * y[0] - x[1] * y[1]) >> scale, (x[0] * y[1] + x[1] * y[0]) >> scale
+    to the scale, so the product errs by less than 2^-scale in each part.
+    Three integer products: (a + bi)(c + di) = (k - b(c + d)) + (k + a(d - c)) i
+    for k = c(a + b)."""
+    a, b = x
+    c, d = y
+    k = c * (a + b)
+    return (k - b * (c + d)) >> scale, (k + a * (d - c)) >> scale
 
 
 def _euler_products(q: tuple[int, int], n_max: int, scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -110,123 +115,267 @@ def _euler_products(q: tuple[int, int], n_max: int, scale: int) -> tuple[tuple[i
     return (e1[0], e1[1]), (e2[0], e2[1])
 
 
-def _quotient_powers(e1: tuple[int, int], e2: tuple[int, int], scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """r^8 and r^24 for r = e2 / e1, all in fixed point at scale 2^scale:
-    r = e2 conj(e1) / |e1|^2 with each part floored to the scale (so it errs
-    by less than 2^-scale in each part), then three squarings to r^8 and
-    one squaring and one product to r^24, by _cmul."""
-    den = e1[0] * e1[0] + e1[1] * e1[1]
-    r = ((e2[0] * e1[0] + e2[1] * e1[1]) << scale) // den, ((e2[1] * e1[0] - e2[0] * e1[1]) << scale) // den
+def _cdiv(x: tuple[int, int], y: tuple[int, int], scale: int) -> tuple[int, int]:
+    """The quotient x / y of two complex numbers in fixed point (see _cmul),
+    for |y| >= 1/2: x conj(y) divided by n = floor(|y|^2 2^scale), each part
+    floored.  n lies within 1 of |y|^2 2^scale >= 2^(scale - 2), so each
+    part errs by less than 1 + 4.1 |x / y| units of 2^-scale."""
+    n = (y[0] * y[0] + y[1] * y[1]) >> scale
+    return (x[0] * y[0] + x[1] * y[1]) // n, (x[1] * y[0] - x[0] * y[1]) // n
+
+
+def _quotient_powers(num: tuple[int, int], den: tuple[int, int], scale: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """s^8 and s^24 for s = num / den, all in fixed point at scale 2^scale:
+    s by _cdiv, then three squarings to s^8 and one squaring and one product
+    to s^24, by _cmul."""
+    s = _cdiv(num, den, scale)
     for _ in range(3):
-        r = _cmul(r, r, scale)
-    return r, _cmul(_cmul(r, r, scale), r, scale)
+        s = _cmul(s, s, scale)
+    return s, _cmul(_cmul(s, s, scale), s, scale)
 
 
-def _to_fixed(z: mpmath.mpc, scale: int) -> tuple[int, int]:
-    """floor(Re z 2^scale) and floor(Im z 2^scale)."""
-    return to_fixed(z.real._mpf_, scale), to_fixed(z.imag._mpf_, scale)
+@functools.lru_cache(maxsize=8)
+def _pi(scale: int) -> int:
+    """An integer within 1 of pi 2^scale, for scale >= 1.
+
+    Machin's pi = 16 arctan(1/5) - 4 arctan(1/239), summed at t = scale + g
+    bits, g = bitlength(scale) + 8.  A sum arctan(1/x) 2^t = sum_k (-1)^k
+    2^t / ((2k + 1) x^(2k+1)) takes floor(2^t / x^(2k+1)) by repeated floor
+    division, which is exact, floors its quotient by 2k + 1, and stops at
+    the first power that is 0.  So each of its at most t / (2 log2 x) + 2
+    terms errs by less than 1, and the alternating tail it drops is below
+    1.  The two sums make 16 (t/4 + 3) + 4 (t/15 + 3) < 4.3 t + 60 <
+    2^(g - 1) units of 2^-t of error, and rounding to the scale adds at
+    most 1/2 unit of 2^-scale.
+    """
+    t = scale + scale.bit_length() + 8
+
+    def arctan_inv(x: int) -> int:
+        power = total = (1 << t) // x
+        k, sign = 1, -1
+        while power:
+            power //= x * x
+            k += 2
+            total += sign * (power // k)
+            sign = -sign
+        return total
+
+    g = t - scale
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239) + (1 << (g - 1))) >> g
 
 
-def _from_fixed(z: tuple[int, int], scale: int) -> mpmath.mpc:
-    """(re + i im) / 2^scale, each part rounded to the working precision."""
-    return mpmath.mpc(mpmath.mpf((z[0], -scale)), mpmath.mpf((z[1], -scale)))
+def _taylor(y: int, w: int, sign: int) -> tuple[int, int]:
+    """(cosh phi, sinh phi) for sign = 1, (cos phi, sin phi) for sign = -1,
+    at scale 2^w, each within 8 units of 2^-w, for phi = y / 2^w in
+    [0, 2^-_REDUCTION_BITS).
+
+    They are C = sum_k (sign z)^k / (2k)! and phi S, S = sum_k (sign z)^k /
+    (2k + 1)!, for z = phi^2, with the terms k <= n, for the least n with
+    2 _REDUCTION_BITS (n + 1) + bitlength((2n + 2)!) - 1 >= w: the first
+    term dropped is below 1 unit, and the rest, each below half the one
+    before, below 1 more.  The powers p_i = floor(p_(i-1) z / 2^w), i <= m,
+    lie within 2 units of z^i 2^w (e_i <= e_(i-1) z + 1).  In blocks of m
+    terms (m even, so sign^m = 1), from the top, each sum from k = jm on,
+    divided by its own term jm, is A_j = p_0 + (sign p_1 + (... + (sign^(m-1)
+    p_(m-1) + T / d_(jm+m)) ...) / d_(jm+2)) / d_(jm+1), for T = A_(j+1)
+    p_m / 2^w and d_k = (2k - 1)(2k) in C or (2k)(2k + 1) in S, each
+    division floored.  T errs by less than 3.1 units (1 for its floor,
+    1.01 * 2 for p_m's error, A_(j+1)'s own error times z^m), and each step
+    adds 3 to the error of the one inside divided by d >= 2, so every A_j
+    errs by less than 6 units.  So C errs by less than 8 units, and phi S,
+    floored, by less than 8 phi + 1 < 2.
+    """
+    z = y * y >> w
+    n, fact = 0, 2  # fact = (2n + 2)!
+    while 2 * _REDUCTION_BITS * (n + 1) + fact.bit_length() - 1 < w:
+        n += 1
+        fact *= (2 * n + 1) * (2 * n + 2)
+    m = 2 * max(1, round(math.sqrt(n + 1) / 2))
+    powers = [1 << w, z]
+    for _ in range(m - 1):
+        powers.append(powers[-1] * z >> w)
+    c = s = 0
+    for start in reversed(range(0, n + 1, m)):
+        c = c * powers[m] >> w
+        s = s * powers[m] >> w
+        for k in reversed(range(start, min(start + m, n + 1))):
+            c //= (2 * k + 1) * (2 * k + 2)
+            s //= (2 * k + 2) * (2 * k + 3)
+            p = powers[k - start]
+            if sign < 0 and k & 1:
+                p = -p
+            c += p
+            s += p
+    return c, y * s >> w
 
 
-def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> mpmath.mpc:
+def _exp(x: int, scale: int) -> int:
+    """E with |E - e^y 2^scale| < 2^(1 - scale) e^y 2^scale for y =
+    x / 2^scale >= 0 and scale >= 64: e^y in fixed point, relative error
+    below 2^(1 - scale).
+
+    phi = y / 2^r < 2^-_REDUCTION_BITS, for r = max(0, bitlength(x) - scale
+    + _REDUCTION_BITS), is x itself at scale 2^W, W = scale + r + 5.
+    e^phi = cosh phi + sinh phi from _taylor has relative error d_0 <
+    10 2^-W (e^phi >= 1), and r squarings, each floored (a relative error
+    below 2^-W, as every value is at least 1), give e^y with relative error
+    d_r <= exp(2^r (d_0 + 2^-W)) - 1 < 0.35 * 2^-scale.  The floor to the
+    scale adds less than 2^-scale <= 2^-scale e^y.
+    """
+    r = max(0, x.bit_length() - scale + _REDUCTION_BITS)
+    w = scale + r + 5
+    c, s = _taylor(x << 5, w, 1)
+    total = c + s
+    for _ in range(r):
+        total = total * total >> w
+    return total >> (r + 5)
+
+
+def _cos_sin(theta: int, scale: int) -> tuple[int, int]:
+    """C and S within 2 of cos(y) 2^scale and sin(y) 2^scale, for
+    y = theta / 2^scale, |y| <= 4 and scale >= 64.
+
+    As in _exp, phi = |y| / 2^r < 2^-_REDUCTION_BITS is |theta| at scale
+    2^W, and _taylor gives e^(i phi) within d_0 < 8.3 * 2^-W.  Each of
+    the r squarings (c + is)^2 = (c + s)(c - s) + 2cs i floors both parts,
+    so |z_(k+1) - v^2| <= |z_k - v| |z_k + v| + sqrt(2) 2^-W for
+    v = e^(i 2^k phi), and 1 + d_(k+1) <= (1 + d_k + sqrt(2) 2^-W)^2:
+    d_r <= exp(2^r (d_0 + 2 sqrt(2) 2^-W)) - 1 < 0.36 * 2^-scale.  The
+    floors to the scale add less than 1 unit of 2^-scale to each part, and
+    sin(-y) = -sin(y).
+    """
+    a = abs(theta)
+    r = max(0, a.bit_length() - scale + _REDUCTION_BITS)
+    w = scale + r + 5
+    c, s = _taylor(a << 5, w, -1)
+    for _ in range(r):
+        c, s = (c + s) * (c - s) >> w, c * s >> (w - 1)
+    c, s = c >> (r + 5), s >> (r + 5)
+    return (c, -s) if theta < 0 else (c, s)
+
+
+def _nome_exponent(tau: CMPoint, height: int, scale: int) -> tuple[int, int]:
+    """X and T within 2 of x 2^scale and theta 2^scale, for 1/q_h =
+    e^(x + i theta), q_h = e^(2 pi i tau / height): x = 2 pi Im(tau) / height
+    = 2 pi sqrt(|D|) / (2a height) and theta = -2 pi Re(tau) / height =
+    2 pi b / (2a height), for tau from the reduced form (a, b, c).
+
+    pi and sqrt(|D|) are taken at scale 2^S, S = scale + m, with
+    2^m > isqrt(|D|) + 5 > sqrt(|D|) + pi: Pi within 1 of pi 2^S (_pi),
+    Sigma = isqrt(|D| 4^S) within 1 of sqrt(|D|) 2^S.  Then 2 Pi Sigma
+    errs by less than 2 (sqrt(|D|) + pi) 2^S, which the divisor
+    2a height 2^(S + m) >= 2^(S + m + 1) takes below 1 unit, and X floors
+    the quotient; T = floor(-2 b' Pi / (2a height 2^m)), b' = -b, errs by
+    less than |2b| / (2a 2^m) + 1 <= 2 units, as |b| <= a.  Each quotient
+    is floored in two steps, by the power of 2 and then by 2a height.
+    """
+    m = (math.isqrt(tau.abs_D) + 5).bit_length()
+    s = scale + m
+    pi = _pi(s)
+    root = math.isqrt(tau.abs_D << (2 * s))
+    x = (2 * pi * root >> (s + m)) // (tau.two_a * height)
+    theta = (-2 * tau.minus_b * pi >> m) // (tau.two_a * height)
+    return x, theta
+
+
+def j_eval(tau: CMPoint, precision_bits: int, height: int = 1) -> tuple[int, int]:
     """j(tau)^(1/height) for height 1 (j) or 3 (gamma_2, the holomorphic cube
-    root q^(-1/3) (1 + 248 q + ...) of j), with absolute error
-    <= 2^(8 - precision_bits) * max(1, |value|), for |D| < 2^40 and
-    precision_bits < 2^40 (far beyond any H_D that can be computed).
+    root q^(-1/3) (1 + 248 q + ...) of j), as integers (re, im) with
+    (re + i im) / 2^precision_bits within 2^(8 - precision_bits)
+    max(1, |value|) of the value, for precision_bits < 2^40 (far beyond any
+    H_D that can be computed).
 
-    mpmath works at w = precision_bits + 32 bits: q_h =
-    e^(2 pi i tau / height), q = q_h^height, and the last steps below.  The
-    series of E(q) and E(q^2) (_euler_products) drop the terms q^n with
-    n > n_max, |q|^n_max <= 2^-w, and run in fixed point at scale 2^F,
-    F = w + _SERIES_GUARD_BITS, from q floored to that scale, and so do
-    r = E(q^2)/E(q), r^8 and r^24 (_quotient_powers).  With t = q r^24 and
-    U = 1 + 256 t, j = U^3/t and gamma_2 = U/(q_h r^8).  With u = 2^(1-w),
-    every real operation of mpmath, and the rounding of a fixed-point part
-    to w bits, errs by at most u relatively, and every complex product or
-    quotient, or exp of a complex argument, by at most 4u.  Every fixed-point
-    step errs by less than eps = 2^-F = u/512 in each part.  Every error
-    below stays under 2^31 u, and u <= 2^-95, so the products of two errors
-    that the bounds drop are below 2^-33 u.
+    Everything is in fixed point at scale 2^F, F = b + _SCALE_GUARD_BITS for
+    b = max(precision_bits, _MIN_PRECISION), with every product and quotient
+    floored (_cmul, _cdiv).  1/q_h = e^(x + i theta) (_nome_exponent) is
+    E (C + iS) from _exp and _cos_sin; q_h = e^(-x - i theta) is
+    floor(4^F / E) (C - iS), and q = q_h^height.  The series of E(q) and
+    E(q^2) (_euler_products) drop the terms q^n with n > n_max,
+    |q|^n_max <= 2^-(b + 32), and run K rounds; s = 1/r = E(q)/E(q^2), s^8
+    and s^24 follow (_quotient_powers).  U = 1 + 256 t for t = q r^24 =
+    q / s^24, j = U^3 / t = U^3 s^24 (1/q) and gamma_2 = U / t^(1/3) =
+    U / (q_h r^8) = U s^8 (1/q_h): no step divides by the small q, and the
+    large 1/q_h has its full relative precision in fixed point.
 
-    Proof of the error.  tau is reduced: Im tau >= sqrt(3)/2, so
-    |q| < 0.0044, and |tau| <= sqrt(|D| + 1)/2.
-    * Tail: every dropped term has exponent n > n_max, so each series loses
-      less than sum_(n > n_max) |q|^n < 0.005 * 2^-w, and |E(q)|, |E(q^2)|
-      lie in [0.995, 1.005].
-    * q: the argument 2 pi i tau / height has modulus at most
-      pi sqrt(|D| + 1) and is formed with absolute error
-      <= 7u pi sqrt(|D| + 1), so q_h errs relatively by
-      e_h <= (22 sqrt(|D| + 1) + 5) u, and q = q_h, or q_h^3 by two
-      products, by e_q <= 3 e_h + 8u <= (66 sqrt(|D| + 1) + 23) u.
-    * Series, in absolute errors: q floored to the scale, q', lies within
-      0.0044 e_q + 1.42 eps of q.  Every value _euler_products keeps stands
-      for a power q'^m, m >= 1, of modulus below 0.0045, and lies within
-      1.5 eps of it: q' itself does, and a product of two such values errs
-      by at most 2 (0.0045) (1.5 eps) + 1.42 eps < 1.5 eps.  In K rounds
-      each series sums at most 2K terms, so it lies within 3K eps of the
-      same truncated series at q'; those differ from the ones at q by at
-      most sum_(n >= 1) n 0.0045^(n-1) |q' - q| < 1.01 |q' - q|, and the
-      tail adds 0.005 * 2^-w = u/400.  As |E| >= 0.995, E(q) and E(q^2)
-      err relatively by e_E <= e_q / 150 + (K + 2) u / 100, and so by
-      e_E <= e_q / 32 + 8 K u.
-    * r: the quotient of the two series errs by 2 e_E, and its floor by
-      1.5 eps more, relatively: e_r <= 2 e_E + 5u.  Each squaring or
-      product of r's powers, of modulus in [0.77, 1.3], adds the relative
-      errors of its factors and less than 2 eps, so r^8 errs by
-      8 e_r + 14 eps and r^24 by 24 e_r + 46 eps, both below u/10 over
-      the multiples of e_r.
-    * t = q r^24: with the rounding of r^24 to w bits and the product,
-      e_t <= e_q + 24 e_r + 24u <= (165 sqrt(|D| + 1) + 400 K + 210) u.
-    * U: |t| < 0.0056, so |U| < 2.5 and U errs absolutely by at most
-      1.44 e_t + 3u.  When |U| < 1/2, |t| > 1/512.
-    * U^3/t (height 1): if |U| >= 1/2, j errs relatively by at most
-      10 e_t + 30u.  If |U| < 1/2, |j| < 64, and j errs absolutely by at most
-      620 e_t + 2200u.
-    * U/(q_h r^8) (height 3): r^8 rounded to w bits and the product
-      d = q_h r^8 leave d with relative error e_h + 8 e_r + 32u <=
-      e_t/3 + 32u.  If |U| >= 1/2, gamma_2 errs relatively by at most
-      2.88 e_t + 6u + e_t/3 + 36u, a few e_t.  If |U| < 1/2,
-      |d| = |t|^(1/3) > 1/8 and |gamma_2| < 4, and gamma_2 errs absolutely
-      by at most 8 (1.44 e_t + 3u) + 4 (e_t/3 + 32u) + 16u <=
-      13 e_t + 170u.
-    So j errs by at most 2^18 (sqrt(|D| + 1) + K + 1) u max(1, |j|), and
-    gamma_2 by at most 2^13 (sqrt(|D| + 1) + K + 1) u max(1, |gamma_2|).
-    While sqrt(|D| + 1) + K < 2^21 these are below 2^(8 - precision_bits)
-    max(1, |j|) and 2^(3 - precision_bits) max(1, |gamma_2|).
+    Proof of the error, with eps = 2^-F and complex errors measured by
+    modulus.  tau is reduced, Im tau >= sqrt(3)/2, so |q| < 0.0044 and
+    |1/q_h| > e^(pi sqrt(3) / 3) > 6.1.
+    * 1/q_h: the X / 2^F and T / 2^F of _nome_exponent lie within 2 eps of
+      x and theta, which moves e^(x + i theta) by a relative 2.9 eps; E errs
+      relatively by 2 eps, C + iS by 2.9 eps, and the floors of their
+      product by 0.3 eps: 1/q_h errs relatively by e_h < 8 eps.
+    * q: floor(4^F / E) errs relatively by 2.1 eps and by 1 unit, so q_h
+      errs by less than 7.8 eps |q_h| + 2.5 eps: 2.6 eps at height 1, and
+      3.8 eps at height 3, |q_h| < 0.17, where the two products q_h^3 err
+      by less than 3 |q_h|^2 3.8 eps + 1.7 eps < 2.1 eps.  So the q' that
+      the series start from lies within 3 eps of q.
+    * Series: every value _euler_products keeps stands for a power q'^m,
+      m >= 1, of the q' it starts from, of modulus below 0.0045, and lies
+      within 1.5 eps of it: q' itself does, and a product of two such values
+      errs by less than 2 (0.0045)(1.5 eps) + 1.42 eps < 1.5 eps.  Each
+      series sums at most 2K terms, so it lies within 3K eps of the same
+      truncated series at q'; those differ from the ones at q by less than
+      sum_(n >= 1) n 0.0045^(n-1) |q' - q| < 3.1 eps, and the tail is below
+      0.0045 2^-(b + 32) < 1.2 eps.  |E(q)| and |E(q^2)| lie in
+      [0.995, 1.005], so each errs relatively by e_E < (3.1 K + 4.3) eps.
+    * s: |s| lies in [0.99, 1.01] and _cdiv adds less than 7.4 eps, so
+      e_s < 2 e_E + 7.4 eps < (6.2 K + 17) eps.  Each product of its
+      powers, of modulus in [0.8, 1.25], adds the relative errors of its
+      factors and 1.8 eps, so s^8 errs by e_8 < 8 e_s + 13 eps <
+      (50 K + 150) eps and s^24 by e_24 < 24 e_s + 41 eps < (150 K + 450) eps.
+    * U: |256 t| = 256 |q / s^24| < 1.4, and 256 q / s^24 from _cdiv errs by
+      less than 256 (3 eps) / 0.8 + 1.41 e_24 + 9.6 eps, so |U| < 2.4 and U
+      errs absolutely by d_U < (212 K + 1610) eps.  When |U| < 1/2,
+      |t| > 1/512.
+    * j = U^3 s^24 (1/q): if |U| >= 1/2, j errs relatively by less than
+      6 d_U + e_24 + 32 eps + e_h < (1430 K + 10200) eps.  If |U| < 1/2,
+      then |1/q| < 512 / 0.8 = 640, |U^3 s^24| < 0.16 and |j| < 64, and j
+      errs absolutely by less than 640 (0.94 d_U + 0.16 e_24 + 4.1 eps) +
+      0.16 (640) e_h < 2^18 (K + 8) eps.
+    * gamma_2 = U s^8 (1/q_h): if |U| >= 1/2, it errs relatively by less
+      than 2 d_U + e_8 + 3.1 eps + e_h < (480 K + 3400) eps.  If |U| < 1/2,
+      then |1/q_h| = 1 / (|t|^(1/3) |s^8|) < 8.6 and |gamma_2| < 4, and it
+      errs absolutely by less than 8.6 (1.08 d_U + 0.54 e_8 + 1.42 eps) +
+      0.54 (8.6) e_h < 2^12 (K + 8) eps.
+    Every error above is below 2^-67 (b >= 64), so the products of two
+    errors, which the bounds leave out, fit in their rounded-up constants.
+    K <= sqrt(2 n_max / 3) + 1 < 2^18.3 - 8 while b < 2^40, so both values
+    err by less than 2^(36.3 - F) max(1, |value|) < 2^(-3.5 - b)
+    max(1, |value|) before the last product, whose floor to precision_bits
+    <= b adds less than sqrt(2) 2^-precision_bits.  So j_eval errs by less
+    than 2^(1 - precision_bits) max(1, |value|).
     """
     if height not in (1, 3):
         raise DomainError(f"j_eval evaluates j or its cube root gamma_2, not j^(1/{height})")
-    if precision_bits < _MIN_PRECISION:
-        precision_bits = _MIN_PRECISION
     # reduced CM points satisfy im >= sqrt(3)/2
     if tau.im < math.sqrt(3) / 2 - _SQRT3_HALF_SLACK:
         raise DomainError("j_eval expects a reduced CM point (im >= sqrt(3)/2)")
-    work = precision_bits + 32
-    with mpmath.workprec(work):
-        im = mpmath.sqrt(tau.abs_D) / tau.two_a
-        re = mpmath.mpf(tau.minus_b) / tau.two_a
-        n_max = int(mpmath.ceil(work * mpmath.log(2) / (2 * mpmath.pi * im)))
-        q_h = mpmath.exp(2j * mpmath.pi * mpmath.mpc(re, im) / height)
-        q = q_h if height == 1 else q_h * q_h * q_h
-        scale = work + _SERIES_GUARD_BITS
-        e1, e2 = _euler_products(_to_fixed(q, scale), n_max, scale)
-        r8, r24 = _quotient_powers(e1, e2, scale)
-        t = q * _from_fixed(r24, scale)
-        u = 1 + 256 * t
-        if height == 1:
-            return u * u * u / t
-        return u / (q_h * _from_fixed(r8, scale))
+    bits = max(precision_bits, _MIN_PRECISION)
+    scale = bits + _SCALE_GUARD_BITS
+    mul = functools.partial(_cmul, scale=scale)
+    x, theta = _nome_exponent(tau, height, scale)
+    e = _exp(x, scale)
+    c, s = _cos_sin(theta, scale)
+    inv_q_h = (e * c >> scale, e * s >> scale)
+    e_inv = (1 << (2 * scale)) // e
+    q_h = (e_inv * c >> scale, -e_inv * s >> scale)
+    q = q_h if height == 1 else mul(mul(q_h, q_h), q_h)
+    # |q|^n_max <= 2^-(bits + 32); the doubles' rounding is below 2^-40
+    n_max = math.ceil((bits + 32) * math.log(2) / (2 * math.pi * tau.im) * (1 + 2.0**-40))
+    e1, e2 = _euler_products(q, n_max, scale)
+    s8, s24 = _quotient_powers(e1, e2, scale)  # powers of 1/r = E(q)/E(q^2)
+    t256 = _cdiv((q[0] << 8, q[1] << 8), s24, scale)  # 256 t, t = q r^24
+    u = ((1 << scale) + t256[0], t256[1])
+    # j = U^3 / t and gamma_2 = U / (q_h r^8)
+    v = mul(mul(mul(u, u), u), s24) if height == 1 else mul(u, s8)
+    return _cmul(v, inv_q_h, 2 * scale - precision_bits)
 
 
 # log2 of the factor of j_eval's stated error: 2^(8 - bits) max(1, |j|)
 _J_ERROR_BITS = 8
 
 
-def _j_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
+def _j_value(f: QuadForm, d: int, bits: int) -> tuple[tuple[int, int], float]:
     """j(tau_f) and log2 of its relative error (see j_eval)."""
     return j_eval(cm_point(f, d), bits), _J_ERROR_BITS - bits
 
@@ -274,18 +423,25 @@ def _gamma2_steps(f: QuadForm) -> int:
     return (m + a * b) % 3
 
 
-def _gamma2_value(f: QuadForm, d: int, bits: int) -> tuple[mpmath.mpc, float]:
+def _gamma2_value(f: QuadForm, d: int, bits: int) -> tuple[tuple[int, int], float]:
     """gamma_2 at the normalized CM point of f's class (see _gamma2_steps),
-    zeta_3^m gamma_2(tau_f), and log2 of its relative error.
+    zeta_3^m gamma_2(tau_f), at scale 2^bits, and log2 of its relative
+    error.
 
-    j_eval's gamma_2(tau_f) errs by at most 2^(3 - bits) max(1, |gamma_2|)
-    (see its proof).  zeta_3^m = ((-1 + i sqrt(3))/2)^m, formed at
-    bits + 32, and the product add at most 2^(-27 - bits) |gamma_2|, so the
-    value keeps j_eval's stated error 2^(8 - bits) max(1, |gamma_2|).
+    j_eval's gamma_2(tau_f) errs by at most 2^(1 - bits) max(1, |gamma_2|)
+    (see its proof), and the rotation keeps that error's modulus.
+    zeta_3^m = (-1 +- i sqrt(3))/2 takes sqrt(3) 2^bits = isqrt(3 4^bits)
+    within 1, so with the floors each part of the product gains less than
+    (|gamma_2| + 2) 2^-bits: the value keeps j_eval's stated error
+    2^(8 - bits) max(1, |gamma_2|).
     """
-    value = j_eval(cm_point(f, d), bits, 3)
-    with mpmath.workprec(bits + 32):
-        return value * (mpmath.mpc(-1, mpmath.sqrt(3)) / 2) ** _gamma2_steps(f), _J_ERROR_BITS - bits
+    x, y = j_eval(cm_point(f, d), bits, 3)
+    m = _gamma2_steps(f)
+    if m:
+        root3 = math.isqrt(3 << (2 * bits))
+        sign = 1 if m == 1 else -1
+        x, y = (-(x << bits) - sign * y * root3) >> (bits + 1), (sign * x * root3 - (y << bits)) >> (bits + 1)
+    return (x, y), _J_ERROR_BITS - bits
 
 
 # bits the start precision keeps above the bound's need; the estimates of
@@ -364,10 +520,11 @@ def _assemble(d: int, forms, bits: int, value=_j_value) -> list[int] | None:
     value(f, d, bits), ascending, or None when the error bound does not
     certify them.
 
-    value gives x_f and log2 of delta_f, with |x_f - exact| <= delta_f
-    max(1, |exact|); delta is the largest delta_f.  Forms pair up under
-    b -> -b, whose values are complex conjugates, and boundary forms (b = 0,
-    b = a, a = c) have real values, so the leaves are real: X - x and
+    value gives x_f, a pair of integers at scale 2^bits (see j_eval), and
+    log2 of delta_f, with |x_f - exact| <= delta_f max(1, |exact|); delta
+    is the largest delta_f.  Forms pair up under b -> -b, whose values are
+    complex conjugates, and boundary forms (b = 0, b = a, a = c) have real
+    values, so the leaves are real: X - x and
     X^2 - 2 Re(x) X + |x|^2.  They and every product-tree node hold
     integers scaled by 2^P, P = bits + 48, and each node product is
     truncated back to that scale.
@@ -376,12 +533,11 @@ def _assemble(d: int, forms, bits: int, value=_j_value) -> list[int] | None:
     all forms.  Every node's exact polynomial is dominated coefficientwise
     by prod (X + M_f) over its forms, whose coefficients sum to its value at
     1.  Measure a node's error rho by the sum of its coefficient errors over
-    that value.  With theta = delta + 1.5 2^-P (reading x_f in fixed point
-    errs by at most sqrt(2) 2^-P), a linear leaf has rho <= theta and a
-    quadratic one rho <= 3 theta + 2^-P / 4; a product node has 1 + rho <=
-    (1 + rho_left)(1 + rho_right)(1 + 2^-P), as its degree + 1 is at most
-    2^degree, at most the value at 1.  So at the root 1 + rho <=
-    exp(lambda), lambda <= 5h t for t = max(delta, 2^-P), and every
+    that value.  x_f is read exactly at scale 2^P, so a linear leaf has
+    rho <= delta and a quadratic one rho <= 3 delta + 2^-P / 4; a product
+    node has 1 + rho <= (1 + rho_left)(1 + rho_right)(1 + 2^-P), as its
+    degree + 1 is at most 2^degree, at most the value at 1.  So at the root
+    1 + rho <= exp(lambda), lambda <= 5h t for t = max(delta, 2^-P), and every
     coefficient errs by at most E = 2 lambda S = 10h S t while lambda <= 1.
     M_f = max(1, |x^|)(1 + 5t), for x^ the value read in fixed point,
     bounds max(1, |exact x_f|) when delta <= 1/2.  log2 S is summed in
@@ -399,12 +555,12 @@ def _assemble(d: int, forms, bits: int, value=_j_value) -> list[int] | None:
             continue  # the mirror of a paired form
         x, err = value(f, d, bits)
         log2_delta = max(log2_delta, err)
-        re = int(mpmath.ldexp(x.real, P))
+        re = x[0] << (P - bits)
         if f.b == 0 or f.b == f.a or f.a == f.c:
             leaves.append([-re, one])
             log2_m.append(math.log2(max(abs(re), one)) - P)
         else:
-            im = int(mpmath.ldexp(x.imag, P))
+            im = x[1] << (P - bits)
             norm = re * re + im * im
             leaves.append([norm >> P, -2 * re, one])
             log2_m += [math.log2(max(norm, one << P)) / 2 - P] * 2

@@ -197,6 +197,12 @@ def compose(f: QuadForm, g: QuadForm, D) -> QuadForm:
         raise DomainError("composition requires matching discriminants")
     if not (f.is_primitive() and g.is_primitive()):
         raise DomainError("composition requires primitive forms")
+    return _compose(f, g)
+
+
+def _compose(f: QuadForm, g: QuadForm) -> QuadForm:
+    """compose without its checks, for two primitive forms already known to
+    share their discriminant."""
     a1, b1, c1 = f.a, f.b, f.c
     a2, b2, c2 = g.a, g.b, g.c
     if a1 > a2:

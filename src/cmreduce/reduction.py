@@ -28,9 +28,9 @@ from .numbase import float_str, frac_str, is_prime
 from .quadforms import (
     Discriminant,
     QuadForm,
+    _compose,
     admissible_discriminants,
     cm_point,
-    compose,
     field_discriminant,
     genus_character,
     is_fundamental,
@@ -299,7 +299,9 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
         t, w = state[f]
         new = []
         while True:
-            f = compose(f, g, d)
+            # both are primitive forms of d: reduced_forms(d), _generators(d)
+            # and their composites, so compose's checks would only repeat
+            f = _compose(f, g)
             t, w = _step(p, cls, t, w, g)
             if f in state:
                 if state[f][0] != t:

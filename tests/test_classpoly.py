@@ -1,7 +1,9 @@
 import math
+import random
 
 import mpmath
 import pytest
+from mpmath.libmp import to_fixed
 
 from cmreduce.classpoly import ClassPolynomial, classpoly_mod, hilbert_class_poly, j_eval
 from cmreduce.errors import DomainError, PrecisionError
@@ -12,28 +14,34 @@ def _point(a, b, c, D):
     return cm_point(QuadForm(a, b, c), D)
 
 
+def _complex(pair, bits):
+    """The value (re + i im) / 2^bits of j_eval's fixed-point pair, exactly."""
+    with mpmath.workprec(max(53, *(abs(part).bit_length() for part in pair))):
+        return mpmath.mpc(mpmath.mpf((pair[0], -bits)), mpmath.mpf((pair[1], -bits)))
+
+
+def _j(f, D, bits, height=1):
+    return _complex(j_eval(cm_point(f, D), bits, height), bits)
+
+
 def test_j_classical_values():
     # tau = i
-    j_i = j_eval(_point(1, 0, 1, -4), 128)
-    assert abs(j_i - 1728) < mpmath.mpf(2) ** -100
+    assert abs(_j(QuadForm(1, 0, 1), -4, 128) - 1728) < mpmath.mpf(2) ** -100
     # tau = (1 + i sqrt(3))/2, i.e. rho
-    j_rho = j_eval(_point(1, 1, 1, -3), 128)
-    assert abs(j_rho) < mpmath.mpf(2) ** -100
+    assert abs(_j(QuadForm(1, 1, 1), -3, 128)) < mpmath.mpf(2) ** -100
     # tau = 2i is the CM point of x^2 + 4y^2 with D = -16
-    j_2i = j_eval(_point(1, 0, 4, -16), 160)
-    assert abs(j_2i - 287496) < mpmath.mpf(2) ** -120
+    assert abs(_j(QuadForm(1, 0, 4), -16, 160) - 287496) < mpmath.mpf(2) ** -120
     # height 3: gamma_2 = j^(1/3) is 12 at tau = i and 0 at tau = rho
-    assert abs(j_eval(_point(1, 0, 1, -4), 128, 3) - 12) < mpmath.mpf(2) ** -100
-    assert abs(j_eval(_point(1, 1, 1, -3), 128, 3)) < mpmath.mpf(2) ** -100
+    assert abs(_j(QuadForm(1, 0, 1), -4, 128, 3) - 12) < mpmath.mpf(2) ** -100
+    assert abs(_j(QuadForm(1, 1, 1), -3, 128, 3)) < mpmath.mpf(2) ** -100
 
 
 @pytest.mark.parametrize("D", [-719, -2351])
 def test_gamma2_cubed_is_j(D):
     bits = 200
     for f in reduced_forms(D):
-        tau = cm_point(f, D)
-        j = j_eval(tau, bits)
-        gamma2 = j_eval(tau, bits, 3)
+        j = _j(f, D, bits)
+        gamma2 = _j(f, D, bits, 3)
         with mpmath.workprec(bits + 32):
             assert abs(gamma2**3 - j) <= mpmath.ldexp(max(1, abs(j)), 10 - bits), f
 
@@ -44,9 +52,51 @@ def test_j_eval_height_is_1_or_3():
 
 
 def test_j_eval_precision_model():
-    a = j_eval(_point(1, 0, 4, -16), 128)
-    b = j_eval(_point(1, 0, 4, -16), 512)
+    a = _j(QuadForm(1, 0, 4), -16, 128)
+    b = _j(QuadForm(1, 0, 4), -16, 512)
     assert abs(a - b) < abs(b) * mpmath.mpf(2) ** -100
+
+
+def _exact_value(tau, height, prec):
+    """j(tau) from mpmath's Klein J for height 1, gamma_2(tau) = (1 + 256 t) /
+    t^(1/3), t^(1/3) = e^(2 pi i tau / 3) (E(q^2) / E(q))^8, from its
+    q-Pochhammer products for height 3, at prec bits."""
+    with mpmath.workprec(prec):
+        z = mpmath.mpc(mpmath.mpf(tau.minus_b) / tau.two_a, mpmath.sqrt(tau.abs_D) / tau.two_a)
+        if height == 1:
+            return 1728 * mpmath.kleinj(z)
+        q = mpmath.exp(2j * mpmath.pi * z)
+        r8 = (mpmath.qp(q * q) / mpmath.qp(q)) ** 8
+        t_cube_root = mpmath.exp(2j * mpmath.pi * z / 3) * r8
+        return (1 + 256 * t_cube_root**3) / t_cube_root
+
+
+# forms with b != 0, b != a and a != c, whose values are not real (so H_D
+# pairs them with their conjugates), and boundary forms with real values
+_VALUE_FORMS = [
+    (QuadForm(2, 1, 3), -23),
+    (QuadForm(3, 2, 5), -56),
+    (QuadForm(5, 3, 7), -131),
+    (QuadForm(6, 5, 13), -287),
+    (QuadForm(11, 7, 51), -2195),
+    (QuadForm(1, 1, 1098), -4391),
+    (QuadForm(24, 11, 47), -4391),
+    (QuadForm(2, 2, 1045), -8356),
+]
+
+
+@pytest.mark.parametrize("f, D", _VALUE_FORMS)
+@pytest.mark.parametrize("height", [1, 3])
+def test_j_eval_values_meet_the_stated_error(f, D, height):
+    # against mpmath at 64 more bits: within 2^(8 - bits) max(1, |value|),
+    # the sign of Im included, which conjugate pairing in H_D would not see
+    assert f.discriminant == D and f.is_reduced()
+    tau = cm_point(f, D)
+    for bits in (64, 200, 1000):
+        got = _complex(j_eval(tau, bits, height), bits)
+        exact = _exact_value(tau, height, bits + 64)
+        with mpmath.workprec(bits + 64):
+            assert abs(got - exact) <= mpmath.ldexp(max(1, abs(exact)), 8 - bits), (f, bits, height)
 
 
 # tau = i, and rho = (-1 + i sqrt(3))/2 at the least Im tau of a reduced point
@@ -58,19 +108,20 @@ _SERIES_POINTS = [(QuadForm(1, 0, 1), -4), (QuadForm(1, 1, 1), -3)]
 def test_fixed_point_series_is_within_its_proven_bound(f, D, bits):
     # j_eval's E(q) and E(q^2), in fixed point from q floored to the scale,
     # against mpmath's q-Pochhammer products at 64 more bits: within
-    # (3K + 2) 2^-scale + 0.005 * 2^-w, for K rounds (j_eval's proof, with
-    # q itself exact to 2^-(w + 64))
-    from cmreduce.classpoly import _SERIES_GUARD_BITS, _euler_products, _to_fixed
+    # (3K + 2) 2^-scale + 0.005 * 2^-w, for K rounds and w = bits + 32
+    # (j_eval's proof, with q itself exact to 2^-(w + 64))
+    from cmreduce.classpoly import _SCALE_GUARD_BITS, _euler_products
 
     tau = cm_point(f, D)
     w = bits + 32
-    scale = w + _SERIES_GUARD_BITS
+    scale = bits + _SCALE_GUARD_BITS
     with mpmath.workprec(w + 64):
         q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(mpmath.mpf(tau.minus_b) / tau.two_a, tau.im))
         n_max = int(mpmath.ceil(w * mpmath.log(2) / (2 * mpmath.pi * tau.im)))
         rounds = next(k for k in range(1, n_max + 2) if k * (3 * k - 1) // 2 > n_max) - 1
         bound = (3 * rounds + 2) * mpmath.ldexp(1, -scale) + mpmath.ldexp(0.005, -w)
-        for got, exact in zip(_euler_products(_to_fixed(q, scale), n_max, scale), (mpmath.qp(q), mpmath.qp(q * q))):
+        fixed = to_fixed(q.real._mpf_, scale), to_fixed(q.imag._mpf_, scale)
+        for got, exact in zip(_euler_products(fixed, n_max, scale), (mpmath.qp(q), mpmath.qp(q * q))):
             assert abs(mpmath.mpc(*got) * mpmath.ldexp(1, -scale) - exact) <= bound
 
 
@@ -79,8 +130,53 @@ def test_j_eval_meets_its_stated_error_at_i_and_rho(bits):
     # j(i) = 1728 = 12^3 and j(rho) = 0, within 2^(8 - bits) max(1, |value|)
     for (f, D), j in zip(_SERIES_POINTS, (1728, 0)):
         for height, value in ((1, j), (3, round(j ** (1 / 3)))):
-            got = j_eval(cm_point(f, D), bits, height)
+            got = _j(f, D, bits, height)
             assert abs(got - value) <= mpmath.ldexp(max(1, value), 8 - bits), (D, height)
+
+
+# -- the integer pi, exp, (cos, sin) and exponent of 1/q_h --------------------
+
+
+@pytest.mark.parametrize("bits", [64, 200, 1000, 3000])
+def test_integer_pi_exp_cos_sin_match_mpmath(bits):
+    # each within its docstring bound, against mpmath at 64 more bits, on
+    # seeded arguments x in [0, 1000] and |theta| <= pi
+    from cmreduce.classpoly import _cos_sin, _exp, _pi
+
+    rng = random.Random(bits)
+    one = mpmath.ldexp(1, bits)
+    with mpmath.workprec(bits + 64):
+        pi = _pi(bits)
+        assert abs(pi - mpmath.pi * one) < 1
+        xs = [0, 1, 1000 << bits] + [rng.randrange(1000 << bits) for _ in range(12)]
+        for x in xs:
+            exact = mpmath.exp(x / one)
+            assert abs(_exp(x, bits) - exact * one) < 2 * exact, x
+        thetas = [0, pi, -pi, 1, -1] + [rng.randrange(-pi, pi + 1) for _ in range(12)]
+        for theta in thetas:
+            c, s = _cos_sin(theta, bits)
+            assert abs(c - mpmath.cos(theta / one) * one) < 2, theta
+            assert abs(s - mpmath.sin(theta / one) * one) < 2, theta
+
+
+@pytest.mark.parametrize("D", [-3, -23, -4391, -16719, -1000003])
+@pytest.mark.parametrize("height", [1, 3])
+def test_nome_exponent_within_two_units(D, height):
+    # 1/q_h = e^(x + i theta), x = 2 pi Im(tau) / height and
+    # theta = -2 pi Re(tau) / height, each within 2 units of 2^-scale
+    from cmreduce.classpoly import _nome_exponent
+
+    forms = reduced_forms(D)
+    for f in forms[:: max(1, len(forms) // 8)]:
+        tau = cm_point(f, D)
+        for scale in (104, 1040):
+            x, theta = _nome_exponent(tau, height, scale)
+            with mpmath.workprec(scale + 64):
+                one = mpmath.ldexp(1, scale)
+                im = mpmath.sqrt(tau.abs_D) / tau.two_a
+                re = mpmath.mpf(tau.minus_b) / tau.two_a
+                assert abs(x - 2 * mpmath.pi * im / height * one) < 2, (f, scale)
+                assert abs(theta + 2 * mpmath.pi * re / height * one) < 2, (f, scale)
 
 
 def test_j_eval_rejects_unreduced():

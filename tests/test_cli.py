@@ -175,6 +175,28 @@ def test_verify_fails_loudly_under_python_O():
     assert "1 of 10 checks failed" in proc.stdout
 
 
+def test_no_command_imports_mpmath():
+    # mpmath is the tests' oracle, not a dependency: every module, and the
+    # commands that compute H_D, walk the supersingular locus and verify,
+    # run without importing it
+    script = (
+        "import contextlib, importlib, io, pkgutil, sys\n"
+        "import cmreduce\n"
+        "for info in pkgutil.iter_modules(cmreduce.__path__):\n"
+        "    importlib.import_module(f'cmreduce.{info.name}')\n"
+        "from cmreduce.cli import run\n"
+        "for argv in (['classpoly', '--D', '-16719'], ['ss', '--p', '101'], ['verify', '--quick']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if run(argv) != 0:\n"
+        "            sys.exit(f'{argv} failed')\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'mpmath'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cmreduce.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("module", ["cmreduce", "cmreduce.cli"])
 def test_python_dash_m_runs_the_command_line(module):
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cmreduce.__file__).parents[1]))

@@ -3,7 +3,8 @@ under src/cmreduce is referred to from src/cmreduce, outside its own body,
 or is exported in its module's __all__, or is on the allow-list below;
 every export is referred to from src/cmreduce or imported by the
 acceptance suite, which states the paper's criteria; every name a
-module imports is used in that module or exported; and LLL and
+module imports is used in that module or exported; no module imports
+mpmath, which only the tests use, as their oracle; and LLL and
 Fincke-Pohst have one pair of callers, the lattice-vector enumerator."""
 
 import ast
@@ -128,6 +129,34 @@ def test_an_unused_import_is_flagged():
     sources["ssenum"] += "\n\ndef _planted():\n    from math import comb\n    return 0\n"
     sources["quadforms"] += "\nimport os.path\n"
     assert unused_imports(sources) == ["quadforms.os", "ssenum.comb"]
+
+
+def mpmath_imports(sources: dict[str, str]) -> list[str]:
+    """Each module that imports mpmath or one of its submodules."""
+    found = []
+    for name, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m == "mpmath" or m.startswith("mpmath.") for m in modules):
+                found.append(name)
+                break
+    return found
+
+
+def test_no_module_in_src_imports_mpmath():
+    assert mpmath_imports(_sources()) == []
+
+
+def test_an_mpmath_import_is_flagged():
+    sources = _sources()
+    sources["classpoly"] += "\n\ndef _planted():\n    from mpmath.libmp import to_fixed\n    return to_fixed\n"
+    sources["cli"] += "\nimport mpmath\n"
+    assert mpmath_imports(sources) == ["classpoly", "cli"]
 
 
 # the one lattice-vector enumerator: LLL and Fincke-Pohst serve these two
