@@ -117,9 +117,10 @@ def _euler_products(q: tuple[int, int], n_max: int, scale: int) -> tuple[tuple[i
 
 def _cdiv(x: tuple[int, int], y: tuple[int, int], scale: int) -> tuple[int, int]:
     """The quotient x / y of two complex numbers in fixed point (see _cmul),
-    for |y| >= 1/2: x conj(y) divided by n = floor(|y|^2 2^scale), each part
-    floored.  n lies within 1 of |y|^2 2^scale >= 2^(scale - 2), so each
-    part errs by less than 1 + 4.1 |x / y| units of 2^-scale."""
+    for |y| >= 1/2 and scale >= 8: x conj(y) divided by n =
+    floor(|y|^2 2^scale), each part floored.  n lies within 1 of
+    |y|^2 2^scale >= 2^(scale - 2), so each part errs by less than
+    1 + 4.1 |x / y| units of 2^-scale."""
     n = (y[0] * y[0] + y[1] * y[1]) >> scale
     return (x[0] * y[0] + x[1] * y[1]) // n, (x[1] * y[0] - x[0] * y[1]) // n
 
@@ -265,9 +266,9 @@ def _nome_exponent(tau: CMPoint, height: int, scale: int) -> tuple[int, int]:
     Sigma = isqrt(|D| 4^S) within 1 of sqrt(|D|) 2^S.  Then 2 Pi Sigma
     errs by less than 2 (sqrt(|D|) + pi) 2^S, which the divisor
     2a height 2^(S + m) >= 2^(S + m + 1) takes below 1 unit, and X floors
-    the quotient; T = floor(-2 b' Pi / (2a height 2^m)), b' = -b, errs by
-    less than |2b| / (2a 2^m) + 1 <= 2 units, as |b| <= a.  Each quotient
-    is floored in two steps, by the power of 2 and then by 2a height.
+    the quotient; T = floor(2b Pi / (2a height 2^m)) errs by less than
+    |2b| / (2a 2^m) + 1 <= 2 units, as |b| <= a.  Each quotient is floored
+    in two steps, by the power of 2 and then by 2a height.
     """
     m = (math.isqrt(tau.abs_D) + 5).bit_length()
     s = scale + m
