@@ -12,6 +12,10 @@ Phi_2(j, Y) at an F_p-rational j, has its coefficients there.  The
 powering (FfPoly.pow_mod, on packed integers from degree 2 on), the gcds,
 the splitting and the deflation all run on lists of integer coefficients;
 only the roots are elements of F_{p^2}.
+
+Every quadratic, a degree-2 factor here or one of the 2-isogeny walk, is
+solved by quadratic_roots, whose square root in F_{p^2} comes from square
+roots mod p by one Tonelli-Shanks loop (_fp2_sqrt, _fp_sqrt).
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 
 from .errors import CertificateError, DomainError
@@ -41,10 +44,6 @@ class Fp2Ctx:
     p: int
     nu: int
 
-    @property
-    def q(self) -> int:
-        return self.p * self.p
-
     # -- element arithmetic ------------------------------------------------
     def el(self, x: int, y: int = 0) -> Fp2:
         return (x % self.p, y % self.p)
@@ -56,10 +55,6 @@ class Fp2Ctx:
     def sub(self, a: Fp2, b: Fp2) -> Fp2:
         p = self.p
         return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
-
-    def neg(self, a: Fp2) -> Fp2:
-        p = self.p
-        return (-a[0] % p, -a[1] % p)
 
     def mul(self, a: Fp2, b: Fp2) -> Fp2:
         p, nu = self.p, self.nu
@@ -280,88 +275,74 @@ def _stable_seed(p: int, f: list[int]) -> int:
     return zlib.crc32(repr((p, f)).encode()) ^ (p << 16)
 
 
-@lru_cache(maxsize=None)
-def _tonelli_shanks_data(ctx: Fp2Ctx) -> tuple[int, int, Fp2]:
-    """(s, m, z) with q - 1 = 2^s m, m odd, and z = n^m for the non-square
-    n = x + t of least x >= 0: a is a square in F_{p^2} exactly when its
-    norm a^(p+1) is a square mod p, and x + t has norm x^2 - nu."""
-    m, s = ctx.q - 1, 0
-    while m % 2 == 0:
-        m, s = m // 2, s + 1
-    x = 0
-    while kronecker(x * x - ctx.nu, ctx.p) != -1:
-        x += 1
-    return s, m, ctx.pow((x, 1), m)
+def _fp_sqrt(a: int, p: int, nu: int) -> int:
+    """A square root of a mod p when a is a square, else some r that the
+    caller's check rejects (Tonelli-Shanks; Cohen, GTM 138, Alg. 1.5.1).
 
-
-def _tonelli_shanks(a, s: int, m: int, z, one, mul, power):
-    """Tonelli-Shanks in a field whose unit group has order 2^s m, m odd,
-    for z of order exactly 2^s and the field's product and power: a square
-    root of a when a is a square, else some r that the caller's check
-    r^2 = a decides."""
+    With p - 1 = 2^s m, m odd, z = nu^m has order exactly 2^s, since
+    nu^((p-1)/2) = -1 for the non-residue nu.  For p = 3 mod 4 (s = 1) the
+    result is a^((p+1)/4), with no loop."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s is the 2-part of p - 1
+    m = (p - 1) >> s
     # invariant r^2 = a b; b has order dividing 2^(k-1) when a is a nonzero
     # square, and z has order exactly 2^k.  r = a^((m+1)/2) and b = a^m
     # come from one power u = a^((m-1)/2): r = u a and b = u r
-    u = power(a, (m - 1) // 2)
-    r = mul(u, a)
-    b, k = mul(u, r), s
-    while b != one:
+    u = pow(a, (m - 1) // 2, p)
+    r = u * a % p
+    b, z, k = u * r % p, pow(nu, m, p), s
+    while b != 1:
         i, bb = 0, b
-        while bb != one and i < k:
-            bb = mul(bb, bb)
+        while bb != 1 and i < k:
+            bb = bb * bb % p
             i += 1
         if i == k:
             break
-        w = z
-        for _ in range(k - i - 1):
-            w = mul(w, w)
-        r, z = mul(r, w), mul(w, w)
-        b, k = mul(b, z), i
+        w = pow(z, 1 << (k - i - 1), p)
+        r, z = r * w % p, w * w % p
+        b, k = b * z % p, i
     return r
 
 
 def _fp2_sqrt(a: Fp2, ctx: Fp2Ctx) -> Fp2:
-    """A square root of a in F_{p^2} (Tonelli-Shanks on the 2-part of
-    q - 1); CertificateError when a has none."""
-    s, m, z = _tonelli_shanks_data(ctx)
-    r = _tonelli_shanks(a, s, m, z, (1, 0), ctx.mul, ctx.pow)
+    """A square root r = c + d t of a = x + y t in F_{p^2} from square
+    roots mod p (the norm method; Adj and Rodriguez-Henriquez, IEEE Trans.
+    Computers 63 (2014)); CertificateError when a has none.
+
+    y = 0: r = (sqrt x, 0) when x is a square mod p, else r = (0, d) with
+    d^2 = x / nu, since (d t)^2 = nu d^2.  y != 0: r^2 = a means
+    c^2 + nu d^2 = x and 2cd = y, and the norm c^2 - nu d^2 of r is +-n
+    for n^2 = x^2 - nu y^2, the norm of a.  So c^2 is (x + n)/2 or
+    (x - n)/2, whose product (x^2 - n^2)/4 = nu (y/2)^2 is not a square:
+    exactly one is, c is its root (c != 0 as y != 0), and d = y / (2c).
+    The check r^2 = a certifies r, and no r passes it for a non-square a."""
+    p, nu = ctx.p, ctx.nu
+    x, y = a
+    if y == 0:
+        if kronecker(x, p) >= 0:
+            r = (_fp_sqrt(x, p, nu), 0)
+        else:
+            r = (0, _fp_sqrt(x * pow(nu, -1, p) % p, p, nu))
+    else:
+        half = (p + 1) // 2
+        n = _fp_sqrt((x * x - nu * y * y) % p, p, nu)
+        c2 = (x + n) * half % p
+        if kronecker(c2, p) < 0:
+            c2 = (x - n) * half % p
+        c = _fp_sqrt(c2, p, nu)
+        # c = 0 only for a non-square a; its inverse is then taken as 0
+        r = (c, y * half * pow(c, p - 2, p) % p)
     if ctx.mul(r, r) != a:
-        raise CertificateError(f"{ctx.serialize(a)} has no square root in F_{ctx.p}^2")
+        raise CertificateError(f"{ctx.serialize(a)} has no square root in F_{p}^2")
     return r
 
 
 def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
     """The roots (-b +- r)/2, r^2 = b^2 - 4c, of X^2 + bX + c in F_{p^2};
     CertificateError when the quadratic does not split there."""
-    r = _fp2_sqrt(ctx.sub(ctx.mul(b, b), ctx.mul(ctx.el(4), c)), ctx)
-    half, nb = ctx.el((ctx.p + 1) // 2), ctx.neg(b)
-    return ctx.mul(ctx.add(nb, r), half), ctx.mul(ctx.sub(nb, r), half)
-
-
-def _fp_sqrt(a: int, p: int, nu: int) -> int:
-    """A square root of a square a mod p by Tonelli-Shanks with z = nu^m
-    for p - 1 = 2^s m, m odd, which has order exactly 2^s as
-    nu^((p-1)/2) = -1 for the non-residue nu; for p = 3 mod 4 (s = 1) it
-    returns a^((p+1)/4) with no loop.  The caller checks it."""
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2^s is the 2-part of p - 1
-    m = (p - 1) >> s
-    return _tonelli_shanks(a, s, m, pow(nu, m, p), 1, lambda x, y: x * y % p, lambda x, e: pow(x, e, p))
-
-
-def _fp_quadratic_roots(b: int, c: int, ctx: Fp2Ctx) -> list[Fp2]:
-    """The roots in F_{p^2} of X^2 + bX + c, b and c in F_p: (-b +- r)/2
-    for r^2 = d = b^2 - 4c when d is a square mod p, else (-b +- y t)/2 for
-    y^2 = d / nu, since (y t)^2 = y^2 nu = d.  A root that fails its check,
-    r^2 = d or y^2 nu = d, raises CertificateError."""
-    p, nu = ctx.p, ctx.nu
-    d = (b * b - 4 * c) % p
-    square = kronecker(d, p) >= 0
-    y = _fp_sqrt(d if square else d * pow(nu, -1, p) % p, p, nu)
-    if y * y * (1 if square else nu) % p != d:
-        raise CertificateError(f"the square root of {d} mod {p} fails its check")
-    half = (p + 1) // 2
-    x, y = -b * half % p, y * half % p
-    return [((x + y) % p, 0), ((x - y) % p, 0)] if square else [(x, y), (x, -y % p)]
+    p, (b0, b1), (c0, c1) = ctx.p, b, c
+    r0, r1 = _fp2_sqrt(((b0 * b0 + ctx.nu * b1 * b1 - 4 * c0) % p, (2 * b0 * b1 - 4 * c1) % p), ctx)
+    h = (p + 1) // 2
+    return ((r0 - b0) * h % p, (r1 - b1) * h % p), ((-r0 - b0) * h % p, (-r1 - b1) * h % p)
 
 
 # a correct split fails with probability about 1/2 per draw (see _split),
@@ -385,8 +366,8 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
     is the Legendre symbol of r + c, or of the norm (r + c)(r^p + c^p) of
     r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
-    c.  A factor of degree 2 is solved by the quadratic formula, with one
-    square root in F_p (_fp_quadratic_roots).
+    c.  A factor of degree 2 is solved by the quadratic formula
+    (quadratic_roots).
     """
     p = ctx.p
     if len(g) == 1:
@@ -394,7 +375,7 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     if len(g) == 2:
         return [(-g[0] % p, 0)]
     if len(g) == 3:
-        return _fp_quadratic_roots(g[1], g[0], ctx)
+        return [*quadratic_roots((g[1], 0), (g[0], 0), ctx)]
     if xp is not None:
         xp = _fp_divmod(xp, g, p)[1]
         if len(g) - 1 <= 2 * _TRACE_SPLIT_MAX:

@@ -19,7 +19,7 @@ of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
 returns the vectors found as sorted integer HNF coordinates; only
-`lattice_vectors_with_norm` and `lattice_shortest_vectors` call it.  An
+`lattice_shortest_vectors` calls it, also for the units of an order.  An
 optimal embedding comes from one other search: the least primitive
 Gross-lattice vector of norm |D|, walked slice by slice in its first
 coordinate up to the bound of the norm-|D| ellipsoid, so that a miss means
@@ -473,15 +473,13 @@ def _lll_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     return H, R
 
 
-def _fincke_pohst(G: list[list[int]], bound: int, exact: bool = False):
-    """Every nonzero integer x with x^T G x <= bound, or == bound when
-    `exact`, for a positive definite integer G of size n >= 2; yields
-    (x, x^T G x).
+def _fincke_pohst(G: list[list[int]], bound: int):
+    """Every nonzero integer x with x^T G x <= bound, for a positive
+    definite integer G of size n >= 2; yields (x, x^T G x).
 
     Works through scaled integer Schur complements: with a = G[0][0],
     a x^T G x = (a x_0 + g.x')^2 + x'^T (a G' - g g^T) x', and the pruning
     bound at each level is the product of the earlier pivots times `bound`.
-    In exact mode the first coordinate is solved from a perfect square.
     """
     n = len(G)
     piv, rows = [], []
@@ -497,10 +495,10 @@ def _fincke_pohst(G: list[list[int]], bound: int, exact: bool = False):
     for a in piv[:-1]:
         caps.append(caps[-1] * a)
     if bound >= 0:
-        yield from _fp_level(n - 1, 0, [0] * n, piv, rows, caps, exact)
+        yield from _fp_level(n - 1, 0, [0] * n, piv, rows, caps)
 
 
-def _fp_level(k, tail, x, piv, rows, caps, exact):
+def _fp_level(k, tail, x, piv, rows, caps):
     # x[k], ..., x[0] for every completion of x[k + 1:], whose value under
     # the k-th Schur complement is `tail`, within the pruning bound caps[k]
     a = piv[k]
@@ -513,26 +511,22 @@ def _fp_level(k, tail, x, piv, rows, caps, exact):
         x[k] = z
         value = ((a * z + lin) ** 2 + tail) // a
         if k > 1:
-            yield from _fp_level(k - 1, value, x, piv, rows, caps, exact)
+            yield from _fp_level(k - 1, value, x, piv, rows, caps)
             continue
-        for x[0], v in _fp_first(value, x, piv[0], rows[0], caps[0], exact):
+        for x[0], v in _fp_first(value, x, piv[0], rows[0], caps[0]):
             if any(x):
                 yield tuple(x), v
         x[0] = 0
     x[k] = 0
 
 
-def _fp_first(tail, x, a, row, bound, exact):
+def _fp_first(tail, x, a, row, bound):
     # (x_0, value) for every x_0 that completes x[1:] within the bound
     lin = sum(map(operator.mul, row, x[1:]))
     room = a * bound - tail
     if room < 0:
         return ()
     s = math.isqrt(room)
-    if exact:
-        if s * s != room:
-            return ()
-        return [((w - lin) // a, bound) for w in ((s, -s) if s else (0,)) if (w - lin) % a == 0]
     return [(z, ((a * z + lin) ** 2 + tail) // a) for z in range(-((s + lin) // a), (s - lin) // a + 1)]
 
 
@@ -540,23 +534,6 @@ def _unreduce(H: list[list[int]], y) -> tuple[int, ...]:
     """The combination y . H of the rows of H: coordinates y in the basis H
     (an LLL basis, or HNF rows) as coordinates in the frame of H's rows."""
     return tuple(sum(map(operator.mul, y, col)) for col in zip(*H))
-
-
-def _scaled_norm(lat: Lattice4, target) -> int | None:
-    """2 den^2 target, the value of the trace Gram form on lattice vectors of
-    reduced norm `target`, or None when it is not an integer."""
-    scaled = 2 * lat.den**2 * Fraction(target)
-    return scaled.numerator if scaled.denominator == 1 else None
-
-
-def lattice_vectors_with_norm(lat: Lattice4, target) -> list[tuple[int, ...]]:
-    """HNF coordinates of every v in the lattice with Nr(v) = target
-    (exact), sorted."""
-    scaled = _scaled_norm(lat, target)
-    if scaled is None:
-        return []
-    H, R = _lll_gram(lat.trace_gram())
-    return sorted(_unreduce(H, y) for y, _ in _fincke_pohst(R, scaled, exact=True))
 
 
 def lattice_shortest_vectors(lat: Lattice4) -> list[tuple[int, ...]]:
@@ -621,11 +598,13 @@ class Order:
     @cached_property
     def units(self) -> tuple[tuple[int, ...], ...]:
         """The elements of reduced norm 1, as integer rows over the lattice's
-        den, sorted.  The set is closed under negation, which reverses the
-        sorted order, so the second half holds one of each pair +-u: the u
-        whose first nonzero entry is positive.  One search per order."""
+        den, sorted.  The order holds 1 and every nonzero element has a
+        positive integral reduced norm, so these are its shortest vectors.
+        The set is closed under negation, which reverses the sorted order,
+        so the second half holds one of each pair +-u: the u whose first
+        nonzero entry is positive.  One search per order."""
         lat = self.lattice
-        return tuple(sorted(_unreduce(lat.mat, c) for c in lattice_vectors_with_norm(lat, 1)))
+        return tuple(sorted(_unreduce(lat.mat, c) for c in lattice_shortest_vectors(lat)))
 
     def is_multiplicatively_closed(self) -> bool:
         lat = self.lattice

@@ -82,8 +82,8 @@ class SupersingularLocus:
 
 
 def weierstrass_from_j(j: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
-    """Short Weierstrass pair (A, B) with the given j-invariant (p >= 5)."""
-    zero, _1728 = (0, 0), ctx.el(1728)
+    """Short Weierstrass pair (A, B) with the j-invariant j mod p (p >= 5)."""
+    j, zero, _1728 = ctx.el(*j), (0, 0), ctx.el(1728)
     if j == zero:
         return (0, 0), (1, 0)
     if j == _1728:
@@ -154,8 +154,7 @@ def is_supersingular_j(j: Fp2 | int, p: int) -> bool:
         raise DomainError(f"supersingularity test requires a prime p >= 5, got {p}")
     ev = _evaluator(p)
     ctx = ev.ctx
-    jj = j if isinstance(j, tuple) else ctx.el(j)
-    A, B = weierstrass_from_j(jj, ctx)
+    A, B = weierstrass_from_j(j if isinstance(j, tuple) else (j, 0), ctx)
     # nonsingular: 4A^3 + 27B^2 != 0 always holds for these models
     return ev.hasse_coefficient(A, B) == (0, 0)
 

@@ -17,12 +17,13 @@ from cmreduce.quatalg import (
     QuaternionAlgebra,
     QuatElement,
     _det3,
+    _fincke_pohst,
+    _lll_gram,
     _qnorm,
     _unreduce,
     find_optimal_embedding,
     gross_lattice,
     hnf_rows,
-    lattice_vectors_with_norm,
     left_ideal_from_class,
     quaternion_data,
     ramified_places,
@@ -128,11 +129,23 @@ def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fracti
     return [[d / det, -c / det], [-b / det, a / det]]
 
 
+def vectors_with_norm(lat: Lattice4, target) -> list[tuple[int, ...]]:
+    """HNF coordinates of every v in the lattice with Nr(v) = target,
+    sorted: LLL and Fincke-Pohst up to the trace-form value 2 den^2 target,
+    keeping the vectors that reach it."""
+    scaled = 2 * lat.den**2 * Fraction(target)
+    if scaled.denominator != 1:
+        return []
+    bound = scaled.numerator
+    H, R = _lll_gram(lat.trace_gram())
+    return sorted(_unreduce(H, y) for y, v in _fincke_pohst(R, bound) if v == bound)
+
+
 def same_class_by_product(I: LeftIdeal, J: LeftIdeal) -> bool:
     """I ~ J iff conj(I) J holds a vector of norm Nr(I) Nr(J), the least norm
     on it; for J = I x it holds Nr(I) x."""
     M = conjugate(I.lattice).product(J.lattice)
-    return bool(lattice_vectors_with_norm(M, I.reduced_norm * J.reduced_norm))
+    return bool(vectors_with_norm(M, I.reduced_norm * J.reduced_norm))
 
 
 def box_radii(G, bound):
@@ -178,10 +191,10 @@ def least_primitive_gross_vectors(gl: GrossLattice, nmax: int) -> dict[int, tupl
 def least_embedding_vector_by_enumeration(order: Order, D: int) -> tuple[int, ...] | None:
     """The Gross-lattice vector behind `find_optimal_embedding(order, D)`,
     found by collecting every vector of norm |D| (LLL and Fincke-Pohst in
-    `lattice_vectors_with_norm`) and keeping the least primitive one, in HNF
+    `vectors_with_norm`) and keeping the least primitive one, in HNF
     coordinates signed so that the first nonzero one is positive; None when
     no vector of norm |D| is primitive."""
-    hits = lattice_vectors_with_norm(gross_lattice(order), -D)
+    hits = vectors_with_norm(gross_lattice(order), -D)
     return min(
         (c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in hits if math.gcd(*c) == 1),
         default=None,

@@ -43,7 +43,7 @@ def _pair(r, ctx):
     """(X - r)(X - r^p), multiplied out over F_(p^2) with r^p by powering;
     its coefficients lie in F_p."""
     s = ctx.pow(r, ctx.p)
-    cs = [ctx.mul(r, s), ctx.neg(ctx.add(r, s)), (1, 0)]
+    cs = [ctx.mul(r, s), ctx.sub((0, 0), ctx.add(r, s)), (1, 0)]
     assert all(y == 0 for _, y in cs)
     return [x for x, _ in cs]
 
@@ -102,7 +102,7 @@ def test_roots_examples():
     roots = roots_with_multiplicity(f)
     assert len(roots) == 2 and all(m == 1 for m in roots.values())
     rs = sorted(roots)
-    assert rs[0] == ctx13.neg(rs[1])
+    assert rs[0] == ctx13.sub((0, 0), rs[1])
     for r in rs:
         assert r[1] != 0  # not in F_13: 2 is a non-residue mod 13
         assert ctx13.mul(r, r) == (2, 0)
@@ -161,8 +161,8 @@ def test_field_axioms(p):
         assert ctx.mul(a, b) == ctx.mul(b, a)
     for a in els:
         if a != (0, 0):
-            # the multiplicative group has order q - 1
-            assert ctx.mul(a, ctx.pow(a, ctx.q - 2)) == (1, 0)
+            # the multiplicative group has order p^2 - 1
+            assert ctx.mul(a, ctx.pow(a, p * p - 2)) == (1, 0)
 
 
 @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
@@ -356,7 +356,7 @@ def test_quadratic_roots_exhaustive(p):
     ctx = fp2_construct(p)
     field = list(product(range(p), repeat=2))
     for r1, r2 in combinations_with_replacement(field, 2):
-        b = ctx.neg(ctx.add(r1, r2))
+        b = ctx.sub((0, 0), ctx.add(r1, r2))
         assert sorted(quadratic_roots(b, ctx.mul(r1, r2), ctx)) == sorted((r1, r2))
     # X^2 - d splits exactly when d is a square, i.e. its norm is a square mod p
     squares = {ctx.mul(a, a) for a in field}
@@ -365,33 +365,52 @@ def test_quadratic_roots_exhaustive(p):
     for d in non_squares:
         assert kronecker((d[0] * d[0] - ctx.nu * d[1] * d[1]) % p, p) == -1
         with pytest.raises(CertificateError):
-            quadratic_roots((0, 0), ctx.neg(d), ctx)
+            quadratic_roots((0, 0), ctx.sub((0, 0), d), ctx)
+
+
+# square roots mod p run Tonelli-Shanks on the 2-part 2^s of p - 1: s = 1
+# for p = 3 mod 4 (7, 11), s = 2 for p = 5 mod 8 (5, 13) and s >= 3 for
+# p = 1 mod 8 (41 and 73 with s = 3, 17 and 113 with s = 4, 97 with s = 5)
+SQRT_PRIMES = [5, 7, 11, 13, 17, 41, 73, 97, 113]
+
+
+@pytest.mark.parametrize("p", SQRT_PRIMES)
+def test_fp2_sqrt_exhaustive(p):
+    # a root comes back exactly for the squares a^((p^2-1)/2) in {0, 1},
+    # and CertificateError for every other element of F_(p^2)
+    ctx = fp2_construct(p)
+    for a in product(range(p), repeat=2):
+        if ctx.pow(a, (p * p - 1) // 2) in ((0, 0), (1, 0)):
+            r = ffield._fp2_sqrt(a, ctx)
+            assert ctx.mul(r, r) == a, (p, a, r)
+        else:
+            with pytest.raises(CertificateError):
+                ffield._fp2_sqrt(a, ctx)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 41])
 def test_fp_quadratic_roots_match_quadratic_roots(p):
-    # the quadratic nodes of the split take square roots in F_p by
-    # Tonelli-Shanks, whose loop runs on the 2-part 2^s of p - 1: s = 1 for
-    # p = 3 mod 4 (7, 11), s = 2 for p = 5 mod 8 (5, 13) and s >= 3 for
-    # p = 1 mod 8 (17, 41); every monic quadratic over F_p, its roots as
-    # the F_(p^2) formula finds them
+    # every monic quadratic over F_p splits in F_(p^2): quadratic_roots
+    # against the roots found by trying every element, a double root twice
     ctx = fp2_construct(p)
+    field = list(product(range(p), repeat=2))
     for b, c in product(range(p), repeat=2):
-        got = ffield._fp_quadratic_roots(b, c, ctx)
-        assert sorted(got) == sorted(quadratic_roots((b, 0), (c, 0), ctx)), (b, c)
+        found = [r for r in field if ctx.add(ctx.mul(r, ctx.add(r, (b, 0))), (c, 0)) == (0, 0)]
+        expected = found if len(found) == 2 else found * 2
+        assert sorted(quadratic_roots((b, 0), (c, 0), ctx)) == expected, (b, c)
 
 
 def test_a_wrong_square_root_mod_p_raises(monkeypatch):
-    # a square root off by one fails its check, for d a square mod p and
-    # for d not a square, and so does the root finding that meets it
+    # a square root mod p off by one fails the check r^2 = d, for d a
+    # square mod p, for d in F_p not a square, and for d outside F_p, and
+    # so does the root finding that meets it
     p = 41
     ctx = fp2_construct(p)
     honest = ffield._fp_sqrt
     monkeypatch.setattr(ffield, "_fp_sqrt", lambda a, p, nu: (honest(a, p, nu) + 1) % p)
-    for b, c in ((0, -4 % p), (0, -ctx.nu % p)):
-        assert kronecker((b * b - 4 * c) % p, p) == (1 if c == -4 % p else -1)
+    for d in ((4, 0), (ctx.nu, 0), ctx.mul((3, 5), (3, 5))):
         with pytest.raises(CertificateError):
-            ffield._fp_quadratic_roots(b, c, ctx)
+            quadratic_roots((0, 0), ctx.sub((0, 0), d), ctx)
     with pytest.raises(CertificateError):
         roots_with_multiplicity(FfPoly(_product([[-1, 1], [-2, 1], [-ctx.nu % p, 0, 1]], p), ctx))
 

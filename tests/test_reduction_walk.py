@@ -139,14 +139,22 @@ def test_order_units_are_the_norm_1_elements_found_once(monkeypatch):
             half = units[len(units) // 2:]
             assert {tuple(-x for x in u) for u in half} == set(units[: len(units) // 2])
             assert all(next(x for x in u if x) > 0 for u in half)
-    searches = []
-    monkeypatch.setattr(quatalg, "lattice_vectors_with_norm", lambda *args: searches.append(args))
+    # the walk's own short-vector searches (the reduced lattices of its
+    # ideals) run; none of them is on the lattice of a right order
+    right = {id(Or.lattice) for p in (11, 23) for Or in reduction.quaternion_data(p)[2].right_orders}
+    honest, searched = quatalg.lattice_shortest_vectors, []
+
+    def recording(lat):
+        searched.append(id(lat))
+        return honest(lat)
+
+    monkeypatch.setattr(quatalg, "lattice_shortest_vectors", recording)
     monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
     for p in (11, 23):
         for d in (-71, -119, -311, -1127, -2351, -10055):
             if _reducible(d, p):
                 _fresh_walk(d, p)
-    assert reduction._NEIGHBOURS and searches == []
+    assert reduction._NEIGHBOURS and searched and right.isdisjoint(searched)
 
 
 def _primitive(mat):

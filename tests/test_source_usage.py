@@ -159,8 +159,8 @@ def test_an_mpmath_import_is_flagged():
     assert mpmath_imports(sources) == ["classpoly", "cli"]
 
 
-# the one lattice-vector enumerator: LLL and Fincke-Pohst serve these two
-ENUMERATOR = {"lattice_vectors_with_norm", "lattice_shortest_vectors"}
+# the one lattice-vector enumerator: LLL and Fincke-Pohst serve it alone
+ENUMERATOR = {"lattice_shortest_vectors"}
 
 
 def enumerator_callers(sources: dict[str, str]) -> list[str]:

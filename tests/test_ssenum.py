@@ -22,6 +22,19 @@ def test_is_supersingular_examples():
         is_supersingular_j(0, 3)
 
 
+def test_is_supersingular_reads_j_mod_p():
+    # an unreduced pair names the same j as its reduction, also at the
+    # special values 0 and 1728, whose models differ from the general one;
+    # j = 0 is ordinary at 13 = 1 mod 3, and so is (13, 0)
+    assert not is_supersingular_j((13, 0), 13)
+    for p in primes_up_to(199)[2:]:
+        for j in ((0, 0), (1, 2), (1728 % p, 0), (p - 1, p - 1)):
+            reduced = is_supersingular_j(j, p)
+            assert is_supersingular_j((j[0] + p, j[1]), p) == reduced, (p, j)
+            assert is_supersingular_j((j[0], j[1] + 3 * p), p) == reduced, (p, j)
+        assert is_supersingular_j((1728, 0), p) == is_supersingular_j((1728 % p, 0), p), p
+
+
 def test_is_supersingular_matches_naive_exhaustive_power():
     # oracle: literally expand (x^3+Ax+B)^((p-1)/2) and read off x^(p-1)
     for p in (5, 7, 11, 13):
@@ -83,7 +96,7 @@ def test_weierstrass_models_nonsingular():
         assert disc != (0, 0)
         # recompute j from (A, B): j = 1728 * 4A^3 / (4A^3 + 27B^2)
         num = ctx.mul(ctx.el(4 * 1728), ctx.pow(A, 3))
-        assert ctx.mul(num, ctx.pow(disc, ctx.q - 2)) == j
+        assert ctx.mul(num, ctx.pow(disc, 13 * 13 - 2)) == j
 
 
 def test_walk_starts_in_f_p():
