@@ -8,10 +8,11 @@ excluded everywhere.
 
 Root finding (roots_with_multiplicity) takes a polynomial over F_p: every
 polynomial whose roots the package needs, H_D mod p and the cubic
-Phi_2(j, Y) at an F_p-rational j, has its coefficients there.  The
-powering (FfPoly.pow_mod, on packed integers from degree 2 on), the gcds,
-the splitting and the deflation all run on lists of integer coefficients;
-only the roots are elements of F_{p^2}.
+Phi_2(j, Y) at an F_p-rational j, has its coefficients there.  Every
+division, Euclid's gcds and the powering (FfPoly.pow_mod, from degree 2
+on) run on packed integers, one coefficient per slot (_Slots); the
+polynomials between them, and the few products of the split, are lists of
+integer coefficients.  Only the roots are elements of F_{p^2}.
 
 Every quadratic, a degree-2 factor here or one of the 2-isogeny walk, is
 solved by quadratic_roots, whose square root in F_{p^2} comes from square
@@ -156,90 +157,91 @@ def _fp_mul(a: list[int], b: list[int]) -> list[int]:
 
 
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a (coefficients in any range) by b != 0."""
+    """Quotient and remainder of a (coefficients in any range) by b != 0
+    (coefficients in [0, p)), by one packed long division (_Slots.divide):
+    both are reduced mod p, so the slots stay below p + min(q, db) (p - 1)^2
+    for q quotient coefficients."""
+    a = [u % p for u in a]
     db = len(b) - 1
-    rem = list(a)
-    if len(rem) <= db:
-        quo = []
-    else:
-        inv = pow(b[-1], -1, p)
-        low = b[:db]
-        quo = [0] * (len(rem) - db)
-        # the working coefficients are unreduced; each is reduced mod p only
-        # when it becomes the leading term or part of the remainder
-        for k in range(len(rem) - 1, db - 1, -1):
-            c = rem[k] % p * inv % p
-            if c:
-                quo[k - db] = c
-                rem[k - db : k] = [u - c * v for u, v in zip(rem[k - db : k], low)]
-        del rem[db:]
-    return quo, _trim([u % p for u in rem])
+    if len(a) <= db:
+        return [], _trim(a)
+    s = _Slots(p, p + min(len(a) - db, db) * (p - 1) ** 2, 0)
+    quo, rem = s.divide(s.pack(a), len(a) - 1, s.pack(b[:db]), db, pow(b[-1], -1, p))
+    return quo, _trim(s.unpack(rem, db))
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """The monic gcd of a and b, not both zero."""
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    return _fp_monic(a, p)
+    """The monic gcd of a and b (coefficients in [0, p), no trailing zeros),
+    not both zero: Euclid with both operands packed.  Each remainder is
+    brought back to slots in [0, 2p) (_Slots._reduce) and its top slots
+    that vanish mod p are masked off (_Slots.degree) before it divides, so
+    every division starts from slots below 2p, by a divisor of degree at
+    most db, the shorter operand's: the slots stay below
+    2p + db (p - 1)(2p - 1).  Only the gcd is unpacked."""
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return _fp_monic(a, p)
+    db = len(b) - 1
+    s = _Slots(p, 2 * p + db * (p - 1) * (2 * p - 1), db)
+    u, du, v, dv, lead = s.pack(a), len(a) - 1, s.pack(b), db, b[-1]
+    while dv >= 0:
+        low = v ^ lead << s.bits * dv
+        rem = s._reduce(s.divide(u, du, low, dv, pow(lead, -1, p))[1])
+        u, du = v, dv
+        v, dv, lead = s.degree(rem, dv - 1)
+    return _fp_monic(s.unpack(u, du + 1), p)
 
 
-class _PackedModulus:
-    """Products modulo a monic f in F_p[X] of degree n >= 2 as single
-    integer products (Kronecker substitution), reduced mod p in the integer.
+class _Slots:
+    """Polynomials over F_p as integers (Kronecker substitution; Harvey,
+    J. Symb. Comput. 44 (2009)): sum a_i X^i is the integer with a_i in
+    slot i, each slot W bytes, so that X = 256^W.  Each layout is sized by
+    a bound S on every slot value it meets: S < 2^k <= 256^W, k the bit
+    length of S, so no slot carries into the next.
 
-    A polynomial sum a_i X^i is the integer with a_i in slot i, each slot W
-    bytes: X = 256^W.  With mu = floor(X^(2n-2) / f), c = c_hi X^n + c_lo of
-    degree <= 2n - 2 has quotient floor(c / f) = q = floor(c_hi mu / X^(n-2))
-    exactly: the rest of c / f, c_hi (X^(2n-2)/f - mu) / X^(n-2) + c_lo / f,
-    has no polynomial part.  So c mod f = c_lo - (q f) mod X^n, with no
-    correction.
+    Division (divide) is the schoolbook long division (von zur Gathen and
+    Gerhard, Modern Computer Algebra, Alg. 2.5), with O(1) integer
+    operations per quotient coefficient.  The top slot x of the dividend
+    gives the next quotient coefficient c = x / lc mod p, lc the divisor's
+    leading coefficient; that slot is masked off, and (p - c) times the
+    divisor's low slots, shifted into place, is added: -c times them mod p,
+    with no slot going negative.  With the divisor's low slots below beta,
+    each quotient coefficient adds at most (p - 1)(beta - 1) to a slot, and
+    slot j is reached only by the steps at dividend slots j + 1 .. j + db,
+    db the divisor's degree: by min(q, db) of the q steps.  So slots that
+    start below alpha stay below alpha + min(q, db) (p - 1)(beta - 1), the
+    bound each caller sizes its layout by.
 
-    Slots.  The factors of a product have slots in [0, 2p): mulmod returns
-    such slots, and pow packs coefficients in [0, p).  So the slots of
-    c = a b are below n (2p)^2 = 4 n p^2.  c is reduced to slots in
-    [0, 2p) (below), so those of c_hi mu, and of q, are below
-    (n - 1) 2p p.  q is reduced too, so those of q f_low are below
-    (n - 1) 2p p as well, and the bias B = 2 n p^2, a multiple of p, in
-    every slot keeps r = c_lo + B - (q f_low) mod X^n nonnegative slot by
-    slot, below B + 2p.  r is reduced last.  So no slot reaches
-    S = 4 n p^2 < 2^k <= 256^W, k the bit length of S, and none carries
-    into the next.  pow reduces the slots mod p once, at the end.
-
-    Reduction (_reduce) is Barrett's, on all even slots at once and then
-    on all odd ones.  For a slot x < 2^k and m = floor(2^k / p),
-    x m < 2^(2k) fits the double slot that one slot in two leaves empty,
-    and k <= 8W, so the integer times m, shifted right by k and masked to
-    the even slots, holds qh = floor(x m / 2^k) in each.  qh is
-    q = floor(x / p) or q - 1: x m / 2^k <= x / p, and
-    x m / 2^k > x (2^k / p - 1) / 2^k > x / p - 1.  So x - p qh lies in
-    [0, 2p), and the subtraction borrows from no slot.
+    Reduction (_reduce) is Barrett's, on all even slots at once and then on
+    all odd ones.  For a slot x < 2^k and m = floor(2^k / p), x m < 2^(2k)
+    fits the double slot that one slot in two leaves empty, and k <= 8W, so
+    the integer times m, shifted right by k and masked to the even slots,
+    holds qh = floor(x m / 2^k) in each.  qh is q = floor(x / p) or q - 1:
+    x m / 2^k <= x / p, and x m / 2^k > x (2^k / p - 1) / 2^k > x / p - 1.
+    So x - p qh lies in [0, 2p), and the subtraction borrows from no slot.
     """
 
-    def __init__(self, f: list[int], p: int):
-        n = len(f) - 1
-        self.p, self.n = p, n
-        bound = 4 * n * p * p
+    def __init__(self, p: int, bound: int, count: int):
+        """Slots for values below `bound`, and _reduce for `count` slots."""
+        self.p = p
         self.k = bound.bit_length()
         self.width = (self.k + 7) // 8
         self.m = (1 << self.k) // p
-        self.bits = bits = 8 * self.width
-        self.even = int.from_bytes((b"\xff" * self.width + bytes(self.width)) * n, "little")
-        self.mu = self.pack(_fp_divmod([0] * (2 * n - 2) + [1], f, p)[0])
-        self.f_low = self.pack(f[:n])
-        self.bias = self.pack([2 * n * p * p] * n)
-        self.low_mask = (1 << (bits * n)) - 1
+        self.bits = 8 * self.width
+        self.even = int.from_bytes((b"\xff" * self.width + bytes(self.width)) * ((count + 1) // 2), "little")
 
     def pack(self, coeffs: list[int]) -> int:
         """The integer with coeffs[i] in slot i; each must be below 256^W."""
         w = self.width
         return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in coeffs), "little")
 
-    def unpack(self, v: int) -> list[int]:
-        """Slots 0 .. n - 1 of v, not reduced."""
-        w = self.width
+    def unpack(self, v: int, count: int) -> list[int]:
+        """Slots 0 .. count - 1 of v, each reduced mod p."""
+        w, p = self.width, self.p
         raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
         get = int.from_bytes
-        return [get(raw[i : i + w], "little") for i in range(0, w * self.n, w)]
+        return [get(raw[i : i + w], "little") % p for i in range(0, w * count, w)]
 
     def _reduce(self, v: int) -> int:
         """v with every slot x, x < 2^k, replaced by one in [0, 2p) and
@@ -250,6 +252,67 @@ class _PackedModulus:
         e -= p * (e * m >> k & even)
         o -= p * (o * m >> k & even)
         return e | o << bits
+
+    def divide(self, v: int, d: int, low: int, db: int, inv: int) -> tuple[list[int], int]:
+        """The quotient, coefficients in [0, p), and the packed remainder,
+        slots not reduced, of v of degree d by a divisor of degree db <= d
+        with low slots `low` and leading coefficient 1/inv mod p."""
+        p, bits = self.p, self.bits
+        quo = [0] * (d - db + 1)
+        for i in range(d, db - 1, -1):
+            top = bits * i
+            x = v >> top
+            v ^= x << top
+            c = x * inv % p
+            if c:
+                quo[i - db] = c
+                v += (p - c) * low << top - bits * db
+        return quo, v
+
+    def degree(self, v: int, d: int) -> tuple[int, int, int]:
+        """(v, its degree over F_p, its top slot) for v with slots 0 .. d in
+        [0, 2p), its top slots that vanish mod p masked off; (0, -1, 0) for
+        v = 0 mod p."""
+        bits, p = self.bits, self.p
+        slot = (1 << bits) - 1
+        while d >= 0 and (v >> bits * d & slot) % p == 0:
+            d -= 1
+        return v & (1 << bits * (d + 1)) - 1, d, v >> bits * d & slot if d >= 0 else 0
+
+
+class _PackedModulus(_Slots):
+    """Products modulo a monic f in F_p[X] of degree n >= 2 as single
+    integer products on packed slots (_Slots), reduced mod p in the
+    integer.
+
+    With mu = floor(X^(2n-2) / f), taken by one packed division,
+    c = c_hi X^n + c_lo of degree <= 2n - 2 has quotient floor(c / f) =
+    q = floor(c_hi mu / X^(n-2)) exactly: the rest of c / f,
+    c_hi (X^(2n-2)/f - mu) / X^(n-2) + c_lo / f, has no polynomial part.
+    So c mod f = c_lo - (q f) mod X^n, with no correction.
+
+    Slots.  The factors of a product have slots in [0, 2p): mulmod returns
+    such slots, and pow packs coefficients in [0, p).  So the slots of
+    c = a b are below n (2p)^2 = 4 n p^2.  c is reduced to slots in
+    [0, 2p) (_reduce), so those of c_hi mu, and of q, are below
+    (n - 1) 2p p.  q is reduced too, so those of q f_low are below
+    (n - 1) 2p p as well, and the bias B = 2 n p^2, a multiple of p, in
+    every slot keeps r = c_lo + B - (q f_low) mod X^n nonnegative slot by
+    slot, below B + 2p.  r is reduced last.  The division for mu, from
+    slots below 2 by low slots below p, stays below 2 + n (p - 1)^2.  So
+    no slot reaches S = 4 n p^2.  pow reduces the slots mod p once, at the
+    end.
+    """
+
+    def __init__(self, f: list[int], p: int):
+        n = len(f) - 1
+        super().__init__(p, 4 * n * p * p, 2 * n)
+        self.n = n
+        bits = self.bits
+        self.f_low = self.pack(f[:n])
+        self.mu = self.pack(self.divide(1 << bits * (2 * n - 2), 2 * n - 2, self.f_low, n, 1)[0])
+        self.bias = self.pack([2 * n * p * p] * n)
+        self.low_mask = (1 << (bits * n)) - 1
 
     def mulmod(self, a: int, b: int) -> int:
         """a b mod f, for slots of a and b in [0, 2p); the slots returned
@@ -268,7 +331,7 @@ class _PackedModulus:
             r = self.mulmod(r, r)
             if bit == "1":
                 r = self.mulmod(r, b)
-        return _trim([u % self.p for u in self.unpack(r)])
+        return _trim(self.unpack(r, self.n))
 
 
 def _stable_seed(p: int, f: list[int]) -> int:
@@ -350,8 +413,9 @@ def quadratic_roots(b: Fp2, c: Fp2, ctx: Fp2Ctx) -> tuple[Fp2, Fp2]:
 _MAX_DRAWS = 64
 
 # A node of at most this many quadratic factors is split by their traces
-# (_trace_split), with no norm draw.  Set by timing root finding over the
-# classpoly-roots pool: 3 took 4% less time than 2 and 2% less than 4
+# and norms (_trace_split), with no norm draw.  Set by timing root finding
+# over the 51 polynomials of the classpoly-roots pool: 2, 3 and 4 took the
+# same time within the noise (0.46-0.48 s), 6 took 2% and 8 6% more
 _TRACE_SPLIT_MAX = 3
 
 
@@ -366,8 +430,9 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     ((X + c)(X^p + c))^((p-1)/2), is +-1 modulo each factor: at a root r it
     is the Legendre symbol of r + c, or of the norm (r + c)(r^p + c^p) of
     r + c, since c^p = c.  So gcd(g, s - 1) splits g for about half of all
-    c.  A factor of degree 2 is solved by the quadratic formula
-    (quadratic_roots).
+    c.  The norm's base is N + cT + c^2 for T = X + X^p and N = X X^p
+    modulo g, which the trace split takes too.  A factor of degree 2 is
+    solved by the quadratic formula (quadratic_roots).
     """
     p = ctx.p
     if len(g) == 1:
@@ -378,14 +443,16 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
         return [*quadratic_roots((g[1], 0), (g[0], 0), ctx)]
     if xp is not None:
         xp = _fp_divmod(xp, g, p)[1]
+        t = _fp_sub(xp, [0, -1], p)  # X^p + X
+        norm = _fp_divmod([0, *xp], g, p)[1]  # X X^p
         if len(g) - 1 <= 2 * _TRACE_SPLIT_MAX:
-            factors = _trace_split(g, xp, ctx, rng)
+            factors = _trace_split(g, t, norm, ctx, rng)
             if factors is not None:
                 return [r for h in factors for r in _split(h, xp, ctx, rng)]
     mod = FfPoly(g, ctx)
     for _ in range(_MAX_DRAWS):
         c = rng.randrange(p)
-        base = [c, 1] if xp is None else _fp_mul([c, 1], [xp[0] + c, *xp[1:]])
+        base = [c, 1] if xp is None else [u + c * v + w for u, v, w in zip_longest(norm, t, [c * c], fillvalue=0)]
         s = FfPoly(base, ctx).pow_mod((p - 1) // 2, mod).coeffs
         g1 = _fp_gcd(g, _fp_sub(s, [1], p), p)
         if 1 < len(g1) < len(g):
@@ -393,53 +460,59 @@ def _split(g: list[int], xp: list[int] | None, ctx: Fp2Ctx, rng: random.Random) 
     raise CertificateError(f"no split of a degree-{len(g) - 1} factor in {_MAX_DRAWS} draws")
 
 
-def _trace_split(g: list[int], xp: list[int], ctx: Fp2Ctx, rng: random.Random) -> list[list[int]] | None:
+def _trace_split(g: list[int], t: list[int], norm: list[int], ctx: Fp2Ctx, rng: random.Random) -> list[list[int]] | None:
     """The factors of g, a monic product of k >= 2 distinct quadratics
-    irreducible over F_p, from their traces, for xp = X^p mod g; None when
-    two factors share a trace.
+    irreducible over F_p, from their traces and norms, for t = X + X^p and
+    norm = X X^p modulo g; None when two factors share a trace.
 
     Modulo a factor with roots r and r^p, T = X + X^p is r + r^p = s, its
-    trace, in F_p.  So, by the Chinese remainder theorem, T^j is s_i^j
-    modulo the i-th factor, and when the s_i are distinct, T^0, ..., T^(k-1)
-    are independent (a Vandermonde matrix in the s_i) and
-    R(Y) = prod (Y - s_i) is the monic polynomial of degree k with R(T) = 0
-    mod g (_trace_resolvent).  Its roots, found by the F_p-linear path of
-    _split, are the traces, and gcd(g, T - s_i) is the factor of trace s_i.
-    k distinct traces whose gcds all have degree 2 give k coprime factors
-    of total degree deg g, so their product is g; anything else raises
-    CertificateError.
+    trace, and N = X X^p = X^(p+1) is r r^p = n, its norm, both in F_p.  So,
+    by the Chinese remainder theorem, T^j is s_i^j modulo the i-th factor,
+    and when the s_i are distinct, T^0, ..., T^(k-1) are independent (a
+    Vandermonde matrix in the s_i), R(Y) = prod (Y - s_i) is the monic
+    polynomial of degree k with R(T) = 0 mod g, and N = phi(T) for the phi
+    of degree < k with phi(s_i) = n_i (_trace_resolvent).  R's roots, found
+    by the F_p-linear path of _split, are the traces, and the factor of
+    trace s is X^2 - sX + phi(s).  Their product must be g, which certifies
+    them whatever the solve did; anything else raises CertificateError.
     """
     p = ctx.p
     k = (len(g) - 1) // 2
-    t = _fp_sub(xp, [0, -1], p)  # X^p + X
     powers = [[1], t]
     for _ in range(k - 1):
         powers.append(_fp_divmod(_fp_mul(powers[-1], t), g, p)[1])
-    resolvent = _trace_resolvent(powers, p)
-    if resolvent is None:
+    solved = _trace_resolvent(powers, norm, p)
+    if solved is None:
         return None
+    resolvent, phi = solved
     traces = _split(resolvent, None, ctx, rng)
     if len({s for s, y in traces if y == 0}) != k:
         raise CertificateError("the trace resolvent does not have k distinct roots in F_p")
-    factors = [_fp_gcd(g, _fp_sub(t, [s], p), p) for s, _ in traces]
-    if any(len(h) != 3 for h in factors):
-        raise CertificateError("a trace does not cut out a quadratic factor")
+    factors = [[sum(c * pow(s, j, p) for j, c in enumerate(phi)) % p, -s % p, 1] for s, _ in traces]
+    product = factors[0]
+    for h in factors[1:]:
+        product = _fp_mul(product, h)
+    if [u % p for u in product] != g:
+        raise CertificateError("the quadratics of the traces do not multiply to the node")
     return factors
 
 
-def _trace_resolvent(powers: list[list[int]], p: int) -> list[int] | None:
-    """The monic R of degree k, ascending, with R(T) = 0, from powers =
-    [T^0, ..., T^k] modulo g of degree 2k; None when T^0, ..., T^(k-1) have
-    rank below k.
+def _trace_resolvent(powers: list[list[int]], norm: list[int], p: int) -> tuple[list[int], list[int]] | None:
+    """(R, phi), ascending, for powers = [T^0, ..., T^k] and norm = N modulo
+    g of degree 2k: the monic R of degree k with R(T) = 0, and phi of
+    degree < k with phi(T) = N; None when T^0, ..., T^(k-1) have rank
+    below k.
 
-    T^k = sum_(j < k) a_j T^j is a system of 2k equations, one per
-    coefficient of X, in the k unknowns a_j, solved by Gauss-Jordan
-    elimination mod p.  At rank k the solution is unique, and a remaining
-    row that is not 0 = 0 shows T^k outside the span: CertificateError.
+    T^k = sum_(j < k) a_j T^j and N = sum_(j < k) b_j T^j are systems of 2k
+    equations, one per coefficient of X, in the k unknowns a_j or b_j,
+    solved together by Gauss-Jordan elimination mod p, with two right-hand
+    columns.  At rank k the solutions are unique, and a remaining row that
+    is not 0 = 0 shows T^k or N outside the span: CertificateError.
     """
     k = len(powers) - 1
-    n = max(map(len, powers))  # the rows past the last coefficient are 0 = 0
-    rows = [[pw[i] if i < len(pw) else 0 for pw in powers] for i in range(n)]
+    columns = [*powers, norm]
+    n = max(map(len, columns))  # the rows past the last coefficient are 0 = 0
+    rows = [[c[i] if i < len(c) else 0 for c in columns] for i in range(n)]
     for col in range(k):
         pivot = next((i for i in range(col, n) if rows[i][col]), None)
         if pivot is None:
@@ -453,7 +526,9 @@ def _trace_resolvent(powers: list[list[int]], p: int) -> list[int] | None:
                 rows[i] = [(v - c * w) % p for v, w in zip(row, top)]
     if any(row[k] for row in rows[k:]):
         raise CertificateError("T^k is not a combination of lower powers of T")
-    return [-row[k] % p for row in rows[:k]] + [1]
+    if any(row[k + 1] for row in rows[k:]):
+        raise CertificateError("X^(p+1) is not a polynomial in T")
+    return [-row[k] % p for row in rows[:k]] + [1], [row[k + 1] for row in rows[:k]]
 
 
 def roots_with_multiplicity(f: FfPoly, ctx: Fp2Ctx | None = None) -> dict[Fp2, int]:

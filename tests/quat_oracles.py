@@ -17,7 +17,6 @@ from cmreduce.quatalg import (
     QuaternionAlgebra,
     QuatElement,
     _det3,
-    _fincke_pohst,
     _lll_gram,
     _qnorm,
     _unreduce,
@@ -129,16 +128,64 @@ def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fracti
     return [[d / det, -c / det], [-b / det, a / det]]
 
 
+def exact_norm_vectors(G, bound) -> list[tuple[int, ...]]:
+    """Every integer x with x^T G x = bound exactly, for a positive definite
+    integer G of size n >= 2.
+
+    The levels are those of `_fincke_pohst`: with a = G[0][0],
+    a x^T G x = (a x_0 + g.x')^2 + x'^T (a G' - g g^T) x', down to x_1.
+    The first coordinate is solved, not enumerated: (a x_0 + lin)^2 must be
+    room = a bound - tail, so room is a perfect square s^2 and
+    x_0 = (+-s - lin) / a for each sign at which a divides the numerator.
+    """
+    n = len(G)
+    piv, rows = [], []
+    S = [list(r) for r in G]
+    for _ in range(n):
+        a = S[0][0]
+        piv.append(a)
+        rows.append(S[0][1:])
+        S = [[a * S[i][j] - S[0][i] * S[0][j] for j in range(1, len(S))] for i in range(1, len(S))]
+    caps = [bound]
+    for a in piv[:-1]:
+        caps.append(caps[-1] * a)
+    x, out = [0] * n, []
+
+    def level(k, tail):
+        a = piv[k]
+        lin = sum(u * v for u, v in zip(rows[k], x[k + 1 :]))
+        room = a * caps[k] - tail
+        if room < 0:
+            return
+        s = math.isqrt(room)
+        if k == 0:
+            if s * s == room:
+                for w in (s, -s) if s else (0,):
+                    if (w - lin) % a == 0:
+                        x[0] = (w - lin) // a
+                        if any(x):
+                            out.append(tuple(x))
+                x[0] = 0
+            return
+        for z in range(-((s + lin) // a), (s - lin) // a + 1):
+            x[k] = z
+            level(k - 1, ((a * z + lin) ** 2 + tail) // a)
+        x[k] = 0
+
+    if bound >= 0:
+        level(n - 1, 0)
+    return out
+
+
 def vectors_with_norm(lat: Lattice4, target) -> list[tuple[int, ...]]:
     """HNF coordinates of every v in the lattice with Nr(v) = target,
-    sorted: LLL and Fincke-Pohst up to the trace-form value 2 den^2 target,
-    keeping the vectors that reach it."""
+    sorted: LLL, then the vectors of trace-form value exactly
+    2 den^2 target (exact_norm_vectors)."""
     scaled = 2 * lat.den**2 * Fraction(target)
     if scaled.denominator != 1:
         return []
-    bound = scaled.numerator
     H, R = _lll_gram(lat.trace_gram())
-    return sorted(_unreduce(H, y) for y, v in _fincke_pohst(R, bound) if v == bound)
+    return sorted(_unreduce(H, y) for y in exact_norm_vectors(R, scaled.numerator))
 
 
 def same_class_by_product(I: LeftIdeal, J: LeftIdeal) -> bool:

@@ -189,6 +189,103 @@ def test_poly_divmod_roundtrip():
         assert [(u + v) % p for u, v in zip_longest(_mul(q, g, p), r, fillvalue=0)] == f
 
 
+def _oracle_divmod(a, b, p):
+    """Quotient and remainder of a (coefficients in any range) by b != 0 on
+    integer coefficient lists over F_p, one list operation per quotient
+    coefficient."""
+    db = len(b) - 1
+    rem = list(a)
+    if len(rem) <= db:
+        quo = []
+    else:
+        inv = pow(b[-1], -1, p)
+        low = b[:db]
+        quo = [0] * (len(rem) - db)
+        for k in range(len(rem) - 1, db - 1, -1):
+            c = rem[k] % p * inv % p
+            if c:
+                quo[k - db] = c
+                rem[k - db : k] = [u - c * v for u, v in zip(rem[k - db : k], low)]
+        del rem[db:]
+    return quo, ffield._trim([u % p for u in rem])
+
+
+def _oracle_gcd(a, b, p):
+    """The monic gcd of a and b over F_p by Euclid on the list division."""
+    while b:
+        a, b = b, _oracle_divmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _ones_times(b, q, p):
+    """b (1 + X + ... + X^(q-1)) over F_p, by prefix sums of b."""
+    prefix = [0]
+    for c in b:
+        prefix.append(prefix[-1] + c)
+    return [(prefix[min(i, len(b) - 1) + 1] - prefix[max(0, i - q + 1)]) % p for i in range(len(b) + q - 1)]
+
+
+KERNEL_PRIMES = (5, 1013, 100003, 2**31 - 1)
+KERNEL_DEGREES = (1, 2, 3, 79, 195)
+
+
+def _check_kernel(module, primes):
+    """`module`'s packed _fp_divmod and _fp_gcd against the list oracle at
+    the primes, for divisors of KERNEL_DEGREES and dividends up to twice
+    that degree."""
+    for p in primes:
+        rng = random.Random(p)
+        for db in KERNEL_DEGREES:
+            monic = [rng.randrange(p) for _ in range(db)] + [1]
+            cases = [
+                # every coefficient at p - 1, the divisor's lead too
+                ([p - 1] * (2 * db + 1), [p - 1] * (db + 1)),
+                # a divisor that is not monic
+                ([rng.randrange(p) for _ in range(rng.randrange(db, 2 * db + 1))], monic[:-1] + [rng.randrange(2, p)]),
+                # unreduced products, as _fp_mul leaves them, and negative
+                # coefficients, as a difference before its reduction
+                (ffield._fp_mul(monic, [rng.randrange(p) for _ in range(db + 1)]), monic),
+                ([rng.randrange(-p * p, p * p) for _ in range(2 * db + 1)], monic),
+            ]
+            # an exact division, and a remainder whose top three
+            # coefficients vanish mod p (its degree is at most db - 4)
+            quo = [rng.randrange(p) for _ in range(db)] + [1]
+            rem = [rng.randrange(p) for _ in range(max(db - 3, 0))]
+            exact = [c % p for c in ffield._fp_mul(monic, quo)]
+            cases.append((exact, monic))
+            cases.append(([u + v for u, v in zip_longest(exact, rem, fillvalue=0)], monic))
+            for a, b in cases:
+                assert module._fp_divmod(a, b, p) == _oracle_divmod(a, b, p), (p, db)
+                a = ffield._trim([u % p for u in a])
+                b = ffield._trim([u % p for u in b])
+                assert module._fp_gcd(a, b, p) == _oracle_gcd(a, b, p), (p, db)
+            # a common factor of degree db, and Euclid's first remainder with
+            # its top three slots 0 mod p
+            h = [rng.randrange(p) for _ in range(db)] + [rng.randrange(1, p)]
+            u, v = ([rng.randrange(p) for _ in range(n)] + [1] for n in (db, 1))
+            a, b = ([c % p for c in ffield._fp_mul(h, w)] for w in (u, v))
+            g = module._fp_gcd(a, b, p)
+            assert g == _oracle_gcd(a, b, p) and len(g) > db, (p, db)
+            if db >= 4:
+                top = [rng.randrange(p) for _ in range(db - 4)] + [1]
+                b = monic
+                a = ffield._trim([(x + y) % p for x, y in zip_longest(exact, top, fillvalue=0)])
+                assert module._fp_gcd(a, b, p) == _oracle_gcd(a, b, p), (p, db)
+        # the slots at their bound: every quotient coefficient 1 against low
+        # slots p - 1, so each step adds (p - 1)^2 to min(q, db) slots; every
+        # quotient length q from 1 to db + 1, whatever the slot width
+        for db in (3, 79, 195):
+            b = [p - 1] * db + [1]
+            for q in range(1, db + 2):
+                assert module._fp_divmod(_ones_times(b, q, p), b, p) == ([1] * q, []), (p, db, q)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_packed_division_and_gcd_match_the_list_oracle(p):
+    _check_kernel(ffield, (p,))
+
+
 def _oracle_mulmod(a, b, f, p):
     """a * b mod the monic f on integer coefficient lists over F_p, schoolbook."""
     n = len(f) - 1
@@ -289,9 +386,9 @@ def test_packed_product_matches_the_schoolbook_product(n, p):
     cases += [[[rng.randrange(2 * p) for _ in range(n)] for _ in range(2)] + [[rng.randrange(p) for _ in range(n)]] for _ in range(3)]
     for a, b, f_low in cases:
         f = f_low + [1]
-        expected = ffield._fp_divmod(ffield._fp_mul(a, b), f, p)[1]
+        expected = _oracle_divmod(ffield._fp_mul(a, b), f, p)[1]
         for packed in (ffield._PackedModulus(f, p), _LargestSlots(f, p)):
-            got = packed.unpack(packed.mulmod(packed.pack(a), packed.pack(b)))
+            got = _slots(packed, packed.mulmod(packed.pack(a), packed.pack(b)), n)
             assert all(0 <= u < 2 * p for u in got)
             assert ffield._trim([u % p for u in got]) == expected
 
@@ -531,31 +628,58 @@ def _irreducible_quadratics(p):
 
 
 def _check_refusals(module):
-    """`module`'s trace split refuses, with CertificateError, a node that is
-    not a product of quadratics with distinct traces."""
+    """`module`'s trace split takes a product of quadratics with distinct
+    traces apart, and refuses, with CertificateError, a node that is not
+    one, and factors that do not multiply to the node."""
     p = 1009
     ctx = module.fp2_construct(p)
     f1, f2 = ([next(c for c in range(p) if kronecker(s * s - 4 * c, p) == -1), -s % p, 1] for s in (2, 4))
+
+    def trace_and_norm(g):
+        """T = X + X^p and N = X X^p modulo g."""
+        xp = module.FfPoly([0, 1], ctx).pow_mod(p, module.FfPoly(g, ctx)).coeffs
+        return module._fp_sub(xp, [0, -1], p), module._fp_divmod([0, *xp], g, p)[1]
+
+    g = _mul(f1, f2, p)
+    t, norm = trace_and_norm(g)
+    assert sorted(module._trace_split(g, t, norm, ctx, random.Random(0))) == sorted([f1, f2])
     # T = X^p in place of X + X^p: X^p generates F_p[X]/g as X does, so its
     # square lies outside the span of 1 and X^p, and the solve refuses it
-    g = _mul(f1, f2, p)
-    xp = module.FfPoly([0, 1], ctx).pow_mod(p, module.FfPoly(g, ctx)).coeffs
+    # (with N = 1, which that span holds)
+    xp = module._fp_sub(t, [0, 1], p)
     powers = [[1], xp, module._fp_divmod(_mul(xp, xp, p), g, p)[1]]
     try:
-        module._trace_resolvent(powers, p)
+        module._trace_resolvent(powers, [1], p)
     except CertificateError:
         pass
     else:
         raise AssertionError("the resolvent took T = X^p")
-    # f1 (X - 1)(X - 5): T is 2 modulo f1 and modulo X - 1, and 10 modulo
-    # X - 5, so the resolvent (Y - 2)(Y - 10) is consistent, but
-    # gcd(g, T - 2) = f1 (X - 1) has degree 3
-    g = _product([f1, [p - 1, 1], [p - 5, 1]], p)
-    xp = module.FfPoly([0, 1], ctx).pow_mod(p, module.FfPoly(g, ctx)).coeffs
+    # a fault in the solve that moves phi: X^2 - sX + phi(s) is then not a
+    # factor, and only the product check sees it
+    honest = module._trace_resolvent
+
+    def shifted(*args):
+        resolvent, phi = honest(*args)
+        return resolvent, [(phi[0] + 1) % p, *phi[1:]]
+
+    module._trace_resolvent = shifted
     try:
-        module._trace_split(g, xp, ctx, random.Random(0))
-    except CertificateError:
-        pass
+        module._trace_split(g, t, norm, ctx, random.Random(0))
+    except CertificateError as exc:
+        assert "multiply" in str(exc), exc
+    else:
+        raise AssertionError("the trace split took factors whose product is not the node")
+    finally:
+        module._trace_resolvent = honest
+    # f1 (X - 1)(X - 5): T is 2 modulo f1 and modulo X - 1, and 10 modulo
+    # X - 5, so the resolvent (Y - 2)(Y - 10) is consistent, but N is the
+    # norm f1[0] != 1 modulo f1 and 1 modulo X - 1, where T takes the same
+    # value: no phi has phi(T) = N
+    g = _product([f1, [p - 1, 1], [p - 5, 1]], p)
+    try:
+        module._trace_split(g, *trace_and_norm(g), ctx, random.Random(0))
+    except CertificateError as exc:
+        assert "X^(p+1)" in str(exc) or "multiply" in str(exc), exc
     else:
         raise AssertionError("the trace split took a node with linear factors")
 
@@ -613,12 +737,31 @@ def _mutant(old, new, monkeypatch):
         ("t = _fp_sub(xp, [0, -1], p)  # X^p + X", "t = xp"),
         # the resolvent's consistency check removed: T = X^p gets a resolvent
         ("if any(row[k] for row in rows[k:]):", "if False:"),
+        # the product check removed: a fault in the solve goes through
+        ("if [u % p for u in product] != g:", "if False:"),
     ],
 )
 def test_planted_split_faults_fail_the_oracle_checks(old, new, monkeypatch):
     module = _mutant(old, new, monkeypatch)
     with pytest.raises((AssertionError, CertificateError, DomainError)):
         _check_roots(module)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        # a slot width one bit short of the bound's bit length
+        ("self.k = bound.bit_length()", "self.k = bound.bit_length() - 1"),
+        # the top slot left unmasked: it stays in every later top slot read
+        ("            v ^= x << top\n", ""),
+        # a degree scan that drops only one slot vanishing mod p
+        ("while d >= 0 and (v >> bits * d & slot) % p == 0:", "if d >= 0 and (v >> bits * d & slot) % p == 0:"),
+    ],
+)
+def test_planted_kernel_faults_fail_the_oracle_checks(old, new, monkeypatch):
+    module = _mutant(old, new, monkeypatch)
+    with pytest.raises((AssertionError, ValueError)):
+        _check_kernel(module, KERNEL_PRIMES)
 
 
 def test_trace_split_refuses_what_is_not_a_product_of_quadratics():

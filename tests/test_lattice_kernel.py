@@ -41,6 +41,7 @@ from quat_oracles import (
     box_size,
     box_vectors,
     conjugate,
+    exact_norm_vectors,
     iota,
     least_embedding_vector_by_enumeration,
     least_primitive_gross_vectors,
@@ -551,6 +552,16 @@ def test_fincke_pohst_ternary_exact_values(G, bound):
     H, R = _lll_gram(G)
     got = sorted(_unreduce(H, y) for y, v in _fincke_pohst(R, bound) if v == bound)
     assert got == sorted(x for x, v in box_vectors(G, bound) if v == bound)
+
+
+@pytest.mark.parametrize("G, bound", _random_definite_grams(8, 3, 40))
+def test_exact_norm_vectors_match_box_enumeration(G, bound):
+    # the test oracle's exact level, on the cases above, on G and on its
+    # LLL reduction
+    expected = sorted(x for x, v in box_vectors(G, bound) if v == bound)
+    assert sorted(exact_norm_vectors(G, bound)) == expected
+    H, R = _lll_gram(G)
+    assert sorted(_unreduce(H, y) for y in exact_norm_vectors(R, bound)) == expected
 
 
 def test_fincke_pohst_rejects_indefinite_forms():
