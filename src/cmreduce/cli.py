@@ -328,7 +328,7 @@ def _verify_checks(quick: bool):
         for p in (5, 11):
             B = construct_Bp(p)
             for _ in range(50):
-                x = B.element(0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
+                x = (0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
                 u, v = killing_check(B, x)
                 _check(u == v, f"trace(ad_x^2) != -8 Nr(x) at p = {p}")
 

@@ -5,14 +5,16 @@ arithmetic, ideal class sets with mass certificates, Gross lattices,
 optimal embeddings, Killing-form and discriminant computations, and local
 norm surjectivity.
 
-Lattices are stored as (denominator, integer HNF basis matrix) against the
-1, i, j, k frame, so lattice equality is matrix equality.  All arithmetic
-is exact and every lattice coordinate is an integer: lattice products,
-right multiplication, ideal formation and neighbour ideals multiply the
-integer rows with the structure constants of the algebra, and one
-back-substitution on the HNF rows (`_hnf_coordinates`) decides
-membership.  The right order of a left ideal I of a maximal order is
-conj(I) I / Nr(I), spanned by the products conj(r_i) r_j of I's rows.
+An element x / d of the algebra is the integer row (d, x) of its
+coordinates in the 1, i, j, k frame, and a lattice is stored as
+(denominator, integer HNF basis matrix) against the same frame, so lattice
+equality is matrix equality.  All arithmetic is exact and every element and
+lattice coordinate is an integer: lattice products, right multiplication,
+ideal formation and neighbour ideals multiply the integer rows with the
+structure constants of the algebra, and one back-substitution on the HNF
+rows (`_hnf_coordinates`) decides membership.  The right order of a left
+ideal I of a maximal order is conj(I) I / Nr(I), spanned by the products
+conj(r_i) r_j of I's rows.
 The ell-neighbours of I are the ideals O x + ell I for the x in I that are
 of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 (Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
@@ -43,7 +45,6 @@ from .quadforms import Discriminant, QuadForm, _xgcd
 
 __all__ = [
     "QuaternionAlgebra",
-    "QuatElement",
     "Lattice4",
     "Order",
     "LeftIdeal",
@@ -133,14 +134,6 @@ class QuaternionAlgebra:
         None where it ramifies at none."""
         return next((q for q in self.ramified if q != "inf"), None)
 
-    def element(self, x0, x1, x2, x3) -> "QuatElement":
-        return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
-
-    def basis_elements(self) -> list["QuatElement"]:
-        e = [self.element(1, 0, 0, 0), self.element(0, 1, 0, 0),
-             self.element(0, 0, 1, 0), self.element(0, 0, 0, 1)]
-        return e
-
 
 def ramified_places(a: int, b: int) -> frozenset:
     """Certified ramification set via Hilbert symbols at inf, 2 and all
@@ -183,61 +176,6 @@ def mat2_model() -> QuaternionAlgebra:
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
-
-
-class QuatElement:
-    """Quaternion with rational coordinates in the 1, i, j, k frame."""
-
-    __slots__ = ("alg", "c")
-
-    def __init__(self, alg: QuaternionAlgebra, coords):
-        self.alg = alg
-        self.c = tuple(Fraction(x) for x in coords)
-
-    def __repr__(self):
-        return f"QuatElement{self.c}"
-
-    def __eq__(self, other):
-        return isinstance(other, QuatElement) and self.alg == other.alg and self.c == other.c
-
-    def __hash__(self):
-        return hash((self.alg.a, self.alg.b, self.c))
-
-    def __add__(self, other):
-        return QuatElement(self.alg, tuple(x + y for x, y in zip(self.c, other.c)))
-
-    def __sub__(self, other):
-        return QuatElement(self.alg, tuple(x - y for x, y in zip(self.c, other.c)))
-
-    def __neg__(self):
-        return QuatElement(self.alg, tuple(-x for x in self.c))
-
-    def __mul__(self, other):
-        if isinstance(other, QuatElement):
-            return QuatElement(self.alg, _qmul(self.alg.a, self.alg.b, self.c, other.c))
-        return self.scale(other)
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
-
-    def scale(self, scalar):
-        s = Fraction(scalar)
-        return QuatElement(self.alg, tuple(s * x for x in self.c))
-
-    def conj(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.c
-        return QuatElement(self.alg, (x0, -x1, -x2, -x3))
-
-    def trace(self) -> Fraction:
-        return 2 * self.c[0]
-
-    def norm(self) -> Fraction:
-        return _qnorm(self.alg.a, self.alg.b, self.c)
-
-    def numerator(self) -> tuple[int, list[int]]:
-        """(den, n) with self = n / den and den the least common denominator."""
-        den = math.lcm(*(x.denominator for x in self.c))
-        return den, [x.numerator * (den // x.denominator) for x in self.c]
 
 
 def _qmul(a: int, b: int, x, y) -> list:
@@ -348,30 +286,16 @@ class Lattice4:
         return cls(alg=alg, den=den // g, mat=tuple(tuple(x // g for x in r) for r in h))
 
     @classmethod
-    def from_elements(cls, alg: QuaternionAlgebra, elements: list[QuatElement]) -> "Lattice4":
-        den = math.lcm(*(x.denominator for e in elements for x in e.c))
-        rows = [[x.numerator * (den // x.denominator) for x in e.c] for e in elements]
-        return cls.from_rows(alg, rows, den)
-
-    def basis(self) -> list[QuatElement]:
-        return [
-            QuatElement(self.alg, tuple(Fraction(x, self.den) for x in row)) for row in self.mat
-        ]
+    def from_elements(cls, alg: QuaternionAlgebra, elements) -> "Lattice4":
+        """The lattice spanned by the elements x / d, each given as the
+        integer row (d, x)."""
+        den = math.lcm(*(d for d, _ in elements))
+        return cls.from_rows(alg, [[v * (den // d) for v in x] for d, x in elements], den)
 
     def covolume(self) -> tuple[int, int]:
         """(n, d) with covolume n / d in the span: the product of the HNF
         pivots, the first nonzero entry of each row, and den^rank."""
         return math.prod(next(filter(None, r)) for r in self.mat), self.den ** len(self.mat)
-
-    def det_fraction(self) -> Fraction:
-        """`covolume` as a Fraction."""
-        return Fraction(*self.covolume())
-
-    def coordinates(self, x: QuatElement) -> list[int] | None:
-        """Integer coordinates of x in the HNF basis, or None if x is not in
-        the lattice."""
-        d, n = x.numerator()
-        return _hnf_coordinates(self.mat, [v * self.den for v in n], d)
 
     def product(self, other: "Lattice4") -> "Lattice4":
         a, b = self.alg.a, self.alg.b
@@ -562,10 +486,11 @@ class Order:
         """The square root of |det Trd(e_i conj(e_j))| over a basis e: the
         trace form has determinant 16 a^2 b^2 on the 1, i, j, k frame, so
         this is 4 |ab| times the covolume of the lattice."""
-        rd = 4 * abs(self.alg.a * self.alg.b) * self.lattice.det_fraction()
-        if rd.denominator != 1:
+        n, d = self.lattice.covolume()
+        rd, r = divmod(4 * abs(self.alg.a * self.alg.b) * n, d)
+        if r:
             raise CertificateError("non-integral reduced discriminant")
-        return rd.numerator
+        return rd
 
     def anisotropic_element(self, ell: int) -> tuple[int, ...]:
         """The first y = c . H over c in [0, ell)^4 in product order, H the
@@ -635,16 +560,15 @@ def maximal_order(B: QuaternionAlgebra) -> Order:
     p = B.ramified_prime
     if p is None or B != construct_Bp(p):
         raise DomainError("maximal_order expects the algebra construct_Bp(p)")
-    h, f = Fraction(1, 2), Fraction(1, 4)
     if B.a == -1:
-        gens = [(1, 0, 0, 0), (0, 1, 0, 0), (h, 0, h, 0), (0, h, 0, h)]
+        gens = [(1, (1, 0, 0, 0)), (1, (0, 1, 0, 0)), (2, (1, 0, 1, 0)), (2, (0, 1, 0, 1))]
     elif B.a == -2:
-        gens = [(h, 0, h, h), (0, f, h, f), (0, 0, 1, 0), (0, 0, 0, 1)]
+        gens = [(2, (1, 0, 1, 1)), (4, (0, 1, 2, 1)), (1, (0, 0, 1, 0)), (1, (0, 0, 0, 1))]
     else:
         q = -B.a
         c = max(c for c in range(q) if (c * c * p + 1) % q == 0)
-        gens = [(h, h, 0, 0), (0, 0, h, -h), (0, Fraction(1, q), 0, Fraction(-c, q)), (0, 0, 0, 1)]
-    order = Order(lattice=Lattice4.from_elements(B, [B.element(*g) for g in gens]))
+        gens = [(2, (1, 1, 0, 0)), (2, (0, 0, 1, -1)), (q, (0, 1, 0, -c)), (1, (0, 0, 0, 1))]
+    order = Order(lattice=Lattice4.from_elements(B, gens))
     if order.reduced_discriminant != p or not order.is_multiplicatively_closed():
         raise CertificateError(f"Pizer's basis for ({B.a}, {B.b}) is not a maximal order")
     return order
@@ -666,8 +590,11 @@ class GrossLattice(Lattice4):
         """`trace_gram`, kept with the lattice for every search on it."""
         return tuple(map(tuple, self.trace_gram()))
 
-    def contains_primitive(self, v: QuatElement) -> bool:
-        coords = self.coordinates(v)
+    def contains_primitive(self, v: tuple[int, tuple[int, ...]]) -> bool:
+        """True iff the element x / d of the row v = (d, x) is a primitive
+        vector of the lattice."""
+        d, x = v
+        coords = _hnf_coordinates(self.mat, [self.den * c for c in x], d)
         return coords is not None and math.gcd(*coords) == 1
 
 
@@ -682,10 +609,11 @@ def gross_lattice(order: Order) -> GrossLattice:
 @dataclass(frozen=True)
 class Embedding:
     """Optimal embedding of the quadratic order of discriminant D recorded
-    as the Gross-lattice vector v = iota(sqrt(D))."""
+    as the Gross-lattice vector v = iota(sqrt(D)), the integer row
+    (vden, vnum) in lowest terms: v = vnum / vden."""
 
     disc: Discriminant
-    v: QuatElement
+    v: tuple[int, tuple[int, ...]]
     order: Order
 
 
@@ -790,8 +718,8 @@ def find_optimal_embedding(order: Order, D) -> Embedding:
     lat = order.lattice
     if _hnf_coordinates(lat.mat, [lat.den * x for x in (disc.D * gl.den, *row[1:])], 2 * gl.den) is None:
         raise CertificateError("(D + v)/2 fails to land in the order")
-    v = QuatElement(gl.alg, [Fraction(x, gl.den) for x in row])
-    return Embedding(disc=disc, v=v, order=order)
+    g = math.gcd(gl.den, *row)
+    return Embedding(disc=disc, v=(gl.den // g, tuple(x // g for x in row)), order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -806,8 +734,8 @@ class LeftIdeal:
 
     @cached_property
     def reduced_norm(self) -> Fraction:
-        ratio = self.lattice.det_fraction() / self.left_order.lattice.det_fraction()
-        return exact_sqrt_fraction(ratio)
+        (n, d), (m, e) = self.lattice.covolume(), self.left_order.lattice.covolume()
+        return exact_sqrt_fraction(Fraction(n * e, d * m))
 
     @cached_property
     def shortest_vectors(self) -> list[tuple[int, ...]]:
@@ -844,11 +772,11 @@ def order_as_ideal(order: Order) -> LeftIdeal:
     return LeftIdeal(lattice=order.lattice, left_order=order)
 
 
-def left_ideal_from_class(base: LeftIdeal, v: tuple[int, list[int] | tuple[int, ...]], f: QuadForm) -> LeftIdeal:
+def left_ideal_from_class(base: LeftIdeal, v: tuple[int, tuple[int, ...]], f: QuadForm) -> LeftIdeal:
     """base * (Z a + Z (-b + v)/2) = base a + base (-b + v)/2 for the form
     f = (a, b, c), where v = iota(sqrt(D)) = vnum / vden, given as the
-    integer row (vden, vnum) that `QuatElement.numerator` returns, embeds the
-    order of discriminant D = disc(f) into the right order of `base`.  Its
+    integer row (vden, vnum) of `Embedding.v`, embeds the order of
+    discriminant D = disc(f) into the right order of `base`.  Its
     reduced norm is Nr(base) a, which callers certify.  For
     base = order_as_ideal(O) and v = emb.v this is O a + O iota((-b + sqrt(D))/2).
     Requires p not dividing a, which holds whenever p is inert in Q(sqrt(D)):
@@ -1012,30 +940,23 @@ def quaternion_data(p: int) -> tuple[QuaternionAlgebra, Order, IdealClassSet]:
 # ---------------------------------------------------------------------------
 
 
-def _ad_matrix(x: QuatElement) -> list[list[Fraction]]:
-    """Matrix of v -> xv - vx on the traceless subspace in basis (i, j, k)."""
-    alg = x.alg
-    cols = []
-    for e in alg.basis_elements()[1:]:
-        img = x * e - e * x
-        if img.c[0] != 0:
-            raise CertificateError("commutator with a basis element has nonzero trace")
-        cols.append(img.c[1:])
-    # cols[j] = image of basis vector j; matrix M[i][j] = cols[j][i]
-    return [[cols[j][i] for j in range(3)] for i in range(3)]
-
-
-def killing_check(B: QuaternionAlgebra, x: QuatElement) -> tuple[Fraction, Fraction]:
-    """(trace(ad_x^2), -8 Nr(x)) for traceless x; equal identically.
+def killing_check(B: QuaternionAlgebra, x) -> tuple[int, int]:
+    """(trace(ad_x^2), -8 Nr(x)) for the traceless x with integer
+    coordinates x in the 1, i, j, k frame; equal identically.
 
     ad_x has spectrum {0, +2 sqrt(x^2), -2 sqrt(x^2)} on the traceless
     subspace and x^2 = -Nr(x), so trace(ad_x^2) = 8 x^2 = -8 Nr(x).
     """
-    if x.trace() != 0:
+    if x[0]:
         raise DomainError("killing_check requires a traceless element")
-    M = _ad_matrix(x)
-    tr = sum(M[i][j] * M[j][i] for i in range(3) for j in range(3))
-    return tr, -8 * x.norm()
+    a, b = B.a, B.b
+    # cols[j][i] is entry (i, j) of ad_x in the basis i, j, k: the i, j, k
+    # coordinates of x e_j - e_j x
+    cols = [
+        [u - v for u, v in zip(_qmul(a, b, x, e), _qmul(a, b, e, x))][1:]
+        for e in ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    ]
+    return sum(cols[j][i] * cols[i][j] for i in range(3) for j in range(3)), -8 * _qnorm(a, b, x)
 
 
 def packet_discriminant(emb: Embedding) -> int:

@@ -293,7 +293,7 @@ def _prime_reduction(d: int, p: int) -> tuple[tuple[tuple[int, int, int], int], 
     if emb is None:
         raise CertificateError(f"no ideal class hosts an embedding of D={d} at p={p}")
     forms = reduced_forms(d)
-    state = {forms[0]: (base_idx, emb.v.numerator())}
+    state = {forms[0]: (base_idx, emb.v)}
 
     def chain(f: QuadForm, g: QuadForm) -> list[QuadForm]:
         t, w = state[f]
@@ -484,6 +484,8 @@ class ScanConfig:
             for q in (q1, q2):
                 if not is_prime(q) or q % 2 == 0:
                     raise ConfigError(f"split-filter prime {q} must be an odd prime")
+            if q1 == q2:
+                raise ConfigError("split-filter primes must be distinct")
             if set(self.split_filter) & set(self.primes):
                 raise ConfigError("split filter overlaps reduction primes")
         if self.threads < 1:

@@ -1,5 +1,9 @@
 """Independent constructions that the quaternion tests compare against,
-written on the integer HNF rows (`mat`, `den`) of the lattices."""
+written on the integer HNF rows (`mat`, `den`) of the lattices, and the
+`Fraction` reference for the integer element rows (d, x) of
+`cmreduce.quatalg`: `QuatElement` arithmetic, a lattice's basis, the
+coordinates of an element by a `Fraction` solve, and the lattice spanned by
+elements."""
 
 import math
 from fractions import Fraction
@@ -15,7 +19,6 @@ from cmreduce.quatalg import (
     LeftIdeal,
     Order,
     QuaternionAlgebra,
-    QuatElement,
     _det3,
     _lll_gram,
     _qnorm,
@@ -27,6 +30,109 @@ from cmreduce.quatalg import (
     quaternion_data,
     ramified_places,
 )
+
+
+class QuatElement:
+    """Quaternion with rational coordinates in the 1, i, j, k frame, with
+    its own product and norm formulas."""
+
+    __slots__ = ("alg", "c")
+
+    def __init__(self, alg: QuaternionAlgebra, coords):
+        self.alg = alg
+        self.c = tuple(Fraction(x) for x in coords)
+
+    def __repr__(self):
+        return f"QuatElement{self.c}"
+
+    def __eq__(self, other):
+        return isinstance(other, QuatElement) and self.alg == other.alg and self.c == other.c
+
+    def __add__(self, other):
+        return QuatElement(self.alg, [x + y for x, y in zip(self.c, other.c)])
+
+    def __sub__(self, other):
+        return QuatElement(self.alg, [x - y for x, y in zip(self.c, other.c)])
+
+    def __mul__(self, other):
+        a, b = self.alg.a, self.alg.b
+        x0, x1, x2, x3 = self.c
+        y0, y1, y2, y3 = other.c
+        return QuatElement(self.alg, [
+            x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+        ])
+
+    def scale(self, scalar):
+        s = Fraction(scalar)
+        return QuatElement(self.alg, [s * x for x in self.c])
+
+    def conj(self) -> "QuatElement":
+        x0, x1, x2, x3 = self.c
+        return QuatElement(self.alg, (x0, -x1, -x2, -x3))
+
+    def trace(self) -> Fraction:
+        return 2 * self.c[0]
+
+    def norm(self) -> Fraction:
+        a, b = self.alg.a, self.alg.b
+        x0, x1, x2, x3 = self.c
+        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+
+    def numerator(self) -> tuple[int, tuple[int, ...]]:
+        """The integer row (den, n) in lowest terms: self = n / den."""
+        den = math.lcm(*(x.denominator for x in self.c))
+        return den, tuple(x.numerator * (den // x.denominator) for x in self.c)
+
+
+def element(alg: QuaternionAlgebra, *coords) -> QuatElement:
+    return QuatElement(alg, coords)
+
+
+def from_row(alg: QuaternionAlgebra, v) -> QuatElement:
+    """The element x / d of the integer row v = (d, x)."""
+    d, x = v
+    return QuatElement(alg, [Fraction(c, d) for c in x])
+
+
+def basis_of(L: Lattice4) -> list[QuatElement]:
+    """The elements of L's HNF basis."""
+    return [from_row(L.alg, (L.den, row)) for row in L.mat]
+
+
+def fraction_solve(mat, target, den) -> list[int] | None:
+    """c with c . mat = target / den by Gauss-Jordan over Fraction on the
+    transposed system, or None when there is no solution or it is not
+    integral; independent of the HNF shape of mat."""
+    n = len(mat)
+    rows = [[Fraction(mat[k][j]) for k in range(n)] + [Fraction(target[j], den)] for j in range(4)]
+    r = 0
+    for col in range(n):
+        piv = next(i for i in range(r, 4) if rows[i][col])  # mat has rank n
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(4):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if any(rows[i][n] for i in range(n, 4)):
+        return None
+    c = [rows[k][n] for k in range(n)]
+    return [int(x) for x in c] if all(x.denominator == 1 for x in c) else None
+
+
+def coordinates_in(L: Lattice4, x: QuatElement) -> list[int] | None:
+    """Integer coordinates of x in L's HNF basis, or None if x is not in L."""
+    d, n = x.numerator()
+    return fraction_solve(L.mat, [v * L.den for v in n], d)
+
+
+def span(alg: QuaternionAlgebra, elements, cls=Lattice4) -> Lattice4:
+    """The lattice of class `cls` spanned by the elements."""
+    den = math.lcm(*(x.denominator for e in elements for x in e.c))
+    return cls.from_rows(alg, [[int(x * den) for x in e.c] for e in elements], den)
 
 
 def _det4(m) -> int:
@@ -107,14 +213,16 @@ def reconstruct_order_from_gross(gl: GrossLattice) -> Lattice4:
 def iota(emb: Embedding, m, n) -> QuatElement:
     """The image of m + n (D + sqrt(D))/2 under the embedding, with
     iota(sqrt(D)) = emb.v."""
-    one = emb.order.alg.element(1, 0, 0, 0)
-    return one.scale(Fraction(m) + Fraction(n) * Fraction(emb.disc.D, 2)) + emb.v.scale(Fraction(n, 2))
+    alg = emb.order.alg
+    one = element(alg, 1, 0, 0, 0)
+    return one.scale(Fraction(m) + Fraction(n) * Fraction(emb.disc.D, 2)) + from_row(alg, emb.v).scale(Fraction(n, 2))
 
 
-def embedding_preimage_lattice(order: Order, v: QuatElement) -> list[list[Fraction]]:
-    """Basis (rows, coordinates in (1, v)) of {m + n v : m, n in Q} cap O."""
-    b_one = order.lattice.coordinates(order.alg.element(1, 0, 0, 0))
-    b_v = order.lattice.coordinates(v)
+def embedding_preimage_lattice(order: Order, v) -> list[list[Fraction]]:
+    """Basis (rows, coordinates in (1, v)) of {m + n v : m, n in Q} cap O,
+    for v given as the integer row (d, x)."""
+    b_one = coordinates_in(order.lattice, element(order.alg, 1, 0, 0, 0))
+    b_v = coordinates_in(order.lattice, from_row(order.alg, v))
     if b_one is None or b_v is None:
         raise DomainError("1 and v must lie in O")
     # m + n v lies in O iff m b_one + n b_v is integral: the preimage is the
@@ -261,7 +369,7 @@ def direct_prime_reduction(d: int, p: int) -> dict[tuple[int, int, int], int]:
             continue
         labels = {}
         for f in reduced_forms(d):
-            ideal = left_ideal_from_class(base, emb.v.numerator(), f)
+            ideal = left_ideal_from_class(base, emb.v, f)
             if ideal.reduced_norm != base.reduced_norm * f.a:
                 raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {f.a}")
             labels[f.as_tuple()] = cls.index_of(ideal)

@@ -163,7 +163,7 @@ def test_criterion_8_killing_identity():
     for B in algebras:
         checked = 0
         while checked < 100:
-            x = B.element(0, rng.randrange(-50, 51), rng.randrange(-50, 51), rng.randrange(-50, 51))
+            x = (0, rng.randrange(-50, 51), rng.randrange(-50, 51), rng.randrange(-50, 51))
             lhs, rhs = killing_check(B, x)
             assert lhs == rhs
             checked += 1

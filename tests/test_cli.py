@@ -146,6 +146,12 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_scan_refuses_a_split_filter_with_one_prime_twice(capsys):
+    code, out, err = run_capture(capsys, ["scan", "--primes", "11", "--dmin", "3", "--dmax", "10", "--split", "3,3"])
+    assert code == 1 and out == ""
+    assert "distinct" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_capture(capsys, ["frobnicate"])
     assert code == 1

@@ -15,6 +15,7 @@ CASES = {
     "quat_p11_classes.json": ["quat", "--p", "11", "classes", "--json"],
     "quat_p23_classes.json": ["quat", "--p", "23", "classes", "--json"],
     "quat_p53_classes.json": ["quat", "--p", "53", "classes", "--json"],
+    "quat_p73_classes.json": ["quat", "--p", "73", "classes", "--json"],  # a = -7
     "reduce_D-23_p11.txt": ["reduce", "--D", "-23", "--p", "11"],
     "reduce_D-10055_p23.txt": ["reduce", "--D", "-10055", "--p", "23"],
     "reduce_D-1127_p37.txt": ["reduce", "--D", "-1127", "--p", "37"],

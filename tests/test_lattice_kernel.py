@@ -1,7 +1,7 @@
 """The integer lattice kernel of quatalg against independent references:
-lattice products, right multiplication and ideal formation against
-`Lattice4.from_elements` over `QuatElement` products, integer coordinates
-against `QuatElement` arithmetic, neighbour ideals against their defining
+lattice products, right multiplication and ideal formation against the
+span of `Fraction` element products, integer coordinates and embedding
+rows against `Fraction` arithmetic, neighbour ideals against their defining
 properties, the LLL + Fincke-Pohst short-vector search against
 brute-force box enumeration, the self-bounded slice walk against box
 enumeration, and the optimal-embedding search against box enumeration and
@@ -38,13 +38,19 @@ from cmreduce.quatalg import (
 )
 from quat_oracles import (
     _det4,
+    basis_of,
     box_size,
     box_vectors,
     conjugate,
+    coordinates_in,
+    element,
     exact_norm_vectors,
+    fraction_solve,
+    from_row,
     iota,
     least_embedding_vector_by_enumeration,
     least_primitive_gross_vectors,
+    span,
 )
 
 PRIMES = (5, 11, 23, 37)
@@ -57,7 +63,7 @@ def _class_lattices(p):
 
 
 def _product_reference(L1, L2):
-    return Lattice4.from_elements(L1.alg, [x * y for x in L1.basis() for y in L2.basis()])
+    return span(L1.alg, [x * y for x in basis_of(L1) for y in basis_of(L2)])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -78,8 +84,8 @@ def test_right_order_matches_element_products(p):
     _, O, cls = quaternion_data(p)
     ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
     for I in ideals:
-        basis = I.lattice.basis()
-        expected = Lattice4.from_elements(O.alg, [(b.conj() * c).scale(1 / I.reduced_norm) for b in basis for c in basis])
+        basis = basis_of(I.lattice)
+        expected = span(O.alg, [(b.conj() * c).scale(1 / I.reduced_norm) for b in basis for c in basis])
         assert right_order(I).lattice == expected
 
 
@@ -90,20 +96,27 @@ def test_every_public_method_on_a_gross_lattice(p):
         gl = gross_lattice(Or)
         assert len(gl.mat) == 3 and all(r[0] == 0 for r in gl.mat)
         minor = [list(r[1:]) for r in gl.mat]
-        assert gl.det_fraction() == Fraction(abs(_det3(minor)), gl.den**3)
-        basis = gl.basis()
+        assert Fraction(*gl.covolume()) == Fraction(abs(_det3(minor)), gl.den**3)
+        basis = basis_of(gl)
         assert all(v.trace() == 0 for v in basis)
-        assert GrossLattice.from_elements(O.alg, basis) == gl
+        assert GrossLattice.from_elements(O.alg, [v.numerator() for v in basis]) == gl
+        assert span(O.alg, basis, GrossLattice) == gl
         assert GrossLattice.from_rows(O.alg, [[2 * x for x in r] for r in gl.mat], 2 * gl.den) == gl
         with pytest.raises(DomainError):
             GrossLattice.from_rows(O.alg, [list(r) for r in Or.lattice.mat], Or.lattice.den)
         for k, v in enumerate(basis):
-            assert gl.contains_primitive(v)
-            assert gl.coordinates(v) == [int(i == k) for i in range(3)]
-        assert gl.coordinates(O.alg.element(1, 0, 0, 0)) is None
+            assert gl.contains_primitive(v.numerator())
+            assert coordinates_in(gl, v) == [int(i == k) for i in range(3)]
+        assert not gl.contains_primitive((1, (1, 0, 0, 0)))
         T = gl.trace_gram()
         assert [[2 * gl.den**2 * (x * y.conj()).c[0] for y in basis] for x in basis] == T
         assert gl.product(Or.lattice) == _product_reference(gl, Or.lattice)
+
+
+def _kernel_coordinates(L, x):
+    # the integer solve on the row (d, n) of x = n / d
+    d, n = x.numerator()
+    return quatalg._hnf_coordinates(L.mat, [L.den * v for v in n], d)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -113,47 +126,26 @@ def test_integer_coordinates_on_class_sets(p):
     lattices = _class_lattices(p) + [J.lattice for I in cls.representatives for J in _neighbor_ideals(I, 2)]
     grosses = [gross_lattice(Or) for Or in cls.right_orders]
     for L in lattices + grosses:
-        basis = L.basis()
+        basis = basis_of(L)
         for _ in range(8):
             c = [rng.randrange(-9, 10) for _ in basis]
-            x = O.alg.element(0, 0, 0, 0)
+            x = element(O.alg, 0, 0, 0, 0)
             for coef, b in zip(c, basis):
                 x = x + b.scale(coef)
-            coords = L.coordinates(x)
-            assert coords == c
+            coords = _kernel_coordinates(L, x)
+            assert coords == c == coordinates_in(L, x)
             # coordinates(x) . mat / den == x in the 1, i, j, k frame
             back = [Fraction(sum(k * row[j] for k, row in zip(coords, L.mat)), L.den) for j in range(4)]
             assert back == list(x.c)
             # one non-integral coordinate puts the vector outside the lattice
             i = rng.randrange(len(basis))
             off = x + basis[i].scale(Fraction(1, rng.randrange(2, 6)))
-            assert L.coordinates(off) is None
+            assert _kernel_coordinates(L, off) is None is coordinates_in(L, off)
             if isinstance(L, GrossLattice):
-                assert L.contains_primitive(x) == (math.gcd(*c) == 1)
-                assert not L.contains_primitive(off)
+                assert L.contains_primitive(x.numerator()) == (math.gcd(*c) == 1)
+                assert not L.contains_primitive(off.numerator())
         if isinstance(L, GrossLattice):
-            assert L.coordinates(O.alg.element(1, 0, 0, 0)) is None  # not traceless
-
-
-def _fraction_solve(mat, target, den):
-    """c with c . mat = target / den by Gauss-Jordan over Fraction on the
-    transposed system, or None when there is no solution or it is not
-    integral; independent of the HNF shape of mat."""
-    n = len(mat)
-    rows = [[Fraction(mat[k][j]) for k in range(n)] + [Fraction(target[j], den)] for j in range(4)]
-    r = 0
-    for col in range(n):
-        piv = next(i for i in range(r, 4) if rows[i][col])  # mat has rank n
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][col] for x in rows[r]]
-        for i in range(4):
-            if i != r and rows[i][col]:
-                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    if any(rows[i][n] for i in range(n, 4)):
-        return None
-    c = [rows[k][n] for k in range(n)]
-    return [int(x) for x in c] if all(x.denominator == 1 for x in c) else None
+            assert _kernel_coordinates(L, element(O.alg, 1, 0, 0, 0)) is None  # not traceless
 
 
 def _random_hnf(rng, rank):
@@ -176,22 +168,22 @@ def test_hnf_coordinates_matches_a_fraction_solve(rank):
         den = rng.randrange(1, 7)
         c = [rng.randrange(-30, 31) for _ in range(rank)]
         t = [den * sum(ci * row[j] for ci, row in zip(c, M)) for j in range(4)]
-        assert quatalg._hnf_coordinates(M, t, den) == c == _fraction_solve(M, t, den)
+        assert quatalg._hnf_coordinates(M, t, den) == c == fraction_solve(M, t, den)
         for k in range(rank):
             q = rng.randrange(2, 6)
             off = [ci * q + (i == k) * rng.randrange(1, q) for i, ci in enumerate(c)]
             t = [den * sum(ci * row[j] for ci, row in zip(off, M)) for j in range(4)]
             # t / (q den) has the coordinates off / q, non-integral at k alone
-            assert quatalg._hnf_coordinates(M, t, q * den) is None is _fraction_solve(M, t, q * den)
+            assert quatalg._hnf_coordinates(M, t, q * den) is None is fraction_solve(M, t, q * den)
         if rank == 3:
             # a target outside the span: a nonzero entry left of the pivots
             t = [den * sum(ci * row[j] for ci, row in zip(c, M)) for j in range(4)]
             t[0] = den * rng.choice((-1, 1)) * rng.randrange(1, 9)
-            assert quatalg._hnf_coordinates(M, t, den) is None is _fraction_solve(M, t, den)
+            assert quatalg._hnf_coordinates(M, t, den) is None is fraction_solve(M, t, den)
 
 
 def test_determinant_is_the_hnf_diagonal_product():
-    # HNF rows of a full-rank lattice are upper triangular, so det_fraction
+    # HNF rows of a full-rank lattice are upper triangular, so the covolume
     # reads the diagonal; four generators span a lattice of covolume |det|
     rng = random.Random(3)
     alg = quaternion_data(5)[1].alg
@@ -205,9 +197,9 @@ def test_determinant_is_the_hnf_diagonal_product():
         except DomainError:
             continue
         assert all(L.mat[i][j] == 0 for i in range(4) for j in range(i))
-        assert L.det_fraction() == Fraction(abs(_det4(L.mat)), L.den**4)
+        assert Fraction(*L.covolume()) == Fraction(abs(_det4(L.mat)), L.den**4)
         if count == 4:
-            assert L.det_fraction() == Fraction(abs(_det4(rows)), den**4)
+            assert Fraction(*L.covolume()) == Fraction(abs(_det4(rows)), den**4)
         cases += 1
 
 
@@ -225,9 +217,9 @@ def test_integer_ideal_formation_matches_element_products(p):
                 continue
             for f in reduced_forms(D):
                 w = iota(emb, (-f.b - D) // 2, 1)  # (-b + sqrt(D)) / 2
-                bas = I.lattice.basis()
-                expected = Lattice4.from_elements(O.alg, [e.scale(f.a) for e in bas] + [e * w for e in bas])
-                ideal = left_ideal_from_class(I, emb.v.numerator(), f)
+                bas = basis_of(I.lattice)
+                expected = span(O.alg, [e.scale(f.a) for e in bas] + [e * w for e in bas])
+                ideal = left_ideal_from_class(I, emb.v, f)
                 assert ideal.lattice == expected
                 assert ideal.reduced_norm == I.reduced_norm * f.a
                 checked += 1
@@ -237,7 +229,7 @@ def test_integer_ideal_formation_matches_element_products(p):
     # the order itself is the base case
     emb = find_optimal_embedding(O, next(D for D in range(-3, -200, -1) if _hosts(O, D, p)))
     f = reduced_forms(emb.disc.D)[0]
-    assert left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), f).reduced_norm == f.a
+    assert left_ideal_from_class(order_as_ideal(O), emb.v, f).reduced_norm == f.a
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -250,19 +242,19 @@ def test_neighbor_ideals_are_the_ell_neighbours(p):
         assert len({J.lattice for J in neighbours}) == ell + 1
         for J in neighbours:
             # ell I < J < I, J a left O-ideal of norm ell Nr(I)
-            assert all(J.lattice.coordinates(b.scale(ell)) is not None for b in I.lattice.basis())
-            assert all(I.lattice.coordinates(b) is not None for b in J.lattice.basis())
+            assert all(coordinates_in(J.lattice, b.scale(ell)) is not None for b in basis_of(I.lattice))
+            assert all(coordinates_in(I.lattice, b) is not None for b in basis_of(J.lattice))
             assert O.lattice.product(J.lattice) == J.lattice
             assert J.reduced_norm == ell * I.reduced_norm
         # ordered by the least residue c in [0, ell)^4, in product order,
         # whose element c . basis(I) lies in J
-        basis = I.lattice.basis()
+        basis = basis_of(I.lattice)
         residues = [
-            sum((e.scale(k) for k, e in zip(c, basis)), O.alg.element(0, 0, 0, 0))
+            sum((e.scale(k) for k, e in zip(c, basis)), element(O.alg, 0, 0, 0, 0))
             for c in product(range(ell), repeat=4)
             if any(c)
         ]
-        least = [next(i for i, x in enumerate(residues) if J.lattice.coordinates(x) is not None) for J in neighbours]
+        least = [next(i for i, x in enumerate(residues) if coordinates_in(J.lattice, x) is not None) for J in neighbours]
         assert least == sorted(least)
 
 
@@ -275,9 +267,9 @@ def test_left_ideal_from_class_refuses_a_leading_coefficient_divisible_by_p():
             emb = find_optimal_embedding(Or, -23)
         except NotRepresented:
             continue
-        assert left_ideal_from_class(I, emb.v.numerator(), QuadForm(2, 1, 3)).reduced_norm == 2 * I.reduced_norm
+        assert left_ideal_from_class(I, emb.v, QuadForm(2, 1, 3)).reduced_norm == 2 * I.reduced_norm
         with pytest.raises(DomainError):
-            left_ideal_from_class(I, emb.v.numerator(), QuadForm(23, 23, 6))
+            left_ideal_from_class(I, emb.v, QuadForm(23, 23, 6))
         return
     pytest.fail("no class of B_(inf,23) hosts D = -23")
 
@@ -320,15 +312,23 @@ def test_unit_vectors_match_box_enumeration(p):
         assert Or.units == tuple(sorted(_unreduce(Or.lattice.mat, x) for x in expected))
 
 
+def _gross_coordinates(Or, D):
+    # the HNF coordinates of find_optimal_embedding(Or, D).v on the Gross lattice
+    gl = gross_lattice(Or)
+    return tuple(coordinates_in(gl, from_row(Or.alg, find_optimal_embedding(Or, D).v)))
+
+
 @pytest.mark.parametrize("p", (5, 11, 23, 37))
 def test_optimal_embedding_is_the_least_primitive_box_vector(p):
     # every D = 0, 1 mod 4 with |D| <= 300, fundamental or not, inert at p
     # or not, on every right order of the class set, against one box
-    # enumeration of the Gross lattice per order
+    # enumeration of the Gross lattice per order; the row of v is the
+    # box vector's element in lowest terms
     discs = [D for D in range(-3, -301, -1) if D % 4 in (0, 1)]
-    represented = missing = 0
+    represented = missing = reduced = 0
     for Or in quaternion_data(p)[2].right_orders:
         gl = gross_lattice(Or)
+        basis = basis_of(gl)
         least = least_primitive_gross_vectors(gl, 300)
         for D in discs:
             if -D not in least:
@@ -336,10 +336,13 @@ def test_optimal_embedding_is_the_least_primitive_box_vector(p):
                     find_optimal_embedding(Or, D)
                 missing += 1
                 continue
-            emb = find_optimal_embedding(Or, D)
-            assert tuple(gl.coordinates(emb.v)) == least[-D], (p, D)
+            v = sum((b.scale(k) for k, b in zip(least[-D], basis)), element(Or.alg, 0, 0, 0, 0))
+            assert find_optimal_embedding(Or, D).v == v.numerator(), (p, D)
             represented += 1
-    assert represented and missing
+            reduced += v.numerator()[0] < gl.den
+    # some rows come out below the lattice's denominator, so a row left
+    # unreduced would show
+    assert represented and missing and reduced
 
 
 def _check_against_enumeration(orders, discs):
@@ -347,7 +350,6 @@ def _check_against_enumeration(orders, discs):
     pair; returns (hits, misses)."""
     hits = misses = 0
     for Or in orders:
-        gl = gross_lattice(Or)
         for D in discs:
             expected = least_embedding_vector_by_enumeration(Or, D)
             if expected is None:
@@ -355,7 +357,7 @@ def _check_against_enumeration(orders, discs):
                     find_optimal_embedding(Or, D)
                 misses += 1
             else:
-                assert tuple(gl.coordinates(find_optimal_embedding(Or, D).v)) == expected, D
+                assert _gross_coordinates(Or, D) == expected, D
                 hits += 1
     return hits, misses
 
@@ -394,7 +396,7 @@ def test_optimal_embedding_matches_enumeration_at_larger_primes(p):
 def test_optimal_embedding_sign_branches(D, coords):
     # the first nonzero HNF coordinate is positive, the others take any sign
     Or = quaternion_data(5)[2].right_orders[0]
-    assert tuple(gross_lattice(Or).coordinates(find_optimal_embedding(Or, D).v)) == coords
+    assert _gross_coordinates(Or, D) == coords
 
 
 def _least_primitive_by_box(G, N):
@@ -434,7 +436,7 @@ def test_least_primitive_solution_at_the_ellipsoid_bound(T, N, least):
 def test_embedding_contract_agrees_with_element_arithmetic(monkeypatch):
     # on the Gross lattice every least vector v has (D + v)/2 in O; on half
     # of it some do not, and the integer check must raise exactly for those,
-    # as QuatElement arithmetic decides
+    # as Fraction arithmetic decides
     Or = quaternion_data(11)[2].right_orders[0]
     gl = gross_lattice(Or)
     half = GrossLattice.from_rows(gl.alg, [list(r) for r in gl.mat], 2 * gl.den)
@@ -445,13 +447,13 @@ def test_embedding_contract_agrees_with_element_arithmetic(monkeypatch):
             c = _least_primitive_solution(L.trace_gram(), 2 * L.den**2 * -D)
             if D % 4 not in (0, 1) or c is None:
                 continue
-            v = sum((b.scale(k) for k, b in zip(c, L.basis())), Or.alg.element(0, 0, 0, 0))
-            if Or.lattice.coordinates((Or.alg.element(D, 0, 0, 0) + v).scale(Fraction(1, 2))) is None:
+            v = sum((b.scale(k) for k, b in zip(c, basis_of(L))), element(Or.alg, 0, 0, 0, 0))
+            if coordinates_in(Or.lattice, (element(Or.alg, D, 0, 0, 0) + v).scale(Fraction(1, 2))) is None:
                 with pytest.raises(CertificateError):
                     find_optimal_embedding(Or, D)
                 raised += 1
             else:
-                assert find_optimal_embedding(Or, D).v == v
+                assert find_optimal_embedding(Or, D).v == v.numerator()
                 passed += 1
     assert raised and passed
 

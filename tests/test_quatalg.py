@@ -19,6 +19,8 @@ from cmreduce.quatalg import (
     QuaternionAlgebra,
     _neighbor_ideals,
     _norms_cover,
+    _qmul,
+    _qnorm,
     construct_Bp,
     find_optimal_embedding,
     gross_lattice,
@@ -40,12 +42,17 @@ from cmreduce.quatalg import (
 from cmreduce.ssenum import enumerate_ss
 from quat_oracles import (
     _det4,
+    basis_of,
+    coordinates_in,
+    element,
     embedding_preimage_lattice,
+    from_row,
     iota,
     least_bp_pair,
     reconstruct_order_from_gross,
     same_class_by_product,
     saturated_maximal_order,
+    span,
 )
 
 
@@ -129,18 +136,19 @@ def test_deuring_cardinalities_above_400(p):
 
 
 def test_element_algebra_identities():
+    # the Fraction reference is an algebra with a multiplicative norm
     B = construct_Bp(11)
     rng = random.Random(4)
 
     def rand_el():
-        return B.element(*(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)))
+        return element(B, *(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(4)))
 
     for _ in range(200):
         x, y = rand_el(), rand_el()
         assert (x * y).norm() == x.norm() * y.norm()
         # Cayley-Hamilton: x^2 - Tr(x) x + Nr(x) = 0
-        lhs = x * x - x.scale(x.trace()) + B.element(1, 0, 0, 0).scale(x.norm())
-        assert lhs == B.element(0, 0, 0, 0)
+        lhs = x * x - x.scale(x.trace()) + element(B, 1, 0, 0, 0).scale(x.norm())
+        assert lhs == element(B, 0, 0, 0, 0)
         assert (x * y).conj() == y.conj() * x.conj()
 
 
@@ -148,21 +156,21 @@ def test_element_algebra_identities():
        st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20))
 @settings(max_examples=150, deadline=None)
 def test_norm_multiplicative_property(x0, x1, x2, x3, y0, y1, y2, y3):
+    # the integer product and norm against the Fraction reference
     B = construct_Bp(5)
-    x = B.element(x0, x1, x2, x3)
-    y = B.element(y0, y1, y2, y3)
-    assert (x * y).norm() == x.norm() * y.norm()
+    x, y = (x0, x1, x2, x3), (y0, y1, y2, y3)
+    xy = _qmul(B.a, B.b, x, y)
+    assert element(B, *xy) == element(B, *x) * element(B, *y)
+    assert _qnorm(B.a, B.b, xy) == _qnorm(B.a, B.b, x) * _qnorm(B.a, B.b, y) == element(B, *xy).norm()
 
 
 def test_mat2_order_gram_det_is_one():
     # pre-build oracle: the Mat2(Z) model has |det Gram(Trd(e_i conj(e_j)))| = 1
     B = mat2_model()
-    half = Fraction(1, 2)
-    e11 = B.element(half, half, 0, 0)
-    e22 = B.element(half, -half, 0, 0)
-    e12 = B.element(0, 0, half, half)
-    e21 = B.element(0, 0, half, -half)
-    lat = Lattice4.from_elements(B, [e11, e12, e21, e22])
+    rows = [(2, (1, 1, 0, 0)), (2, (0, 0, 1, 1)), (2, (0, 0, 1, -1)), (2, (1, -1, 0, 0))]
+    e11, e12, e21, e22 = (from_row(B, r) for r in rows)
+    lat = Lattice4.from_elements(B, rows)
+    assert lat == span(B, [e11, e12, e21, e22])
     order = Order(lattice=lat)
     assert order.is_multiplicatively_closed()
     assert abs(_det_of_gram(order)) == 1
@@ -173,15 +181,15 @@ def test_mat2_order_gram_det_is_one():
 
 def test_maximal_order_certificates(monkeypatch):
     B = construct_Bp(11)
-    lat0 = Lattice4.from_elements(B, B.basis_elements())
+    lat0 = Lattice4.from_elements(B, [(1, tuple(int(i == j) for j in range(4))) for i in range(4)])
     assert Order(lattice=lat0).reduced_discriminant == 44
     O = maximal_order(B)
     assert O.reduced_discriminant == 11
-    assert O.lattice.coordinates(B.element(1, 0, 0, 0)) is not None
+    assert coordinates_in(O.lattice, element(B, 1, 0, 0, 0)) is not None
     assert O.is_multiplicatively_closed()
     half = Lattice4.from_rows(B, [list(r) for r in O.lattice.mat], 2 * O.lattice.den)
     assert not Order(lattice=half).is_multiplicatively_closed()
-    for b in O.lattice.basis():
+    for b in basis_of(O.lattice):
         assert b.trace().denominator == 1 and b.norm().denominator == 1
     # a basis that fails either certificate is refused
     monkeypatch.setattr(Order, "is_multiplicatively_closed", lambda self: False)
@@ -255,12 +263,12 @@ def test_gross_lattice():
     B = construct_Bp(11)
     O = maximal_order(B)
     gl = gross_lattice(O)
-    for v in gl.basis():
+    for v in basis_of(gl):
         assert v.trace() == 0
     # 2i is in the Gross lattice whenever i is in the order
-    i_el = B.element(0, 1, 0, 0)
-    if O.lattice.coordinates(i_el) is not None:
-        assert gl.coordinates(i_el.scale(2)) is not None
+    i_el = element(B, 0, 1, 0, 0)
+    if coordinates_in(O.lattice, i_el) is not None:
+        assert coordinates_in(gl, i_el.scale(2)) is not None
     # Nr in 4Z reconstruction returns the order itself
     rec = reconstruct_order_from_gross(gl)
     assert rec == O.lattice
@@ -270,8 +278,9 @@ def test_find_optimal_embedding():
     B = construct_Bp(11)
     O = maximal_order(B)
     emb = find_optimal_embedding(O, -4)
-    assert emb.v.trace() == 0 and emb.v.norm() == 4
-    assert (emb.v * emb.v) == B.element(-4, 0, 0, 0)
+    v = from_row(B, emb.v)
+    assert v.trace() == 0 and v.norm() == 4
+    assert (v * v) == element(B, -4, 0, 0, 0)
     with pytest.raises(NotRepresented):
         find_optimal_embedding(O, -7)  # kronecker(-7, 11) = +1, split
     assert kronecker(-7, 11) == 1
@@ -289,13 +298,13 @@ def test_find_optimal_embedding():
     assert len(hosts) == 1
     Or, emb3 = hosts[0]
     assert unit_weight(Or) == 3
-    assert emb3.v.norm() == 3
-    assert Or.lattice.coordinates(iota(emb3, 0, 1)) is not None
-    assert Or.lattice.coordinates(iota(emb3, 3, 2)) is not None
+    assert from_row(B, emb3.v).norm() == 3
+    assert coordinates_in(Or.lattice, iota(emb3, 0, 1)) is not None
+    assert coordinates_in(Or.lattice, iota(emb3, 3, 2)) is not None
     # a large inert discriminant embeds into both classes
     for Or in cls.right_orders:
         embL = find_optimal_embedding(Or, -23)
-        assert embL.v.norm() == 23
+        assert from_row(B, embL.v).norm() == 23
 
 
 def test_embedding_optimality_matches_preimage():
@@ -345,10 +354,10 @@ def test_left_ideal_from_class():
     O = p5[1]
     emb = find_optimal_embedding(O, -23)
     forms = reduced_forms(-23)
-    principal = left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), forms[0])
+    principal = left_ideal_from_class(order_as_ideal(O), emb.v, forms[0])
     assert principal.reduced_norm == 1
     assert is_same_class(principal, order_as_ideal(O))
-    I = left_ideal_from_class(order_as_ideal(O), emb.v.numerator(), QuadForm(2, 1, 3))
+    I = left_ideal_from_class(order_as_ideal(O), emb.v, QuadForm(2, 1, 3))
     assert I.reduced_norm == 2
     # O * I = I
     prod = O.lattice.product(I.lattice)
@@ -357,7 +366,7 @@ def test_left_ideal_from_class():
 
 def _times(L, x):
     """The lattice L x, spanned by the products of L's basis with x."""
-    return Lattice4.from_elements(L.alg, [b * x for b in L.basis()])
+    return span(L.alg, [b * x for b in basis_of(L)])
 
 
 def test_is_same_class_properties():
@@ -368,7 +377,7 @@ def test_is_same_class_properties():
     assert not is_same_class(I, J)
     # invariance under right multiplication by integral elements
     rng = random.Random(23)
-    basis = O.lattice.basis()
+    basis = basis_of(O.lattice)
     for _ in range(5):
         x = basis[rng.randrange(4)] + basis[rng.randrange(4)]
         if x.norm() == 0:
@@ -407,19 +416,19 @@ def test_right_order():
         assert Or.is_multiplicatively_closed()
     # conjugation covariance: right_order(I x) = x^-1 right_order(I) x
     I = cls.representatives[1]
-    x = O.lattice.basis()[1] + O.lattice.basis()[2]
+    x = basis_of(O.lattice)[1] + basis_of(O.lattice)[2]
     Ix = type(I)(lattice=_times(I.lattice, x), left_order=I.left_order)
     Or = right_order(I)
     Orx = right_order(Ix)
     x_inv = x.conj().scale(1 / x.norm())
-    conj = Lattice4.from_elements(O.alg, [x_inv * b * x for b in Or.lattice.basis()])
+    conj = span(O.alg, [x_inv * b * x for b in basis_of(Or.lattice)])
     assert Orx.lattice == conj
 
 
 def test_right_order_refuses_a_lattice_that_is_not_an_ideal():
     B, O, _ = quaternion_data(11)
     # Z<1, i, j, k> has index 2 in O and is not O-stable
-    L = Lattice4.from_elements(B, B.basis_elements())
+    L = Lattice4.from_rows(B, [[int(i == j) for j in range(4)] for i in range(4)], 1)
     assert O.lattice.product(L) != L
     with pytest.raises(CertificateError):
         right_order(LeftIdeal(lattice=L, left_order=O))
@@ -438,26 +447,34 @@ def test_killing_identity():
     rng = random.Random(31)
     for p in (5, 11, 13, 23):
         B = construct_Bp(p)
-        i_el = B.element(0, 1, 0, 0)
         if B.a == -1:
             # i^2 = -1: ad_i has eigenvalues {0, 2i, -2i}, so trace(ad^2) = -8
-            got = killing_check(B, i_el)
-            assert got == (Fraction(-8), Fraction(-8))
+            got = killing_check(B, (0, 1, 0, 0))
+            assert got == (-8, -8) and all(type(v) is int for v in got)
         for _ in range(100):
-            x = B.element(0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
+            x = (0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
             ad2, minus4nr = killing_check(B, x)
-            assert ad2 == minus4nr
+            assert ad2 == minus4nr == _trace_ad_squared(B, x)
     # split model: nilpotent element has (0, 0)
     M = mat2_model()
-    nil = M.element(0, 0, 1, 1)
-    assert nil.norm() == 0
+    nil = (0, 0, 1, 1)
+    assert element(M, *nil).norm() == 0
     assert killing_check(M, nil) == (0, 0)
     for _ in range(100):
-        x = M.element(0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
+        x = (0, rng.randrange(-9, 10), rng.randrange(-9, 10), rng.randrange(-9, 10))
         ad2, minus4nr = killing_check(M, x)
-        assert ad2 == minus4nr
+        assert ad2 == minus4nr == _trace_ad_squared(M, x)
     with pytest.raises(DomainError):
-        killing_check(M, M.element(1, 0, 0, 0))
+        killing_check(M, (1, 0, 0, 0))
+
+
+def _trace_ad_squared(B, x):
+    # trace(ad_x^2) on the basis i, j, k, from commutators of Fraction elements
+    x = element(B, *x)
+    basis = [element(B, *(int(i == j) for j in range(4))) for i in (1, 2, 3)]
+    cols = [(x * e - e * x).c for e in basis]
+    assert all(c[0] == 0 for c in cols)
+    return sum(cols[j][i + 1] * cols[i][j + 1] for i in range(3) for j in range(3))
 
 
 def test_packet_discriminant():
@@ -468,7 +485,7 @@ def test_packet_discriminant():
     emb4 = find_optimal_embedding(O11, -4)
     assert packet_discriminant(emb4) == 4
     # non-primitive vector: 2 * v has norm 4|D|, fails the primitivity check
-    bad = Embedding(disc=emb.disc, v=emb.v.scale(2), order=O)
+    bad = Embedding(disc=emb.disc, v=(emb.v[0], tuple(2 * x for x in emb.v[1])), order=O)
     with pytest.raises(DomainError):
         packet_discriminant(bad)
 
@@ -520,7 +537,7 @@ def test_local_norm_surjectivity_rejects_a_non_integral_norm_form():
     # terms: only the diagonal of the norm form is non-integral
     B = construct_Bp(11)
     half = Order(Lattice4.from_rows(B, [[int(i == j) for j in range(4)] for i in range(4)], 2))
-    assert sorted(b.norm() for b in half.lattice.basis()) == [Fraction(1, 4)] * 2 + [Fraction(11, 4)] * 2
+    assert sorted(b.norm() for b in basis_of(half.lattice)) == [Fraction(1, 4)] * 2 + [Fraction(11, 4)] * 2
     with pytest.raises(CertificateError):
         local_norm_surjectivity(half, 3, 1)
 
@@ -553,7 +570,7 @@ def test_is_same_class_equivalence_relation():
         # build assorted ideals by right-multiplying representatives
         ideals = list(cls.representatives)
         for I in cls.representatives:
-            x = sum((b.scale(rng.randrange(-2, 3)) for b in O.lattice.basis()), O.alg.element(0, 0, 0, 0))
+            x = sum((b.scale(rng.randrange(-2, 3)) for b in basis_of(O.lattice)), element(O.alg, 0, 0, 0, 0))
             if x.norm() != 0:
                 ideals.append(type(I)(lattice=_times(I.lattice, x), left_order=O))
         for A in ideals:
@@ -573,11 +590,11 @@ def test_is_same_class_matches_the_product_oracle(p):
     rng = random.Random(p)
     _, O, cls = quaternion_data(p)
     reps = cls.representatives
-    basis = O.lattice.basis()
+    basis = basis_of(O.lattice)
     ideals = list(reps) + [J for I in reps for J in _neighbor_ideals(I, 2)]
     for I in reps:
         for _ in range(2):
-            x = sum((b.scale(rng.randrange(-3, 4)) for b in basis), O.alg.element(0, 0, 0, 0))
+            x = sum((b.scale(rng.randrange(-3, 4)) for b in basis), element(O.alg, 0, 0, 0, 0))
             if x.norm() != 0:
                 ideals.append(LeftIdeal(lattice=_times(I.lattice, x), left_order=O))
     for A in ideals:
@@ -594,7 +611,7 @@ def test_index_of_refuses_a_second_match_and_no_match():
     _, O, cls = quaternion_data(23)
     reps = cls.representatives
     assert [cls.index_of(I) for I in reps] == [0, 1, 2]
-    x = O.lattice.basis()[1] + O.lattice.basis()[2]
+    x = basis_of(O.lattice)[1] + basis_of(O.lattice)[2]
     query = LeftIdeal(lattice=_times(reps[1].lattice, x), left_order=O)
     assert cls.index_of(query) == 1
     twice = dataclasses.replace(cls, representatives=reps + (reps[1],))

@@ -261,4 +261,6 @@ def test_scan_config_validation():
     with pytest.raises(ConfigError):
         ScanConfig(primes=(11,), dmin=3, dmax=10, split_filter=(11, 3)).validate()
     with pytest.raises(ConfigError):
+        ScanConfig(primes=(11,), dmin=3, dmax=10, split_filter=(3, 3)).validate()
+    with pytest.raises(ConfigError):
         ScanConfig(primes=(11,), dmin=30, dmax=10).validate()

@@ -9,7 +9,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -19,7 +18,7 @@ from cmreduce.errors import CertificateError
 from cmreduce.numbase import kronecker
 from cmreduce.quadforms import Discriminant, QuadForm, admissible_discriminants, reduced_forms
 from cmreduce.quatalg import Lattice4, Order, _qmul, _qnorm, _unreduce, left_ideal_from_class, unit_weight
-from quat_oracles import direct_prime_reduction
+from quat_oracles import coordinates_in, direct_prime_reduction, from_row
 
 
 def _reducible(d, p):
@@ -134,7 +133,7 @@ def test_order_units_are_the_norm_1_elements_found_once(monkeypatch):
             assert unit_weight(Or) == w == len(units) // 2
             assert list(units) == sorted(units) and len(set(units)) == len(units)
             assert all(_qnorm(O.alg.a, O.alg.b, u) == den * den for u in units)
-            assert all(Or.lattice.coordinates(O.alg.element(*u).scale(Fraction(1, den))) is not None for u in units)
+            assert all(coordinates_in(Or.lattice, from_row(O.alg, (den, u))) is not None for u in units)
             # the second half is one of each pair +-u, the positive ones
             half = units[len(units) // 2:]
             assert {tuple(-x for x in u) for u in half} == set(units[: len(units) // 2])

@@ -4,8 +4,11 @@ or is exported in its module's __all__, or is on the allow-list below;
 every export is referred to from src/cmreduce or imported by the
 acceptance suite, which states the paper's criteria; every name a
 module imports is used in that module or exported; no module imports
-mpmath, which only the tests use, as their oracle; and LLL and
-Fincke-Pohst have one pair of callers, the lattice-vector enumerator."""
+mpmath, which only the tests use, as their oracle; LLL and
+Fincke-Pohst have one pair of callers, the lattice-vector enumerator; and
+a quaternion element is an integer row (d, x): no module defines
+`QuatElement`, the `Fraction` element class of the test oracles, and in
+quatalg only the reduced norms and the masses are `Fraction`s."""
 
 import ast
 from pathlib import Path
@@ -13,10 +16,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cmreduce"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
-# read from outside src/: `basis`, the element view of a lattice, by users
-# and tests; `from_json`, the reader of `classpoly --json`, by
+# read from outside src/: `from_json`, the reader of `classpoly --json`, by
 # perfbench/workloads.py and the CI root check
-ALLOWED = {"basis", "from_json"}
+ALLOWED = {"from_json"}
 
 
 def _exports(tree: ast.Module) -> set[str]:
@@ -188,3 +190,69 @@ def test_a_third_caller_of_the_enumerator_stages_is_flagged():
     sources = _sources()
     sources["reduction"] += "\n\ndef _planted(G):\n    return _lll_gram(G)\n"
     assert enumerator_callers(sources) == ["reduction._planted"]
+
+
+def quat_element_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.QuatElement` for each module that defines or imports that name."""
+    found = []
+    for name, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            if "QuatElement" in names:
+                found.append(f"{name}.QuatElement")
+                break
+    return found
+
+
+def test_no_module_in_src_defines_quat_element():
+    assert quat_element_definitions(_sources()) == []
+
+
+def test_a_quat_element_class_is_flagged():
+    sources = _sources()
+    sources["quadforms"] += "\n\nclass QuatElement:\n    pass\n"
+    sources["reduction"] += "\nQuatElement = tuple\n"
+    assert quat_element_definitions(sources) == ["quadforms.QuatElement", "reduction.QuatElement"]
+
+
+# the scalars of quatalg that stay Fractions: `LeftIdeal.reduced_norm`,
+# `IdealClassSet.mass` and the mass sum of `ideal_classes`
+FRACTION_USERS = {"LeftIdeal", "IdealClassSet", "ideal_classes"}
+
+
+def fraction_users(sources: dict[str, str]) -> list[str]:
+    """`quatalg.name` for each top-level definition outside FRACTION_USERS,
+    or `quatalg.<module>` for a module-level statement other than an
+    import, that refers to `Fraction`."""
+    found = []
+    for node in ast.parse(sources["quatalg"]).body:
+        label = getattr(node, "name", "<module>")
+        if label in FRACTION_USERS or isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        used: set[str] = set()
+        _references(node, frozenset(), used)
+        if "Fraction" in used and f"quatalg.{label}" not in found:
+            found.append(f"quatalg.{label}")
+    return found
+
+
+def test_quatalg_keeps_fractions_for_norms_and_masses_only():
+    assert fraction_users(_sources()) == []
+
+
+def test_a_fraction_coordinate_in_find_optimal_embedding_is_flagged():
+    sources = _sources()
+    text = sources["quatalg"]
+    start = text.index("    return Embedding(disc=disc, v=")
+    end = text.index("\n", start)
+    planted = "    return Embedding(disc=disc, v=tuple(Fraction(x, gl.den) for x in row), order=order)"
+    sources["quatalg"] = text[:start] + planted + text[end:]
+    sources["quatalg"] += "\n_HALF = Fraction(1, 2)\n"
+    assert fraction_users(sources) == ["quatalg.find_optimal_embedding", "quatalg.<module>"]
