@@ -189,7 +189,12 @@ def _parse_primes(s: str) -> tuple[int, ...]:
 def _cmd_joint(args) -> int:
     from .reduction import joint_reduce
 
-    jd = joint_reduce(args.D, _parse_primes(args.primes))
+    primes = _parse_primes(args.primes)
+    # the empty product is a one-cell distribution with tv 0 and nothing
+    # to report
+    if not primes:
+        raise DomainError("need at least one prime")
+    jd = joint_reduce(args.D, primes)
     if args.json:
         payload = {
             "D": str(args.D),

@@ -18,6 +18,11 @@ conj(r_i) r_j of I's rows.
 The ell-neighbours of I are the ideals O x + ell I for the x in I that are
 of rank 1 in I / ell I = M_2(F_ell), that is ell | Nr(x) / Nr(I)
 (Pizer, Bull. AMS 23 (1990); Kirschmer-Voight, SIAM J. Comput. 39 (2010)).
+One helper, `_line`, names each of them by a line in O_R(I) mod ell: the
+class-set BFS takes that of conj(x) y x / Nr(I) for y of the left order,
+the reduction walk that of conj(x') y' x' for y' of O_R(I) and the x' in
+O_R(I) with I x' + ell I the neighbour (`_kernel_line`).  Each y has an
+irreducible characteristic polynomial mod ell, and the two lines agree.
 Short-vector search runs integral LLL on the integer trace Gram matrix,
 then Fincke-Pohst enumeration through scaled integer Schur complements, and
 returns the vectors found as sorted integer HNF coordinates; only
@@ -27,14 +32,16 @@ Gross-lattice vector of norm |D|, walked slice by slice in its first
 coordinate up to the bound of the norm-|D| ellipsoid, so that a miss means
 no vector exists.
 Ideal classes are compared through their reduced lattices I m^-1 for the m
-of least reduced norm in I: that set of lattices is a class invariant.
+of least reduced norm in I: that set of lattices is a class invariant, and
+the BFS maps each lattice of each class's set to the class, so classifying
+an ideal is one short-vector search and one lookup.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -539,6 +546,51 @@ class Order:
         return Lattice4.from_rows(lat.alg, rows, lat.den**2) == lat
 
 
+def _line(order: Order, z, ell: int) -> tuple[int, ...]:
+    """The line in O / ell O of the element z of the order O, given as the
+    integer row (zden, znum) in the frame of O's HNF rows (z is
+    znum / (zden den)): its coordinates mod ell in the HNF basis of O,
+    scaled so that the first nonzero one is 1.  z outside O, or in ell O,
+    raises CertificateError."""
+    zden, znum = z
+    c = _hnf_coordinates(order.lattice.mat, znum, zden)
+    if c is None:
+        raise CertificateError("the element is not in the order")
+    for i, lead in enumerate(c):
+        if lead % ell:
+            inv = pow(lead, -1, ell)
+            return tuple([0] * i + [v * inv % ell for v in c[i:]])
+    raise CertificateError(f"the element is 0 mod {ell}")
+
+
+def _kernel_line(order: Order, x, ell: int) -> tuple[int, ...]:
+    """The `_line` of conj(x) y x, for x = xnum / xden in the order O with
+    ell | Nr(x), x not in ell O and ell != p, and y the order's
+    `anisotropic_element` at ell.  It names the ell-neighbour
+    J (O x + ell O) of any left ideal J with right order O.
+
+    Proof.  O / ell O = M_2(F_ell), and x maps to X of rank 1 (its
+    determinant Nr(x) is 0 mod ell, and X != 0), X = u v^T.  O x + ell O
+    is the preimage of the left ideal M_2(F_ell) X, the matrices whose rows
+    are multiples of v^T, so the neighbour depends on [v] alone, and each
+    [v] gives a different one.  With S = [[0, 1], [-1, 0]],
+    conj(X) = S X^T S^T, so conj(X) Y X = ((S u)^T Y u) (S v) v^T: every
+    nonzero value is a multiple of (S v) v^T, which [v] fixes and which
+    fixes [v].  The scalar is (S u)^T Y u = -det[u | Y u], 0 only when u is
+    an eigenvector of Y.  Y's characteristic polynomial is y's reduced one
+    mod ell, irreducible, so Y has no eigenvalue in F_ell and no
+    eigenvector: one product pair and one coordinate solve give the line,
+    and any y of the order with an irreducible characteristic polynomial
+    gives the same one.  A value outside O, or 0 mod ell, raises
+    CertificateError."""
+    alg = order.alg
+    xden, xnum = x
+    y = order.anisotropic_element(ell)
+    # conj(x) (y / den) x = conj(xnum) y xnum / (xden^2 den)
+    conj = (xnum[0], -xnum[1], -xnum[2], -xnum[3])
+    return _line(order, (xden * xden, _qmul(alg.a, alg.b, conj, _qmul(alg.a, alg.b, y, xnum))), ell)
+
+
 def unit_weight(order: Order) -> int:
     """|O^x / {+-1}| = half the number of norm-1 lattice vectors."""
     if not order.alg.is_definite:
@@ -810,6 +862,8 @@ class IdealClassSet:
     representatives: tuple[LeftIdeal, ...]
     right_orders: tuple[Order, ...]
     weights: tuple[int, ...]
+    # every lattice of R(J_s) -> s, filled by `ideal_classes`
+    index: dict[Lattice4, int] = field(compare=False, repr=False)
 
     @property
     def h(self) -> int:
@@ -820,10 +874,15 @@ class IdealClassSet:
         return sum((Fraction(1, w) for w in self.weights), Fraction(0))
 
     def index_of(self, I: LeftIdeal) -> int:
-        hits = [idx for idx, rep in enumerate(self.representatives) if is_same_class(I, rep)]
-        if len(hits) != 1:
-            raise CertificateError(f"ideal matches {len(hits)} enumerated classes, expected 1")
-        return hits[0]
+        """The s with I ~ J_s: one lookup of I's reduced lattice in `index`,
+        certified by `is_same_class(I, J_s)`.  A lattice missing from the
+        index is checked against J_0, so an ideal of another left order
+        raises DomainError there, and one of no listed class
+        CertificateError."""
+        s = self.index.get(I.reduced_lattice, 0)
+        if not is_same_class(I, self.representatives[s]):
+            raise CertificateError("ideal matches no enumerated class")
+        return s
 
 
 def right_order(I: LeftIdeal) -> Order:
@@ -847,37 +906,59 @@ def right_order(I: LeftIdeal) -> Order:
     return Or
 
 
-def _neighbor_ideals(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
-    """The ell + 1 left ideals J with ell I < J < I of index ell^2.
+def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order) -> dict[tuple[int, ...], LeftIdeal]:
+    """The ell + 1 left ideals J with ell I < J < I of index ell^2, for a
+    prime ell != p and right = O_R(I), each keyed by its line: the `_line`
+    of conj(x) y x / Nr(I) in right / ell right, for y the left order O's
+    `anisotropic_element` at ell and any x that spans J.
 
     I / ell I is free of rank 1 over O / ell O = M_2(F_ell), so the J are
     O x + ell I for the x of rank 1, i.e. ell | Nr(x) / Nr(I), and every
     x of rank 1 lies in exactly one J.  The residues x = c . I.mat with c
     in [0, ell)^4 are walked in product order, so the J come out ordered by
-    their least residue."""
+    their least residue.
+
+    Proof that the line names J.  conj(x) y x lies in conj(I) O I =
+    conj(I) I = Nr(I) O_R, so z = conj(x) y x / Nr(I) lies in O_R.  Locally
+    at ell, I = O m = m O_R with Nr(m) = Nr(I) up to a unit, so x = m x'
+    with x' in O_R, and z = conj(x') (m^-1 y m) x' up to a unit.  m^-1 y m
+    lies in O_R with y's characteristic polynomial, irreducible mod ell, so
+    by `_kernel_line`'s proof (which holds for any such y) z is not in
+    ell O_R and its line names the neighbour I (O_R x' + ell O_R) =
+    O m x' + ell m O_R = O x + ell I.  It is the line
+    `_kernel_line(O_R, x', ell)` of the walk for any x' in O_R with
+    J = ell I + I x', and two neighbours never share one, so one dict
+    lookup replaces a membership test against every neighbour found."""
     lat, order = I.lattice, I.left_order
     a, b = lat.alg.a, lat.alg.b
     den = order.lattice.den * lat.den
     ell_rows = [[ell * order.lattice.den * x for x in r] for r in lat.mat]
     nrm = I.reduced_norm
+    y = order.anisotropic_element(ell)
+    # z = d conj(x) y x / (lat.den^2 order.den n) for x / lat.den and
+    # Nr(I) = n / d, times right.den in the frame of right's HNF rows
+    zden = lat.den * lat.den * order.lattice.den * nrm.numerator
+    scale = right.lattice.den * nrm.denominator
     # Nr(J) = ell Nr(I) iff J's covolume is ell^2 times I's
     inum, iden = lat.covolume()
-    out: list[LeftIdeal] = []
+    out: dict[tuple[int, ...], LeftIdeal] = {}
     for c in product(range(ell), repeat=4):
         if not any(c):
             continue
         x = _unreduce(lat.mat, c)  # the element x / lat.den of I
-        if any(_hnf_coordinates(J.lattice.mat, [J.lattice.den * v for v in x], lat.den) is not None for J in out):
-            continue
         # Nr(x) / Nr(I) = N(x) nrm.denominator / (lat.den^2 nrm.numerator)
         if _qnorm(a, b, x) * nrm.denominator % (ell * lat.den**2 * nrm.numerator):
+            continue
+        z = _qmul(a, b, (x[0], -x[1], -x[2], -x[3]), _qmul(a, b, y, x))
+        key = _line(right, (zden, [scale * v for v in z]), ell)
+        if key in out:
             continue
         rows = ell_rows + [_qmul(a, b, g, x) for g in order.lattice.mat]
         J = LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, den), left_order=order)
         jnum, jden = J.lattice.covolume()
         if jnum * iden != ell * ell * inum * jden:
             raise CertificateError(f"neighbour of covolume {jnum}/{jden}, expected {ell * ell} * {inum}/{iden}")
-        out.append(J)
+        out[key] = J
     if len(out) != ell + 1:
         raise CertificateError(f"{len(out)} neighbour ideals, expected {ell + 1}")
     return out
@@ -887,24 +968,29 @@ def ideal_classes(order: Order) -> IdealClassSet:
     """BFS over 2-neighbors with the mass formula as completeness
     certificate: stop exactly when sum 1/w = (p - 1)/12.  The list of
     representatives is the BFS queue, and a new class is represented by
-    the reduced lattice of the neighbour that found it.  `seen` is the union
-    of R(J) over the representatives J, taken from the neighbour as R is a
-    class invariant, so by `is_same_class` a neighbour is in a known class
-    iff its reduced lattice is in `seen`."""
+    the reduced lattice of the neighbour that found it.  `seen` maps every
+    lattice of R(J) to the index of J, over the representatives J, taken
+    from the neighbour as R is a class invariant, so by `is_same_class` a
+    neighbour is in a known class iff its reduced lattice is in `seen`.
+    R(J) of a new class must not meet `seen`, else two classes share a
+    lattice and CertificateError is raised; the map becomes the class
+    set's `index`."""
     p = order.alg.ramified_prime
     target = Fraction(p - 1, 12)
     reps = [order_as_ideal(order)]
-    seen = set(reps[0].reduced_lattices)
+    seen = dict.fromkeys(reps[0].reduced_lattices, 0)
     orders = [order]
     weights = [unit_weight(order)]
     mass = Fraction(1, weights[0])
-    for current in reps:
+    for t, current in enumerate(reps):
         if mass == target:
             break
-        for J in _neighbor_ideals(current, 2):
+        for J in _neighbor_ideals(current, 2, orders[t]).values():
             if J.reduced_lattice in seen:
                 continue
-            seen.update(J.reduced_lattices)
+            if not seen.keys().isdisjoint(J.reduced_lattices):
+                raise CertificateError(f"a reduced lattice of a new class at p={p} lies in a known class")
+            seen.update(dict.fromkeys(J.reduced_lattices, len(reps)))
             J = LeftIdeal(lattice=J.reduced_lattice, left_order=order)
             Or = right_order(J)
             w = unit_weight(Or)
@@ -923,6 +1009,7 @@ def ideal_classes(order: Order) -> IdealClassSet:
         representatives=tuple(reps),
         right_orders=tuple(orders),
         weights=tuple(weights),
+        index=seen,
     )
 
 

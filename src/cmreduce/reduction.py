@@ -38,7 +38,7 @@ from .quadforms import (
     splitting,
 )
 from .quatalg import (
-    _hnf_coordinates,
+    _kernel_line,
     _qmul,
     _qnorm,
     _unreduce,
@@ -117,7 +117,9 @@ def _check_reducible(d: int, p: int) -> Discriminant:
 # under the units of O_t, keyed by the line of `_kernel_line` that fixes K,
 # with K = J_s z and z an integer row up to a rational factor; filled
 # lazily, so it holds at most h_p sum (ell + 1) entries over the primes ell
-# the walks use
+# the walks use.  The class-set BFS keys J_t's 2-neighbours by the same
+# lines (`quatalg._neighbor_ideals`), but keeps no z, so it does not seed
+# this table
 _NEIGHBOURS: dict = {}
 
 
@@ -146,40 +148,6 @@ def _conjugate(alg, z, w: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, 
     den = wden * _qnorm(alg.a, alg.b, z)
     g = math.gcd(den, *n)
     return den // g, tuple(x // g for x in n)
-
-
-def _kernel_line(order, x, ell: int) -> tuple[int, ...]:
-    """The line of conj(x) y x mod ell O, for x = xnum / xden in the order O
-    with ell | Nr(x), x not in ell O and ell != p, and y the order's
-    `anisotropic_element` at ell: the coordinates mod ell of conj(x) y x in
-    the HNF basis of O, scaled so that the first nonzero one is 1.  It names
-    the ell-neighbour J (O x + ell O) of any left ideal J with right order O.
-
-    Proof.  O / ell O = M_2(F_ell), and x maps to X of rank 1 (its
-    determinant Nr(x) is 0 mod ell, and X != 0), X = u v^T.  O x + ell O
-    is the preimage of the left ideal M_2(F_ell) X, the matrices whose rows
-    are multiples of v^T, so the neighbour depends on [v] alone, and each
-    [v] gives a different one.  With S = [[0, 1], [-1, 0]],
-    conj(X) = S X^T S^T, so conj(X) Y X = ((S u)^T Y u) (S v) v^T: every
-    nonzero value is a multiple of (S v) v^T, which [v] fixes and which
-    fixes [v].  The scalar is (S u)^T Y u = -det[u | Y u], 0 only when u is
-    an eigenvector of Y.  Y's characteristic polynomial is y's reduced one
-    mod ell, irreducible, so Y has no eigenvalue in F_ell and no
-    eigenvector: one product pair and one coordinate solve give the line.
-    A value outside O, or 0 mod ell, raises CertificateError."""
-    lat = order.lattice
-    a, b = lat.alg.a, lat.alg.b
-    xden, xnum = x
-    y = order.anisotropic_element(ell)
-    # conj(x) (y / den) x = conj(xnum) y xnum / (xden^2 den)
-    c = _hnf_coordinates(lat.mat, _qmul(a, b, _conj(xnum), _qmul(a, b, y, xnum)), xden * xden)
-    if c is None:
-        raise CertificateError("conj(x) y x is not in the order")
-    for i, lead in enumerate(c):
-        if lead % ell:
-            inv = pow(lead, -1, ell)
-            return tuple([0] * i + [v * inv % ell for v in c[i:]])
-    raise CertificateError(f"conj(x) y x is 0 mod {ell}")
 
 
 def _unit_twist(alg, x, z, u):
@@ -474,6 +442,8 @@ class ScanConfig:
     def validate(self):
         if self.dmin < 3 or self.dmax < self.dmin:
             raise ConfigError("need 3 <= dmin <= dmax")
+        if not self.primes:
+            raise ConfigError("need at least one reduction prime")
         for p in self.primes:
             if not is_prime(p) or p < 5:
                 raise ConfigError(f"reduction prime {p} must be a prime >= 5")

@@ -20,12 +20,15 @@ from cmreduce.quatalg import (
     Order,
     QuaternionAlgebra,
     _det3,
+    _hnf_coordinates,
     _lll_gram,
+    _qmul,
     _qnorm,
     _unreduce,
     find_optimal_embedding,
     gross_lattice,
     hnf_rows,
+    is_same_class,
     left_ideal_from_class,
     quaternion_data,
     ramified_places,
@@ -356,11 +359,47 @@ def least_embedding_vector_by_enumeration(order: Order, D: int) -> tuple[int, ..
     )
 
 
+def neighbor_ideals_by_membership(I: LeftIdeal, ell: int) -> list[LeftIdeal]:
+    """The ell + 1 left ideals J with ell I < J < I of index ell^2, by HNF
+    membership: the residues x = c . I.mat with c in [0, ell)^4 are walked
+    in product order, an x that lies in a neighbour found already is
+    skipped, and each other x of rank 1 (ell | Nr(x) / Nr(I)) spans a new
+    neighbour O x + ell I."""
+    lat, order = I.lattice, I.left_order
+    a, b = lat.alg.a, lat.alg.b
+    den = order.lattice.den * lat.den
+    ell_rows = [[ell * order.lattice.den * x for x in r] for r in lat.mat]
+    nrm = I.reduced_norm
+    out: list[LeftIdeal] = []
+    for c in product(range(ell), repeat=4):
+        if not any(c):
+            continue
+        x = _unreduce(lat.mat, c)  # the element x / lat.den of I
+        if any(_hnf_coordinates(J.lattice.mat, [J.lattice.den * v for v in x], lat.den) is not None for J in out):
+            continue
+        if _qnorm(a, b, x) * nrm.denominator % (ell * lat.den**2 * nrm.numerator):
+            continue
+        rows = ell_rows + [_qmul(a, b, g, x) for g in order.lattice.mat]
+        out.append(LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, den), left_order=order))
+    if len(out) != ell + 1:
+        raise CertificateError(f"{len(out)} neighbour ideals, expected {ell + 1}")
+    return out
+
+
+def class_index_by_scan(cls, I: LeftIdeal) -> int:
+    """The index of the one representative J with `is_same_class(I, J)`,
+    tested against every representative."""
+    hits = [idx for idx, rep in enumerate(cls.representatives) if is_same_class(I, rep)]
+    if len(hits) != 1:
+        raise CertificateError(f"ideal matches {len(hits)} enumerated classes, expected 1")
+    return hits[0]
+
+
 def direct_prime_reduction(d: int, p: int) -> dict[tuple[int, int, int], int]:
     """The class of I_base iota(a_f) for every reduced form f of d, each by
-    its own ideal and its own `index_of`: the per-form route that the walk
-    of `reduction._prime_reduction` replaces, from the same base (the first
-    class whose right order embeds d)."""
+    its own ideal, classified against every representative: the per-form
+    route that the walk of `reduction._prime_reduction` replaces, from the
+    same base (the first class whose right order embeds d)."""
     _, _, cls = quaternion_data(p)
     for base, Or in zip(cls.representatives, cls.right_orders):
         try:
@@ -372,6 +411,6 @@ def direct_prime_reduction(d: int, p: int) -> dict[tuple[int, int, int], int]:
             ideal = left_ideal_from_class(base, emb.v, f)
             if ideal.reduced_norm != base.reduced_norm * f.a:
                 raise CertificateError(f"ideal norm {ideal.reduced_norm} != Nr(base) * {f.a}")
-            labels[f.as_tuple()] = cls.index_of(ideal)
+            labels[f.as_tuple()] = class_index_by_scan(cls, ideal)
         return labels
     raise CertificateError(f"no ideal class hosts an embedding of D={d} at p={p}")

@@ -152,6 +152,18 @@ def test_scan_refuses_a_split_filter_with_one_prime_twice(capsys):
     assert "distinct" in err
 
 
+def test_scan_refuses_an_empty_prime_list(capsys):
+    code, out, err = run_capture(capsys, ["scan", "--primes", ",", "--dmin", "3", "--dmax", "30"])
+    assert code == 1 and out == ""
+    assert "at least one" in err
+
+
+def test_joint_refuses_an_empty_prime_list(capsys):
+    code, out, err = run_capture(capsys, ["joint", "--D", "-23", "--primes", ","])
+    assert code == 1 and out == ""
+    assert "at least one" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_capture(capsys, ["frobnicate"])
     assert code == 1

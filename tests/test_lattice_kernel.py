@@ -2,7 +2,8 @@
 lattice products, right multiplication and ideal formation against the
 span of `Fraction` element products, integer coordinates and embedding
 rows against `Fraction` arithmetic, neighbour ideals against their defining
-properties, the LLL + Fincke-Pohst short-vector search against
+properties and against the HNF-membership route, with the walk's line as
+each one's key, the LLL + Fincke-Pohst short-vector search against
 brute-force box enumeration, the self-bounded slice walk against box
 enumeration, and the optimal-embedding search against box enumeration and
 against collecting every vector of norm |D|."""
@@ -16,7 +17,7 @@ import pytest
 
 from cmreduce import quatalg
 from cmreduce.errors import CertificateError, DomainError, NotRepresented
-from cmreduce.numbase import kronecker
+from cmreduce.numbase import kronecker, primes_up_to
 from cmreduce.quadforms import QuadForm, admissible_discriminants, is_fundamental, reduced_forms
 from cmreduce.quatalg import (
     GrossLattice,
@@ -50,6 +51,7 @@ from quat_oracles import (
     iota,
     least_embedding_vector_by_enumeration,
     least_primitive_gross_vectors,
+    neighbor_ideals_by_membership,
     span,
 )
 
@@ -62,6 +64,10 @@ def _class_lattices(p):
     return [I.lattice for I in cls.representatives] + [Or.lattice for Or in cls.right_orders]
 
 
+def _two_neighbours(cls):
+    return [J for I, Or in zip(cls.representatives, cls.right_orders) for J in _neighbor_ideals(I, 2, Or).values()]
+
+
 def _product_reference(L1, L2):
     return span(L1.alg, [x * y for x in basis_of(L1) for y in basis_of(L2)])
 
@@ -69,7 +75,7 @@ def _product_reference(L1, L2):
 @pytest.mark.parametrize("p", PRIMES)
 def test_integer_product_matches_element_products(p):
     _, O, cls = quaternion_data(p)
-    ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    ideals = list(cls.representatives) + _two_neighbours(cls)
     for I in ideals:
         for J in cls.representatives:
             assert conjugate(I.lattice).product(J.lattice) == _product_reference(conjugate(I.lattice), J.lattice)
@@ -82,7 +88,7 @@ def test_right_order_matches_element_products(p):
     # conj(b) c / Nr(I) over the basis pairs of I, for every class
     # representative and every 2-neighbour of one
     _, O, cls = quaternion_data(p)
-    ideals = list(cls.representatives) + [J for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    ideals = list(cls.representatives) + _two_neighbours(cls)
     for I in ideals:
         basis = basis_of(I.lattice)
         expected = span(O.alg, [(b.conj() * c).scale(1 / I.reduced_norm) for b in basis for c in basis])
@@ -123,7 +129,7 @@ def _kernel_coordinates(L, x):
 def test_integer_coordinates_on_class_sets(p):
     rng = random.Random(2000 + p)
     _, O, cls = quaternion_data(p)
-    lattices = _class_lattices(p) + [J.lattice for I in cls.representatives for J in _neighbor_ideals(I, 2)]
+    lattices = _class_lattices(p) + [J.lattice for J in _two_neighbours(cls)]
     grosses = [gross_lattice(Or) for Or in cls.right_orders]
     for L in lattices + grosses:
         basis = basis_of(L)
@@ -234,28 +240,58 @@ def test_integer_ideal_formation_matches_element_products(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_neighbor_ideals_are_the_ell_neighbours(p):
-    ell = 2
     _, O, cls = quaternion_data(p)
-    for I in cls.representatives:
-        neighbours = _neighbor_ideals(I, ell)
-        assert len(neighbours) == ell + 1
-        assert len({J.lattice for J in neighbours}) == ell + 1
-        for J in neighbours:
-            # ell I < J < I, J a left O-ideal of norm ell Nr(I)
-            assert all(coordinates_in(J.lattice, b.scale(ell)) is not None for b in basis_of(I.lattice))
-            assert all(coordinates_in(I.lattice, b) is not None for b in basis_of(J.lattice))
-            assert O.lattice.product(J.lattice) == J.lattice
-            assert J.reduced_norm == ell * I.reduced_norm
-        # ordered by the least residue c in [0, ell)^4, in product order,
-        # whose element c . basis(I) lies in J
-        basis = basis_of(I.lattice)
-        residues = [
-            sum((e.scale(k) for k, e in zip(c, basis)), element(O.alg, 0, 0, 0, 0))
-            for c in product(range(ell), repeat=4)
-            if any(c)
-        ]
-        least = [next(i for i, x in enumerate(residues) if coordinates_in(J.lattice, x) is not None) for J in neighbours]
-        assert least == sorted(least)
+    for ell in (2, 3):
+        for I, Or in zip(cls.representatives, cls.right_orders):
+            neighbours = list(_neighbor_ideals(I, ell, Or).values())
+            assert len(neighbours) == ell + 1
+            assert len({J.lattice for J in neighbours}) == ell + 1
+            for J in neighbours:
+                # ell I < J < I, J a left O-ideal of norm ell Nr(I)
+                assert all(coordinates_in(J.lattice, b.scale(ell)) is not None for b in basis_of(I.lattice))
+                assert all(coordinates_in(I.lattice, b) is not None for b in basis_of(J.lattice))
+                assert O.lattice.product(J.lattice) == J.lattice
+                assert J.reduced_norm == ell * I.reduced_norm
+            # ordered by the least residue c in [0, ell)^4, in product order,
+            # whose element c . basis(I) lies in J
+            basis = basis_of(I.lattice)
+            residues = [
+                sum((e.scale(k) for k, e in zip(c, basis)), element(O.alg, 0, 0, 0, 0))
+                for c in product(range(ell), repeat=4)
+                if any(c)
+            ]
+            least = [next(i for i, x in enumerate(residues) if coordinates_in(J.lattice, x) is not None) for J in neighbours]
+            assert least == sorted(least)
+
+
+def _walk_lines(J, Or, ell):
+    """Each ell-neighbour ell J + J x' of J over the residues x' of
+    Or = O_R(J) mod ell with ell | Nr(x'), mapped to the walk's
+    `_kernel_line(Or, x', ell)` for every such x'."""
+    alg, lat, jlat = J.lattice.alg, Or.lattice, J.lattice
+    lines = {}
+    for c in product(range(ell), repeat=4):
+        x = _unreduce(lat.mat, c)  # the element x / lat.den of Or
+        if not any(c) or quatalg._qnorm(alg.a, alg.b, x) % (ell * lat.den**2):
+            continue
+        rows = [[ell * lat.den * v for v in r] for r in jlat.mat] + [quatalg._qmul(alg.a, alg.b, r, x) for r in jlat.mat]
+        K = Lattice4.from_rows(alg, rows, lat.den * jlat.den)
+        lines.setdefault(K, set()).add(quatalg._kernel_line(Or, (lat.den, x), ell))
+    return lines
+
+
+@pytest.mark.parametrize("p", primes_up_to(150)[2:])
+def test_neighbor_ideals_keyed_by_the_walks_line_match_the_membership_oracle(p):
+    # the same neighbours in the same order as the HNF-membership route, and
+    # each keyed by the line the walk gives it from J's right order
+    _, O, cls = quaternion_data(p)
+    for ell in (2, 3):
+        for J, Or in zip(cls.representatives, cls.right_orders):
+            keyed = _neighbor_ideals(J, ell, Or)
+            assert list(keyed.values()) == neighbor_ideals_by_membership(J, ell)
+            lines = _walk_lines(J, Or, ell)
+            assert len(lines) == ell + 1
+            assert all(lines[K.lattice] == {key} for key, K in keyed.items())
 
 
 def test_left_ideal_from_class_refuses_a_leading_coefficient_divisible_by_p():

@@ -26,6 +26,7 @@ from cmreduce.quatalg import (
     gross_lattice,
     hilbert_symbol,
     hs_norm_ratio,
+    ideal_classes,
     is_same_class,
     killing_check,
     left_ideal_from_class,
@@ -591,7 +592,7 @@ def test_is_same_class_matches_the_product_oracle(p):
     _, O, cls = quaternion_data(p)
     reps = cls.representatives
     basis = basis_of(O.lattice)
-    ideals = list(reps) + [J for I in reps for J in _neighbor_ideals(I, 2)]
+    ideals = list(reps) + [J for I, Or in zip(reps, cls.right_orders) for J in _neighbor_ideals(I, 2, Or).values()]
     for I in reps:
         for _ in range(2):
             x = sum((b.scale(rng.randrange(-3, 4)) for b in basis), element(O.alg, 0, 0, 0, 0))
@@ -606,18 +607,30 @@ def test_is_same_class_matches_the_product_oracle(p):
             assert is_same_class(A, B) == same_class_by_product(A, B), (p, A.lattice, B.lattice)
 
 
-def test_index_of_refuses_a_second_match_and_no_match():
-    # a class set with one representative listed twice, then with one missing
+def test_index_of_refuses_a_second_match_and_no_match(monkeypatch):
+    # `index_of` is one lookup in the BFS's map from reduced lattice to
+    # class, certified by `is_same_class`; the BFS itself refuses a reduced
+    # lattice that lies in two classes
     _, O, cls = quaternion_data(23)
     reps = cls.representatives
     assert [cls.index_of(I) for I in reps] == [0, 1, 2]
     x = basis_of(O.lattice)[1] + basis_of(O.lattice)[2]
     query = LeftIdeal(lattice=_times(reps[1].lattice, x), left_order=O)
     assert cls.index_of(query) == 1
-    twice = dataclasses.replace(cls, representatives=reps + (reps[1],))
+    # an index entry that points at the wrong class
+    wrong = dataclasses.replace(cls, index={**cls.index, query.reduced_lattice: 2})
     with pytest.raises(CertificateError):
-        twice.index_of(query)
-    missing = dataclasses.replace(cls, representatives=reps[:1] + reps[2:])
+        wrong.index_of(query)
+    # a class missing from the index
+    missing = dataclasses.replace(cls, index={L: s for L, s in cls.index.items() if s != 1})
     with pytest.raises(CertificateError):
         missing.index_of(query)
-
+    # an ideal of another maximal order of the same algebra
+    assert cls.right_orders[1].lattice != O.lattice
+    with pytest.raises(DomainError):
+        cls.index_of(order_as_ideal(cls.right_orders[1]))
+    # every R(J) also holding the order itself, which lies in class 0
+    honest = LeftIdeal.reduced_lattices.func
+    monkeypatch.setattr(LeftIdeal, "reduced_lattices", property(lambda I: {**honest(I), O.lattice: (O.lattice.den, 0, 0, 0)}))
+    with pytest.raises(CertificateError, match="known class"):
+        ideal_classes(maximal_order(construct_Bp(23)))

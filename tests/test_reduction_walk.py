@@ -187,21 +187,26 @@ def test_kernel_line_is_a_complete_invariant_of_the_neighbour(p):
 @pytest.mark.parametrize("p", [11, 23, 37])
 def test_kernel_line_makes_one_coordinate_solve(monkeypatch, p):
     # the order's anisotropic element y leaves conj(x) y x nonzero mod ell
-    # for every x, so each line is one product pair and one solve
-    counts = {"lines": 0, "solves": 0}
-    honest_line, honest_solve = reduction._kernel_line, reduction._hnf_coordinates
+    # for every x, so each line is one product pair and one solve; only
+    # the solves made inside the walk's lines count
+    counts = {"lines": 0, "solves": 0, "inside": False}
+    honest_line, honest_solve = reduction._kernel_line, quatalg._hnf_coordinates
 
     def line(*args):
         counts["lines"] += 1
-        return honest_line(*args)
+        counts["inside"] = True
+        try:
+            return honest_line(*args)
+        finally:
+            counts["inside"] = False
 
     def solve(*args):
-        counts["solves"] += 1
+        counts["solves"] += counts["inside"]
         return honest_solve(*args)
 
     monkeypatch.setattr(reduction, "_NEIGHBOURS", {})
     monkeypatch.setattr(reduction, "_kernel_line", line)
-    monkeypatch.setattr(reduction, "_hnf_coordinates", solve)
+    monkeypatch.setattr(quatalg, "_hnf_coordinates", solve)
     for d in (-71, -119, -311, -1127, -2351, -10055):
         if _reducible(d, p):
             assert _fresh_walk(d, p) == direct_prime_reduction(d, p), d
