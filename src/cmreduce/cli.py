@@ -189,12 +189,7 @@ def _parse_primes(s: str) -> tuple[int, ...]:
 def _cmd_joint(args) -> int:
     from .reduction import joint_reduce
 
-    primes = _parse_primes(args.primes)
-    # the empty product is a one-cell distribution with tv 0 and nothing
-    # to report
-    if not primes:
-        raise DomainError("need at least one prime")
-    jd = joint_reduce(args.D, primes)
+    jd = joint_reduce(args.D, _parse_primes(args.primes))
     if args.json:
         payload = {
             "D": str(args.D),
@@ -273,7 +268,7 @@ def _verify_checks(quick: bool):
     from .classpoly import hilbert_class_poly, hilbert_class_poly_from_j, j_eval
     from .numbase import primes_up_to
     from .quadforms import QuadForm, class_number, cm_point, compose, principal_form, reduced_forms
-    from .quatalg import construct_Bp, hs_norm_ratio, killing_check, local_norm_surjectivity, quaternion_data
+    from .quatalg import Order, construct_Bp, hs_norm_ratio, killing_check, local_norm_surjectivity, quaternion_data
     from .reduction import character_average, fiber_multiset_crosscheck
     from .ssenum import enumerate_ss
 
@@ -328,6 +323,14 @@ def _verify_checks(quick: bool):
             _check(locus.size == cls.h, f"class number at p = {p}")
             _check(sorted(pt.weight for pt in locus.points) == sorted(cls.weights), f"weights at p = {p}")
 
+    def unit_groups():
+        # a second route to the units: the class-set BFS takes those of each
+        # right order from the search that found its class, and a fresh
+        # Order on the same lattice runs the shortest-vector search itself
+        _, _, cls = quaternion_data(101)
+        for t, Or in enumerate(cls.right_orders):
+            _check(Or.units == Order(lattice=Or.lattice).units, f"units of the right order of class {t} at p = 101")
+
     def killing():
         rng = random.Random(2)
         for p in (5, 11):
@@ -364,6 +367,7 @@ def _verify_checks(quick: bool):
         ("class numbers vs sieve", class_numbers),
         ("modular j values", j_values),
         ("deuring cardinalities", deuring_cardinalities),
+        ("right-order units by search", unit_groups),
         ("killing identity", killing),
         ("hilbert-schmidt ratio", hs_ratio),
         ("local norm surjectivity", norm_surjectivity),

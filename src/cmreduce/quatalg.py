@@ -34,7 +34,11 @@ no vector exists.
 Ideal classes are compared through their reduced lattices I m^-1 for the m
 of least reduced norm in I: that set of lattices is a class invariant, and
 the BFS maps each lattice of each class's set to the class, so classifying
-an ideal is one short-vector search and one lookup.
+an ideal is one short-vector search and one lookup.  The BFS searches each
+lattice once: a new representative K m^-1 and the units of its right order
+come from the search on the neighbour K that found it, and a neighbour
+whose class the BFS already knows from the reverse of an edge is not
+formed.
 """
 
 from __future__ import annotations
@@ -534,7 +538,9 @@ class Order:
         positive integral reduced norm, so these are its shortest vectors.
         The set is closed under negation, which reverses the sorted order,
         so the second half holds one of each pair +-u: the u whose first
-        nonzero entry is positive.  One search per order."""
+        nonzero entry is positive.  `ideal_classes` fills it for every right
+        order it lists from the search that found the class
+        (`_reduced_class`); any other order runs one search."""
         lat = self.lattice
         return tuple(sorted(_unreduce(lat.mat, c) for c in lattice_shortest_vectors(lat)))
 
@@ -807,7 +813,9 @@ class LeftIdeal:
         """R(I) = {I n^-1 : n of least reduced norm in I}, a class invariant,
         each lattice mapped to one of its n as an integer row over den: for
         J = I y the least vectors of J are those of I times y, and
-        J (n y)^-1 = I n^-1, so R(J) = R(I)."""
+        J (n y)^-1 = I n^-1, so R(J) = R(I).  `ideal_classes` fills it for
+        each representative from the neighbour that found it
+        (`_reduced_class`)."""
         lat = self.lattice
         return {_divided_by(lat, n): n for n in (_unreduce(lat.mat, c) for c in self.shortest_vectors)}
 
@@ -888,8 +896,7 @@ class IdealClassSet:
 def right_order(I: LeftIdeal) -> Order:
     """{x : I x subseteq I} = I^-1 I = conj(I) I / Nr(I): every left ideal of
     a maximal order is invertible (Kirschmer-Voight, SIAM J. Comput. 39
-    (2010)).  Certified by I O_R = I and reduced discriminant p, which
-    together force O_R to be the maximal order {x : I x subseteq I}.
+    (2010)).  Certified by `_certified_right_order`.
 
     For I's integer rows r_i over den and Nr(I) = n / d, conj(I) I / Nr(I)
     is spanned by the d conj(r_i) r_j over den^2 n."""
@@ -898,19 +905,51 @@ def right_order(I: LeftIdeal) -> Order:
     nrm = I.reduced_norm
     conj = [(r[0], -r[1], -r[2], -r[3]) for r in L.mat]
     rows = [[nrm.denominator * x for x in _qmul(a, b, c, r)] for c in conj for r in L.mat]
-    lat = Lattice4.from_rows(L.alg, rows, L.den**2 * nrm.numerator)
+    return _certified_right_order(I, Lattice4.from_rows(L.alg, rows, L.den**2 * nrm.numerator))
+
+
+def _certified_right_order(I: LeftIdeal, lat: Lattice4) -> Order:
+    """The order on `lat`, certified to be the right order {x : I x subseteq I}
+    of I by I lat subseteq I (one coordinate solve for each of the 16
+    products of rows) and reduced discriminant p.  Containment puts lat
+    inside the right order, a maximal order of reduced discriminant p, and
+    an equal covolume then forces equality.  A failure raises
+    CertificateError."""
+    L = I.lattice
+    a, b = L.alg.a, L.alg.b
     Or = Order(lattice=lat)
-    p = lat.alg.ramified_prime
-    if L.product(lat) != L or Or.reduced_discriminant != p:
+    # (r / L.den) (o / lat.den) = c . L.mat / L.den iff c . L.mat = r o / lat.den
+    if any(_hnf_coordinates(L.mat, _qmul(a, b, r, o), lat.den) is None for r in L.mat for o in lat.mat):
+        raise CertificateError("I O_R does not lie in I")
+    if Or.reduced_discriminant != lat.alg.ramified_prime:
         raise CertificateError("conj(I) I / Nr(I) is not the right order of I")
     return Or
 
 
-def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order) -> dict[tuple[int, ...], LeftIdeal]:
+def _ideal_line(I: LeftIdeal, right: Order, x, ell: int) -> tuple[int, ...]:
+    """The line that names the ell-neighbour O x + ell I of I, for
+    x = xnum / xden in I of rank 1 in I / ell I (ell | Nr(x) / Nr(I), x not
+    in ell I) and right = O_R(I): the `_line` of conj(x) y x / Nr(I) in
+    right / ell right, for y the left order O's `anisotropic_element` at
+    ell.  `_neighbor_ideals` proves that it names the neighbour."""
+    order = I.left_order
+    a, b = order.alg.a, order.alg.b
+    xden, xnum = x
+    nrm = I.reduced_norm
+    y = order.anisotropic_element(ell)
+    z = _qmul(a, b, (xnum[0], -xnum[1], -xnum[2], -xnum[3]), _qmul(a, b, y, xnum))
+    # z = d conj(xnum) y xnum / (xden^2 order.den n) for Nr(I) = n / d,
+    # times right.den in the frame of right's HNF rows
+    scale = right.lattice.den * nrm.denominator
+    return _line(right, (xden * xden * order.lattice.den * nrm.numerator, [scale * v for v in z]), ell)
+
+
+def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order, known=()) -> dict[tuple[int, ...], LeftIdeal]:
     """The ell + 1 left ideals J with ell I < J < I of index ell^2, for a
-    prime ell != p and right = O_R(I), each keyed by its line: the `_line`
-    of conj(x) y x / Nr(I) in right / ell right, for y the left order O's
-    `anisotropic_element` at ell and any x that spans J.
+    prime ell != p and right = O_R(I), each keyed by its line, the
+    `_ideal_line` of any x that spans J, except that no J is formed for a
+    line in `known`.  Those lines still count toward the ell + 1, and each
+    of them must be met.
 
     I / ell I is free of rank 1 over O / ell O = M_2(F_ell), so the J are
     O x + ell I for the x of rank 1, i.e. ell | Nr(x) / Nr(I), and every
@@ -927,20 +966,16 @@ def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order) -> dict[tuple[int, ..
     ell O_R and its line names the neighbour I (O_R x' + ell O_R) =
     O m x' + ell m O_R = O x + ell I.  It is the line
     `_kernel_line(O_R, x', ell)` of the walk for any x' in O_R with
-    J = ell I + I x', and two neighbours never share one, so one dict
+    J = ell I + I x', and two neighbours never share one, so one set
     lookup replaces a membership test against every neighbour found."""
     lat, order = I.lattice, I.left_order
     a, b = lat.alg.a, lat.alg.b
     den = order.lattice.den * lat.den
     ell_rows = [[ell * order.lattice.den * x for x in r] for r in lat.mat]
     nrm = I.reduced_norm
-    y = order.anisotropic_element(ell)
-    # z = d conj(x) y x / (lat.den^2 order.den n) for x / lat.den and
-    # Nr(I) = n / d, times right.den in the frame of right's HNF rows
-    zden = lat.den * lat.den * order.lattice.den * nrm.numerator
-    scale = right.lattice.den * nrm.denominator
     # Nr(J) = ell Nr(I) iff J's covolume is ell^2 times I's
     inum, iden = lat.covolume()
+    met: set[tuple[int, ...]] = set()
     out: dict[tuple[int, ...], LeftIdeal] = {}
     for c in product(range(ell), repeat=4):
         if not any(c):
@@ -949,9 +984,11 @@ def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order) -> dict[tuple[int, ..
         # Nr(x) / Nr(I) = N(x) nrm.denominator / (lat.den^2 nrm.numerator)
         if _qnorm(a, b, x) * nrm.denominator % (ell * lat.den**2 * nrm.numerator):
             continue
-        z = _qmul(a, b, (x[0], -x[1], -x[2], -x[3]), _qmul(a, b, y, x))
-        key = _line(right, (zden, [scale * v for v in z]), ell)
-        if key in out:
+        key = _ideal_line(I, right, (lat.den, x), ell)
+        if key in met:
+            continue
+        met.add(key)
+        if key in known:
             continue
         rows = ell_rows + [_qmul(a, b, g, x) for g in order.lattice.mat]
         J = LeftIdeal(lattice=Lattice4.from_rows(lat.alg, rows, den), left_order=order)
@@ -959,49 +996,128 @@ def _neighbor_ideals(I: LeftIdeal, ell: int, right: Order) -> dict[tuple[int, ..
         if jnum * iden != ell * ell * inum * jden:
             raise CertificateError(f"neighbour of covolume {jnum}/{jden}, expected {ell * ell} * {inum}/{iden}")
         out[key] = J
-    if len(out) != ell + 1:
-        raise CertificateError(f"{len(out)} neighbour ideals, expected {ell + 1}")
+    if len(met) != ell + 1:
+        raise CertificateError(f"{len(met)} neighbour ideals, expected {ell + 1}")
+    if not met.issuperset(known):
+        raise CertificateError("a known line names no neighbour")
     return out
+
+
+def _reduced_class(K: LeftIdeal) -> tuple[LeftIdeal, Order]:
+    """(J, O_R(J)) for K's reduced lattice J = K m^-1, m the first of K's
+    least vectors, with R(J) and the units of O_R(J) filled from K's one
+    search, so neither J nor O_R(J) is searched.
+
+    - R(J) = R(K), as J ~ K, and the element of R(J) at a lattice K n^-1 is
+      n m^-1: it lies in J = K m^-1, and J (n m^-1)^-1 = K n^-1.
+    - 1 = m m^-1 lies in J, so O_R(J) = 1 O_R(J) lies in J, and so do its
+      units.  The least vectors of J are the k m^-1 for k least in K, all of
+      reduced norm Nr(k) / Nr(m) = 1, so the units of O_R(J) are those of
+      them that lie in O_R(J).
+
+    J = O (K = O, m a unit) keeps O as its right order, and any other J
+    takes `right_order(J)`.  A coordinate solve places each element: it
+    certifies that n m^-1 lies in J and tests whether k m^-1 lies in
+    O_R(J)."""
+    lat, order = K.lattice, K.left_order
+    a, b = lat.alg.a, lat.alg.b
+    m = _unreduce(lat.mat, K.shortest_vectors[0])
+    cm, nm = (m[0], -m[1], -m[2], -m[3]), _qnorm(a, b, m)
+    J = LeftIdeal(lattice=K.reduced_lattice, left_order=order)
+    right = order if J.lattice == order.lattice else right_order(J)
+
+    def coordinates(target: Lattice4, k):
+        # k m^-1 = k conj(m) / N(m) for integer rows k and m over lat.den
+        return _hnf_coordinates(target.mat, [target.den * v for v in _qmul(a, b, k, cm)], nm)
+
+    inherited = {}
+    for L, n in K.reduced_lattices.items():
+        c = coordinates(J.lattice, n)
+        if c is None:
+            raise CertificateError("n m^-1 does not lie in K m^-1")
+        inherited[L] = _unreduce(J.lattice.mat, c)
+    units = (coordinates(right.lattice, _unreduce(lat.mat, c)) for c in K.shortest_vectors)
+    # a cached_property reads the instance dict first, so these fill it
+    J.__dict__["reduced_lattices"] = inherited
+    right.__dict__["units"] = tuple(sorted(_unreduce(right.lattice.mat, c) for c in units if c is not None))
+    return J, right
+
+
+def _reverse_line(J: LeftIdeal, K: LeftIdeal, rep: LeftIdeal, right: Order) -> tuple[int, ...]:
+    """The line of the 2-neighbour of the representative rep = J_s that
+    lies in the class of J, given a 2-neighbour K = O x + 2J of J in the
+    class of J_s and right = O_R(J_s).
+
+    Proof.  With m the first least vector of K and n = R(J_s)'s element at
+    K's reduced lattice, K m^-1 = J_s n^-1, so K = J_s z for z = n^-1 m.
+    2J < K < J, each of index 4, so 2J z^-1 < K z^-1 = J_s with index 4,
+    and 2J_s = 2K z^-1 lies in 2J z^-1: that is a 2-neighbour of J_s, in
+    the class of J.  J / K is a simple module over O / 2O = M_2(F_2), so
+    O r + K = J for any r in J outside K (one of J's HNF rows is), and
+    x'' = 2 r z^-1 = 2 r m^-1 n spans it:
+    O x'' + 2J_s = 2 (O r + K) z^-1 = 2J z^-1.  x'' lies in J_s, not in
+    2J_s = 2K z^-1 since r is not in K, and its `_ideal_line` names the
+    neighbour."""
+    klat, jlat = K.lattice, J.lattice
+    a, b = klat.alg.a, klat.alg.b
+    m = _unreduce(klat.mat, K.shortest_vectors[0])
+    n = rep.reduced_lattices[K.reduced_lattice]
+    # r / jlat.den lies in K iff K.den r / jlat.den has integer coordinates
+    r = next(r for r in jlat.mat if _hnf_coordinates(klat.mat, [klat.den * v for v in r], jlat.den) is None)
+    # x'' = 2 (r / jlat.den) (klat.den conj(m) / N(m)) (n / rep.den)
+    xnum = _qmul(a, b, _qmul(a, b, r, (m[0], -m[1], -m[2], -m[3])), n)
+    xden = jlat.den * _qnorm(a, b, m) * rep.lattice.den
+    return _ideal_line(rep, right, (xden, [2 * klat.den * v for v in xnum]), 2)
 
 
 def ideal_classes(order: Order) -> IdealClassSet:
     """BFS over 2-neighbors with the mass formula as completeness
     certificate: stop exactly when sum 1/w = (p - 1)/12.  The list of
-    representatives is the BFS queue, and a new class is represented by
-    the reduced lattice of the neighbour that found it.  `seen` maps every
-    lattice of R(J) to the index of J, over the representatives J, taken
-    from the neighbour as R is a class invariant, so by `is_same_class` a
-    neighbour is in a known class iff its reduced lattice is in `seen`.
-    R(J) of a new class must not meet `seen`, else two classes share a
-    lattice and CertificateError is raised; the map becomes the class
-    set's `index`."""
+    representatives is the BFS queue: J_0 = O, and a new class is
+    represented by the reduced lattice of the neighbour that found it, with
+    R(J) and the units of O_R(J) taken from that neighbour's search
+    (`_reduced_class`).  `seen` maps every lattice of R(J) to the index of
+    J, over the representatives J, so by `is_same_class` a neighbour is in
+    a known class iff its reduced lattice is in `seen`.  R(J) of a new class
+    must not meet `seen`, else two classes share a lattice and
+    CertificateError is raised; the map becomes the class set's `index`.
+
+    One search runs on O and one on each neighbour formed, and none on a
+    representative or a right order.  A neighbour of J_t classified into a
+    class s not yet visited gives, by `_reverse_line`, the line of the
+    neighbour of J_s that lies in class t.  The visit of J_s counts that
+    line toward its ell + 1 but neither forms nor searches that neighbour,
+    whose class is known."""
     p = order.alg.ramified_prime
     target = Fraction(p - 1, 12)
-    reps = [order_as_ideal(order)]
-    seen = dict.fromkeys(reps[0].reduced_lattices, 0)
-    orders = [order]
-    weights = [unit_weight(order)]
+    J, Or = _reduced_class(order_as_ideal(order))
+    reps, orders, weights = [J], [Or], [unit_weight(Or)]
+    seen = dict.fromkeys(J.reduced_lattices, 0)
+    # s -> the lines of J_s's 2-neighbours that lie in an earlier class
+    back: dict[int, set[tuple[int, ...]]] = {}
     mass = Fraction(1, weights[0])
     for t, current in enumerate(reps):
         if mass == target:
             break
-        for J in _neighbor_ideals(current, 2, orders[t]).values():
-            if J.reduced_lattice in seen:
-                continue
-            if not seen.keys().isdisjoint(J.reduced_lattices):
-                raise CertificateError(f"a reduced lattice of a new class at p={p} lies in a known class")
-            seen.update(dict.fromkeys(J.reduced_lattices, len(reps)))
-            J = LeftIdeal(lattice=J.reduced_lattice, left_order=order)
-            Or = right_order(J)
-            w = unit_weight(Or)
-            reps.append(J)
-            orders.append(Or)
-            weights.append(w)
-            mass += Fraction(1, w)
-            if mass == target:
-                break
-            if mass > target:
-                raise CertificateError(f"mass overshoot at p={p}: {mass} > {target}")
+        for K in _neighbor_ideals(current, 2, orders[t], back.pop(t, ())).values():
+            s = seen.get(K.reduced_lattice)
+            if s is None:
+                if not seen.keys().isdisjoint(K.reduced_lattices):
+                    raise CertificateError(f"a reduced lattice of a new class at p={p} lies in a known class")
+                s = len(reps)
+                J, Or = _reduced_class(K)
+                seen.update(dict.fromkeys(J.reduced_lattices, s))
+                w = unit_weight(Or)
+                reps.append(J)
+                orders.append(Or)
+                weights.append(w)
+                mass += Fraction(1, w)
+                if mass == target:
+                    break
+                if mass > target:
+                    raise CertificateError(f"mass overshoot at p={p}: {mass} > {target}")
+            if s > t:
+                back.setdefault(s, set()).add(_reverse_line(current, K, reps[s], orders[s]))
     if mass != target:
         raise CertificateError(f"class-set enumeration incomplete at p={p}: {mass} != {target}")
     return IdealClassSet(

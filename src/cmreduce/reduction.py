@@ -118,8 +118,8 @@ def _check_reducible(d: int, p: int) -> Discriminant:
 # with K = J_s z and z an integer row up to a rational factor; filled
 # lazily, so it holds at most h_p sum (ell + 1) entries over the primes ell
 # the walks use.  The class-set BFS keys J_t's 2-neighbours by the same
-# lines (`quatalg._neighbor_ideals`), but keeps no z, so it does not seed
-# this table
+# lines (`quatalg._neighbor_ideals`) and classifies each one it forms as
+# J_s z, but it keeps neither z nor the line, so it does not seed this table
 _NEIGHBOURS: dict = {}
 
 
@@ -330,9 +330,12 @@ def _nu_weights(p: int) -> list[Fraction]:
 def joint_reduce(D, primes) -> JointDistribution:
     """Tuple of class indices per Picard class (the same class across all
     primes), with empirical counts, the product measure, total variation
-    distance and chi-square."""
+    distance and chi-square.  The empty product is a one-cell distribution
+    with nothing to report, so an empty prime list raises DomainError."""
     d = int(D)
     primes = tuple(primes)
+    if not primes:
+        raise DomainError("need at least one prime")
     if len(set(primes)) != len(primes):
         raise DomainError("primes must be pairwise distinct")
     forms = reduced_forms(d)

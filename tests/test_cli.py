@@ -175,7 +175,7 @@ def test_verify_quick(capsys):
     code, out, _ = run_capture(capsys, ["verify", "--quick"])
     assert code == 0
     assert "all" in out and "passed" in out
-    assert out.count("ok -") >= 10
+    assert out.count("ok -") >= 11
 
 
 def test_verify_fails_loudly_under_python_O():
@@ -190,7 +190,7 @@ def test_verify_fails_loudly_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert "FAIL - character orthogonality" in proc.stdout
-    assert "1 of 10 checks failed" in proc.stdout
+    assert "1 of 11 checks failed" in proc.stdout
 
 
 def test_no_command_imports_mpmath():

@@ -3,11 +3,13 @@ order, the HNF representatives and the class indices that `reduce` and
 `joint` print.  A change that alters any of them must refresh the files in
 tests/golden/ on purpose."""
 
+import hashlib
 import pathlib
 
 import pytest
 
 from cmreduce.cli import run
+from cmreduce.numbase import primes_up_to
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -39,3 +41,14 @@ CASES = {
 def test_golden_output(capsys, name):
     assert run(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+def test_class_sets_up_to_200(capsys):
+    # the `quat --p P classes --json` bytes of every prime 5 <= p <= 200, in
+    # one digest: the class order and the representatives across all three
+    # of Pizer's branches (CI pins p <= 1000 the same way)
+    h = hashlib.sha256()
+    for p in primes_up_to(200)[2:]:
+        assert run(["quat", "--p", str(p), "classes", "--json"]) == 0
+        h.update(capsys.readouterr().out.encode())
+    assert h.hexdigest() == "ef58214004f526225958ea2f5fb116ccd7ed3b2a12455b05cd59feb3e58c04a3"

@@ -80,9 +80,10 @@ def test_joint_reduce_single_prime():
 
 
 def test_joint_reduce_empty_primes():
-    jd = joint_reduce(-23, ())
-    assert jd.tuple_counts == {(): 3}
-    assert jd.tv == 0
+    # the empty product would be a one-cell distribution with tv 0; the
+    # library refuses it as both CLI commands do
+    with pytest.raises(DomainError, match="at least one prime"):
+        joint_reduce(-23, ())
 
 
 def test_joint_reduce_forced_tv_zero():
